@@ -1,0 +1,83 @@
+"""Exact root-system combinatorics and characteristic-p matrix calculus.
+
+Four areas, all over exact integers and rationals:
+
+* ``rootsys``: irreducible root systems A-G generated by reflection
+  closure, Coxeter numbers three independent ways, good primes, and
+  grading degrees for parabolic and closed subsets.
+* ``alcove``: homomorphisms from the root lattice to Q/Z, reduction of
+  rational coweight points to the fundamental alcove, and the selection
+  of a basis making every root in the window (0, 1/h) positive, with a
+  brute-force chamber oracle for cross-checking.
+* ``heights``: heights of dominant weights by two routes, minimal
+  nontrivial heights, and composite general-linear heights.
+* ``charp`` / ``bch``: truncated exponential, logarithm, and binomial
+  power series for p-nilpotent and p-unipotent matrices over Z/p, the
+  truncated group law with exact rational bracket tables, scalar-shift
+  nilpotent lifts, and weighted cyclic-shift examples.
+
+The ``liep`` command line exposes each operation with JSON output; see
+``liep --help``.
+"""
+
+from . import alcove, bch, charp, heights, rootsys
+from .alcove import (
+    BasisChoice,
+    CoweightPoint,
+    PhiHom,
+    ReductionTranscript,
+    WindowReport,
+    boundary_roots,
+    critical_roots,
+    lift,
+    mu_pj_restriction,
+    oracle_valid_bases,
+    reduce_to_alcove,
+    same_basis,
+    window_basis,
+    window_basis_report,
+)
+from .charp import (
+    BchTable,
+    FpMatrix,
+    HeisenbergReport,
+    WeightGradingReport,
+    bch_apply,
+    bch_table,
+    cyclic_shift_matrix,
+    heisenberg_module_check,
+    nilpotent_p_power_check,
+    pgl_nilpotent_lift,
+    t_power,
+    trunc_exp,
+    trunc_log,
+    weight_space_demo,
+)
+from .errors import ContractError
+from .heights import (
+    HeightReport,
+    composite_gl_height,
+    dynkin_height,
+    height_vs_coxeter_check,
+    is_low_height,
+    min_nontrivial_height,
+    semisimplicity_bound_ok,
+)
+from .rootsys import (
+    ParabolicDegrees,
+    RootSystem,
+    RootVec,
+    WeightVec,
+    build,
+    closed_subset_degrees,
+    coxeter_via_element,
+    coxeter_via_marks,
+    coxeter_via_rho,
+    fundamental_weight,
+    is_good_prime,
+    parabolic_degrees,
+    root_height,
+    weyl_vector,
+)
+
+__version__ = "0.1.0"

@@ -1,0 +1,549 @@
+"""Exact matrix calculus over prime fields.
+
+Truncated exponential and logarithm series for p-nilpotent and
+p-unipotent matrices, integer powers of unipotents through truncated
+binomial series, evaluation of the truncated group law on strictly
+upper triangular pairs, and the small menagerie of p x p examples that
+exercise them: the scalar-shift lift, weighted cyclic shifts, and the
+Heisenberg pair.  Everything is computed over Z/p with no floats and no
+external dependencies.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+
+from . import bch
+from .errors import ContractError
+from .primes import is_prime
+
+__all__ = [
+    "FpMatrix",
+    "BchTable",
+    "HeisenbergReport",
+    "WeightGradingReport",
+    "det",
+    "inverse",
+    "ext_traces",
+    "trunc_exp",
+    "trunc_log",
+    "t_power",
+    "bch_table",
+    "bch_apply",
+    "nilpotent_p_power_check",
+    "pgl_nilpotent_lift",
+    "cyclic_shift_matrix",
+    "heisenberg_module_check",
+    "weight_space_demo",
+]
+
+
+@dataclass(frozen=True)
+class FpMatrix:
+    """Immutable square matrix over Z/p with canonical residue entries."""
+
+    p: int
+    n: int
+    rows: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_rows(cls, p: int, rows) -> "FpMatrix":
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        grid = [list(r) for r in rows]
+        n = len(grid)
+        if n == 0 or any(len(r) != n for r in grid):
+            raise ValueError("matrix must be square and nonempty")
+        for r in grid:
+            for x in r:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValueError(f"entry {x!r} is not an integer")
+        return cls(p, n, tuple(tuple(x % p for x in r) for r in grid))
+
+    @classmethod
+    def identity(cls, p: int, n: int) -> "FpMatrix":
+        return cls.from_rows(p, [[int(r == c) for c in range(n)] for r in range(n)])
+
+    @classmethod
+    def zeros(cls, p: int, n: int) -> "FpMatrix":
+        return cls.from_rows(p, [[0] * n for _ in range(n)])
+
+    @classmethod
+    def matrix_unit(cls, p: int, n: int, i: int, j: int) -> "FpMatrix":
+        """Single 1 in row i, column j (0-based)."""
+        rows = [[0] * n for _ in range(n)]
+        rows[i][j] = 1
+        return cls.from_rows(p, rows)
+
+    @classmethod
+    def diagonal(cls, p: int, entries) -> "FpMatrix":
+        ent = list(entries)
+        n = len(ent)
+        rows = [[ent[r] if r == c else 0 for c in range(n)] for r in range(n)]
+        return cls.from_rows(p, rows)
+
+    def _same_shape(self, other: "FpMatrix") -> None:
+        if self.p != other.p or self.n != other.n:
+            raise ValueError("matrix shapes or characteristics differ")
+
+    def __add__(self, other: "FpMatrix") -> "FpMatrix":
+        self._same_shape(other)
+        p = self.p
+        return FpMatrix(p, self.n, tuple(
+            tuple((a + b) % p for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ))
+
+    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
+        self._same_shape(other)
+        p = self.p
+        return FpMatrix(p, self.n, tuple(
+            tuple((a - b) % p for a, b in zip(ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
+        ))
+
+    def __neg__(self) -> "FpMatrix":
+        return FpMatrix(self.p, self.n, tuple(
+            tuple((-a) % self.p for a in r) for r in self.rows
+        ))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        self._same_shape(other)
+        p, n = self.p, self.n
+        cols = list(zip(*other.rows))
+        return FpMatrix(p, n, tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
+            for row in self.rows
+        ))
+
+    def __rmul__(self, scalar: int) -> "FpMatrix":
+        return self.scale(scalar)
+
+    def scale(self, scalar: int) -> "FpMatrix":
+        s = scalar % self.p
+        return FpMatrix(self.p, self.n, tuple(
+            tuple((s * a) % self.p for a in r) for r in self.rows
+        ))
+
+    def __pow__(self, k: int) -> "FpMatrix":
+        if k < 0:
+            raise ValueError("negative powers not supported; use inverse()")
+        out = FpMatrix.identity(self.p, self.n)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def trace(self) -> int:
+        return sum(self.rows[i][i] for i in range(self.n)) % self.p
+
+    def is_zero(self) -> bool:
+        return all(a == 0 for r in self.rows for a in r)
+
+    def is_identity(self) -> bool:
+        return self == FpMatrix.identity(self.p, self.n)
+
+    def is_scalar(self) -> bool:
+        d = self.rows[0][0]
+        return self == FpMatrix.identity(self.p, self.n).scale(d)
+
+    def is_nilpotent(self) -> bool:
+        return (self ** self.n).is_zero()
+
+    def is_unipotent(self) -> bool:
+        return (self - FpMatrix.identity(self.p, self.n)).is_nilpotent()
+
+    def is_strictly_upper(self) -> bool:
+        return all(
+            self.rows[r][c] == 0
+            for r in range(self.n)
+            for c in range(r + 1)
+        )
+
+
+def det(m: FpMatrix) -> int:
+    """Determinant by Gaussian elimination over Z/p."""
+    p, n = m.p, m.n
+    a = [list(r) for r in m.rows]
+    result = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            result = -result
+        result = (result * a[col][col]) % p
+        inv = pow(a[col][col], -1, p)
+        for r in range(col + 1, n):
+            f = (a[r][col] * inv) % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+    return result % p
+
+
+def inverse(m: FpMatrix) -> FpMatrix:
+    """Matrix inverse by Gauss-Jordan elimination; rejects singular input."""
+    p, n = m.p, m.n
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
+        if piv is None:
+            raise ContractError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = pow(a[col][col], -1, p)
+        a[col] = [(x * inv) % p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+    return FpMatrix.from_rows(p, [row[n:] for row in a])
+
+
+def ext_traces(m: FpMatrix) -> tuple[int, ...]:
+    """Traces of the exterior powers: sums of principal k x k minors, k = 1..n.
+
+    These are the coefficients of the characteristic polynomial up to
+    sign: det(T - M) = T^n - e_1 T^{n-1} + ... + (-1)^n e_n.
+    """
+    p, n = m.p, m.n
+    out = []
+    for k in range(1, n + 1):
+        total = 0
+        for idx in combinations(range(n), k):
+            sub = FpMatrix(p, k, tuple(
+                tuple(m.rows[r][c] for c in idx) for r in idx
+            ))
+            total += det(sub)
+        out.append(total % p)
+    return tuple(out)
+
+
+@lru_cache(maxsize=2048)
+def _nil_powers(m: FpMatrix) -> tuple[FpMatrix, ...]:
+    """Powers m^0 .. m^{p-1}, with a check that m^p = 0."""
+    out = [FpMatrix.identity(m.p, m.n)]
+    for _ in range(m.p):
+        out.append(out[-1] * m)
+    if not out[m.p].is_zero():
+        raise ContractError("matrix power p does not vanish")
+    return tuple(out[: m.p])
+
+
+def trunc_exp(x: FpMatrix) -> FpMatrix:
+    """Exponential truncated below degree p; requires x^p = 0."""
+    powers = _nil_powers(x)
+    acc = FpMatrix.zeros(x.p, x.n)
+    fact = 1
+    for k in range(x.p):
+        if k:
+            fact = (fact * k) % x.p
+        acc = acc + powers[k].scale(pow(fact, -1, x.p))
+    return acc
+
+
+def trunc_log(u: FpMatrix) -> FpMatrix:
+    """Logarithm truncated below degree p; requires (u - 1)^p = 0."""
+    nil = u - FpMatrix.identity(u.p, u.n)
+    powers = _nil_powers(nil)
+    acc = FpMatrix.zeros(u.p, u.n)
+    sign = 1
+    for k in range(1, u.p):
+        acc = acc + powers[k].scale(sign * pow(k, -1, u.p))
+        sign = -sign
+    return acc
+
+
+def t_power(u: FpMatrix, t: int) -> FpMatrix:
+    """The power u^t through the truncated binomial series in (u - 1).
+
+    Requires u to be p-unipotent, i.e. (u - 1)^p = 0 (equivalently
+    u^p = 1).  For integer t this agrees with the ordinary power, and
+    t only matters mod p.
+    """
+    nil = u - FpMatrix.identity(u.p, u.n)
+    powers = _nil_powers(nil)
+    p = u.p
+    acc = FpMatrix.zeros(p, u.n)
+    binom = 1  # C(t, k) mod p, built incrementally
+    for k in range(p):
+        if k:
+            binom = (binom * (t - (k - 1)) * pow(k, -1, p)) % p
+        if binom:
+            acc = acc + powers[k].scale(binom)
+    return acc
+
+
+@dataclass(frozen=True)
+class BchTable:
+    """Group-law bracket coefficients usable in characteristic ``p``.
+
+    ``terms`` lists (left-nested bracket word, exact rational
+    coefficient) sorted by degree; every coefficient denominator is a
+    product of primes below ``p``, so each term reduces mod p.
+    """
+
+    p: int
+    max_degree: int
+    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+
+
+def bch_table(p: int, max_degree: int) -> BchTable:
+    """Tabulate the truncated group law for characteristic ``p``."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
+    if max_degree >= p:
+        raise ValueError(
+            f"max_degree {max_degree} >= p = {p}: coefficient denominators divide "
+            "max_degree! and would vanish mod p"
+        )
+    return BchTable(p, max_degree, bch.bracket_terms(max_degree))
+
+
+def _fraction_mod(f: Fraction, p: int) -> int:
+    den = f.denominator % p
+    if den == 0:
+        raise ContractError(f"coefficient {f} has denominator divisible by {p}")
+    return (f.numerator % p) * pow(den, -1, p) % p
+
+
+def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
+    """Evaluate the tabulated group law on a strictly upper triangular pair.
+
+    Strict triangularity makes every product of n or more factors
+    vanish, so the truncation at table.max_degree >= n - 1 is exact and
+    exp(result) = exp(x) exp(y) on the nose.
+    """
+    if x.p != table.p or y.p != table.p or x.n != y.n:
+        raise ValueError("operands must share the table's characteristic and one size")
+    if not (x.is_strictly_upper() and y.is_strictly_upper()):
+        raise ContractError("operands must be strictly upper triangular")
+    if x.n > table.p:
+        raise ContractError(
+            f"size {x.n} exceeds characteristic {table.p}; "
+            "brackets of degree >= p could survive"
+        )
+    if table.max_degree < x.n - 1:
+        raise ValueError(
+            f"table degree {table.max_degree} below commutator depth {x.n - 1}"
+        )
+    letters = {(0,): x, (1,): y}
+    values: dict[tuple[int, ...], FpMatrix] = dict(letters)
+
+    def value(word: tuple[int, ...]) -> FpMatrix:
+        got = values.get(word)
+        if got is None:
+            head = value(word[:-1])
+            tail = letters[(word[-1],)]
+            got = head * tail - tail * head
+            values[word] = got
+        return got
+
+    acc = FpMatrix.zeros(x.p, x.n)
+    for word, coeff in table.terms:
+        if len(word) >= x.n:
+            continue  # exact zero for this size
+        c = _fraction_mod(coeff, table.p)
+        if c:
+            acc = acc + value(word).scale(c)
+    return acc
+
+
+def nilpotent_p_power_check(x: FpMatrix) -> bool:
+    """Whether a nilpotent matrix already satisfies x^p = 0."""
+    if not x.is_nilpotent():
+        raise ContractError("matrix is not nilpotent")
+    return (x ** x.p).is_zero()
+
+
+def pgl_nilpotent_lift(a: FpMatrix) -> FpMatrix:
+    """Shift a p x p matrix by a scalar to make it nilpotent.
+
+    Requires every exterior-power trace below the determinant to vanish,
+    so the characteristic polynomial is T^p - det(a); then
+    a - det(a) . 1 is nilpotent because det is its own p-th root mod p.
+    """
+    if a.n != a.p:
+        raise ValueError(f"matrix size {a.n} must equal the characteristic {a.p}")
+    traces = ext_traces(a)
+    for k in range(1, a.p):
+        if traces[k - 1] != 0:
+            raise ContractError(
+                f"exterior trace e_{k} = {traces[k - 1]} is nonzero; "
+                "no scalar shift of this matrix is nilpotent"
+            )
+    d = traces[-1]  # e_n is the determinant; its p-th root mod p is itself
+    lifted = a - FpMatrix.identity(a.p, a.n).scale(d)
+    if not (lifted ** a.p).is_zero():
+        raise ContractError("scalar shift failed to be nilpotent; arithmetic is broken")
+    return lifted
+
+
+def cyclic_shift_matrix(p: int, weights) -> FpMatrix:
+    """Weighted cyclic shift: superdiagonal t_1..t_{p-1}, corner t_p.
+
+    Row i carries t_{i+1} in column i+1 (0-based), and row p-1 carries
+    t_p in column 0.  The p-th power is the scalar (product of all
+    weights), so the matrix is invertible and never nilpotent.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    w = [int(t) % p for t in weights]
+    if len(w) != p:
+        raise ValueError(f"need exactly {p} weights, got {len(w)}")
+    if any(t == 0 for t in w):
+        raise ContractError("every cycle weight must be nonzero mod p")
+    rows = [[0] * p for _ in range(p)]
+    for i in range(p - 1):
+        rows[i][i + 1] = w[i]
+    rows[p - 1][0] = w[p - 1]
+    x = FpMatrix.from_rows(p, rows)
+    scalar = 1
+    for t in w:
+        scalar = (scalar * t) % p
+    if (x ** p) != FpMatrix.identity(p, p).scale(scalar):
+        raise ContractError("cycle power identity failed; arithmetic is broken")
+    return x
+
+
+def cycle_power_scalar(p: int, weights) -> int:
+    """The scalar c with (cyclic shift)^p = c . 1: the product of the weights."""
+    scalar = 1
+    for t in weights:
+        scalar = (scalar * int(t)) % p
+    return scalar
+
+
+@dataclass(frozen=True)
+class HeisenbergReport:
+    p: int
+    shift_order_ok: bool
+    commutator_ok: bool
+    span_dimension: int
+    spans_full_algebra: bool
+
+
+def heisenberg_module_check(p: int) -> HeisenbergReport:
+    """Shift-and-grading pair on p points: S cycles basis vectors, D counts.
+
+    Verifies S^p = 1 and [D, S] = S, then closes the pair under products
+    and linear span to measure how much of the p x p matrix algebra the
+    pair generates (all of it, for every prime).
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    s_rows = [[0] * p for _ in range(p)]
+    for i in range(p):
+        s_rows[(i + 1) % p][i] = 1
+    s = FpMatrix.from_rows(p, s_rows)
+    d = FpMatrix.diagonal(p, list(range(p)))
+
+    shift_ok = (s ** p).is_identity()
+    comm_ok = (d * s - s * d) == s
+
+    dim = _span_dimension([FpMatrix.identity(p, p), s, d], [s, d])
+    return HeisenbergReport(p, shift_ok, comm_ok, dim, dim == p * p)
+
+
+def _span_dimension(seed: list[FpMatrix], multipliers: list[FpMatrix]) -> int:
+    """Dimension of the smallest multiplier-stable subspace containing the seed."""
+    p = seed[0].p
+    n = seed[0].n
+    width = n * n
+
+    echelon: dict[int, list[int]] = {}  # leading index -> reduced row vector
+
+    def reduce(vec: list[int]):
+        for lead in range(width):
+            if vec[lead] == 0:
+                continue
+            row = echelon.get(lead)
+            if row is None:
+                inv = pow(vec[lead], -1, p)
+                echelon[lead] = [(x * inv) % p for x in vec]
+                return lead
+            f = vec[lead]
+            vec = [(x - f * y) % p for x, y in zip(vec, row)]
+        return None
+
+    queue = list(seed)
+    basis_mats: list[FpMatrix] = []
+    while queue:
+        m = queue.pop(0)
+        vec = [x for r in m.rows for x in r]
+        if reduce(vec) is None:
+            continue
+        basis_mats.append(m)
+        for g in multipliers:
+            queue.append(m * g)
+            queue.append(g * m)
+    return len(echelon)
+
+
+@dataclass(frozen=True)
+class WeightGradingReport:
+    """Weight decomposition of trace-classes of p x p matrices mod scalars.
+
+    Conjugating by the diagonal 1-parameter subgroup with exponent steps
+    of size p gives the entry in row i, column j the weight p(j - i)
+    mod p^2.  Components are keyed by their weight in 0..p^2-1.
+    """
+
+    p: int
+    component_dims: tuple[tuple[int, int], ...]
+    total_dim: int
+    alpha_weight: int
+    alpha_entries: tuple[tuple[int, int], ...]
+    alpha_carries_cycle: bool
+    witness: FpMatrix
+    witness_power_scalar: int
+    witness_is_nilpotent: bool
+
+
+def weight_space_demo(p: int) -> WeightGradingReport:
+    """Lay out the weight grading and exhibit the invertible cycle inside it.
+
+    The weight-p component is spanned by the superdiagonal entries plus
+    the lower-left corner: exactly the support of the cyclic shift,
+    whose p-th power is a nonzero scalar, so that component contains no
+    nonzero nilpotent of cycle shape even though the component itself
+    looks like a root space.
+    """
+    if not is_prime(p) or p < 3:
+        raise ValueError("p must be an odd prime")
+    mod = p * p
+    dims: dict[int, int] = {}
+    alpha_entries = []
+    for i in range(p):
+        for j in range(p):
+            w = (p * (j - i)) % mod
+            dims[w] = dims.get(w, 0) + 1
+            if w == p % mod:
+                alpha_entries.append((i, j))
+    dims[0] -= 1  # scalars are quotiented away from the diagonal component
+
+    witness = cyclic_shift_matrix(p, (1,) * p)
+    scalar = cycle_power_scalar(p, (1,) * p)
+    support = {(i, j) for i in range(p) for j in range(p) if witness.rows[i][j]}
+
+    return WeightGradingReport(
+        p=p,
+        component_dims=tuple(sorted(dims.items())),
+        total_dim=sum(dims.values()),
+        alpha_weight=p,
+        alpha_entries=tuple(sorted(alpha_entries)),
+        alpha_carries_cycle=support <= set(alpha_entries),
+        witness=witness,
+        witness_power_scalar=scalar,
+        witness_is_nilpotent=witness.is_nilpotent(),
+    )

@@ -1,0 +1,570 @@
+"""Command-line front end with machine-readable JSON output.
+
+Every subcommand prints one JSON report to stdout: the subcommand name,
+a result payload, the list of invariants that were verified while
+building it, and the elapsed time in integer microseconds.  Rationals
+are emitted as exact integers or "a/b" strings, never floats.  Exit
+codes: 0 success, 1 usage error (bad flags, malformed rational or
+matrix), 2 contract violation (well-formed input that fails a
+mathematical precondition, or a failed self-test).  Diagnostics go to
+stderr; stdout stays valid JSON on every path, including errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from fractions import Fraction
+
+from . import acceptance, alcove, charp, heights, rootsys
+from .charp import FpMatrix
+from .errors import ContractError
+
+__all__ = ["main"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports usage problems as exceptions, not exits."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _enc(x):
+    """Recursively convert payload values to JSON-safe exact forms."""
+    if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
+        return x
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, FpMatrix):
+        return {"p": x.p, "matrix": [list(r) for r in x.rows]}
+    if isinstance(x, (rootsys.RootVec, rootsys.WeightVec)):
+        return list(x.coords)
+    if isinstance(x, (list, tuple)):
+        return [_enc(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _enc(v) for k, v in x.items()}
+    if isinstance(x, float):
+        raise TypeError("floats are banned from reports")
+    raise TypeError(f"cannot encode {type(x).__name__}")
+
+
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {text!r}: {exc}") from None
+
+
+def _parse_fractions(text: str) -> tuple[Fraction, ...]:
+    return tuple(_parse_fraction(part) for part in text.split(","))
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part.strip()) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"malformed integer list {text!r}") from None
+
+
+def _parse_matrix(p: int, text: str) -> FpMatrix:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"matrix payload is not valid JSON: {exc}") from None
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise ValueError("matrix payload must be a JSON 2-D array")
+    return FpMatrix.from_rows(p, data)
+
+
+def _system(args) -> rootsys.RootSystem:
+    return rootsys.build(args.type.upper(), args.rank)
+
+
+def _cmd_coxeter(args):
+    rs = _system(args)
+    a = rootsys.coxeter_via_marks(rs)
+    b = rootsys.coxeter_via_rho(rs)
+    c = rootsys.coxeter_via_element(rs)
+    if not a == b == c:
+        raise ContractError(f"Coxeter routes disagree: {a}, {b}, {c}")
+    result = {"h": a, "agreement": True, "via_marks": a, "via_rho": b, "via_element": c}
+    return result, ["marks, dual-pairing, and element-order routes agree"]
+
+
+def _cmd_roots(args):
+    rs = _system(args)
+    return rs.to_json_dict(), [
+        "roots generated by reflection closure",
+        "closed under negation and simple reflections",
+        "unique highest root",
+    ]
+
+
+def _cmd_goodprime(args):
+    rs = _system(args)
+    good = rootsys.is_good_prime(rs, args.p)
+    return (
+        {"p": args.p, "good": good, "max_mark": max(rs.marks), "marks": list(rs.marks)},
+        ["primality validated", "compared against the largest mark"],
+    )
+
+
+def _cmd_parabolic(args):
+    rs = _system(args)
+    subset = _parse_ints(args.subset) if args.subset else ()
+    degrees, max_degree = rootsys.parabolic_degrees(rs, subset)
+    entries = [
+        {"root": _enc(a), "degree": d}
+        for a, d in sorted(degrees.items(), key=lambda kv: (sum(kv[0].coords), kv[0].coords))
+    ]
+    invariants = ["degrees positive outside the parabolic"]
+    missing = set(range(1, rs.rank + 1)) - set(subset)
+    if len(missing) == 1:
+        i = missing.pop()
+        if max_degree != rs.marks[i - 1]:
+            raise ContractError("maximal-parabolic degree does not match the mark")
+        invariants.append("maximal-parabolic top degree equals the corresponding mark")
+    return {"subset": sorted(subset), "max_degree": max_degree, "degrees": entries}, invariants
+
+
+def _weight(args, rs) -> rootsys.WeightVec:
+    coords = _parse_ints(args.weight)
+    if len(coords) != rs.rank:
+        raise ValueError(f"weight needs {rs.rank} coordinates, got {len(coords)}")
+    return rootsys.WeightVec(coords)
+
+
+def _height_payload(report: heights.HeightReport) -> dict:
+    return {
+        "height": report.height,
+        "via_pairing": report.via_pairing,
+        "via_difference": report.via_difference,
+        "lambda_minus": _enc(report.lambda_minus),
+    }
+
+
+def _cmd_height(args):
+    rs = _system(args)
+    report = heights.dynkin_height(rs, _weight(args, rs))
+    if report.via_pairing != report.via_difference:
+        raise ContractError("height routes disagree")
+    return _height_payload(report), ["pairing and difference routes agree"]
+
+
+def _cmd_lowheight(args):
+    rs = _system(args)
+    w = _weight(args, rs)
+    low = heights.is_low_height(rs, w, args.p)
+    return (
+        {"p": args.p, "low_height": low, "report": _height_payload(heights.dynkin_height(rs, w))},
+        ["height computed by two agreeing routes", "compared exactly against p"],
+    )
+
+
+def _cmd_minheight(args):
+    rs = _system(args)
+    per = [
+        {"index": i, "height": heights.dynkin_height(rs, rootsys.fundamental_weight(rs, i)).height}
+        for i in range(1, rs.rank + 1)
+    ]
+    value = min(e["height"] for e in per)
+    if value != heights.min_nontrivial_height(rs):
+        raise ContractError("per-fundamental minimum disagrees with min_nontrivial_height")
+    h = rootsys.coxeter_via_marks(rs)
+    if value < h - 1:
+        raise ContractError("minimal height fell below h - 1")
+    return (
+        {"min_height": value, "coxeter_number": h, "per_fundamental": per},
+        ["minimum over fundamental weights", "at least h - 1"],
+    )
+
+
+def _cmd_glheight(args):
+    dims = _parse_ints(args.dims)
+    ms = _parse_ints(args.ms)
+    total = heights.composite_gl_height(dims, ms)
+    per = [{"dim": d, "m": m, "height": m * (d - m)} for d, m in zip(dims, ms)]
+    result = {"height": total, "per_factor": per}
+    invariants = ["per-factor heights m(d - m) sum to the total"]
+    if args.p is not None:
+        result["p"] = args.p
+        result["bound_ok"] = heights.semisimplicity_bound_ok(dims, ms, args.p)
+        invariants.append("bound compared exactly against p")
+    return result, invariants
+
+
+def _phi(args, rs) -> alcove.PhiHom:
+    values = _parse_fractions(args.phi)
+    if len(values) != rs.rank:
+        raise ValueError(f"phi needs {rs.rank} values, got {len(values)}")
+    return alcove.PhiHom(values)
+
+
+def _cmd_basis(args):
+    rs = _system(args)
+    phi = _phi(args, rs)
+    report = alcove.window_basis_report(rs, phi)
+    critical = alcove.critical_roots(rs, phi)
+    for a in critical:
+        if not report.basis.is_positive(rs, a):
+            raise ContractError(f"critical root {a.coords} negative under the chosen basis")
+    result = {
+        "phi": _enc(list(phi.values)),
+        "weyl_word": list(report.basis.weyl_word),
+        "basis_roots": _enc(report.basis.basis_roots(rs)),
+        "pigeonhole_index": report.pigeonhole_index,
+        "reduced_point": _enc(list(report.reduced_point.values)),
+        "critical_roots": _enc(critical),
+    }
+    invariants = ["every window root is positive under the returned basis"]
+    if args.oracle:
+        valid = alcove.oracle_valid_bases(rs, phi)
+        member = any(alcove.same_basis(rs, report.basis, b) for b in valid)
+        if not member:
+            raise ContractError("constructive basis is not among the oracle's valid bases")
+        result["oracle_member"] = True
+        result["oracle_count"] = len(valid)
+        invariants.append("constructive choice confirmed by chamber enumeration")
+    return result, invariants
+
+
+def _cmd_critical(args):
+    rs = _system(args)
+    phi = _phi(args, rs)
+    h = rs.coxeter_number
+    return (
+        {
+            "phi": _enc(list(phi.values)),
+            "window": _enc(Fraction(1, h)),
+            "critical_roots": _enc(alcove.critical_roots(rs, phi)),
+            "boundary_roots": _enc(alcove.boundary_roots(rs, phi)),
+        },
+        ["window endpoints tested with exact rationals"],
+    )
+
+
+def _cmd_reduce(args):
+    rs = _system(args)
+    values = _parse_fractions(args.point)
+    if len(values) != rs.rank:
+        raise ValueError(f"point needs {rs.rank} coordinates, got {len(values)}")
+    reduced, transcript = alcove.reduce_to_alcove(rs, alcove.CoweightPoint(values))
+    steps = []
+    for step in transcript.steps:
+        if step[0] == "translate":
+            steps.append({"kind": "translate", "by": list(step[1])})
+        elif step[0] == "reflect":
+            steps.append({"kind": "reflect", "index": step[1]})
+        else:
+            steps.append({"kind": "affine_reflect"})
+    return (
+        {
+            "point": _enc(list(values)),
+            "reduced_point": _enc(list(reduced.values)),
+            "steps": steps,
+            "weyl_word": list(transcript.weyl_word),
+            "net_translation": list(transcript.net_translation),
+        },
+        [
+            "reduced point lies in the closed fundamental alcove",
+            "some affine coordinate is at least 1/h",
+            "transcript recomposes to the reduced point",
+        ],
+    )
+
+
+def _cmd_exp(args):
+    x = _parse_matrix(args.p, args.matrix)
+    u = charp.trunc_exp(x)
+    if charp.trunc_log(u) != x:
+        raise ContractError("log(exp(x)) != x")
+    return (
+        {"input": _enc(x), "output": _enc(u)},
+        ["input is p-nilpotent", "output is p-unipotent", "log inverts the result"],
+    )
+
+
+def _cmd_log(args):
+    u = _parse_matrix(args.p, args.matrix)
+    x = charp.trunc_log(u)
+    if charp.trunc_exp(x) != u:
+        raise ContractError("exp(log(u)) != u")
+    return (
+        {"input": _enc(u), "output": _enc(x)},
+        ["input is p-unipotent", "output is p-nilpotent", "exp inverts the result"],
+    )
+
+
+def _cmd_tpower(args):
+    u = _parse_matrix(args.p, args.matrix)
+    result = charp.t_power(u, args.t)
+    direct = FpMatrix.identity(u.p, u.n)
+    for _ in range(args.t % u.p):
+        direct = direct * u
+    if result != direct:
+        raise ContractError("binomial power disagrees with repeated multiplication")
+    return (
+        {"t": args.t, "input": _enc(u), "output": _enc(result)},
+        ["matches repeated multiplication at t mod p"],
+    )
+
+
+def _cmd_bch(args):
+    table = charp.bch_table(args.p, args.degree)
+    terms = [
+        {"degree": len(word), "word": list(word), "coefficient": _enc(coeff)}
+        for word, coeff in table.terms
+    ]
+    result = {"p": args.p, "degree": args.degree, "terms": terms}
+    invariants = ["denominator primes stay below p"]
+    if (args.x is None) != (args.y is None):
+        raise ValueError("provide both --x and --y, or neither")
+    if args.x is not None:
+        x = _parse_matrix(args.p, args.x)
+        y = _parse_matrix(args.p, args.y)
+        z = charp.bch_apply(table, x, y)
+        if charp.trunc_exp(z) != charp.trunc_exp(x) * charp.trunc_exp(y):
+            raise ContractError("exp(bch(x, y)) != exp(x) exp(y)")
+        result["applied"] = {"x": _enc(x), "y": _enc(y), "z": _enc(z)}
+        invariants.append("exp of the result equals the product of exponentials")
+    return result, invariants
+
+
+def _cmd_cycle(args):
+    weights = _parse_ints(args.t)
+    x = charp.cyclic_shift_matrix(args.p, weights)
+    scalar = charp.cycle_power_scalar(args.p, weights)
+    return (
+        {
+            "p": args.p,
+            "weights": list(weights),
+            "matrix": _enc(x),
+            "power_scalar": scalar,
+            "is_nilpotent": x.is_nilpotent(),
+        },
+        ["p-th power is the scalar product of the weights", "matrix is not nilpotent"],
+    )
+
+
+def _cmd_pgl_lift(args):
+    a = _parse_matrix(args.p, args.matrix)
+    lifted = charp.pgl_nilpotent_lift(a)
+    d = charp.det(a)
+    return (
+        {"input": _enc(a), "det": d, "lift": _enc(lifted)},
+        ["exterior traces below the determinant vanish", "lift is p-nilpotent"],
+    )
+
+
+def _cmd_heisenberg(args):
+    rep = charp.heisenberg_module_check(args.p)
+    if not (rep.shift_order_ok and rep.commutator_ok and rep.spans_full_algebra):
+        raise ContractError(f"relations or spanning failed: {rep}")
+    return (
+        {
+            "p": rep.p,
+            "shift_order_ok": rep.shift_order_ok,
+            "commutator_ok": rep.commutator_ok,
+            "span_dimension": rep.span_dimension,
+            "spans_full_algebra": rep.spans_full_algebra,
+        },
+        ["S^p = 1", "[D, S] = S", "products span the full matrix algebra"],
+    )
+
+
+def _cmd_weightdemo(args):
+    rep = charp.weight_space_demo(args.p)
+    return (
+        {
+            "p": rep.p,
+            "component_dims": [[w, d] for w, d in rep.component_dims],
+            "total_dim": rep.total_dim,
+            "alpha_weight": rep.alpha_weight,
+            "alpha_entries": [[i, j] for i, j in rep.alpha_entries],
+            "alpha_carries_cycle": rep.alpha_carries_cycle,
+            "witness": _enc(rep.witness),
+            "witness_power_scalar": rep.witness_power_scalar,
+            "witness_is_nilpotent": rep.witness_is_nilpotent,
+        },
+        [
+            "component dimensions sum to p^2 - 1",
+            "weight-p component carries the cyclic shift",
+            "witness is invertible, not nilpotent",
+        ],
+    )
+
+
+def _cmd_selftest(args):
+    kwargs = {}
+    if args.trials is not None:
+        if args.trials < 1:
+            raise ValueError("--trials must be positive")
+        kwargs = {
+            "phi_trials": args.trials,
+            "calc_trials": args.trials,
+            "lift_trials": args.trials,
+        }
+    results = acceptance.run_all(seed=args.seed, **kwargs)
+    payload = []
+    for r in results:
+        line = f"{'PASS' if r.passed else 'FAIL'} criterion {r.number}: {r.name} ({r.details})"
+        print(line, file=sys.stderr)
+        payload.append(
+            {
+                "number": r.number,
+                "name": r.name,
+                "passed": r.passed,
+                "details": r.details,
+                "elapsed_us": int(r.elapsed_s * 1_000_000),
+            }
+        )
+    all_passed = all(r.passed for r in results)
+    result = {
+        "seed": args.seed,
+        "trials": args.trials,
+        "criteria": payload,
+        "all_passed": all_passed,
+    }
+    return result, ["each criterion ran to completion"], (0 if all_passed else 2)
+
+
+def _add_system_flags(sub):
+    sub.add_argument("--type", required=True, help="series letter A..G")
+    sub.add_argument("--rank", required=True, type=int)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="liep", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    for name, needs_phi in [("basis", True), ("critical", True)]:
+        sp = subs.add_parser(name)
+        _add_system_flags(sp)
+        sp.add_argument("--phi", required=True, help='comma-separated rationals, e.g. "1/9,1/9"')
+        if name == "basis":
+            sp.add_argument("--oracle", action="store_true",
+                            help="confirm against chamber enumeration (rank <= 3)")
+
+    for name in ("coxeter", "roots", "minheight"):
+        _add_system_flags(subs.add_parser(name))
+
+    sp = subs.add_parser("goodprime")
+    _add_system_flags(sp)
+    sp.add_argument("--p", required=True, type=int)
+
+    sp = subs.add_parser("parabolic")
+    _add_system_flags(sp)
+    sp.add_argument("--subset", default="", help="comma-separated simple indices (1-based)")
+
+    sp = subs.add_parser("height")
+    _add_system_flags(sp)
+    sp.add_argument("--weight", required=True, help='fundamental coordinates, e.g. "1,0,0,1"')
+
+    sp = subs.add_parser("lowheight")
+    _add_system_flags(sp)
+    sp.add_argument("--weight", required=True)
+    sp.add_argument("--p", required=True, type=int)
+
+    sp = subs.add_parser("glheight")
+    sp.add_argument("--dims", required=True, help='factor dimensions, e.g. "4,3"')
+    sp.add_argument("--ms", required=True, help='wedge degrees, e.g. "2,1"')
+    sp.add_argument("--p", type=int, default=None)
+
+    sp = subs.add_parser("reduce")
+    _add_system_flags(sp)
+    sp.add_argument("--point", required=True, help='comma-separated rationals, e.g. "4/3,1/3"')
+
+    for name in ("exp", "log"):
+        sp = subs.add_parser(name)
+        sp.add_argument("--p", required=True, type=int)
+        sp.add_argument("--matrix", required=True, help="JSON 2-D integer array")
+
+    sp = subs.add_parser("tpower")
+    sp.add_argument("--p", required=True, type=int)
+    sp.add_argument("--matrix", required=True)
+    sp.add_argument("--t", required=True, type=int)
+
+    sp = subs.add_parser("bch")
+    sp.add_argument("--p", required=True, type=int)
+    sp.add_argument("--degree", required=True, type=int)
+    sp.add_argument("--x", default=None, help="optional JSON matrix")
+    sp.add_argument("--y", default=None, help="optional JSON matrix")
+
+    sp = subs.add_parser("cycle")
+    sp.add_argument("--p", required=True, type=int)
+    sp.add_argument("--t", required=True, help='p nonzero weights, e.g. "1,2,1"')
+
+    sp = subs.add_parser("pgl-lift")
+    sp.add_argument("--p", required=True, type=int)
+    sp.add_argument("--matrix", required=True)
+
+    for name in ("heisenberg", "weightdemo"):
+        sp = subs.add_parser(name)
+        sp.add_argument("--p", required=True, type=int)
+
+    sp = subs.add_parser("selftest")
+    sp.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    sp.add_argument("--trials", type=int, default=None)
+
+    return parser
+
+
+_HANDLERS = {
+    "coxeter": _cmd_coxeter,
+    "roots": _cmd_roots,
+    "goodprime": _cmd_goodprime,
+    "parabolic": _cmd_parabolic,
+    "height": _cmd_height,
+    "lowheight": _cmd_lowheight,
+    "minheight": _cmd_minheight,
+    "glheight": _cmd_glheight,
+    "basis": _cmd_basis,
+    "critical": _cmd_critical,
+    "reduce": _cmd_reduce,
+    "exp": _cmd_exp,
+    "log": _cmd_log,
+    "tpower": _cmd_tpower,
+    "bch": _cmd_bch,
+    "cycle": _cmd_cycle,
+    "pgl-lift": _cmd_pgl_lift,
+    "heisenberg": _cmd_heisenberg,
+    "weightdemo": _cmd_weightdemo,
+    "selftest": _cmd_selftest,
+}
+
+
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def main(argv=None) -> int:
+    started = time.perf_counter()
+    command = None
+    try:
+        args = _build_parser().parse_args(argv)
+        command = args.command
+        outcome = _HANDLERS[command](args)
+        result, invariants = outcome[0], outcome[1]
+        code = outcome[2] if len(outcome) > 2 else 0
+    except ContractError as exc:
+        _emit({"subcommand": command, "error": {"kind": "contract", "message": str(exc)}})
+        return 2
+    except ValueError as exc:
+        _emit({"subcommand": command, "error": {"kind": "usage", "message": str(exc)}})
+        return 1
+    _emit(
+        {
+            "subcommand": command,
+            "result": result,
+            "invariants": invariants,
+            "elapsed_us": int((time.perf_counter() - started) * 1_000_000),
+        }
+    )
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,165 @@
+"""Heights of highest-weight data, computed two independent ways.
+
+The height of a dominant weight is its pairing with the sum of the
+positive coroots.  It is recomputed as the coordinate total of the
+exact difference between the weight and its antidominant Weyl conjugate,
+and both answers are reported so callers can cross-examine them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import ContractError
+from .primes import is_prime
+from .rootsys import (
+    RootSystem,
+    WeightVec,
+    coxeter_via_marks,
+    fundamental_weight,
+    weight_to_root_coords,
+)
+
+__all__ = [
+    "HeightReport",
+    "dynkin_height",
+    "is_low_height",
+    "min_nontrivial_height",
+    "composite_gl_height",
+    "semisimplicity_bound_ok",
+    "height_vs_coxeter_check",
+    "antidominant_conjugate",
+]
+
+_DESCENT_CAP = 100_000
+
+_two_rho_cache: dict[RootSystem, tuple[int, ...]] = {}
+
+
+def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
+    """Coordinates of the sum of all positive coroots over the simple coroots."""
+    cached = _two_rho_cache.get(rs)
+    if cached is None:
+        acc = [0] * rs.rank
+        for a in rs.positive_roots:
+            for k, c in enumerate(rs.coroot(a)):
+                acc[k] += c
+        cached = tuple(acc)
+        _two_rho_cache[rs] = cached
+    return cached
+
+
+def _require_dominant(weight: WeightVec) -> None:
+    if not weight.is_dominant():
+        raise ContractError(f"weight {weight.coords} is not dominant")
+
+
+def _reflect_weight(rs: RootSystem, coords: list[int], i: int) -> None:
+    """In-place s_i on fundamental-weight coordinates (0-based i)."""
+    ci = coords[i]
+    if ci == 0:
+        return
+    for k in range(rs.rank):
+        coords[k] -= ci * rs.cartan[k][i]
+
+
+def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
+    """The unique antidominant Weyl conjugate, by greedy descent.
+
+    Reflecting at the lowest index with a positive coordinate strictly
+    lowers the pairing with the positive-coroot sum, so the walk
+    terminates; the cap is a tripwire, not a tuning knob.
+    """
+    two_rho = _two_rho_coroot(rs)
+    coords = list(weight.coords)
+    for _ in range(_DESCENT_CAP):
+        i = next((k for k in range(rs.rank) if coords[k] > 0), None)
+        if i is None:
+            return WeightVec(tuple(coords))
+        before = sum(c * t for c, t in zip(coords, two_rho))
+        _reflect_weight(rs, coords, i)
+        after = sum(c * t for c, t in zip(coords, two_rho))
+        if after >= before:
+            raise ContractError("descent failed to decrease; arithmetic is broken")
+    raise ContractError(f"antidominant descent exceeded {_DESCENT_CAP} steps")
+
+
+@dataclass(frozen=True)
+class HeightReport:
+    """Height of a dominant weight with both computation routes exposed.
+
+    ``height`` equals ``via_pairing``; ``via_difference`` recomputes it
+    from ``weight - lambda_minus`` and is carried so tests can insist
+    the routes agree.
+    """
+
+    height: int
+    via_pairing: int
+    via_difference: int
+    lambda_minus: WeightVec
+
+
+def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
+    """Pairing of a dominant weight with the sum of the positive coroots.
+
+    Route one contracts the weight against that coroot sum.  Route two
+    finds the antidominant conjugate, converts the difference to exact
+    simple-root coordinates through the inverse Cartan matrix, and sums
+    them; the conversion must come out integral.
+    """
+    _require_dominant(weight)
+    two_rho = _two_rho_coroot(rs)
+    via_pairing = sum(c * t for c, t in zip(weight.coords, two_rho))
+
+    low = antidominant_conjugate(rs, weight)
+    diff = weight - low
+    root_coords = weight_to_root_coords(rs, diff)
+    if any(x.denominator != 1 for x in root_coords):
+        raise ContractError("weight minus antidominant conjugate left the root lattice")
+    via_difference = int(sum(root_coords))
+
+    return HeightReport(via_pairing, via_pairing, via_difference, low)
+
+
+def is_low_height(rs: RootSystem, weight: WeightVec, p: int) -> bool:
+    """Whether the prime strictly exceeds the weight's height."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p > dynkin_height(rs, weight).height
+
+
+def min_nontrivial_height(rs: RootSystem) -> int:
+    """Smallest height over the fundamental weights."""
+    return min(
+        dynkin_height(rs, fundamental_weight(rs, i)).height
+        for i in range(1, rs.rank + 1)
+    )
+
+
+def composite_gl_height(dims: tuple[int, ...], ms: tuple[int, ...]) -> int:
+    """Sum of m_i (d_i - m_i) over factors, the height of a tensor-of-wedges datum."""
+    if len(dims) != len(ms):
+        raise ValueError("dims and ms must have equal length")
+    total = 0
+    for d, m in zip(dims, ms):
+        if d < 1:
+            raise ValueError(f"factor dimension {d} must be positive")
+        if m < 0 or m > d:
+            raise ContractError(f"wedge degree {m} outside 0..{d}")
+        total += m * (d - m)
+    return total
+
+
+def semisimplicity_bound_ok(dims: tuple[int, ...], ms: tuple[int, ...], p: int) -> bool:
+    """Whether the composite height is strictly below the prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return composite_gl_height(dims, ms) < p
+
+
+def height_vs_coxeter_check(rs: RootSystem, weight: WeightVec) -> bool:
+    """Whether a nonzero dominant weight's height reaches h - 1."""
+    _require_dominant(weight)
+    if weight.is_zero():
+        raise ContractError("zero weight has no nontrivial height comparison")
+    return dynkin_height(rs, weight).height >= coxeter_via_marks(rs) - 1

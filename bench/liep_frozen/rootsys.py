@@ -1,0 +1,506 @@
+"""Irreducible root systems of types A through G, built from Cartan data.
+
+Roots are enumerated by closing the set of simple roots under simple
+reflections; no root table is hard-coded anywhere, and the classical
+root counts appear only as test oracles.  Simple roots are numbered
+1..rank following Bourbaki.
+
+Conventions used throughout the package:
+
+* The Cartan matrix is ``C[i][j] = <alpha_j, alpha_i^vee>`` (0-based
+  internally, 1-based in the public API), so every diagonal entry is 2
+  and the simple reflection acts on a root ``v`` written in simple-root
+  coordinates by ``s_i(v) = v - <v, alpha_i^vee> e_i``.
+* ``RootVec`` holds integer coordinates over the simple roots;
+  ``WeightVec`` holds integer coordinates over the fundamental weights.
+  Conversion between the two goes through the exact rational inverse of
+  the Cartan matrix; no floating point is used anywhere.
+* Alongside each root we carry the coordinates of its coroot over the
+  simple coroots.  When ``beta' = s_i(beta)``, the coroot transforms by
+  the transposed rule ``c' = c - <alpha_i, beta^vee> e_i`` with
+  ``<alpha_i, beta^vee> = sum_k C[k][i] c_k``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable, NamedTuple
+
+from .errors import ContractError
+from .primes import is_prime
+
+__all__ = [
+    "RootVec",
+    "WeightVec",
+    "RootSystem",
+    "ParabolicDegrees",
+    "build",
+    "coxeter_via_marks",
+    "coxeter_via_rho",
+    "coxeter_via_element",
+    "root_height",
+    "is_good_prime",
+    "parabolic_degrees",
+    "closed_subset_degrees",
+    "weight_to_root_coords",
+    "root_to_weight_coords",
+    "fundamental_weight",
+    "weyl_vector",
+    "simple_reflection_matrix",
+]
+
+_COXETER_ITERATION_CAP = 100
+
+
+@dataclass(frozen=True)
+class RootVec:
+    """Integer coordinate vector over the simple roots."""
+
+    coords: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+
+    def __neg__(self) -> "RootVec":
+        return RootVec(tuple(-c for c in self.coords))
+
+    def __add__(self, other: "RootVec") -> "RootVec":
+        return RootVec(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
+
+    def __sub__(self, other: "RootVec") -> "RootVec":
+        return RootVec(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
+
+
+@dataclass(frozen=True)
+class WeightVec:
+    """Integer coordinate vector over the fundamental weights."""
+
+    coords: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+
+    def __neg__(self) -> "WeightVec":
+        return WeightVec(tuple(-c for c in self.coords))
+
+    def __add__(self, other: "WeightVec") -> "WeightVec":
+        return WeightVec(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
+
+    def __sub__(self, other: "WeightVec") -> "WeightVec":
+        return WeightVec(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
+
+    def is_dominant(self) -> bool:
+        return all(c >= 0 for c in self.coords)
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+
+@dataclass(frozen=True)
+class RootSystem:
+    """Immutable catalog of one irreducible root system.
+
+    ``roots`` lists the positive roots by increasing height followed by
+    their negatives in the same order; ``coroots`` is aligned with
+    ``roots`` and stores each coroot's coordinates over the simple
+    coroots.
+    """
+
+    type_label: str
+    rank: int
+    cartan: tuple[tuple[int, ...], ...]
+    roots: tuple[RootVec, ...]
+    positive_roots: tuple[RootVec, ...]
+    highest_root: RootVec
+    marks: tuple[int, ...]
+    coxeter_number: int
+    coroots: tuple[tuple[int, ...], ...]
+    _index: dict = field(compare=False, repr=False)
+
+    def __repr__(self) -> str:  # the full field dump is unreadable
+        return f"RootSystem({self.type_label}{self.rank}, {len(self.roots)} roots)"
+
+    def is_root(self, v: RootVec) -> bool:
+        return v.coords in self._index
+
+    def coroot(self, alpha: RootVec) -> tuple[int, ...]:
+        """Coordinates of ``alpha``'s coroot over the simple coroots."""
+        pos = self._index.get(alpha.coords)
+        if pos is None:
+            raise ContractError(f"{alpha.coords} is not a root of {self.type_label}{self.rank}")
+        return self.coroots[pos]
+
+    def pairing(self, alpha: RootVec, i: int) -> int:
+        """``<alpha, alpha_i^vee>`` for a 1-based simple index ``i``."""
+        self._check_simple_index(i)
+        row = self.cartan[i - 1]
+        return sum(cij * a for cij, a in zip(row, alpha.coords))
+
+    def simple_root(self, i: int) -> RootVec:
+        self._check_simple_index(i)
+        return RootVec(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
+
+    def reflect(self, v: RootVec, i: int) -> RootVec:
+        """Apply the simple reflection ``s_i`` (1-based) to a root vector."""
+        pa = self.pairing(v, i)
+        coords = list(v.coords)
+        coords[i - 1] -= pa
+        return RootVec(tuple(coords))
+
+    def _check_simple_index(self, i: int) -> None:
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple-root index {i} out of range 1..{self.rank}")
+
+    def to_json_dict(self) -> dict:
+        """Stable JSON-ready description (coordinates over the simple roots)."""
+        return {
+            "type": self.type_label,
+            "rank": self.rank,
+            "cartan_matrix": [list(row) for row in self.cartan],
+            "positive_roots": [list(a.coords) for a in self.positive_roots],
+            "roots": [list(a.coords) for a in self.roots],
+            "highest_root": list(self.highest_root.coords),
+            "marks": list(self.marks),
+            "coxeter_number": self.coxeter_number,
+            "root_count": len(self.roots),
+        }
+
+
+def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
+    """Bourbaki Cartan matrix, or a descriptive rejection."""
+    bad = ValueError(
+        f"no irreducible system of type {type_label!r} and rank {rank}: "
+        "valid are A(n>=1), B(n>=2), C(n>=2), D(n>=4), E(6..8), F4, G2"
+    )
+    if type_label not in "ABCDEFG" or len(type_label) != 1:
+        raise bad
+    if rank < 1:
+        raise bad
+
+    C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+
+    def link(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
+        # C[i][j] = <alpha_{j+1}, alpha_{i+1}^vee>
+        C[i][j] = cij
+        C[j][i] = cji
+
+    if type_label == "A":
+        for k in range(rank - 1):
+            link(k, k + 1)
+    elif type_label == "B":
+        if rank < 2:
+            raise bad
+        for k in range(rank - 2):
+            link(k, k + 1)
+        # alpha_rank is the short root: <alpha_{n-1}, alpha_n^vee> = -2
+        link(rank - 2, rank - 1, cij=-1, cji=-2)
+    elif type_label == "C":
+        if rank < 2:
+            raise bad
+        for k in range(rank - 2):
+            link(k, k + 1)
+        # alpha_rank is the long root: <alpha_n, alpha_{n-1}^vee> = -2
+        link(rank - 2, rank - 1, cij=-2, cji=-1)
+    elif type_label == "D":
+        # D3 = A3 is deliberately rejected rather than aliased
+        if rank < 4:
+            raise bad
+        for k in range(rank - 2):
+            link(k, k + 1)
+        link(rank - 3, rank - 1)
+    elif type_label == "E":
+        if rank not in (6, 7, 8):
+            raise bad
+        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
+        for a, b in zip(chain, chain[1:]):
+            link(a, b)
+        link(1, 3)
+    elif type_label == "F":
+        if rank != 4:
+            raise bad
+        link(0, 1)
+        link(1, 2, cij=-1, cji=-2)  # alpha_3, alpha_4 short
+        link(2, 3)
+    else:  # G
+        if rank != 2:
+            raise bad
+        link(0, 1, cij=-3, cji=-1)  # alpha_1 short, alpha_2 long
+
+    return C
+
+
+def _close_under_reflections(C: list[list[int]], rank: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Orbit of the simple roots under all simple reflections.
+
+    Returns a map from root coordinates to coroot coordinates.  Every
+    root of an irreducible system is conjugate to a simple root, so the
+    closure is the full root set.
+    """
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    work: list[tuple[int, ...]] = []
+    for i in range(rank):
+        e = tuple(1 if j == i else 0 for j in range(rank))
+        found[e] = e
+        work.append(e)
+    while work:
+        m = work.pop()
+        c = found[m]
+        for i in range(rank):
+            pa = sum(C[i][j] * m[j] for j in range(rank))
+            if pa == 0:
+                continue
+            m2 = list(m)
+            m2[i] -= pa
+            key = tuple(m2)
+            if key in found:
+                continue
+            pc = sum(C[k][i] * c[k] for k in range(rank))
+            c2 = list(c)
+            c2[i] -= pc
+            found[key] = tuple(c2)
+            work.append(key)
+    return found
+
+
+def _validate_generated(found: dict, rank: int) -> None:
+    for m in found:
+        nonneg = all(x >= 0 for x in m)
+        nonpos = all(x <= 0 for x in m)
+        if not (nonneg or nonpos):
+            raise ContractError(f"generated vector {m} has mixed signs")
+        neg = tuple(-x for x in m)
+        if neg not in found:
+            raise ContractError(f"root set not closed under negation at {m}")
+    if len(found) % 2 != 0:
+        raise ContractError("odd number of roots generated")
+
+
+@lru_cache(maxsize=None)
+def build(type_label: str, rank: int) -> RootSystem:
+    """Construct the irreducible root system of the given type and rank.
+
+    Raises ``ValueError`` for a type/rank pair that does not name an
+    irreducible system (including D3, which callers should request as A3).
+    """
+    C = _cartan_matrix(type_label, rank)
+    found = _close_under_reflections(C, rank)
+    _validate_generated(found, rank)
+
+    positives = sorted(
+        (m for m in found if all(x >= 0 for x in m)),
+        key=lambda m: (sum(m), m),
+    )
+    if 2 * len(positives) != len(found):
+        raise ContractError("positive roots do not account for half of the root set")
+
+    top_height = sum(positives[-1])
+    tops = [m for m in positives if sum(m) == top_height]
+    if len(tops) != 1:
+        raise ContractError("highest root is not unique; system is not irreducible")
+    theta = tops[0]
+
+    ordered = positives + [tuple(-x for x in m) for m in positives]
+    roots = tuple(RootVec(m) for m in ordered)
+    coroots = tuple(found[m] for m in ordered)
+    index = {m: k for k, m in enumerate(ordered)}
+
+    rs = RootSystem(
+        type_label=type_label,
+        rank=rank,
+        cartan=tuple(tuple(row) for row in C),
+        roots=roots,
+        positive_roots=tuple(RootVec(m) for m in positives),
+        highest_root=RootVec(theta),
+        marks=theta,
+        coxeter_number=1 + sum(theta),
+        coroots=coroots,
+        _index=index,
+    )
+
+    # closure under every simple reflection, checked once per cached build
+    for a in rs.roots:
+        for i in range(1, rank + 1):
+            if not rs.is_root(rs.reflect(a, i)):
+                raise ContractError("root set not closed under simple reflections")
+    return rs
+
+
+def coxeter_via_marks(rs: RootSystem) -> int:
+    """Coxeter number as one plus the sum of the highest root's coordinates."""
+    return 1 + sum(rs.marks)
+
+
+def coxeter_via_rho(rs: RootSystem) -> int:
+    """Coxeter number as ``<rho, beta^vee> + 1`` for the highest coroot ``beta^vee``.
+
+    The highest coroot is the coroot of maximal coordinate sum (the
+    highest root of the dual system), and ``rho`` pairs with a coroot by
+    summing its coordinates.
+    """
+    high = max((rs.coroot(a) for a in rs.positive_roots), key=sum)
+    return 1 + sum(high)
+
+
+def coxeter_via_element(rs: RootSystem) -> int:
+    """Order of the Coxeter element ``s_1 s_2 ... s_rank`` on the root lattice."""
+    n = rs.rank
+    cox = _identity(n)
+    for i in range(1, n + 1):
+        cox = _matmul(cox, simple_reflection_matrix(rs, i))
+    power = cox
+    for k in range(1, _COXETER_ITERATION_CAP + 1):
+        if power == _identity(n):
+            return k
+        power = _matmul(power, cox)
+    raise ContractError(
+        f"Coxeter element order exceeds {_COXETER_ITERATION_CAP}; arithmetic is broken"
+    )
+
+
+def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of ``s_i`` on simple-root coordinates (columns are images of e_j)."""
+    rs._check_simple_index(i)
+    n = rs.rank
+    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    for c in range(n):
+        rows[i - 1][c] -= rs.cartan[i - 1][c]
+    return tuple(tuple(r) for r in rows)
+
+
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+
+
+def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    n = len(a)
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def root_height(rs: RootSystem, alpha: RootVec) -> int:
+    """Sum of the simple-root coordinates of a root (negative for negative roots)."""
+    if not rs.is_root(alpha):
+        raise ContractError(f"{alpha.coords} is not a root of {rs.type_label}{rs.rank}")
+    return sum(alpha.coords)
+
+
+def is_good_prime(rs: RootSystem, p: int) -> bool:
+    """Whether ``p`` exceeds every coordinate of the highest root."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p > max(rs.marks)
+
+
+class ParabolicDegrees(NamedTuple):
+    degrees: dict[RootVec, int]
+    max_degree: int
+
+
+def parabolic_degrees(rs: RootSystem, subset: Iterable[int]) -> ParabolicDegrees:
+    """Grading degrees of positive roots outside the parabolic attached to ``subset``.
+
+    ``subset`` lists 1-based simple indices J.  Each positive root not
+    supported on J gets the sum of its coordinates at indices outside J.
+    The maximal degree over the empty map is 0.
+    """
+    J = set(subset)
+    for i in J:
+        if not isinstance(i, int) or not 1 <= i <= rs.rank:
+            raise ValueError(f"subset entry {i!r} is not a simple index in 1..{rs.rank}")
+    outside = [i for i in range(rs.rank) if (i + 1) not in J]
+    degrees: dict[RootVec, int] = {}
+    for a in rs.positive_roots:
+        d = sum(a.coords[i] for i in outside)
+        if d > 0:
+            degrees[a] = d
+    return ParabolicDegrees(degrees, max(degrees.values(), default=0))
+
+
+def closed_subset_degrees(rs: RootSystem, subset: Iterable[RootVec]) -> dict[RootVec, int]:
+    """Maximal number of parts in a decomposition of each member of ``subset``.
+
+    ``subset`` must be a set of positive roots closed under addition
+    within the positive roots.  The degree of ``alpha`` is the largest k
+    such that ``alpha`` is a sum of k members of the subset; members are
+    computed by dynamic programming over lattice points below the
+    highest root, which bounds every partial sum of such a decomposition.
+    """
+    gamma = list(subset)
+    gset = {a.coords for a in gamma}
+    pos = {a.coords for a in rs.positive_roots}
+    for a in gamma:
+        if a.coords not in pos:
+            raise ContractError(f"{a.coords} is not a positive root")
+    for x in gset:
+        for y in gset:
+            s = tuple(u + v for u, v in zip(x, y))
+            if s in pos and s not in gset:
+                raise ContractError(
+                    f"subset is not closed under addition: {x} + {y} = {s} is missing"
+                )
+
+    theta = rs.highest_root.coords
+    top = sum(theta)
+    # best[v] = max parts over decompositions of v into subset members
+    by_height: dict[int, dict[tuple[int, ...], int]] = {0: {tuple(0 for _ in theta): 0}}
+    for h in range(top + 1):
+        level = by_height.get(h)
+        if not level:
+            continue
+        for v, parts in level.items():
+            for g in gset:
+                u = tuple(a + b for a, b in zip(v, g))
+                if any(x > t for x, t in zip(u, theta)):
+                    continue
+                hu = h + sum(g)
+                bucket = by_height.setdefault(hu, {})
+                if bucket.get(u, 0) < parts + 1:
+                    bucket[u] = parts + 1
+    return {a: by_height[sum(a.coords)][a.coords] for a in gamma}
+
+
+@lru_cache(maxsize=None)
+def _cartan_inverse(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of the Cartan matrix by Gauss-Jordan elimination."""
+    n = len(cartan)
+    aug = [[Fraction(cartan[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)]
+           for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def weight_to_root_coords(rs: RootSystem, w: WeightVec) -> tuple[Fraction, ...]:
+    """Exact simple-root coordinates of a weight: solve ``C x = w``."""
+    cinv = _cartan_inverse(rs.cartan)
+    return tuple(
+        sum((cinv[r][c] * w.coords[c] for c in range(rs.rank)), Fraction(0))
+        for r in range(rs.rank)
+    )
+
+
+def root_to_weight_coords(rs: RootSystem, a: RootVec) -> tuple[int, ...]:
+    """Fundamental-weight coordinates of a root vector: ``(C a)_j = <a, alpha_j^vee>``."""
+    return tuple(
+        sum(rs.cartan[j][k] * a.coords[k] for k in range(rs.rank))
+        for j in range(rs.rank)
+    )
+
+
+def fundamental_weight(rs: RootSystem, i: int) -> WeightVec:
+    rs._check_simple_index(i)
+    return WeightVec(tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
+
+
+def weyl_vector(rs: RootSystem) -> WeightVec:
+    """The weight with every fundamental coordinate equal to one."""
+    return WeightVec((1,) * rs.rank)
