@@ -77,7 +77,6 @@ from .rootsys import (
     is_good_prime,
     parabolic_degrees,
     root_height,
-    weyl_vector,
 )
 
 __version__ = "0.1.0"

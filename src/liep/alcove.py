@@ -15,7 +15,10 @@ Points of the coweight space are stored by their values on the simple
 roots as well, so a point reflects by ``(s_i y)_j = y_j - C[i][j] y_i``
 (every coordinate moves, unlike the reflection of a root vector), and a
 translation by the coweight lattice adds integers to the coordinates.
-All arithmetic is exact rational.
+All arithmetic is exact.  Points and the values of phi are held as
+integer numerators over one common denominator N, so wall and window
+tests compare integers, and words act letter by letter through
+``rootsys.apply_letters``; Fractions and RootVecs appear only at the API edge.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from math import lcm
+from operator import mul
+from typing import Iterable
 
 from .errors import ContractError
 from .primes import is_prime
-from .rootsys import RootSystem, RootVec, simple_reflection_matrix
+from .rootsys import (RootSystem, RootVec, _identity, _matmul, apply_letters,
+                      simple_reflection_matrix)
 
 __all__ = [
     "PhiHom",
@@ -55,6 +61,12 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise ValueError("floating-point input rejected; pass Fraction, int, or 'a/b' string")
     return Fraction(x)
+
+
+def _numerators(values: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over N, the lcm of their denominators, and N."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
@@ -131,10 +143,7 @@ class BasisChoice:
 
     def to_reference(self, rs: RootSystem, alpha: RootVec) -> RootVec:
         """Coordinates of ``alpha`` relative to the reference chamber: w^-1(alpha)."""
-        v = alpha
-        for i in self.weyl_word:
-            v = rs.reflect(v, i)
-        return v
+        return RootVec(tuple(apply_letters(rs, self.weyl_word, list(alpha.coords), "root")))
 
     def is_positive(self, rs: RootSystem, alpha: RootVec) -> bool:
         if not rs.is_root(alpha):
@@ -143,20 +152,18 @@ class BasisChoice:
 
     def basis_roots(self, rs: RootSystem) -> tuple[RootVec, ...]:
         """Images of the simple roots under w."""
-        out = []
-        for i in range(1, rs.rank + 1):
-            v = rs.simple_root(i)
-            for j in reversed(self.weyl_word):
-                v = rs.reflect(v, j)
-            out.append(v)
-        return tuple(out)
+        back = tuple(reversed(self.weyl_word))
+        return tuple(
+            RootVec(tuple(apply_letters(rs, back, list(e), "root"))) for e in _identity(rs.rank)
+        )
 
 
 def same_basis(rs: RootSystem, a: BasisChoice, b: BasisChoice) -> bool:
-    """Whether two words name the same chamber."""
-    return frozenset(r.coords for r in a.basis_roots(rs)) == frozenset(
-        r.coords for r in b.basis_roots(rs)
-    )
+    """Whether two words name the same chamber.
+
+    rho^vee is fixed by no element but the identity, so w = w' iff w(rho^vee) = w'(rho^vee).
+    """
+    return _rho_dual(rs, a.weyl_word) == _rho_dual(rs, b.weyl_word)
 
 
 def lift(phi: PhiHom) -> CoweightPoint:
@@ -166,24 +173,26 @@ def lift(phi: PhiHom) -> CoweightPoint:
 
 def apply_word_to_root(rs: RootSystem, word: Iterable[int], alpha: RootVec) -> RootVec:
     """Apply ``s_{i_1} ... s_{i_m}`` to a root (rightmost letter first)."""
-    v = alpha
-    for i in reversed(tuple(word)):
-        v = rs.reflect(v, i)
-    return v
+    return RootVec(tuple(apply_letters(rs, reversed(tuple(word)), list(alpha.coords), "root")))
 
 
 def word_matrix(rs: RootSystem, word: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the word's element on simple-root coordinates."""
-    n = rs.rank
-    m = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-    for i in tuple(word):
-        m = _matmul(m, simple_reflection_matrix(rs, i))
-    return m
+    """Matrix of the word's element on simple-root coordinates.
+
+    Right-multiplying by ``s_i`` is the point action of ``s_i`` on every
+    row, so each row of the identity is carried through the word letter by letter.
+    """
+    word = tuple(word)
+    return tuple(tuple(apply_letters(rs, word, list(e), "point")) for e in _identity(rs.rank))
 
 
-def _matmul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+def _rho_dual(rs: RootSystem, word: tuple[int, ...]) -> list[int]:
+    """w(rho^vee) by its values on the simple roots, for w = s_{i_1} ... s_{i_m}.
+
+    ``sum_j alpha_j w(rho^vee)_j = height(w^-1 alpha)``, so alpha is positive in w's chamber
+    iff that sum is positive.
+    """
+    return apply_letters(rs, reversed(word), [1] * rs.rank, "point")
 
 
 def _check_rank(rs: RootSystem, n: int) -> None:
@@ -212,16 +221,6 @@ def _reflection_word(rs: RootSystem, alpha: RootVec) -> tuple[int, ...]:
     raise ContractError(f"{alpha.coords} is not a positive root")
 
 
-def _reflect_point(rs: RootSystem, values: list[Fraction], i: int) -> None:
-    """In-place simple reflection of a coweight point, 1-based index."""
-    yi = values[i - 1]
-    if yi == 0:
-        return
-    row = rs.cartan[i - 1]
-    for j in range(rs.rank):
-        values[j] -= row[j] * yi
-
-
 def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoint, ReductionTranscript]:
     """Move a point into the closed fundamental alcove, recording each generator.
 
@@ -234,70 +233,66 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     """
     _check_rank(rs, len(point.values))
     n = rs.rank
-    marks = rs.marks
     tvec = _theta_pairing_vector(rs)
-    theta_word = _reflection_word(rs, rs.highest_root)
+    theta_letters = tuple(reversed(_reflection_word(rs, rs.highest_root)))
 
-    values = list(point.values)
+    start, den = _numerators(point.values)
+    values = list(start)
     steps: list[tuple] = []
-    word: tuple[int, ...] = ()
+    letters: list[int] = []  # the word of w_acc, reversed: last-applied letter last
 
-    if any(v < -1 or v >= 2 for v in values):
-        shift = tuple(-(v.__floor__()) for v in values)
-        values = [v + s for v, s in zip(values, shift)]
+    if any(v < -den or v >= 2 * den for v in values):
+        shift = tuple(-(v // den) for v in values)
+        values = [v + s * den for v, s in zip(values, shift)]
         steps.append(("translate", shift))
 
     for _ in range(_REDUCTION_CAP):
         neg = next((i for i in range(n) if values[i] < 0), None)
         if neg is not None:
-            _reflect_point(rs, values, neg + 1)
+            apply_letters(rs, (neg + 1,), values, "point")
             steps.append(("reflect", neg + 1))
-            word = (neg + 1,) + word
+            letters.append(neg + 1)
             continue
-        excess = sum(m * v for m, v in zip(marks, values)) - 1
+        excess = sum(map(mul, rs.marks, values)) - den
         if excess > 0:
             for j in range(n):
                 values[j] -= tvec[j] * excess
             steps.append(("affine_reflect",))
-            word = theta_word + word
+            letters.extend(theta_letters)
             continue
         break
     else:
         raise ContractError(f"alcove reduction exceeded {_REDUCTION_CAP} steps")
 
-    reduced = CoweightPoint(tuple(values))
-    _assert_in_alcove(rs, reduced)
+    word = tuple(reversed(letters))
+    _assert_in_alcove(rs, values, den)
 
     # net integer translation: reduced - w_acc(start) must lie in the coweight lattice
     inv = word_matrix(rs, tuple(reversed(word)))  # matrix of w_acc^{-1}
-    moved = [
-        sum(inv[k][j] * point.values[k] for k in range(n)) for j in range(n)
-    ]
     net = []
-    for rj, mj in zip(reduced.values, moved):
-        d = rj - mj
-        if d.denominator != 1:
+    for rj, col in zip(values, zip(*inv)):
+        d, r = divmod(rj - sum(map(mul, col, start)), den)
+        if r:
             raise ContractError("reduction transcript does not recompose to the result")
-        net.append(int(d))
+        net.append(d)
 
+    reduced = CoweightPoint(tuple(Fraction(v, den) for v in values))
     return reduced, ReductionTranscript(tuple(steps), word, tuple(net))
 
 
-def _assert_in_alcove(rs: RootSystem, y: CoweightPoint) -> None:
-    if any(v < 0 for v in y.values):
+def _affine_numerators(rs: RootSystem, values: list[int], den: int) -> list[int]:
+    """den * (a_0, ..., a_rank) with a_0 = 1 - theta(y), a_i = y_i; marks-weighted sum is 1."""
+    return [den - sum(map(mul, rs.marks, values))] + values
+
+
+def _assert_in_alcove(rs: RootSystem, values: list[int], den: int) -> None:
+    if any(v < 0 for v in values):
         raise ContractError("reduced point left the dominant cone")
-    a0 = 1 - sum(m * v for m, v in zip(rs.marks, y.values))
-    if a0 < 0:
+    coords = _affine_numerators(rs, values, den)
+    if coords[0] < 0:
         raise ContractError("reduced point violates theta(y) <= 1")
-    coords = (a0,) + tuple(y.values)
-    if max(coords) < Fraction(1, rs.coxeter_number):
+    if max(coords) * rs.coxeter_number < den:
         raise ContractError("affine coordinates all below 1/h; pigeonhole is broken")
-
-
-def _affine_coordinates(rs: RootSystem, y: CoweightPoint) -> tuple[Fraction, ...]:
-    """(a_0, ..., a_rank) with a_0 = 1 - theta(y) and a_i = y_i; marks-weighted sum is 1."""
-    a0 = 1 - sum(m * v for m, v in zip(rs.marks, y.values))
-    return (a0,) + tuple(y.values)
 
 
 @dataclass(frozen=True)
@@ -322,33 +317,31 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
     accumulated Weyl data is transported back through the reduction.
     """
     _check_rank(rs, phi.rank)
-    y0 = lift(phi)
-    reduced, transcript = reduce_to_alcove(rs, y0)
+    reduced, transcript = reduce_to_alcove(rs, lift(phi))
 
+    values, den = _numerators(reduced.values)
     h = rs.coxeter_number
-    window = Fraction(1, h)
-    coords = _affine_coordinates(rs, reduced)
-    if coords[0] >= window:
-        idx = 0
-    else:
-        idx = next(i for i in range(1, rs.rank + 1) if coords[i] >= window)
+    idx = next(i for i, a in enumerate(_affine_numerators(rs, values, den)) if a * h >= den)
 
     dominance: list[int] = []
     if idx > 0:
-        z = list(reduced.values)
-        z[idx - 1] -= Fraction(1, rs.marks[idx - 1])
+        # the vertex sits at 1/m on coordinate idx, so scale the denominator by m
+        m = rs.marks[idx - 1]
+        z = [v * m for v in values]
+        z[idx - 1] -= den
         for _ in range(_REDUCTION_CAP):
             neg = next((i for i in range(rs.rank) if z[i] < 0), None)
             if neg is None:
                 break
-            _reflect_point(rs, z, neg + 1)
+            apply_letters(rs, (neg + 1,), z, "point")
             dominance.append(neg + 1)
         else:
             raise ContractError(f"dominance loop exceeded {_REDUCTION_CAP} steps")
 
     basis = BasisChoice(tuple(reversed(transcript.weyl_word)) + tuple(dominance))
+    dual = _rho_dual(rs, basis.weyl_word)
     for alpha in critical_roots(rs, phi):
-        if not basis.is_positive(rs, alpha):
+        if sum(map(mul, alpha.coords, dual)) <= 0:
             raise ContractError(
                 f"selected basis leaves window root {alpha.coords} negative; "
                 "this indicates an arithmetic bug"
@@ -361,30 +354,31 @@ def window_basis(rs: RootSystem, phi: PhiHom) -> BasisChoice:
     return window_basis_report(rs, phi).basis
 
 
+def _scaled_values(rs: RootSystem, phi: PhiHom) -> tuple[int, list[int]]:
+    """N and ``h * N * phi(alpha)`` per root, with phi(alpha) = (sum_i alpha_i k_i mod N) / N."""
+    _check_rank(rs, phi.rank)
+    k, den = _numerators(phi.values)
+    h = rs.coxeter_number
+    return den, [h * (sum(map(mul, a.coords, k)) % den) for a in rs.roots]
+
+
 def critical_roots(rs: RootSystem, phi: PhiHom) -> tuple[RootVec, ...]:
     """Roots whose phi-value lies strictly inside the window (0, 1/h)."""
-    _check_rank(rs, phi.rank)
-    window = Fraction(1, rs.coxeter_number)
-    return tuple(a for a in rs.roots if 0 < phi.value_of(a) < window)
+    den, scaled = _scaled_values(rs, phi)
+    return tuple(a for a, v in zip(rs.roots, scaled) if 0 < v < den)
 
 
 def boundary_roots(rs: RootSystem, phi: PhiHom) -> tuple[RootVec, ...]:
     """Roots whose phi-value equals 1/h exactly (near misses of the window)."""
-    _check_rank(rs, phi.rank)
-    edge = Fraction(1, rs.coxeter_number)
-    return tuple(a for a in rs.roots if phi.value_of(a) == edge)
-
-
-class _Chamber(NamedTuple):
-    word: tuple[int, ...]
-    positives: frozenset
+    den, scaled = _scaled_values(rs, phi)
+    return tuple(a for a, v in zip(rs.roots, scaled) if v == den)
 
 
 @lru_cache(maxsize=None)
-def _chambers(rs: RootSystem) -> tuple[_Chamber, ...]:
-    """Breadth-first enumeration of the Weyl group with shortlex-minimal words."""
+def _chambers(rs: RootSystem) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
+    """Breadth-first enumeration of the Weyl group: (shortlex-minimal word, positive roots)."""
     n = rs.rank
-    ident = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+    ident = _identity(n)
     gens = [simple_reflection_matrix(rs, i) for i in range(1, n + 1)]
     seen = {ident: ()}
     queue = [(ident, ())]
@@ -403,7 +397,7 @@ def _chambers(rs: RootSystem) -> tuple[_Chamber, ...]:
             tuple(sum(mat[r][c] * a.coords[c] for c in range(n)) for r in range(n))
             for a in rs.positive_roots
         )
-        chambers.append(_Chamber(word, pos))
+        chambers.append((word, pos))
     return tuple(chambers)
 
 
@@ -417,11 +411,7 @@ def oracle_valid_bases(rs: RootSystem, phi: PhiHom) -> tuple[BasisChoice, ...]:
         raise ValueError("chamber enumeration is restricted to rank <= 3")
     _check_rank(rs, phi.rank)
     critical = {a.coords for a in critical_roots(rs, phi)}
-    out = []
-    for chamber in _chambers(rs):
-        if critical <= chamber.positives:
-            out.append(BasisChoice(chamber.word))
-    return tuple(out)
+    return tuple(BasisChoice(word) for word, positives in _chambers(rs) if critical <= positives)
 
 
 def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -> PhiHom:

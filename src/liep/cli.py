@@ -25,11 +25,18 @@ from .errors import ContractError
 __all__ = ["main"]
 
 
+class _HelpRequested(Exception):
+    """``--help`` was given; carries the subcommand (or None) and the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exceptions, not exits."""
+    """argparse that reports usage problems and help requests as exceptions, not exits."""
 
     def error(self, message):
         raise ValueError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.prog.partition(" ")[2] or None, self.format_help())
 
 
 def _enc(x):
@@ -549,6 +556,9 @@ def main(argv=None) -> int:
         outcome = _HANDLERS[command](args)
         result, invariants = outcome[0], outcome[1]
         code = outcome[2] if len(outcome) > 2 else 0
+    except _HelpRequested as req:
+        command, text = req.args
+        result, invariants, code = {"usage": text}, [], 0
     except ContractError as exc:
         _emit({"subcommand": command, "error": {"kind": "contract", "message": str(exc)}})
         return 2

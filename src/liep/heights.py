@@ -9,12 +9,14 @@ and both answers are reported so callers can cross-examine them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ContractError
 from .primes import is_prime
 from .rootsys import (
     RootSystem,
     WeightVec,
+    apply_letters,
     coxeter_via_marks,
     fundamental_weight,
     weight_to_root_coords,
@@ -33,34 +35,16 @@ __all__ = [
 
 _DESCENT_CAP = 100_000
 
-_two_rho_cache: dict[RootSystem, tuple[int, ...]] = {}
 
-
+@lru_cache(maxsize=None)
 def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
     """Coordinates of the sum of all positive coroots over the simple coroots."""
-    cached = _two_rho_cache.get(rs)
-    if cached is None:
-        acc = [0] * rs.rank
-        for a in rs.positive_roots:
-            for k, c in enumerate(rs.coroot(a)):
-                acc[k] += c
-        cached = tuple(acc)
-        _two_rho_cache[rs] = cached
-    return cached
+    return tuple(map(sum, zip(*(rs.coroot(a) for a in rs.positive_roots))))
 
 
 def _require_dominant(weight: WeightVec) -> None:
     if not weight.is_dominant():
         raise ContractError(f"weight {weight.coords} is not dominant")
-
-
-def _reflect_weight(rs: RootSystem, coords: list[int], i: int) -> None:
-    """In-place s_i on fundamental-weight coordinates (0-based i)."""
-    ci = coords[i]
-    if ci == 0:
-        return
-    for k in range(rs.rank):
-        coords[k] -= ci * rs.cartan[k][i]
 
 
 def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
@@ -77,7 +61,7 @@ def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
         if i is None:
             return WeightVec(tuple(coords))
         before = sum(c * t for c, t in zip(coords, two_rho))
-        _reflect_weight(rs, coords, i)
+        apply_letters(rs, (i + 1,), coords, "weight")
         after = sum(c * t for c, t in zip(coords, two_rho))
         if after >= before:
             raise ContractError("descent failed to decrease; arithmetic is broken")

@@ -19,6 +19,9 @@ Conventions used throughout the package:
   simple coroots.  When ``beta' = s_i(beta)``, the coroot transforms by
   the transposed rule ``c' = c - <alpha_i, beta^vee> e_i`` with
   ``<alpha_i, beta^vee> = sum_k C[k][i] c_k``.
+* Words act through ``apply_letters``, one simple reflection at a time,
+  on plain integer lists (roots, coweight points or weights); they are
+  never multiplied out into matrices on a hot path.
 """
 
 from __future__ import annotations
@@ -45,10 +48,9 @@ __all__ = [
     "parabolic_degrees",
     "closed_subset_degrees",
     "weight_to_root_coords",
-    "root_to_weight_coords",
     "fundamental_weight",
-    "weyl_vector",
     "simple_reflection_matrix",
+    "apply_letters",
 ]
 
 _COXETER_ITERATION_CAP = 100
@@ -105,7 +107,8 @@ class RootSystem:
     ``roots`` lists the positive roots by increasing height followed by
     their negatives in the same order; ``coroots`` is aligned with
     ``roots`` and stores each coroot's coordinates over the simple
-    coroots.
+    coroots.  ``_rows[i]`` and ``_cols[i]`` list the nonzero entries
+    ``(j, C[i][j])`` and ``(k, C[k][i])`` of row and column i of the Cartan matrix.
     """
 
     type_label: str
@@ -118,6 +121,12 @@ class RootSystem:
     coxeter_number: int
     coroots: tuple[tuple[int, ...], ...]
     _index: dict = field(compare=False, repr=False)
+    _rows: tuple = field(compare=False, repr=False)
+    _cols: tuple = field(compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        # type and rank name the system; the generated hash of every root took 0.1 ms
+        return hash((self.type_label, self.rank))
 
     def __repr__(self) -> str:  # the full field dump is unreadable
         return f"RootSystem({self.type_label}{self.rank}, {len(self.roots)} roots)"
@@ -144,10 +153,7 @@ class RootSystem:
 
     def reflect(self, v: RootVec, i: int) -> RootVec:
         """Apply the simple reflection ``s_i`` (1-based) to a root vector."""
-        pa = self.pairing(v, i)
-        coords = list(v.coords)
-        coords[i - 1] -= pa
-        return RootVec(tuple(coords))
+        return RootVec(tuple(apply_letters(self, (i,), list(v.coords), "root")))
 
     def _check_simple_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:
@@ -317,12 +323,14 @@ def build(type_label: str, rank: int) -> RootSystem:
         coxeter_number=1 + sum(theta),
         coroots=coroots,
         _index=index,
+        _rows=tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C),
+        _cols=tuple(tuple((j, x) for j, x in enumerate(col) if x) for col in zip(*C)),
     )
 
     # closure under every simple reflection, checked once per cached build
-    for a in rs.roots:
+    for m in ordered:
         for i in range(1, rank + 1):
-            if not rs.is_root(rs.reflect(a, i)):
+            if tuple(apply_letters(rs, (i,), list(m), "root")) not in index:
                 raise ContractError("root set not closed under simple reflections")
     return rs
 
@@ -369,12 +377,40 @@ def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(r) for r in rows)
 
 
+def apply_letters(rs: RootSystem, letters: Iterable[int], vec: list, on: str) -> list:
+    """Apply ``s_i`` for each 1-based letter in turn (first letter first) to ``vec``, in place.
+
+    ``vec`` is a ``"root"`` over the simple roots (``v_i -= sum_j C[i][j] v_j``), a
+    ``"point"`` of the coweight space by its values on the simple roots (``y_j -= C[i][j] y_i``)
+    or a ``"weight"`` over the fundamental weights (``l_k -= C[k][i] l_i``).  A letter reads
+    only the Cartan entries linked to it, so it costs O(degree) at any rank.  Returns ``vec``.
+    """
+    n = rs.rank
+    if on == "root":
+        for i in letters:
+            if not 0 < i <= n:
+                rs._check_simple_index(i)
+            pairing = 0
+            for j, c in rs._rows[i - 1]:
+                pairing += c * vec[j]
+            vec[i - 1] -= pairing
+        return vec
+    links = rs._cols if on == "weight" else rs._rows
+    for i in letters:
+        if not 0 < i <= n:
+            rs._check_simple_index(i)
+        x = vec[i - 1]
+        if x:
+            for j, c in links[i - 1]:
+                vec[j] -= c * x
+    return vec
+
+
 def _identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 
 
 def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
-    n = len(a)
     bt = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
@@ -488,19 +524,7 @@ def weight_to_root_coords(rs: RootSystem, w: WeightVec) -> tuple[Fraction, ...]:
     )
 
 
-def root_to_weight_coords(rs: RootSystem, a: RootVec) -> tuple[int, ...]:
-    """Fundamental-weight coordinates of a root vector: ``(C a)_j = <a, alpha_j^vee>``."""
-    return tuple(
-        sum(rs.cartan[j][k] * a.coords[k] for k in range(rs.rank))
-        for j in range(rs.rank)
-    )
-
-
 def fundamental_weight(rs: RootSystem, i: int) -> WeightVec:
     rs._check_simple_index(i)
     return WeightVec(tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
 
-
-def weyl_vector(rs: RootSystem) -> WeightVec:
-    """The weight with every fundamental coordinate equal to one."""
-    return WeightVec((1,) * rs.rank)

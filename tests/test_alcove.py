@@ -229,3 +229,97 @@ def test_reduction_handles_distant_points():
     assert all(v >= 0 for v in reduced.values)
     assert transcript.steps[0][0] == "translate"
     assert _recompose(rs, transcript, start, reduced)
+
+
+# Slow twins at rank 8-12: each fast integer route against the route it replaced.
+TWINS = [("A", 8), ("A", 12), ("B", 8), ("C", 8), ("D", 8), ("D", 12),
+         ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def _dense_word_matrix(rs, word):
+    m = rootsys._identity(rs.rank)
+    for i in word:
+        m = rootsys._matmul(m, rootsys.simple_reflection_matrix(rs, i))
+    return m
+
+
+@pytest.mark.parametrize("t,n", TWINS)
+def test_word_matrix_matches_dense_product(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"twin-matrix:{t}{n}")
+    for length in (0, 1, rng.randrange(2, 601), 600):
+        word = tuple(rng.randint(1, n) for _ in range(length))
+        assert alcove.word_matrix(rs, word) == _dense_word_matrix(rs, word)
+
+
+def test_word_matrix_rejects_letters_outside_the_rank():
+    rs = rootsys.build("A", 3)
+    for bad in (0, 4, -1):
+        with pytest.raises(ValueError):
+            alcove.word_matrix(rs, (1, bad))
+
+
+@pytest.mark.parametrize("t,n", TWINS)
+def test_integer_window_tests_match_fraction_route(t, n):
+    rs = rootsys.build(t, n)
+    h = rs.coxeter_number
+    edge = F(1, h)
+    rng = random.Random(f"twin-window:{t}{n}")
+    seen_critical = seen_boundary = False
+    for _ in range(30):
+        # mixed denominators exercise the common denominator; small numerators fill the window
+        dens = [rng.choice((1, 2, h, 7 * h, 11 * h)) for _ in range(n)]
+        phi = PhiHom(tuple(F(rng.randrange(d) if rng.random() < 0.5 else rng.randrange(3), d)
+                           for d in dens))
+        values = [phi.value_of(a) for a in rs.roots]
+        crit = alcove.critical_roots(rs, phi)
+        bnd = alcove.boundary_roots(rs, phi)
+        assert crit == tuple(a for a, v in zip(rs.roots, values) if 0 < v < edge)
+        assert bnd == tuple(a for a, v in zip(rs.roots, values) if v == edge)
+        seen_critical |= bool(crit)
+        seen_boundary |= bool(bnd)
+    assert seen_critical and seen_boundary
+
+
+@pytest.mark.parametrize("t,n", TWINS)
+def test_dual_vector_positivity_matches_is_positive(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"twin-dual:{t}{n}")
+    for length in (0, 1, 9, 80):
+        basis = BasisChoice(tuple(rng.randint(1, n) for _ in range(length)))
+        dual = alcove._rho_dual(rs, basis.weyl_word)
+        for a in rs.roots:
+            assert (sum(x * d for x, d in zip(a.coords, dual)) > 0) == basis.is_positive(rs, a)
+
+
+@pytest.mark.parametrize("t,n", TWINS)
+def test_same_basis_matches_basis_root_sets(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"twin-same:{t}{n}")
+    for _ in range(10):
+        word = tuple(rng.randint(1, n) for _ in range(rng.randrange(30)))
+        i = rng.randint(1, n)
+        k = rng.randrange(len(word) + 1)
+        # s_i s_i = 1 names the same chamber by a longer word; one extra letter never does
+        for other in (word[:k] + (i, i) + word[k:], word[:k] + (i,) + word[k:]):
+            a, b = BasisChoice(word), BasisChoice(other)
+            roots_equal = {r.coords for r in a.basis_roots(rs)} == {r.coords for r in b.basis_roots(rs)}
+            assert alcove.same_basis(rs, a, b) == roots_equal
+            assert roots_equal == (len(other) == len(word) + 2)
+
+
+@pytest.mark.parametrize("t,n", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_same_basis_tells_every_enumerated_chamber_apart(t, n):
+    rs = rootsys.build(t, n)
+    chambers = alcove.oracle_valid_bases(rs, PhiHom((0,) * n))
+    for i, a in enumerate(chambers):
+        for j, b in enumerate(chambers):
+            assert alcove.same_basis(rs, a, b) == (i == j)
+
+
+def test_window_check_rejects_a_basis_that_leaves_a_window_root_negative(monkeypatch):
+    rs = rootsys.build("A", 2)
+    phi = PhiHom((F(1, 9), F(1, 9)))
+    monkeypatch.setattr(alcove, "_rho_dual", lambda rs, word: [-1] * rs.rank)
+    with pytest.raises(ContractError, match="window root"):
+        alcove.window_basis_report(rs, phi)

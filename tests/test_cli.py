@@ -295,3 +295,14 @@ def test_selftest_reports_each_criterion(capsys):
     for k, line in enumerate(lines, start=1):
         assert line.startswith(f"PASS criterion {k}: ")
     assert _no_floats(out)
+
+
+@pytest.mark.parametrize("argv,sub", [(["--help"], None), (["-h"], None),
+                                      (["coxeter", "--help"], "coxeter"),
+                                      (["basis", "--type", "A", "-h"], "basis")])
+def test_help_is_one_json_report(capsys, argv, sub):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert set(out) == {"subcommand", "result", "invariants", "elapsed_us"}
+    assert out["subcommand"] == sub
+    assert out["result"]["usage"].startswith("usage: liep" + (f" {sub}" if sub else ""))

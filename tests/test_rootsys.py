@@ -1,5 +1,7 @@
 """Root systems generated by reflection closure, checked against classical data."""
 
+import random
+
 import pytest
 
 from liep import rootsys
@@ -227,7 +229,7 @@ def test_fundamental_weights_are_dual_to_coroots(t, n):
 def test_weight_root_conversion_round_trip():
     rs = rootsys.build("F", 4)
     for a in rs.roots:
-        w = WeightVec(rootsys.root_to_weight_coords(rs, a))
+        w = WeightVec(tuple(rs.pairing(a, j) for j in range(1, rs.rank + 1)))
         back = rootsys.weight_to_root_coords(rs, w)
         assert tuple(back) == a.coords
 
@@ -266,3 +268,25 @@ def test_serialization_schema():
 
 def test_build_is_cached():
     assert rootsys.build("E", 7) is rootsys.build("E", 7)
+
+
+@pytest.mark.parametrize("t,n", [("A", 3), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)])
+def test_kernel_actions_match_the_reflection_matrices(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"kernel:{t}{n}")
+    for i in range(1, n + 1):
+        s = rootsys.simple_reflection_matrix(rs, i)
+        v = [rng.randint(-5, 5) for _ in range(n)]
+        # a root vector is a column: s v
+        root = rootsys.apply_letters(rs, (i,), list(v), "root")
+        assert root == [sum(s[r][c] * v[c] for c in range(n)) for r in range(n)]
+        # a point is a row of values on the simple roots: v s
+        point = rootsys.apply_letters(rs, (i,), list(v), "point")
+        assert point == [sum(v[r] * s[r][c] for r in range(n)) for c in range(n)]
+        # a weight is C times root coordinates: s acts as C s C^-1
+        lam = [sum(rs.cartan[j][k] * v[k] for k in range(n)) for j in range(n)]
+        weight = rootsys.apply_letters(rs, (i,), lam, "weight")
+        assert weight == [sum(rs.cartan[j][k] * root[k] for k in range(n)) for j in range(n)]
+    for on in ("root", "point", "weight"):
+        with pytest.raises(ValueError):
+            rootsys.apply_letters(rs, (1, n + 1), [0] * n, on)
