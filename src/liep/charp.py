@@ -11,6 +11,7 @@ external dependencies.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -408,10 +409,7 @@ def cyclic_shift_matrix(p: int, weights) -> FpMatrix:
         rows[i][i + 1] = w[i]
     rows[p - 1][0] = w[p - 1]
     x = FpMatrix.from_rows(p, rows)
-    scalar = 1
-    for t in w:
-        scalar = (scalar * t) % p
-    if (x ** p) != FpMatrix.identity(p, p).scale(scalar):
+    if (x ** p) != FpMatrix.identity(p, p).scale(cycle_power_scalar(p, w)):
         raise ContractError("cycle power identity failed; arithmetic is broken")
     return x
 
@@ -476,14 +474,12 @@ def _span_dimension(seed: list[FpMatrix], multipliers: list[FpMatrix]) -> int:
             vec = [(x - f * y) % p for x, y in zip(vec, row)]
         return None
 
-    queue = list(seed)
-    basis_mats: list[FpMatrix] = []
+    queue = deque(seed)
     while queue:
-        m = queue.pop(0)
+        m = queue.popleft()
         vec = [x for r in m.rows for x in r]
         if reduce(vec) is None:
             continue
-        basis_mats.append(m)
         for g in multipliers:
             queue.append(m * g)
             queue.append(g * m)

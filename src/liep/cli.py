@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import acceptance, alcove, charp, heights, rootsys
 from .charp import FpMatrix
@@ -308,10 +309,7 @@ def _cmd_log(args):
 def _cmd_tpower(args):
     u = _parse_matrix(args.p, args.matrix)
     result = charp.t_power(u, args.t)
-    direct = FpMatrix.identity(u.p, u.n)
-    for _ in range(args.t % u.p):
-        direct = direct * u
-    if result != direct:
+    if result != u ** (args.t % u.p):
         raise ContractError("binomial power disagrees with repeated multiplication")
     return (
         {"t": args.t, "input": _enc(u), "output": _enc(result)},
@@ -438,109 +436,64 @@ def _cmd_selftest(args):
     return result, ["each criterion ran to completion"], (0 if all_passed else 2)
 
 
-def _add_system_flags(sub):
-    sub.add_argument("--type", required=True, help="series letter A..G")
-    sub.add_argument("--rank", required=True, type=int)
+_SYSTEM = (
+    ("--type", dict(required=True, help="series letter A..G")),
+    ("--rank", dict(required=True, type=int)),
+)
+_P = (("--p", dict(required=True, type=int)),)
+_PHI = (("--phi", dict(required=True, help='comma-separated rationals, e.g. "1/9,1/9"')),)
+_MATRIX = (("--matrix", dict(required=True)),)
+_MATRIX_DOC = (("--matrix", dict(required=True, help="JSON 2-D integer array")),)
+
+# Subcommand -> (handler, flags), in the order `liep --help` lists them.
+_COMMANDS = {
+    "basis": (_cmd_basis, _SYSTEM + _PHI + (
+        ("--oracle", dict(action="store_true",
+                          help="confirm against chamber enumeration (rank <= 3)")),)),
+    "critical": (_cmd_critical, _SYSTEM + _PHI),
+    "coxeter": (_cmd_coxeter, _SYSTEM),
+    "roots": (_cmd_roots, _SYSTEM),
+    "minheight": (_cmd_minheight, _SYSTEM),
+    "goodprime": (_cmd_goodprime, _SYSTEM + _P),
+    "parabolic": (_cmd_parabolic, _SYSTEM + (
+        ("--subset", dict(default="", help="comma-separated simple indices (1-based)")),)),
+    "height": (_cmd_height, _SYSTEM + (
+        ("--weight", dict(required=True, help='fundamental coordinates, e.g. "1,0,0,1"')),)),
+    "lowheight": (_cmd_lowheight, _SYSTEM + (("--weight", dict(required=True)),) + _P),
+    "glheight": (_cmd_glheight, (
+        ("--dims", dict(required=True, help='factor dimensions, e.g. "4,3"')),
+        ("--ms", dict(required=True, help='wedge degrees, e.g. "2,1"')),
+        ("--p", dict(type=int)))),
+    "reduce": (_cmd_reduce, _SYSTEM + (
+        ("--point", dict(required=True, help='comma-separated rationals, e.g. "4/3,1/3"')),)),
+    "exp": (_cmd_exp, _P + _MATRIX_DOC),
+    "log": (_cmd_log, _P + _MATRIX_DOC),
+    "tpower": (_cmd_tpower, _P + _MATRIX + (("--t", dict(required=True, type=int)),)),
+    "bch": (_cmd_bch, _P + (
+        ("--degree", dict(required=True, type=int)),
+        ("--x", dict(help="optional JSON matrix")),
+        ("--y", dict(help="optional JSON matrix")))),
+    "cycle": (_cmd_cycle, _P + (
+        ("--t", dict(required=True, help='p nonzero weights, e.g. "1,2,1"')),)),
+    "pgl-lift": (_cmd_pgl_lift, _P + _MATRIX),
+    "heisenberg": (_cmd_heisenberg, _P),
+    "weightdemo": (_cmd_weightdemo, _P),
+    "selftest": (_cmd_selftest, (
+        ("--seed", dict(type=int, default=acceptance.DEFAULT_SEED)),
+        ("--trials", dict(type=int)))),
+}
 
 
-def _build_parser() -> _Parser:
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argparse tree for `_COMMANDS`, built once per process."""
     parser = _Parser(prog="liep", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, needs_phi in [("basis", True), ("critical", True)]:
-        sp = subs.add_parser(name)
-        _add_system_flags(sp)
-        sp.add_argument("--phi", required=True, help='comma-separated rationals, e.g. "1/9,1/9"')
-        if name == "basis":
-            sp.add_argument("--oracle", action="store_true",
-                            help="confirm against chamber enumeration (rank <= 3)")
-
-    for name in ("coxeter", "roots", "minheight"):
-        _add_system_flags(subs.add_parser(name))
-
-    sp = subs.add_parser("goodprime")
-    _add_system_flags(sp)
-    sp.add_argument("--p", required=True, type=int)
-
-    sp = subs.add_parser("parabolic")
-    _add_system_flags(sp)
-    sp.add_argument("--subset", default="", help="comma-separated simple indices (1-based)")
-
-    sp = subs.add_parser("height")
-    _add_system_flags(sp)
-    sp.add_argument("--weight", required=True, help='fundamental coordinates, e.g. "1,0,0,1"')
-
-    sp = subs.add_parser("lowheight")
-    _add_system_flags(sp)
-    sp.add_argument("--weight", required=True)
-    sp.add_argument("--p", required=True, type=int)
-
-    sp = subs.add_parser("glheight")
-    sp.add_argument("--dims", required=True, help='factor dimensions, e.g. "4,3"')
-    sp.add_argument("--ms", required=True, help='wedge degrees, e.g. "2,1"')
-    sp.add_argument("--p", type=int, default=None)
-
-    sp = subs.add_parser("reduce")
-    _add_system_flags(sp)
-    sp.add_argument("--point", required=True, help='comma-separated rationals, e.g. "4/3,1/3"')
-
-    for name in ("exp", "log"):
-        sp = subs.add_parser(name)
-        sp.add_argument("--p", required=True, type=int)
-        sp.add_argument("--matrix", required=True, help="JSON 2-D integer array")
-
-    sp = subs.add_parser("tpower")
-    sp.add_argument("--p", required=True, type=int)
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--t", required=True, type=int)
-
-    sp = subs.add_parser("bch")
-    sp.add_argument("--p", required=True, type=int)
-    sp.add_argument("--degree", required=True, type=int)
-    sp.add_argument("--x", default=None, help="optional JSON matrix")
-    sp.add_argument("--y", default=None, help="optional JSON matrix")
-
-    sp = subs.add_parser("cycle")
-    sp.add_argument("--p", required=True, type=int)
-    sp.add_argument("--t", required=True, help='p nonzero weights, e.g. "1,2,1"')
-
-    sp = subs.add_parser("pgl-lift")
-    sp.add_argument("--p", required=True, type=int)
-    sp.add_argument("--matrix", required=True)
-
-    for name in ("heisenberg", "weightdemo"):
-        sp = subs.add_parser(name)
-        sp.add_argument("--p", required=True, type=int)
-
-    sp = subs.add_parser("selftest")
-    sp.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
-    sp.add_argument("--trials", type=int, default=None)
-
+    for name, (_, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name)
+        for flag, options in flags:
+            sub.add_argument(flag, **options)
     return parser
-
-
-_HANDLERS = {
-    "coxeter": _cmd_coxeter,
-    "roots": _cmd_roots,
-    "goodprime": _cmd_goodprime,
-    "parabolic": _cmd_parabolic,
-    "height": _cmd_height,
-    "lowheight": _cmd_lowheight,
-    "minheight": _cmd_minheight,
-    "glheight": _cmd_glheight,
-    "basis": _cmd_basis,
-    "critical": _cmd_critical,
-    "reduce": _cmd_reduce,
-    "exp": _cmd_exp,
-    "log": _cmd_log,
-    "tpower": _cmd_tpower,
-    "bch": _cmd_bch,
-    "cycle": _cmd_cycle,
-    "pgl-lift": _cmd_pgl_lift,
-    "heisenberg": _cmd_heisenberg,
-    "weightdemo": _cmd_weightdemo,
-    "selftest": _cmd_selftest,
-}
 
 
 def _emit(payload: dict) -> None:
@@ -551,9 +504,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     command = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         command = args.command
-        outcome = _HANDLERS[command](args)
+        outcome = _COMMANDS[command][0](args)
         result, invariants = outcome[0], outcome[1]
         code = outcome[2] if len(outcome) > 2 else 0
     except _HelpRequested as req:

@@ -306,3 +306,17 @@ def test_help_is_one_json_report(capsys, argv, sub):
     assert set(out) == {"subcommand", "result", "invariants", "elapsed_us"}
     assert out["subcommand"] == sub
     assert out["result"]["usage"].startswith("usage: liep" + (f" {sub}" if sub else ""))
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    seen = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    run_cli(capsys, ["coxeter", "--type", "A", "--rank", "2"])
+    run_cli(capsys, ["glheight", "--dims", "4,3", "--ms", "2,1"])
+    assert len(seen) == 2 and seen[0] is seen[1]
