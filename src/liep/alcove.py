@@ -54,9 +54,6 @@ __all__ = [
     "word_matrix",
 ]
 
-_REDUCTION_CAP = 10_000
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise ValueError("floating-point input rejected; pass Fraction, int, or 'a/b' string")
@@ -228,8 +225,8 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     vector of the coweight lattice; after that only reflections in the
     walls ``y_i = 0`` and ``theta(y) = 1`` are applied, always at the
     lowest violated simple wall first.  Each reflection strictly lowers
-    the number of separating affine walls, so the loop terminates; the
-    iteration cap only guards against arithmetic bugs.
+    the number of separating affine walls, so the loop ends within
+    ``_reflection_bound`` steps; running past it means an arithmetic bug.
     """
     _check_rank(rs, len(point.values))
     n = rs.rank
@@ -246,7 +243,8 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
         values = [v + s * den for v, s in zip(values, shift)]
         steps.append(("translate", shift))
 
-    for _ in range(_REDUCTION_CAP):
+    cap = _reflection_bound(rs, values, den)
+    for _ in range(cap + 1):
         neg = next((i for i in range(n) if values[i] < 0), None)
         if neg is not None:
             apply_letters(rs, (neg + 1,), values, "point")
@@ -262,7 +260,7 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
             continue
         break
     else:
-        raise ContractError(f"alcove reduction exceeded {_REDUCTION_CAP} steps")
+        raise ContractError(f"alcove reduction exceeded its bound of {cap} steps")
 
     word = tuple(reversed(letters))
     _assert_in_alcove(rs, values, den)
@@ -278,6 +276,18 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
 
     reduced = CoweightPoint(tuple(Fraction(v, den) for v in values))
     return reduced, ReductionTranscript(tuple(steps), word, tuple(net))
+
+
+def _reflection_bound(rs: RootSystem, values: list[int], den: int) -> int:
+    """A bound on the reflections that carry the point ``values / den`` into the alcove.
+
+    Each reflection is in a wall of the alcove that strictly separates the point
+    from it, so it lowers the number of separating affine walls ``alpha = k`` by one.
+    A positive root has coefficients at most the marks, so ``|alpha(y)| <= S =
+    sum_j m_j |y_j|`` and fewer than ``floor(S) + 2`` of its walls separate.
+    """
+    reach = sum(m * abs(v) for m, v in zip(rs.marks, values)) // den
+    return len(rs.positive_roots) * (reach + 2)
 
 
 def _affine_numerators(rs: RootSystem, values: list[int], den: int) -> list[int]:
@@ -329,14 +339,15 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
         m = rs.marks[idx - 1]
         z = [v * m for v in values]
         z[idx - 1] -= den
-        for _ in range(_REDUCTION_CAP):
+        # each reflection moves one positive root to the positive side: |Phi+| steps at most
+        for _ in range(len(rs.positive_roots) + 1):
             neg = next((i for i in range(rs.rank) if z[i] < 0), None)
             if neg is None:
                 break
             apply_letters(rs, (neg + 1,), z, "point")
             dominance.append(neg + 1)
         else:
-            raise ContractError(f"dominance loop exceeded {_REDUCTION_CAP} steps")
+            raise ContractError("dominance loop exceeded the number of positive roots")
 
     basis = BasisChoice(tuple(reversed(transcript.weyl_word)) + tuple(dominance))
     dual = _rho_dual(rs, basis.weyl_word)

@@ -7,6 +7,12 @@ upper triangular pairs, and the small menagerie of p x p examples that
 exercise them: the scalar-shift lift, weighted cyclic shifts, and the
 Heisenberg pair.  Everything is computed over Z/p with no floats and no
 external dependencies.
+
+Every linear combination of matrices (sums, differences, scalings, the
+three series and the group law) is formed by ``_combination``, which
+sums on plain ints and reduces mod p once.  The series are evaluated by
+``_series``, which walks the powers of its nilpotent argument one product
+at a time and keeps none of them: nothing is cached per input.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, chain, combinations
+from operator import mul
 
 from . import bch
 from .errors import ContractError
@@ -92,44 +98,30 @@ class FpMatrix:
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_shape(other)
-        p = self.p
-        return FpMatrix(p, self.n, tuple(
-            tuple((a + b) % p for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
+        return _combination(self.p, self.n, ((1, self), (1, other)))
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._same_shape(other)
-        p = self.p
-        return FpMatrix(p, self.n, tuple(
-            tuple((a - b) % p for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
+        return _combination(self.p, self.n, ((1, self), (-1, other)))
 
     def __neg__(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.n, tuple(
-            tuple((-a) % self.p for a in r) for r in self.rows
-        ))
+        return _combination(self.p, self.n, ((-1, self),))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._same_shape(other)
-        p, n = self.p, self.n
+        p = self.p
         cols = list(zip(*other.rows))
-        return FpMatrix(p, n, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-            for row in self.rows
+        return FpMatrix(p, self.n, tuple(
+            tuple(sum(map(mul, row, col)) % p for col in cols) for row in self.rows
         ))
 
     def __rmul__(self, scalar: int) -> "FpMatrix":
         return self.scale(scalar)
 
     def scale(self, scalar: int) -> "FpMatrix":
-        s = scalar % self.p
-        return FpMatrix(self.p, self.n, tuple(
-            tuple((s * a) % self.p for a in r) for r in self.rows
-        ))
+        return _combination(self.p, self.n, ((scalar, self),))
 
     def __pow__(self, k: int) -> "FpMatrix":
         if k < 0:
@@ -228,39 +220,48 @@ def ext_traces(m: FpMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=2048)
-def _nil_powers(m: FpMatrix) -> tuple[FpMatrix, ...]:
-    """Powers m^0 .. m^{p-1}, with a check that m^p = 0."""
-    out = [FpMatrix.identity(m.p, m.n)]
-    for _ in range(m.p):
-        out.append(out[-1] * m)
-    if not out[m.p].is_zero():
-        raise ContractError("matrix power p does not vanish")
-    return tuple(out[: m.p])
+def _combination(p: int, n: int, terms) -> FpMatrix:
+    """The n x n matrix sum of c . m over the (c, m) pairs, skipping c = 0 mod p.
+
+    Entries are summed as plain ints and reduced mod p once, at the end.
+    """
+    acc = [0] * (n * n)
+    for c, m in terms:
+        c %= p
+        if c:
+            acc = [a + c * b for a, b in zip(acc, chain.from_iterable(m.rows))]
+    return FpMatrix(p, n, tuple(tuple(a % p for a in acc[r:r + n]) for r in range(0, n * n, n)))
+
+
+def _series(nil: FpMatrix, coeffs) -> FpMatrix:
+    """The sum of c_k . nil^k over the p coefficients c_0 .. c_{p-1}; requires nil^p = 0.
+
+    Each power is formed from the one before it and dropped once it is added.
+    """
+
+    def terms():
+        power = FpMatrix.identity(nil.p, nil.n)
+        for c in coeffs:
+            yield c, power
+            power = power * nil
+        if not power.is_zero():
+            raise ContractError("matrix power p does not vanish")
+
+    return _combination(nil.p, nil.n, terms())
 
 
 def trunc_exp(x: FpMatrix) -> FpMatrix:
     """Exponential truncated below degree p; requires x^p = 0."""
-    powers = _nil_powers(x)
-    acc = FpMatrix.zeros(x.p, x.n)
-    fact = 1
-    for k in range(x.p):
-        if k:
-            fact = (fact * k) % x.p
-        acc = acc + powers[k].scale(pow(fact, -1, x.p))
-    return acc
+    p = x.p
+    inverse_factorials = accumulate(range(1, p), lambda c, k: c * pow(k, -1, p) % p, initial=1)
+    return _series(x, inverse_factorials)
 
 
 def trunc_log(u: FpMatrix) -> FpMatrix:
     """Logarithm truncated below degree p; requires (u - 1)^p = 0."""
-    nil = u - FpMatrix.identity(u.p, u.n)
-    powers = _nil_powers(nil)
-    acc = FpMatrix.zeros(u.p, u.n)
-    sign = 1
-    for k in range(1, u.p):
-        acc = acc + powers[k].scale(sign * pow(k, -1, u.p))
-        sign = -sign
-    return acc
+    p = u.p
+    coeffs = (0 if k == 0 else (-1) ** (k + 1) * pow(k, -1, p) for k in range(p))
+    return _series(u - FpMatrix.identity(p, u.n), coeffs)
 
 
 def t_power(u: FpMatrix, t: int) -> FpMatrix:
@@ -270,17 +271,10 @@ def t_power(u: FpMatrix, t: int) -> FpMatrix:
     u^p = 1).  For integer t this agrees with the ordinary power, and
     t only matters mod p.
     """
-    nil = u - FpMatrix.identity(u.p, u.n)
-    powers = _nil_powers(nil)
     p = u.p
-    acc = FpMatrix.zeros(p, u.n)
-    binom = 1  # C(t, k) mod p, built incrementally
-    for k in range(p):
-        if k:
-            binom = (binom * (t - (k - 1)) * pow(k, -1, p)) % p
-        if binom:
-            acc = acc + powers[k].scale(binom)
-    return acc
+    binomials = accumulate(range(1, p), lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
+                           initial=1)  # C(t, k) mod p
+    return _series(u - FpMatrix.identity(p, u.n), binomials)
 
 
 @dataclass(frozen=True)
@@ -350,14 +344,9 @@ def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
             values[word] = got
         return got
 
-    acc = FpMatrix.zeros(x.p, x.n)
-    for word, coeff in table.terms:
-        if len(word) >= x.n:
-            continue  # exact zero for this size
-        c = _fraction_mod(coeff, table.p)
-        if c:
-            acc = acc + value(word).scale(c)
-    return acc
+    # words of n or more letters are exact zeros at this size
+    coeffs = ((_fraction_mod(c, table.p), word) for word, c in table.terms if len(word) < x.n)
+    return _combination(x.p, x.n, ((c, value(word)) for c, word in coeffs if c))
 
 
 def nilpotent_p_power_check(x: FpMatrix) -> bool:

@@ -22,6 +22,7 @@ from functools import lru_cache
 from . import acceptance, alcove, charp, heights, rootsys
 from .charp import FpMatrix
 from .errors import ContractError
+from .primes import is_prime
 
 __all__ = ["main"]
 
@@ -165,9 +166,11 @@ def _cmd_height(args):
 def _cmd_lowheight(args):
     rs = _system(args)
     w = _weight(args, rs)
-    low = heights.is_low_height(rs, w, args.p)
+    if not is_prime(args.p):  # a usage error, so it comes before the height's contract
+        raise ValueError(f"{args.p} is not prime")
+    report = heights.dynkin_height(rs, w)
     return (
-        {"p": args.p, "low_height": low, "report": _height_payload(heights.dynkin_height(rs, w))},
+        {"p": args.p, "low_height": args.p > report.height, "report": _height_payload(report)},
         ["height computed by two agreeing routes", "compared exactly against p"],
     )
 
@@ -179,8 +182,6 @@ def _cmd_minheight(args):
         for i in range(1, rs.rank + 1)
     ]
     value = min(e["height"] for e in per)
-    if value != heights.min_nontrivial_height(rs):
-        raise ContractError("per-fundamental minimum disagrees with min_nontrivial_height")
     h = rootsys.coxeter_via_marks(rs)
     if value < h - 1:
         raise ContractError("minimal height fell below h - 1")
@@ -214,11 +215,8 @@ def _phi(args, rs) -> alcove.PhiHom:
 def _cmd_basis(args):
     rs = _system(args)
     phi = _phi(args, rs)
-    report = alcove.window_basis_report(rs, phi)
+    report = alcove.window_basis_report(rs, phi)  # checks every window root is positive
     critical = alcove.critical_roots(rs, phi)
-    for a in critical:
-        if not report.basis.is_positive(rs, a):
-            raise ContractError(f"critical root {a.coords} negative under the chosen basis")
     result = {
         "phi": _enc(list(phi.values)),
         "weyl_word": list(report.basis.weyl_word),

@@ -33,9 +33,6 @@ __all__ = [
     "antidominant_conjugate",
 ]
 
-_DESCENT_CAP = 100_000
-
-
 @lru_cache(maxsize=None)
 def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
     """Coordinates of the sum of all positive coroots over the simple coroots."""
@@ -50,13 +47,14 @@ def _require_dominant(weight: WeightVec) -> None:
 def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
     """The unique antidominant Weyl conjugate, by greedy descent.
 
-    Reflecting at the lowest index with a positive coordinate strictly
-    lowers the pairing with the positive-coroot sum, so the walk
-    terminates; the cap is a tripwire, not a tuning knob.
+    Reflecting at the lowest index with a positive coordinate lowers by
+    one the number of positive coroots that pair positively with the
+    weight, and strictly lowers its pairing with their sum, so the walk
+    ends within |Phi+| steps; running past them means an arithmetic bug.
     """
     two_rho = _two_rho_coroot(rs)
     coords = list(weight.coords)
-    for _ in range(_DESCENT_CAP):
+    for _ in range(len(rs.positive_roots) + 1):
         i = next((k for k in range(rs.rank) if coords[k] > 0), None)
         if i is None:
             return WeightVec(tuple(coords))
@@ -65,7 +63,7 @@ def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
         after = sum(c * t for c, t in zip(coords, two_rho))
         if after >= before:
             raise ContractError("descent failed to decrease; arithmetic is broken")
-    raise ContractError(f"antidominant descent exceeded {_DESCENT_CAP} steps")
+    raise ContractError("antidominant descent exceeded the number of positive roots")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from liep import alcove, rootsys
+from liep import alcove, heights, rootsys
 from liep.alcove import BasisChoice, CoweightPoint, PhiHom
 from liep.errors import ContractError
 
@@ -323,3 +323,47 @@ def test_window_check_rejects_a_basis_that_leaves_a_window_root_negative(monkeyp
     monkeypatch.setattr(alcove, "_rho_dual", lambda rs, word: [-1] * rs.rank)
     with pytest.raises(ContractError, match="window root"):
         alcove.window_basis_report(rs, phi)
+
+
+def test_window_basis_past_ten_thousand_reduction_steps():
+    rs = rootsys.build("A", 60)
+    rng = random.Random(3)
+    phi = PhiHom(tuple(F(rng.randrange(427), 427) for _ in range(60)))
+    report = alcove.window_basis_report(rs, phi)  # raises unless every window root is positive
+    assert len(report.transcript.steps) == 19151
+    assert report.basis == alcove.window_basis(rs, phi)
+    for a in alcove.critical_roots(rs, phi)[:5]:
+        assert report.basis.is_positive(rs, a)
+
+
+@pytest.mark.parametrize("t,n", [("A", 8), ("B", 8), ("D", 8), ("E", 8), ("F", 4), ("G", 2)])
+def test_reduction_steps_stay_within_the_wall_bound(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"wall-bound:{t}{n}")
+    for trial in range(40):
+        den = rng.choice((1, 7, rs.coxeter_number, 97))
+        reach = 2 if trial % 4 else 40  # every fourth point needs the translation first
+        start = CoweightPoint(tuple(F(rng.randrange(-reach * den, reach * den), den)
+                                    for _ in range(n)))
+        _, transcript = alcove.reduce_to_alcove(rs, start)
+        steps = transcript.steps
+        values, common = alcove._numerators(start.values)
+        if steps and steps[0][0] == "translate":
+            values = [v + s * common for v, s in zip(values, steps[0][1])]
+            steps = steps[1:]
+        assert len(steps) <= alcove._reflection_bound(rs, values, common)
+
+
+def test_walks_end_in_a_contract_error_when_reflections_do_nothing(monkeypatch):
+    rs = rootsys.build("B", 3)
+    noop = lambda rs, letters, vec, on: vec  # noqa: E731
+    monkeypatch.setattr(alcove, "apply_letters", noop)
+    monkeypatch.setattr(heights, "apply_letters", noop)
+    with pytest.raises(ContractError, match="exceeded its bound"):
+        alcove.reduce_to_alcove(rs, CoweightPoint((F(-1, 3), F(1, 5), F(-7, 2))))
+    # already in the alcove, but re-centred at a vertex that needs the dominance walk
+    a2 = rootsys.build("A", 2)
+    with pytest.raises(ContractError, match="dominance loop"):
+        alcove.window_basis_report(a2, PhiHom((F(1, 2), F(1, 3))))
+    with pytest.raises(ContractError):
+        heights.antidominant_conjugate(rs, rootsys.WeightVec((1, 0, 2)))

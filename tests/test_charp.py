@@ -1,6 +1,7 @@
 """Prime-field matrices, truncated series, and the p x p example menagerie."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -62,6 +63,10 @@ def test_arithmetic_basics():
     assert (-b).rows == ((0, 6), (6, 0))
     assert (a * b).rows == ((2, 1), (4, 3))
     assert (3 * b).rows == (b * 3).rows == ((0, 3), (3, 0))
+    assert (-2 * a).rows == a.scale(5).rows == ((5, 3), (1, 6))
+    assert (a * -1) == -a == a.scale(-8)
+    assert a.scale(p) == a.scale(0) == 0 * a == FpMatrix.zeros(p, 2)
+    assert a.scale(p + 3) == a.scale(3) == a.scale(3 - 2 * p) == a + a + a
     assert a.trace() == 5
     assert (a ** 3) == a * a * a
     assert (a ** 0).is_identity()
@@ -172,6 +177,22 @@ def test_exp_log_round_trips():
             assert charp.trunc_exp(charp.trunc_log(u)) == u
 
 
+def test_series_keep_nothing_per_input():
+    p, n = 1009, 3
+    rng = random.Random("retention")
+    inputs = [_random_strict_upper(rng, p, n) for _ in range(20)]
+    charp.trunc_exp(inputs[0])  # warm any per-process state before measuring
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in inputs:
+            charp.trunc_exp(x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+
+
 def test_t_power_examples():
     p = 3
     u = FpMatrix.identity(p, 2) + FpMatrix.matrix_unit(p, 2, 0, 1)
@@ -226,6 +247,18 @@ def test_bch_apply_is_the_group_law():
             z = charp.bch_apply(table, x, y)
             assert z.is_strictly_upper()
             assert charp.trunc_exp(z) == charp.trunc_exp(x) * charp.trunc_exp(y)
+
+
+def test_bch_apply_matches_the_direct_route():
+    rng = random.Random("bchdirect")
+    for p in (3, 5, 7):
+        for n in range(1, p + 1):
+            table = charp.bch_table(p, max(n - 1, 1))
+            for _ in range(4):
+                x = _random_strict_upper(rng, p, n)
+                y = _random_strict_upper(rng, p, n)
+                direct = charp.trunc_log(charp.trunc_exp(x) * charp.trunc_exp(y))
+                assert charp.bch_apply(table, x, y) == direct
 
 
 def test_bch_apply_validation_and_contracts():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from liep import charp, cli
+from liep import charp, cli, heights, rootsys
 from liep.charp import FpMatrix
 
 
@@ -86,6 +86,24 @@ def test_lowheight(capsys):
         capsys, ["lowheight", "--type", "A", "--rank", "4", "--weight", "1,0,0,1", "--p", "11"]
     )
     assert code == 0 and out["result"]["low_height"] is True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lowheight_matches_library_at_the_edge(capsys, p):
+    rs = rootsys.build("A", 2)
+    weight = rootsys.WeightVec((1, 0))  # height 2
+    code, out, _ = run_cli(capsys, ["lowheight", "--type", "A", "--rank", "2",
+                                    "--weight", "1,0", "--p", str(p)])
+    assert code == 0 and out["result"]["report"]["height"] == 2
+    assert out["result"]["low_height"] is heights.is_low_height(rs, weight, p) is (p > 2)
+
+
+def test_lowheight_usage_error_before_contract_error(capsys):
+    argv = ["lowheight", "--type", "A", "--rank", "2", "--weight=-1,0", "--p"]
+    code, out, _ = run_cli(capsys, argv + ["8"])
+    assert code == 1 and out["error"] == {"kind": "usage", "message": "8 is not prime"}
+    code, out, _ = run_cli(capsys, argv + ["7"])
+    assert code == 2 and out["error"]["kind"] == "contract"
 
 
 def test_minheight(capsys):
