@@ -23,6 +23,7 @@ tests compare integers, and words act letter by letter through
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,8 +33,7 @@ from typing import Iterable
 
 from .errors import ContractError
 from .primes import is_prime
-from .rootsys import (RootSystem, RootVec, _identity, _matmul, apply_letters,
-                      simple_reflection_matrix)
+from .rootsys import RootSystem, RootVec, apply_letters, simple_reflection_matrix
 
 __all__ = [
     "PhiHom",
@@ -50,7 +50,6 @@ __all__ = [
     "oracle_valid_bases",
     "same_basis",
     "mu_pj_restriction",
-    "apply_word_to_root",
     "word_matrix",
 ]
 
@@ -166,11 +165,6 @@ def same_basis(rs: RootSystem, a: BasisChoice, b: BasisChoice) -> bool:
 def lift(phi: PhiHom) -> CoweightPoint:
     """Tautological rational lift: reuse the representatives in [0, 1)."""
     return CoweightPoint(phi.values)
-
-
-def apply_word_to_root(rs: RootSystem, word: Iterable[int], alpha: RootVec) -> RootVec:
-    """Apply ``s_{i_1} ... s_{i_m}`` to a root (rightmost letter first)."""
-    return RootVec(tuple(apply_letters(rs, reversed(tuple(word)), list(alpha.coords), "root")))
 
 
 def word_matrix(rs: RootSystem, word: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -366,11 +360,16 @@ def window_basis(rs: RootSystem, phi: PhiHom) -> BasisChoice:
 
 
 def _scaled_values(rs: RootSystem, phi: PhiHom) -> tuple[int, list[int]]:
-    """N and ``h * N * phi(alpha)`` per root, with phi(alpha) = (sum_i alpha_i k_i mod N) / N."""
+    """N and ``h * N * phi(alpha)`` per root, with phi(alpha) = (sum_i alpha_i k_i mod N) / N.
+
+    ``rs.roots`` lists the negatives after the positive roots in the same order,
+    so N phi(-alpha) = (-N phi(alpha)) mod N reuses the positive root's value.
+    """
     _check_rank(rs, phi.rank)
     k, den = _numerators(phi.values)
     h = rs.coxeter_number
-    return den, [h * (sum(map(mul, a.coords, k)) % den) for a in rs.roots]
+    pos = [sum(map(mul, a.coords, k)) % den for a in rs.positive_roots]
+    return den, [h * v for v in pos] + [h * (-v % den) for v in pos]
 
 
 def critical_roots(rs: RootSystem, phi: PhiHom) -> tuple[RootVec, ...]:
@@ -385,6 +384,15 @@ def boundary_roots(rs: RootSystem, phi: PhiHom) -> tuple[RootVec, ...]:
     return tuple(a for a, v in zip(rs.roots, scaled) if v == den)
 
 
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+
+
+def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
 @lru_cache(maxsize=None)
 def _chambers(rs: RootSystem) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
     """Breadth-first enumeration of the Weyl group: (shortlex-minimal word, positive roots)."""
@@ -392,10 +400,10 @@ def _chambers(rs: RootSystem) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
     ident = _identity(n)
     gens = [simple_reflection_matrix(rs, i) for i in range(1, n + 1)]
     seen = {ident: ()}
-    queue = [(ident, ())]
+    queue = deque([(ident, ())])
     out = []
     while queue:
-        mat, word = queue.pop(0)
+        mat, word = queue.popleft()
         out.append((mat, word))
         for i in range(1, n + 1):
             nxt = _matmul(mat, gens[i - 1])

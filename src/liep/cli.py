@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 from functools import lru_cache
 
@@ -516,6 +517,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit({"subcommand": command, "error": {"kind": "usage", "message": str(exc)}})
         return 1
+    except Exception as exc:  # a bug: stdout still carries one report, stderr the traceback
+        traceback.print_exc()
+        message = f"{type(exc).__name__}: {exc}"
+        _emit({"subcommand": command, "error": {"kind": "internal", "message": message}})
+        return 2
     _emit(
         {
             "subcommand": command,

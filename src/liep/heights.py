@@ -1,25 +1,26 @@
 """Heights of highest-weight data, computed two independent ways.
 
 The height of a dominant weight is its pairing with the sum of the
-positive coroots.  It is recomputed as the coordinate total of the
-exact difference between the weight and its antidominant Weyl conjugate,
-and both answers are reported so callers can cross-examine them.
+positive coroots.  It is recomputed, on plain ints, as the coordinate
+total of the difference between the weight and its antidominant Weyl
+conjugate, and both answers are reported so callers can cross-examine them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import ContractError
 from .primes import is_prime
 from .rootsys import (
     RootSystem,
     WeightVec,
+    _scaled_cartan_inverse,
     apply_letters,
     coxeter_via_marks,
     fundamental_weight,
-    weight_to_root_coords,
 )
 
 __all__ = [
@@ -58,9 +59,9 @@ def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
         i = next((k for k in range(rs.rank) if coords[k] > 0), None)
         if i is None:
             return WeightVec(tuple(coords))
-        before = sum(c * t for c, t in zip(coords, two_rho))
+        before = sum(map(mul, coords, two_rho))
         apply_letters(rs, (i + 1,), coords, "weight")
-        after = sum(c * t for c, t in zip(coords, two_rho))
+        after = sum(map(mul, coords, two_rho))
         if after >= before:
             raise ContractError("descent failed to decrease; arithmetic is broken")
     raise ContractError("antidominant descent exceeded the number of positive roots")
@@ -85,20 +86,21 @@ def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
     """Pairing of a dominant weight with the sum of the positive coroots.
 
     Route one contracts the weight against that coroot sum.  Route two
-    finds the antidominant conjugate, converts the difference to exact
-    simple-root coordinates through the inverse Cartan matrix, and sums
-    them; the conversion must come out integral.
+    finds the antidominant conjugate, converts the difference to
+    simple-root coordinates through the integer matrix ``D C^-1``, whose
+    numerators must be divisible by D, and sums them.
     """
     _require_dominant(weight)
     two_rho = _two_rho_coroot(rs)
-    via_pairing = sum(c * t for c, t in zip(weight.coords, two_rho))
+    via_pairing = sum(map(mul, weight.coords, two_rho))
 
     low = antidominant_conjugate(rs, weight)
-    diff = weight - low
-    root_coords = weight_to_root_coords(rs, diff)
-    if any(x.denominator != 1 for x in root_coords):
+    diff = (weight - low).coords
+    den, scaled = _scaled_cartan_inverse(rs)
+    numerators = [sum(map(mul, row, diff)) for row in scaled]
+    if any(x % den for x in numerators):
         raise ContractError("weight minus antidominant conjugate left the root lattice")
-    via_difference = int(sum(root_coords))
+    via_difference = sum(numerators) // den
 
     return HeightReport(via_pairing, via_pairing, via_difference, low)
 

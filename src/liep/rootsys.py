@@ -13,8 +13,8 @@ Conventions used throughout the package:
   coordinates by ``s_i(v) = v - <v, alpha_i^vee> e_i``.
 * ``RootVec`` holds integer coordinates over the simple roots;
   ``WeightVec`` holds integer coordinates over the fundamental weights.
-  Conversion between the two goes through the exact rational inverse of
-  the Cartan matrix; no floating point is used anywhere.
+  Weights convert to root coordinates through the cached integer matrix
+  ``D C^-1`` and exact division by D; no floating point is used anywhere.
 * Alongside each root we carry the coordinates of its coroot over the
   simple coroots.  When ``beta' = s_i(beta)``, the coroot transforms by
   the transposed rule ``c' = c - <alpha_i, beta^vee> e_i`` with
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .errors import ContractError
@@ -52,9 +53,6 @@ __all__ = [
     "simple_reflection_matrix",
     "apply_letters",
 ]
-
-_COXETER_ITERATION_CAP = 100
-
 
 @dataclass(frozen=True)
 class RootVec:
@@ -237,24 +235,23 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
     return C
 
 
-def _close_under_reflections(C: list[list[int]], rank: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _close_under_reflections(rows: tuple, cols: tuple) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Orbit of the simple roots under all simple reflections.
 
     Returns a map from root coordinates to coroot coordinates.  Every
     root of an irreducible system is conjugate to a simple root, so the
-    closure is the full root set.
+    closure is the full root set.  Pairings read the sparse Cartan rows and
+    columns (``RootSystem._rows``/``_cols``) in O(degree).
     """
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    work: list[tuple[int, ...]] = []
-    for i in range(rank):
-        e = tuple(1 if j == i else 0 for j in range(rank))
-        found[e] = e
-        work.append(e)
+    work = [tuple(int(j == i) for j in range(len(rows))) for i in range(len(rows))]
+    found = {e: e for e in work}
     while work:
         m = work.pop()
         c = found[m]
-        for i in range(rank):
-            pa = sum(C[i][j] * m[j] for j in range(rank))
+        for i, row in enumerate(rows):
+            pa = 0
+            for j, x in row:
+                pa += x * m[j]
             if pa == 0:
                 continue
             m2 = list(m)
@@ -262,9 +259,9 @@ def _close_under_reflections(C: list[list[int]], rank: int) -> dict[tuple[int, .
             key = tuple(m2)
             if key in found:
                 continue
-            pc = sum(C[k][i] * c[k] for k in range(rank))
             c2 = list(c)
-            c2[i] -= pc
+            for k, x in cols[i]:
+                c2[i] -= x * c[k]
             found[key] = tuple(c2)
             work.append(key)
     return found
@@ -291,7 +288,9 @@ def build(type_label: str, rank: int) -> RootSystem:
     irreducible system (including D3, which callers should request as A3).
     """
     C = _cartan_matrix(type_label, rank)
-    found = _close_under_reflections(C, rank)
+    rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C)
+    cols = tuple(tuple((j, x) for j, x in enumerate(col) if x) for col in zip(*C))
+    found = _close_under_reflections(rows, cols)
     _validate_generated(found, rank)
 
     positives = sorted(
@@ -317,21 +316,23 @@ def build(type_label: str, rank: int) -> RootSystem:
         rank=rank,
         cartan=tuple(tuple(row) for row in C),
         roots=roots,
-        positive_roots=tuple(RootVec(m) for m in positives),
+        positive_roots=roots[: len(positives)],
         highest_root=RootVec(theta),
         marks=theta,
         coxeter_number=1 + sum(theta),
         coroots=coroots,
         _index=index,
-        _rows=tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C),
-        _cols=tuple(tuple((j, x) for j, x in enumerate(col) if x) for col in zip(*C)),
+        _rows=rows, _cols=cols,
     )
 
-    # closure under every simple reflection, checked once per cached build
+    # closure under every simple reflection, checked once per cached build; s_i moves
+    # only coordinate i, and a root it leaves in place is in the set already
     for m in ordered:
-        for i in range(1, rank + 1):
-            if tuple(apply_letters(rs, (i,), list(m), "root")) not in index:
+        v = list(m)
+        for i in range(rank):
+            if apply_letters(rs, (i + 1,), v, "root")[i] != m[i] and tuple(v) not in index:
                 raise ContractError("root set not closed under simple reflections")
+            v[i] = m[i]
     return rs
 
 
@@ -352,19 +353,23 @@ def coxeter_via_rho(rs: RootSystem) -> int:
 
 
 def coxeter_via_element(rs: RootSystem) -> int:
-    """Order of the Coxeter element ``s_1 s_2 ... s_rank`` on the root lattice."""
-    n = rs.rank
-    cox = _identity(n)
-    for i in range(1, n + 1):
-        cox = _matmul(cox, simple_reflection_matrix(rs, i))
-    power = cox
-    for k in range(1, _COXETER_ITERATION_CAP + 1):
-        if power == _identity(n):
-            return k
-        power = _matmul(power, cox)
-    raise ContractError(
-        f"Coxeter element order exceeds {_COXETER_ITERATION_CAP}; arithmetic is broken"
-    )
+    """Order of the Coxeter element ``c = s_1 s_2 ... s_rank`` on the root lattice.
+
+    It is the lcm of the orbit lengths of the simple roots under c, applied as
+    the letters rank..1 (Humphreys 1990, 3.16-3.19); neither marks nor rho are
+    read.  An orbit lies in the root set, so one longer than |Phi| is a bug.
+    """
+    letters = range(rs.rank, 0, -1)
+    order = 1
+    for start in ([int(j == i) for j in range(rs.rank)] for i in range(rs.rank)):
+        v = list(start)
+        for length in range(1, len(rs.roots) + 1):
+            if apply_letters(rs, letters, v, "root") == start:
+                break
+        else:
+            raise ContractError("Coxeter element orbit exceeds |Phi|; arithmetic is broken")
+        order = lcm(order, length)
+    return order
 
 
 def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
@@ -404,15 +409,6 @@ def apply_letters(rs: RootSystem, letters: Iterable[int], vec: list, on: str) ->
             for j, c in links[i - 1]:
                 vec[j] -= c * x
     return vec
-
-
-def _identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def root_height(rs: RootSystem, alpha: RootVec) -> int:
@@ -498,30 +494,31 @@ def closed_subset_degrees(rs: RootSystem, subset: Iterable[RootVec]) -> dict[Roo
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the Cartan matrix by Gauss-Jordan elimination."""
-    n = len(cartan)
-    aug = [[Fraction(cartan[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)]
-           for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+def _scaled_cartan_inverse(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D and the integer matrix ``D C^-1``, D the lcm of C^-1's denominators (it divides det C).
+
+    Fraction-free Gauss-Jordan (Bareiss) on ``[C | I]`` divides exactly and ends with
+    ``det C`` times I on the left and the adjugate on the right.  The leading principal
+    minors of a finite-type Cartan matrix are positive, so no pivot is zero.
+    """
+    n = rs.rank
+    aug = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(rs.cartan)]
+    prev = 1
+    for k in range(n):
+        piv = aug[k][k]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+            if r != k:
+                f = aug[r][k]
+                aug[r] = [(piv * x - f * y) // prev for x, y in zip(aug[r], aug[k])]
+        prev = piv
+    g = gcd(prev, *(x for row in aug for x in row[n:]))
+    return prev // g, tuple(tuple(x // g for x in row[n:]) for row in aug)
 
 
 def weight_to_root_coords(rs: RootSystem, w: WeightVec) -> tuple[Fraction, ...]:
     """Exact simple-root coordinates of a weight: solve ``C x = w``."""
-    cinv = _cartan_inverse(rs.cartan)
-    return tuple(
-        sum((cinv[r][c] * w.coords[c] for c in range(rs.rank)), Fraction(0))
-        for r in range(rs.rank)
-    )
+    den, scaled = _scaled_cartan_inverse(rs)
+    return tuple(Fraction(sum(x * c for x, c in zip(row, w.coords)), den) for row in scaled)
 
 
 def fundamental_weight(rs: RootSystem, i: int) -> WeightVec:

@@ -99,9 +99,10 @@ def test_reduction_preserves_phi_through_the_weyl_word(t, n):
     for _ in range(40):
         phi = PhiHom(tuple(F(rng.randrange(60), rng.randrange(1, 60)) for _ in range(n)))
         reduced, transcript = alcove.reduce_to_alcove(rs, alcove.lift(phi))
-        undo = tuple(reversed(transcript.weyl_word))
         for a in rs.roots:
-            assert reduced.value_of(a) % 1 == phi.value_of(alcove.apply_word_to_root(rs, undo, a))
+            # w_acc^-1(a): the letters of w_acc = s_{i_1} ... s_{i_m}, first letter first
+            undone = rootsys.apply_letters(rs, transcript.weyl_word, list(a.coords), "root")
+            assert reduced.value_of(a) % 1 == phi.value_of(rootsys.RootVec(undone))
 
 
 def test_critical_roots_example():
@@ -237,9 +238,9 @@ TWINS = [("A", 8), ("A", 12), ("B", 8), ("C", 8), ("D", 8), ("D", 12),
 
 
 def _dense_word_matrix(rs, word):
-    m = rootsys._identity(rs.rank)
+    m = alcove._identity(rs.rank)
     for i in word:
-        m = rootsys._matmul(m, rootsys.simple_reflection_matrix(rs, i))
+        m = alcove._matmul(m, rootsys.simple_reflection_matrix(rs, i))
     return m
 
 

@@ -338,3 +338,19 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     run_cli(capsys, ["coxeter", "--type", "A", "--rank", "2"])
     run_cli(capsys, ["glheight", "--dims", "4,3", "--ms", "2,1"])
     assert len(seen) == 2 and seen[0] is seen[1]
+
+
+def test_unexpected_exception_is_one_internal_error_report(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("handler bug")
+
+    flags = cli._COMMANDS["coxeter"][1]
+    monkeypatch.setitem(cli._COMMANDS, "coxeter", (broken, flags))
+    code = cli.main(["coxeter", "--type", "A", "--rank", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    out, end = json.JSONDecoder().raw_decode(captured.out)
+    assert captured.out[end:].strip() == ""
+    assert out == {"subcommand": "coxeter",
+                   "error": {"kind": "internal", "message": "RuntimeError: handler bug"}}
+    assert "Traceback" in captured.err

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -181,3 +182,62 @@ def test_coxeter_floor_check_rejects_zero():
     rs = rootsys.build("A", 2)
     with pytest.raises(ContractError):
         heights.height_vs_coxeter_check(rs, WeightVec((0, 0)))
+
+
+# Slow twins at rank <= 12: the integer height route against the Fraction route it
+# replaced (Gauss-Jordan inverse of the Cartan matrix over Q), copied here as it was.
+TWINS = [("A", 8), ("A", 12), ("B", 8), ("B", 12), ("C", 8), ("C", 12), ("D", 8), ("D", 12),
+         ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def _fraction_inverse(cartan):
+    n = len(cartan)
+    aug = [[Fraction(cartan[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)]
+           for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _fraction_root_coords(cinv, coords):
+    n = len(coords)
+    return tuple(sum((cinv[r][c] * coords[c] for c in range(n)), Fraction(0)) for r in range(n))
+
+
+@pytest.mark.parametrize("t,n", TWINS)
+def test_integer_height_route_matches_fraction_route(t, n):
+    rs = rootsys.build(t, n)
+    cinv = _fraction_inverse(rs.cartan)
+    rng = random.Random(f"height-twin:{t}{n}")
+    for _ in range(200):
+        lam = WeightVec(tuple(rng.randrange(6) for _ in range(n)))
+        report = heights.dynkin_height(rs, lam)
+        diff = lam - report.lambda_minus
+        slow = _fraction_root_coords(cinv, diff.coords)
+        assert all(x.denominator == 1 for x in slow)
+        assert report.via_difference == int(sum(slow)) == report.via_pairing
+        assert rootsys.weight_to_root_coords(rs, diff) == slow
+    for i in range(1, n + 1):
+        omega = fundamental_weight(rs, i)
+        assert rootsys.weight_to_root_coords(rs, omega) == _fraction_root_coords(cinv, omega.coords)
+
+
+@pytest.mark.parametrize("t,n", [(t, n) for t, n in TWINS if (t, n) not in (("E", 8), ("F", 4), ("G", 2))])
+def test_non_conjugate_leaves_the_root_lattice(t, n, monkeypatch):
+    # E8, F4 and G2 have det C = 1: there every weight lies in the root lattice
+    rs = rootsys.build(t, n)
+    cinv = _fraction_inverse(rs.cartan)
+    # a fundamental weight outside the root lattice: a non-integral column of C^-1
+    i = next(i for i in range(1, n + 1) if any(cinv[r][i - 1].denominator != 1 for r in range(n)))
+    conjugate = heights.antidominant_conjugate
+    monkeypatch.setattr(heights, "antidominant_conjugate",
+                        lambda rs, w: conjugate(rs, w) - fundamental_weight(rs, i))
+    with pytest.raises(ContractError, match="left the root lattice"):
+        heights.dynkin_height(rs, fundamental_weight(rs, 1))

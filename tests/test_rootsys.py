@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from liep import rootsys
+from liep import alcove, rootsys
 from liep.errors import ContractError
 from liep.rootsys import RootVec, WeightVec
 
@@ -290,3 +290,84 @@ def test_kernel_actions_match_the_reflection_matrices(t, n):
     for on in ("root", "point", "weight"):
         with pytest.raises(ValueError):
             rootsys.apply_letters(rs, (1, n + 1), [0] * n, on)
+
+
+# Slow twins at rank <= 12: the sparse closure and the orbit order against the
+# dense routes they replaced, copied here as they were.
+TWINS = [("A", 8), ("A", 12), ("B", 8), ("B", 12), ("C", 8), ("C", 12), ("D", 8), ("D", 12),
+         ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def _dense_closure(C, rank):
+    found = {}
+    work = []
+    for i in range(rank):
+        e = tuple(1 if j == i else 0 for j in range(rank))
+        found[e] = e
+        work.append(e)
+    while work:
+        m = work.pop()
+        c = found[m]
+        for i in range(rank):
+            pa = sum(C[i][j] * m[j] for j in range(rank))
+            if pa == 0:
+                continue
+            m2 = list(m)
+            m2[i] -= pa
+            key = tuple(m2)
+            if key in found:
+                continue
+            pc = sum(C[k][i] * c[k] for k in range(rank))
+            c2 = list(c)
+            c2[i] -= pc
+            found[key] = tuple(c2)
+            work.append(key)
+    return found
+
+
+def _dense_coxeter_order(rs):
+    n = rs.rank
+    cox = alcove._identity(n)
+    for i in range(1, n + 1):
+        cox = alcove._matmul(cox, rootsys.simple_reflection_matrix(rs, i))
+    power = cox
+    for k in range(1, 101):
+        if power == alcove._identity(n):
+            return k
+        power = alcove._matmul(power, cox)
+    raise AssertionError("Coxeter element order exceeds 100")
+
+
+@pytest.mark.parametrize("t,n", TWINS)
+def test_sparse_closure_matches_dense_closure(t, n):
+    rs = rootsys.build(t, n)
+    sparse = rootsys._close_under_reflections(rs._rows, rs._cols)
+    dense = _dense_closure([list(row) for row in rs.cartan], n)
+    # the maps send each root to its coroot, so both sets and their pairing agree
+    assert list(sparse.items()) == list(dense.items())
+    assert {a.coords: c for a, c in zip(rs.roots, rs.coroots)} == dense
+
+
+@pytest.mark.parametrize("t,n", TWINS)
+def test_orbit_order_matches_dense_product_order(t, n):
+    rs = rootsys.build(t, n)
+    assert rootsys.coxeter_via_element(rs) == _dense_coxeter_order(rs) == rs.coxeter_number
+
+
+def test_coxeter_element_order_above_one_hundred():
+    # h = 102 lies past a fixed cap of 100 powers; the orbits are bounded by |Phi| instead
+    rs = rootsys.build("B", 51)
+    assert rootsys.coxeter_via_element(rs) == rootsys.coxeter_via_marks(rs) == 102
+
+
+def test_coxeter_orbit_beyond_the_root_set_is_a_contract_error(monkeypatch):
+    rs = rootsys.build("A", 3)
+
+    def drift(rs, letters, vec, on):
+        # a broken kernel that moves every vector to a new one never closes an orbit
+        vec[:] = [x + 1 for x in vec]
+        return vec
+
+    monkeypatch.setattr(rootsys, "apply_letters", drift)
+    with pytest.raises(ContractError, match="exceeds"):
+        rootsys.coxeter_via_element(rs)
