@@ -322,13 +322,13 @@ def _criterion_gl_heights() -> tuple[bool, str]:
     return True, "ten wedge tuples match m(d - m) and A-type heights; bound predicate sharp"
 
 
-def run_all(
-    seed: int = DEFAULT_SEED,
-    phi_trials: int = 1000,
-    calc_trials: int = 500,
-    lift_trials: int = 100,
-) -> list[CriterionResult]:
-    """Run every acceptance criterion; never raises, failures are reported."""
+def run_all(seed: int = DEFAULT_SEED, trials: int | None = None) -> list[CriterionResult]:
+    """Run every acceptance criterion; never raises, failures are reported.
+
+    ``trials`` sets the random criteria 4, 6 and 9 to one count each; ``None`` keeps
+    their full counts of 1000, 500 and 100.
+    """
+    phi_trials, calc_trials, lift_trials = (1000, 500, 100) if trials is None else (trials,) * 3
     plan = [
         (1, "coxeter-three-routes", 5.0, _criterion_coxeter),
         (2, "root-counts-and-top-height", 10.0, _criterion_root_counts),

@@ -13,6 +13,7 @@ stderr; stdout stays valid JSON on every path, including errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -52,6 +53,8 @@ def _enc(x):
         return {"p": x.p, "matrix": [list(r) for r in x.rows]}
     if isinstance(x, (rootsys.RootVec, rootsys.WeightVec)):
         return list(x.coords)
+    if dataclasses.is_dataclass(x):
+        return {f.name: _enc(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, (list, tuple)):
         return [_enc(v) for v in x]
     if isinstance(x, dict):
@@ -147,21 +150,12 @@ def _weight(args, rs) -> rootsys.WeightVec:
     return rootsys.WeightVec(coords)
 
 
-def _height_payload(report: heights.HeightReport) -> dict:
-    return {
-        "height": report.height,
-        "via_pairing": report.via_pairing,
-        "via_difference": report.via_difference,
-        "lambda_minus": _enc(report.lambda_minus),
-    }
-
-
 def _cmd_height(args):
     rs = _system(args)
     report = heights.dynkin_height(rs, _weight(args, rs))
     if report.via_pairing != report.via_difference:
         raise ContractError("height routes disagree")
-    return _height_payload(report), ["pairing and difference routes agree"]
+    return _enc(report), ["pairing and difference routes agree"]
 
 
 def _cmd_lowheight(args):
@@ -171,7 +165,7 @@ def _cmd_lowheight(args):
         raise ValueError(f"{args.p} is not prime")
     report = heights.dynkin_height(rs, w)
     return (
-        {"p": args.p, "low_height": args.p > report.height, "report": _height_payload(report)},
+        {"p": args.p, "low_height": args.p > report.height, "report": _enc(report)},
         ["height computed by two agreeing routes", "compared exactly against p"],
     )
 
@@ -368,31 +362,14 @@ def _cmd_heisenberg(args):
     if not (rep.shift_order_ok and rep.commutator_ok and rep.spans_full_algebra):
         raise ContractError(f"relations or spanning failed: {rep}")
     return (
-        {
-            "p": rep.p,
-            "shift_order_ok": rep.shift_order_ok,
-            "commutator_ok": rep.commutator_ok,
-            "span_dimension": rep.span_dimension,
-            "spans_full_algebra": rep.spans_full_algebra,
-        },
+        _enc(rep),
         ["S^p = 1", "[D, S] = S", "products span the full matrix algebra"],
     )
 
 
 def _cmd_weightdemo(args):
-    rep = charp.weight_space_demo(args.p)
     return (
-        {
-            "p": rep.p,
-            "component_dims": [[w, d] for w, d in rep.component_dims],
-            "total_dim": rep.total_dim,
-            "alpha_weight": rep.alpha_weight,
-            "alpha_entries": [[i, j] for i, j in rep.alpha_entries],
-            "alpha_carries_cycle": rep.alpha_carries_cycle,
-            "witness": _enc(rep.witness),
-            "witness_power_scalar": rep.witness_power_scalar,
-            "witness_is_nilpotent": rep.witness_is_nilpotent,
-        },
+        _enc(charp.weight_space_demo(args.p)),
         [
             "component dimensions sum to p^2 - 1",
             "weight-p component carries the cyclic shift",
@@ -402,16 +379,9 @@ def _cmd_weightdemo(args):
 
 
 def _cmd_selftest(args):
-    kwargs = {}
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ValueError("--trials must be positive")
-        kwargs = {
-            "phi_trials": args.trials,
-            "calc_trials": args.trials,
-            "lift_trials": args.trials,
-        }
-    results = acceptance.run_all(seed=args.seed, **kwargs)
+    if args.trials is not None and args.trials < 1:
+        raise ValueError("--trials must be positive")
+    results = acceptance.run_all(seed=args.seed, trials=args.trials)
     payload = []
     for r in results:
         line = f"{'PASS' if r.passed else 'FAIL'} criterion {r.number}: {r.name} ({r.details})"

@@ -267,51 +267,49 @@ def _close_under_reflections(rows: tuple, cols: tuple) -> dict[tuple[int, ...], 
     return found
 
 
-def _validate_generated(found: dict, rank: int) -> None:
-    for m in found:
-        nonneg = all(x >= 0 for x in m)
-        nonpos = all(x <= 0 for x in m)
-        if not (nonneg or nonpos):
-            raise ContractError(f"generated vector {m} has mixed signs")
-        neg = tuple(-x for x in m)
-        if neg not in found:
-            raise ContractError(f"root set not closed under negation at {m}")
-    if len(found) % 2 != 0:
-        raise ContractError("odd number of roots generated")
-
-
 @lru_cache(maxsize=None)
 def build(type_label: str, rank: int) -> RootSystem:
     """Construct the irreducible root system of the given type and rank.
 
     Raises ``ValueError`` for a type/rank pair that does not name an
     irreducible system (including D3, which callers should request as A3).
+
+    The closure needs no replay through ``apply_letters``: it forms the image of
+    every (root, letter) pair with a nonzero pairing from the same sparse rows, by the
+    same two steps, and adds any image it lacks; a zero pairing fixes the root.  What
+    the construction does not guarantee is checked at run time: every root's negative
+    is a root, no root mixes signs, the highest root is unique, and |Phi| = rank * h
+    (Humphreys 1990, 3.18), which catches a closure that lost or gained roots.  The
+    zero vector is never generated, since every s_i is invertible and the closure
+    starts from the nonzero simple roots.
     """
     C = _cartan_matrix(type_label, rank)
     rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C)
     cols = tuple(tuple((j, x) for j, x in enumerate(col) if x) for col in zip(*C))
     found = _close_under_reflections(rows, cols)
-    _validate_generated(found, rank)
 
-    positives = sorted(
-        (m for m in found if all(x >= 0 for x in m)),
-        key=lambda m: (sum(m), m),
-    )
-    if 2 * len(positives) != len(found):
-        raise ContractError("positive roots do not account for half of the root set")
+    positives = []
+    for m in found:
+        if min(m) >= 0:
+            positives.append(m)
+        elif max(m) > 0:
+            raise ContractError(f"generated vector {m} has mixed signs")
+        if tuple(-x for x in m) not in found:
+            raise ContractError(f"root set not closed under negation at {m}")
+    positives.sort(key=lambda m: (sum(m), m))
 
     top_height = sum(positives[-1])
     tops = [m for m in positives if sum(m) == top_height]
     if len(tops) != 1:
         raise ContractError("highest root is not unique; system is not irreducible")
     theta = tops[0]
+    h = 1 + top_height
+    if len(found) != rank * h:
+        raise ContractError(f"closure generated {len(found)} roots, not rank * h = {rank * h}")
 
     ordered = positives + [tuple(-x for x in m) for m in positives]
     roots = tuple(RootVec(m) for m in ordered)
-    coroots = tuple(found[m] for m in ordered)
-    index = {m: k for k, m in enumerate(ordered)}
-
-    rs = RootSystem(
+    return RootSystem(
         type_label=type_label,
         rank=rank,
         cartan=tuple(tuple(row) for row in C),
@@ -319,21 +317,11 @@ def build(type_label: str, rank: int) -> RootSystem:
         positive_roots=roots[: len(positives)],
         highest_root=RootVec(theta),
         marks=theta,
-        coxeter_number=1 + sum(theta),
-        coroots=coroots,
-        _index=index,
+        coxeter_number=h,
+        coroots=tuple(found[m] for m in ordered),
+        _index={m: k for k, m in enumerate(ordered)},
         _rows=rows, _cols=cols,
     )
-
-    # closure under every simple reflection, checked once per cached build; s_i moves
-    # only coordinate i, and a root it leaves in place is in the set already
-    for m in ordered:
-        v = list(m)
-        for i in range(rank):
-            if apply_letters(rs, (i + 1,), v, "root")[i] != m[i] and tuple(v) not in index:
-                raise ContractError("root set not closed under simple reflections")
-            v[i] = m[i]
-    return rs
 
 
 def coxeter_via_marks(rs: RootSystem) -> int:
@@ -400,7 +388,12 @@ def apply_letters(rs: RootSystem, letters: Iterable[int], vec: list, on: str) ->
                 pairing += c * vec[j]
             vec[i - 1] -= pairing
         return vec
-    links = rs._cols if on == "weight" else rs._rows
+    if on == "weight":
+        links = rs._cols
+    elif on == "point":
+        links = rs._rows
+    else:
+        raise ValueError(f"unknown action {on!r}: expected 'root', 'point' or 'weight'")
     for i in letters:
         if not 0 < i <= n:
             rs._check_simple_index(i)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from liep import charp, cli, heights, rootsys
+from liep import acceptance, charp, cli, heights, rootsys
 from liep.charp import FpMatrix
 
 
@@ -227,6 +227,12 @@ def test_weightdemo(capsys):
     assert r["component_dims"] == [[0, 2], [3, 3], [6, 3]]
     assert r["alpha_carries_cycle"] is True
     assert r["witness_is_nilpotent"] is False
+
+
+def test_enc_rejects_a_dataclass_that_holds_a_float():
+    result = acceptance.CriterionResult(1, "name", True, "details", 0.5, None)
+    with pytest.raises(TypeError, match="floats"):
+        cli._enc(result)
 
 
 # --- error paths -------------------------------------------------------------

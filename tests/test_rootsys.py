@@ -292,6 +292,13 @@ def test_kernel_actions_match_the_reflection_matrices(t, n):
             rootsys.apply_letters(rs, (1, n + 1), [0] * n, on)
 
 
+@pytest.mark.parametrize("on", ["roots", "coweight", ""])
+def test_apply_letters_rejects_an_unknown_action(on):
+    rs = rootsys.build("A", 2)
+    with pytest.raises(ValueError, match="'root', 'point' or 'weight'"):
+        rootsys.apply_letters(rs, (1,), [1, 0], on)
+
+
 # Slow twins at rank <= 12: the sparse closure and the orbit order against the
 # dense routes they replaced, copied here as they were.
 TWINS = [("A", 8), ("A", 12), ("B", 8), ("B", 12), ("C", 8), ("C", 12), ("D", 8), ("D", 12),
@@ -371,3 +378,32 @@ def test_coxeter_orbit_beyond_the_root_set_is_a_contract_error(monkeypatch):
     monkeypatch.setattr(rootsys, "apply_letters", drift)
     with pytest.raises(ContractError, match="exceeds"):
         rootsys.coxeter_via_element(rs)
+
+
+@pytest.mark.parametrize("t,n", TWINS + [("A", 20)])
+def test_dense_reflections_keep_the_root_set(t, n):
+    # the dense matrices share no code with the closure, so they check it independently
+    rs = rootsys.build(t, n)
+    for i in range(1, n + 1):
+        s = rootsys.simple_reflection_matrix(rs, i)
+        for a in rs.roots:
+            image = tuple(sum(x * v for x, v in zip(row, a.coords)) for row in s)
+            assert rs.is_root(RootVec(image))
+
+
+def test_a_closure_that_loses_a_root_pair_fails_the_count(monkeypatch):
+    close = rootsys._close_under_reflections
+    lost = (1, 1, 0, 0)  # neither simple nor highest in A4, so only the count notices
+
+    def lossy(rows, cols):
+        found = close(rows, cols)
+        del found[lost], found[tuple(-x for x in lost)]
+        return found
+
+    monkeypatch.setattr(rootsys, "_close_under_reflections", lossy)
+    rootsys.build.cache_clear()
+    try:
+        with pytest.raises(ContractError, match="18 roots, not rank \\* h = 20"):
+            rootsys.build("A", 4)
+    finally:
+        rootsys.build.cache_clear()
