@@ -11,8 +11,11 @@ external dependencies.
 Every linear combination of matrices (sums, differences, scalings, the
 three series and the group law) is formed by ``_combination``, which
 sums on plain ints and reduces mod p once.  The series are evaluated by
-``_series``, which walks the powers of its nilpotent argument one product
-at a time and keeps none of them: nothing is cached per input.
+``_series``, which sums c_k . nil^k over the m coefficients it is given,
+walking the powers one product at a time and keeping none of them, and
+requires nil^m = 0: nothing is cached per input.  ``trunc_exp`` and
+``trunc_log`` pass m = p coefficients; ``t_power`` passes m = min(n, p),
+so its cost follows the matrix size n, not p.
 """
 
 from __future__ import annotations
@@ -126,14 +129,15 @@ class FpMatrix:
     def __pow__(self, k: int) -> "FpMatrix":
         if k < 0:
             raise ValueError("negative powers not supported; use inverse()")
-        out = FpMatrix.identity(self.p, self.n)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return FpMatrix.identity(self.p, self.n) if out is None else out
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n)) % self.p
@@ -234,7 +238,7 @@ def _combination(p: int, n: int, terms) -> FpMatrix:
 
 
 def _series(nil: FpMatrix, coeffs) -> FpMatrix:
-    """The sum of c_k . nil^k over the p coefficients c_0 .. c_{p-1}; requires nil^p = 0.
+    """The sum of c_k . nil^k over the m coefficients c_0 .. c_{m-1}; requires nil^m = 0.
 
     Each power is formed from the one before it and dropped once it is added.
     """
@@ -270,9 +274,16 @@ def t_power(u: FpMatrix, t: int) -> FpMatrix:
     Requires u to be p-unipotent, i.e. (u - 1)^p = 0 (equivalently
     u^p = 1).  For integer t this agrees with the ordinary power, and
     t only matters mod p.
+
+    For an n x n matrix, (u - 1)^p = 0 holds exactly when
+    (u - 1)^min(n, p) = 0, so only the first min(n, p) binomials are
+    walked: min(n, p) products, not p.  Among those, C(t, k) = 0 mod p
+    for t mod p < k < p by Lucas' theorem; the running product turns 0
+    at k = t mod p + 1 and ``_combination`` skips the zero terms.
     """
     p = u.p
-    binomials = accumulate(range(1, p), lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
+    binomials = accumulate(range(1, min(u.n, p)),
+                           lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
                            initial=1)  # C(t, k) mod p
     return _series(u - FpMatrix.identity(p, u.n), binomials)
 
@@ -443,35 +454,59 @@ def heisenberg_module_check(p: int) -> HeisenbergReport:
 
 
 def _span_dimension(seed: list[FpMatrix], multipliers: list[FpMatrix]) -> int:
-    """Dimension of the smallest multiplier-stable subspace containing the seed."""
+    """Dimension of the smallest multiplier-stable subspace containing the seed.
+
+    Matrices are held sparse, as {(row, col): x} over their nonzero
+    entries: m . g is formed from g's row lists and g . m from its column
+    lists.  Each new matrix is eliminated into a pivot dict,
+    lead -> {index: x}, with lead = min(vec).  Every S^a . D^b of the
+    Heisenberg pair has at most p nonzeros, so a product or an elimination
+    step costs O(p) rather than O(p^3) or O(p^2).
+    """
     p = seed[0].p
-    n = seed[0].n
-    width = n * n
 
-    echelon: dict[int, list[int]] = {}  # leading index -> reduced row vector
+    def sparse(m: FpMatrix) -> dict:
+        return {(r, c): x for r, row in enumerate(m.rows) for c, x in enumerate(row) if x}
 
-    def reduce(vec: list[int]):
-        for lead in range(width):
-            if vec[lead] == 0:
-                continue
+    lines = []  # per multiplier: row r -> [(c, x)] and column c -> [(r, x)]
+    for g in multipliers:
+        by_row, by_col = {}, {}
+        for (r, c), x in sparse(g).items():
+            by_row.setdefault(r, []).append((c, x))
+            by_col.setdefault(c, []).append((r, x))
+        lines.append((by_row, by_col))
+
+    def product(pairs) -> dict:
+        acc: dict[tuple[int, int], int] = {}
+        for key, x in pairs:
+            acc[key] = acc.get(key, 0) + x
+        return {key: x % p for key, x in acc.items() if x % p}
+
+    echelon: dict[tuple[int, int], dict] = {}  # lead -> reduced sparse vector
+
+    def independent(vec: dict) -> bool:
+        while vec:
+            lead = min(vec)
             row = echelon.get(lead)
             if row is None:
                 inv = pow(vec[lead], -1, p)
-                echelon[lead] = [(x * inv) % p for x in vec]
-                return lead
+                echelon[lead] = {i: x * inv % p for i, x in vec.items()}
+                return True
             f = vec[lead]
-            vec = [(x - f * y) % p for x, y in zip(vec, row)]
-        return None
+            for i, y in row.items():
+                vec[i] = (vec.get(i, 0) - f * y) % p
+                if not vec[i]:
+                    del vec[i]
+        return False
 
-    queue = deque(seed)
+    queue = deque(sparse(m) for m in seed)
     while queue:
         m = queue.popleft()
-        vec = [x for r in m.rows for x in r]
-        if reduce(vec) is None:
+        if not independent(dict(m)):
             continue
-        for g in multipliers:
-            queue.append(m * g)
-            queue.append(g * m)
+        for by_row, by_col in lines:
+            queue.append(product(((r, c), x * y) for (r, k), x in m.items() for c, y in by_row.get(k, ())))
+            queue.append(product(((r, c), y * x) for (k, c), x in m.items() for r, y in by_col.get(k, ())))
     return len(echelon)
 
 

@@ -2,12 +2,15 @@
 
 import random
 import tracemalloc
+from collections import deque
+from itertools import accumulate
 
 import pytest
 
 from liep import charp
 from liep.charp import FpMatrix
 from liep.errors import ContractError
+from liep.primes import is_prime
 
 
 def _jordan(p, n):
@@ -32,6 +35,20 @@ def _random_strict_upper(rng, p, n):
     return FpMatrix.from_rows(
         p, [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
     )
+
+
+@pytest.fixture
+def mul_count(monkeypatch):
+    """A one-element list counting every FpMatrix product made from here on."""
+    count = [0]
+    orig = FpMatrix.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return orig(self, other)
+
+    monkeypatch.setattr(FpMatrix, "__mul__", counted)
+    return count
 
 
 # --- construction and arithmetic ------------------------------------------
@@ -69,6 +86,10 @@ def test_arithmetic_basics():
     assert a.scale(p + 3) == a.scale(3) == a.scale(3 - 2 * p) == a + a + a
     assert a.trace() == 5
     assert (a ** 3) == a * a * a
+    power = FpMatrix.identity(p, 2)
+    for k in range(21):
+        assert a ** k == power
+        power = power * a
     assert (a ** 0).is_identity()
     with pytest.raises(ValueError):
         a ** -1
@@ -213,6 +234,71 @@ def test_t_power_matches_repeated_multiplication():
             u = charp.trunc_exp(g * _random_strict_upper(rng, p, n) * charp.inverse(g))
             t = rng.randrange(2 * p)
             assert charp.t_power(u, t) == u ** t
+
+
+def test_pow_makes_no_unused_products(mul_count):
+    a = FpMatrix.from_rows(7, [[1, 2], [3, 4]])
+    for k in range(21):
+        mul_count[0] = 0
+        a ** k
+        # one squaring per bit below the top one, one product per set bit past the first
+        assert mul_count[0] == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
+
+
+def _t_power_p_terms(u, t):
+    """The binomial series over all p coefficients: the route t_power took before
+    it stopped at min(n, p) terms."""
+    p = u.p
+    binomials = accumulate(range(1, p), lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
+                           initial=1)
+    return charp._series(u - FpMatrix.identity(p, u.n), binomials)
+
+
+def _unipotents(rng, p, n):
+    """A p-unipotent whose Jordan blocks are at most p long, a Jordan block
+    with (u - 1)^p != 0 once n > p, and a matrix that is not unipotent."""
+    blocks = [[0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = rng.randint(1, min(p, n - start))
+        for i in range(start, start + size):
+            for j in range(i + 1, start + size):
+                blocks[i][j] = rng.randrange(p)
+        start += size
+    g = _random_invertible(rng, p, n)
+    one = FpMatrix.identity(p, n)
+    out = [one + g * FpMatrix.from_rows(p, blocks) * charp.inverse(g)]
+    if n > p:
+        out.append(one + _jordan(p, n))
+    out.append(one + FpMatrix.matrix_unit(p, n, n - 1, n - 1))  # last diagonal entry 2
+    return out
+
+
+def test_t_power_matches_the_p_term_series():
+    rng = random.Random("tpower-twin")
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, p + 3):
+            for u in _unipotents(rng, p, n):
+                for t in range(-p, 2 * p):
+                    try:
+                        want = _t_power_p_terms(u, t)
+                    except ContractError:
+                        with pytest.raises(ContractError, match="matrix power p does not vanish"):
+                            charp.t_power(u, t)
+                    else:
+                        assert charp.t_power(u, t) == want
+
+
+def test_t_power_products_follow_n_not_p(mul_count):
+    p = 10007
+    u = FpMatrix.from_rows(p, [[1, 5], [0, 1]])
+    assert charp.t_power(u, p - 1) == FpMatrix.from_rows(p, [[1, -5], [0, 1]])
+    assert mul_count[0] <= 2
+
+
+def test_trunc_exp_still_walks_p_terms(mul_count):
+    assert charp.trunc_exp(_jordan(5, 2)) == FpMatrix.from_rows(5, [[1, 1], [0, 1]])
+    assert mul_count[0] == 5
 
 
 # --- tabulated group law ---------------------------------------------------
@@ -361,6 +447,68 @@ def test_heisenberg_pair_spans_everything(p):
     assert report.spans_full_algebra
 
 
+def _dense_span_dimension(seed, multipliers):
+    """Dense elimination over p^2-long rows: the route _span_dimension took
+    before it went sparse."""
+    p = seed[0].p
+    n = seed[0].n
+    width = n * n
+    echelon = {}
+
+    def reduce(vec):
+        for lead in range(width):
+            if vec[lead] == 0:
+                continue
+            row = echelon.get(lead)
+            if row is None:
+                inv = pow(vec[lead], -1, p)
+                echelon[lead] = [(x * inv) % p for x in vec]
+                return lead
+            f = vec[lead]
+            vec = [(x - f * y) % p for x, y in zip(vec, row)]
+        return None
+
+    queue = deque(seed)
+    while queue:
+        m = queue.popleft()
+        vec = [x for r in m.rows for x in r]
+        if reduce(vec) is None:
+            continue
+        for g in multipliers:
+            queue.append(m * g)
+            queue.append(g * m)
+    return len(echelon)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_span_dimension_matches_dense_twin_on_heisenberg_pair(p):
+    s = charp.cyclic_shift_matrix(p, (1,) * p)
+    d = FpMatrix.diagonal(p, range(p))
+    pair = ([FpMatrix.identity(p, p), s, d], [s, d])
+    assert charp._span_dimension(*pair) == _dense_span_dimension(*pair) == p * p
+
+
+def test_span_dimension_matches_dense_twin_on_random_input():
+    rng = random.Random("span-twin")
+    dims = set()
+
+    def sample(p, n):
+        density = rng.choice((0.2, 0.5, 1.0))
+        return FpMatrix.from_rows(p, [[rng.randrange(p) if rng.random() < density else 0
+                                       for _ in range(n)] for _ in range(n)])
+
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            for _ in range(12):
+                seed = [sample(p, n) for _ in range(rng.randint(1, 3))]
+                multipliers = [sample(p, n) for _ in range(rng.randint(1, 2))]
+                want = _dense_span_dimension(seed, multipliers)
+                assert charp._span_dimension(seed, multipliers) == want
+                dims.add(want)
+    assert len(dims) > 8  # the sample reaches many dimensions, zero included
+    assert 0 in dims
+
+
 def test_heisenberg_validates_prime():
     with pytest.raises(ValueError):
         charp.heisenberg_module_check(6)
@@ -390,3 +538,32 @@ def test_weight_grading_validation():
         charp.weight_space_demo(2)
     with pytest.raises(ValueError):
         charp.weight_space_demo(9)
+
+
+# --- primality -----------------------------------------------------------------
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(100_000) if is_prime(n)] == \
+        [n for n in range(100_000) if _trial_division(n)]
+    rng = random.Random("primality")
+    for n in (rng.randrange(100_000, 1_000_000) for _ in range(3000)):
+        assert is_prime(n) == _trial_division(n), n
+
+
+def test_is_prime_rejects_pseudoprimes_and_bounds_its_range():
+    # a Carmichael number; strong pseudoprimes to the bases 2..7, 2..23 and
+    # 2..37 (the last needs base 41); a product of two primes near the bound
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461,
+              999999999989 * 1000000000039):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(10 ** 18 + 3)
+    assert is_prime(318665857834031151167483)  # next prime above the 2..37 one
+    assert is_prime(3317044064679887385961813)  # largest prime below the bound
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="only decided below"):
+            is_prime(n)
