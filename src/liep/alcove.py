@@ -32,7 +32,7 @@ from operator import mul
 from typing import Iterable
 
 from .errors import ContractError
-from .primes import is_prime
+from .primes import require_prime
 from .rootsys import RootSystem, RootVec, apply_letters, simple_reflection_matrix
 
 __all__ = [
@@ -439,8 +439,7 @@ def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -
     ``cochar`` gives an integer cocharacter in simple-coroot coordinates;
     the pairing against a simple root is ``sum_k C[k][i] cochar_k``.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if j < 1:
         raise ValueError("j must be at least 1")
     _check_rank(rs, len(cochar))

@@ -23,12 +23,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from operator import mul
 
 from . import bch
 from .errors import ContractError
-from .primes import is_prime
+from .primes import is_prime, require_prime
 
 __all__ = [
     "FpMatrix",
@@ -61,8 +61,7 @@ class FpMatrix:
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "FpMatrix":
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        require_prime(p)
         grid = [list(r) for r in rows]
         n = len(grid)
         if n == 0 or any(len(r) != n for r in grid):
@@ -166,62 +165,86 @@ class FpMatrix:
         )
 
 
-def det(m: FpMatrix) -> int:
-    """Determinant by Gaussian elimination over Z/p."""
+def _gauss_jordan(m: FpMatrix, right) -> tuple[int, list[list[int]] | None]:
+    """det(m) and m^-1 . right over Z/p by Gauss-Jordan on [m | right]; (0, None) if m is singular.
+
+    ``right`` holds n rows of any width (empty rows ask for det alone).  Each
+    pivot row is swapped up, scaled to 1 and cleared from every other row.
+    """
     p, n = m.p, m.n
-    a = [list(r) for r in m.rows]
-    result = 1
+    a = [list(row) + list(extra) for row, extra in zip(m.rows, right)]
+    d = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            return 0
+            return 0, None
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            result = -result
-        result = (result * a[col][col]) % p
+            d = -d
+        d = d * a[col][col] % p
         inv = pow(a[col][col], -1, p)
-        for r in range(col + 1, n):
-            f = (a[r][col] * inv) % p
-            if f:
+        a[col] = [x * inv % p for x in a[col]]
+        for r in range(n):
+            f = a[r][col]
+            if f and r != col:
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return result % p
+    return d, [row[n:] for row in a]
+
+
+def det(m: FpMatrix) -> int:
+    """Determinant over Z/p."""
+    return _gauss_jordan(m, [()] * m.n)[0]
 
 
 def inverse(m: FpMatrix) -> FpMatrix:
-    """Matrix inverse by Gauss-Jordan elimination; rejects singular input."""
-    p, n = m.p, m.n
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
-        if piv is None:
-            raise ContractError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [(x * inv) % p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return FpMatrix.from_rows(p, [row[n:] for row in a])
+    """Matrix inverse over Z/p; rejects singular input."""
+    d, inv = _gauss_jordan(m, [[int(i == j) for j in range(m.n)] for i in range(m.n)])
+    if not d:
+        raise ContractError("matrix is singular")
+    return FpMatrix(m.p, m.n, tuple(map(tuple, inv)))
 
 
 def ext_traces(m: FpMatrix) -> tuple[int, ...]:
     """Traces of the exterior powers: sums of principal k x k minors, k = 1..n.
 
     These are the coefficients of the characteristic polynomial up to
-    sign: det(T - M) = T^n - e_1 T^{n-1} + ... + (-1)^n e_n.
+    sign: det(T - M) = T^n - e_1 T^{n-1} + ... + (-1)^n e_n, which is found
+    in O(n^3) rather than from the 2^n - 1 minors.  A similarity first
+    brings M to upper Hessenberg form H (zero below the subdiagonal); then
+    the characteristic polynomials P_k of the leading k x k blocks of H obey
+    P_k = (T - H_kk) P_{k-1} - sum_{i<k} H_ik (H_{i+1,i} ... H_{k,k-1}) P_{i-1}
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.4).
     """
     p, n = m.p, m.n
-    out = []
-    for k in range(1, n + 1):
-        total = 0
-        for idx in combinations(range(n), k):
-            sub = FpMatrix(p, k, tuple(
-                tuple(m.rows[r][c] for c in idx) for r in idx
-            ))
-            total += det(sub)
-        out.append(total % p)
-    return tuple(out)
+    h = [list(r) for r in m.rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:  # swap rows and columns piv and j + 1
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(h[j + 1][j], -1, p)
+        for i in range(j + 2, n):
+            u = h[i][j] * inv % p
+            if u:  # row i -= u . row j+1, then column j+1 += u . column i
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[j + 1])]
+                for row in h:
+                    row[j + 1] = (row[j + 1] + u * row[i]) % p
+    polys = [[1]]  # polys[k] = det(T - H[:k, :k]), coefficients from T^0 up
+    for k in range(n):
+        nxt = [0] + polys[k]
+        for e, c in enumerate(polys[k]):
+            nxt[e] -= h[k][k] * c
+        chain_product = 1
+        for i in range(k - 1, -1, -1):
+            chain_product = chain_product * h[i + 1][i] % p
+            f = h[i][k] * chain_product
+            for e, c in enumerate(polys[i]):
+                nxt[e] -= f * c
+        polys.append([c % p for c in nxt])
+    return tuple((-1) ** k * polys[n][n - k] % p for k in range(1, n + 1))
 
 
 def _combination(p: int, n: int, terms) -> FpMatrix:
@@ -304,8 +327,7 @@ class BchTable:
 
 def bch_table(p: int, max_degree: int) -> BchTable:
     """Tabulate the truncated group law for characteristic ``p``."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     if max_degree >= p:
@@ -397,8 +419,7 @@ def cyclic_shift_matrix(p: int, weights) -> FpMatrix:
     t_p in column 0.  The p-th power is the scalar (product of all
     weights), so the matrix is invertible and never nilpotent.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     w = [int(t) % p for t in weights]
     if len(w) != p:
         raise ValueError(f"need exactly {p} weights, got {len(w)}")
@@ -438,8 +459,7 @@ def heisenberg_module_check(p: int) -> HeisenbergReport:
     and linear span to measure how much of the p x p matrix algebra the
     pair generates (all of it, for every prime).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     s_rows = [[0] * p for _ in range(p)]
     for i in range(p):
         s_rows[(i + 1) % p][i] = 1
@@ -449,37 +469,36 @@ def heisenberg_module_check(p: int) -> HeisenbergReport:
     shift_ok = (s ** p).is_identity()
     comm_ok = (d * s - s * d) == s
 
-    dim = _span_dimension([FpMatrix.identity(p, p), s, d], [s, d])
+    dim = _algebra_dimension([s, d])
     return HeisenbergReport(p, shift_ok, comm_ok, dim, dim == p * p)
 
 
-def _span_dimension(seed: list[FpMatrix], multipliers: list[FpMatrix]) -> int:
-    """Dimension of the smallest multiplier-stable subspace containing the seed.
+def _algebra_dimension(gens: list[FpMatrix]) -> int:
+    """Dimension of the unital algebra the generators generate: the span of all their words.
 
-    Matrices are held sparse, as {(row, col): x} over their nonzero
-    entries: m . g is formed from g's row lists and g . m from its column
-    lists.  Each new matrix is eliminated into a pivot dict,
-    lead -> {index: x}, with lead = min(vec).  Every S^a . D^b of the
-    Heisenberg pair has at most p nonzeros, so a product or an elimination
-    step costs O(p) rather than O(p^3) or O(p^2).
+    Every word is ((1 . g_1) . g_2) ... g_k, so closing {1} under m -> m . g
+    alone reaches that span, which is then stable under products on both
+    sides.  Matrices are held sparse, as {(row, col): x} over their nonzero
+    entries, and m . g is formed from g's row lists.  Each independent
+    product is kept in a pivot dict, lead -> {index: x}, lead = min(vec),
+    and multiplied further.  Every S^a . D^b of the Heisenberg pair has at
+    most p nonzeros, so a product or an elimination step costs O(p).
     """
-    p = seed[0].p
+    p, n = gens[0].p, gens[0].n
+    row_lists = []  # per generator: row k -> [(c, x)]
+    for g in gens:
+        by_row = {}
+        for k, row in enumerate(g.rows):
+            for c, x in enumerate(row):
+                if x:
+                    by_row.setdefault(k, []).append((c, x))
+        row_lists.append(by_row)
 
-    def sparse(m: FpMatrix) -> dict:
-        return {(r, c): x for r, row in enumerate(m.rows) for c, x in enumerate(row) if x}
-
-    lines = []  # per multiplier: row r -> [(c, x)] and column c -> [(r, x)]
-    for g in multipliers:
-        by_row, by_col = {}, {}
-        for (r, c), x in sparse(g).items():
-            by_row.setdefault(r, []).append((c, x))
-            by_col.setdefault(c, []).append((r, x))
-        lines.append((by_row, by_col))
-
-    def product(pairs) -> dict:
+    def product(m: dict, by_row: dict) -> dict:
         acc: dict[tuple[int, int], int] = {}
-        for key, x in pairs:
-            acc[key] = acc.get(key, 0) + x
+        for (r, k), x in m.items():
+            for c, y in by_row.get(k, ()):
+                acc[r, c] = acc.get((r, c), 0) + x * y
         return {key: x % p for key, x in acc.items() if x % p}
 
     echelon: dict[tuple[int, int], dict] = {}  # lead -> reduced sparse vector
@@ -499,14 +518,11 @@ def _span_dimension(seed: list[FpMatrix], multipliers: list[FpMatrix]) -> int:
                     del vec[i]
         return False
 
-    queue = deque(sparse(m) for m in seed)
+    queue = deque([{(i, i): 1 for i in range(n)}])
     while queue:
         m = queue.popleft()
-        if not independent(dict(m)):
-            continue
-        for by_row, by_col in lines:
-            queue.append(product(((r, c), x * y) for (r, k), x in m.items() for c, y in by_row.get(k, ())))
-            queue.append(product(((r, c), y * x) for (k, c), x in m.items() for r, y in by_col.get(k, ())))
+        if independent(dict(m)):
+            queue.extend(product(m, by_row) for by_row in row_lists)
     return len(echelon)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 import traceback
@@ -24,7 +25,7 @@ from functools import lru_cache
 from . import acceptance, alcove, charp, heights, rootsys
 from .charp import FpMatrix
 from .errors import ContractError
-from .primes import is_prime
+from .primes import require_prime
 
 __all__ = ["main"]
 
@@ -161,8 +162,7 @@ def _cmd_height(args):
 def _cmd_lowheight(args):
     rs = _system(args)
     w = _weight(args, rs)
-    if not is_prime(args.p):  # a usage error, so it comes before the height's contract
-        raise ValueError(f"{args.p} is not prime")
+    require_prime(args.p)  # a usage error, so it comes before the height's contract
     report = heights.dynkin_height(rs, w)
     return (
         {"p": args.p, "low_height": args.p > report.height, "report": _enc(report)},
@@ -466,7 +466,14 @@ def _parser() -> _Parser:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print one report; if the reader has closed stdout, drop it without a traceback."""
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that flush go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import ContractError
-from .primes import is_prime
+from .primes import require_prime
 from .rootsys import (
     RootSystem,
     WeightVec,
@@ -37,7 +37,7 @@ __all__ = [
 @lru_cache(maxsize=None)
 def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
     """Coordinates of the sum of all positive coroots over the simple coroots."""
-    return tuple(map(sum, zip(*(rs.coroot(a) for a in rs.positive_roots))))
+    return tuple(map(sum, zip(*rs.coroots[:len(rs.positive_roots)])))
 
 
 def _require_dominant(weight: WeightVec) -> None:
@@ -107,8 +107,7 @@ def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
 
 def is_low_height(rs: RootSystem, weight: WeightVec, p: int) -> bool:
     """Whether the prime strictly exceeds the weight's height."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     return p > dynkin_height(rs, weight).height
 
 
@@ -136,8 +135,7 @@ def composite_gl_height(dims: tuple[int, ...], ms: tuple[int, ...]) -> int:
 
 def semisimplicity_bound_ok(dims: tuple[int, ...], ms: tuple[int, ...], p: int) -> bool:
     """Whether the composite height is strictly below the prime."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     return composite_gl_height(dims, ms) < p
 
 

@@ -29,3 +29,9 @@ def is_prime(n: int) -> bool:
         if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """The one prime gate of the public API: raise ValueError("<p> is not prime") unless p is."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .errors import ContractError
-from .primes import is_prime
+from .primes import require_prime
 
 __all__ = [
     "RootVec",
@@ -55,41 +55,32 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class RootVec:
+class _IntVec:
+    """Integer coordinate vector: ``coords`` is stored as a tuple and the
+    arithmetic returns the caller's subclass.  The generated equality
+    compares classes first, so a ``RootVec`` never equals a ``WeightVec``."""
+
+    coords: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", tuple(self.coords))
+
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self.coords))
+
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
+
+
+class RootVec(_IntVec):
     """Integer coordinate vector over the simple roots."""
 
-    coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    def __neg__(self) -> "RootVec":
-        return RootVec(tuple(-c for c in self.coords))
-
-    def __add__(self, other: "RootVec") -> "RootVec":
-        return RootVec(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __sub__(self, other: "RootVec") -> "RootVec":
-        return RootVec(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
-
-
-@dataclass(frozen=True)
-class WeightVec:
+class WeightVec(_IntVec):
     """Integer coordinate vector over the fundamental weights."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    def __neg__(self) -> "WeightVec":
-        return WeightVec(tuple(-c for c in self.coords))
-
-    def __add__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __sub__(self, other: "WeightVec") -> "WeightVec":
-        return WeightVec(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
@@ -336,7 +327,7 @@ def coxeter_via_rho(rs: RootSystem) -> int:
     highest root of the dual system), and ``rho`` pairs with a coroot by
     summing its coordinates.
     """
-    high = max((rs.coroot(a) for a in rs.positive_roots), key=sum)
+    high = max(rs.coroots[:len(rs.positive_roots)], key=sum)
     return 1 + sum(high)
 
 
@@ -413,8 +404,7 @@ def root_height(rs: RootSystem, alpha: RootVec) -> int:
 
 def is_good_prime(rs: RootSystem, p: int) -> bool:
     """Whether ``p`` exceeds every coordinate of the highest root."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     return p > max(rs.marks)
 
 

@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -159,6 +159,107 @@ def test_ext_traces_last_entry_is_det():
         p = rng.choice((3, 5, 7))
         m = _random_matrix(rng, p, rng.randint(1, 4))
         assert charp.ext_traces(m)[-1] == charp.det(m)
+
+
+
+def _forward_det(m):
+    """Forward elimination alone: the route det took before it shared one
+    Gauss-Jordan routine with inverse."""
+    p, n = m.p, m.n
+    a = [list(r) for r in m.rows]
+    result = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            result = -result
+        result = (result * a[col][col]) % p
+        inv = pow(a[col][col], -1, p)
+        for r in range(col + 1, n):
+            f = (a[r][col] * inv) % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+    return result % p
+
+
+def _augmented_inverse(m):
+    """Gauss-Jordan on [A | I] with its own pivot loop, as inverse had it."""
+    p, n = m.p, m.n
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
+        if piv is None:
+            raise ContractError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = pow(a[col][col], -1, p)
+        a[col] = [(x * inv) % p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+    return FpMatrix.from_rows(p, [row[n:] for row in a])
+
+
+def _minor_sum_ext_traces(m):
+    """Sums of the 2^n - 1 principal minors, as ext_traces formed them
+    before it read the characteristic polynomial."""
+    p, n = m.p, m.n
+    return tuple(
+        sum(_forward_det(FpMatrix(p, k, tuple(tuple(m.rows[r][c] for c in idx) for r in idx)))
+            for idx in combinations(range(n), k)) % p
+        for k in range(1, n + 1)
+    )
+
+
+def _sparse_or_singular(rng, p, n):
+    """A random matrix of mixed density, made singular about one time in four."""
+    density = rng.choice((0.3, 0.6, 1.0))
+    rows = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)]
+    if n > 1 and rng.random() < 0.25:
+        i, j = rng.sample(range(n), 2)
+        c = rng.randrange(p)
+        rows[i] = [c * x % p for x in rows[j]]  # row i a multiple of row j
+    return FpMatrix.from_rows(p, rows)
+
+
+def test_det_and_inverse_match_their_separate_eliminations():
+    rng = random.Random("gauss-jordan-twin")
+    singular = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 7):
+            for _ in range(10):
+                m = _sparse_or_singular(rng, p, n)
+                d = charp.det(m)
+                assert d == _forward_det(m)
+                if d:
+                    assert charp.inverse(m) == _augmented_inverse(m)
+                else:
+                    singular += 1
+                    with pytest.raises(ContractError, match="matrix is singular"):
+                        charp.inverse(m)
+    assert singular > 50  # the sample reaches singular input often
+
+
+def test_ext_traces_match_the_minor_sums():
+    rng = random.Random("ext-twin")
+    for p in (2, 3, 5, 7, 11):
+        for n in range(1, 8):
+            for _ in range(6):
+                m = _sparse_or_singular(rng, p, n)
+                assert charp.ext_traces(m) == _minor_sum_ext_traces(m), (p, m.rows)
+        jp = FpMatrix.from_rows(p, [[1 + 2 * (i == j) for j in range(p)] for i in range(p)])
+        assert charp.ext_traces(jp) == _minor_sum_ext_traces(jp)  # J + 2I at n = p
+
+
+def test_pgl_lift_answers_at_the_e8_scale():
+    p = 31  # the smallest prime with p >= h for E8; the minor sums never finish here
+    a = FpMatrix.from_rows(p, [[1 + 2 * (i == j) for j in range(p)] for i in range(p)])
+    lifted = charp.pgl_nilpotent_lift(a)
+    assert charp.det(a) == 2
+    assert lifted == a - FpMatrix.identity(p, p).scale(2)
 
 
 # --- truncated series ------------------------------------------------------
@@ -448,8 +549,8 @@ def test_heisenberg_pair_spans_everything(p):
 
 
 def _dense_span_dimension(seed, multipliers):
-    """Dense elimination over p^2-long rows: the route _span_dimension took
-    before it went sparse."""
+    """Dense two-sided closure over p^2-long rows: the route the Heisenberg
+    span took before it went sparse and one-sided."""
     p = seed[0].p
     n = seed[0].n
     width = n * n
@@ -484,8 +585,8 @@ def _dense_span_dimension(seed, multipliers):
 def test_span_dimension_matches_dense_twin_on_heisenberg_pair(p):
     s = charp.cyclic_shift_matrix(p, (1,) * p)
     d = FpMatrix.diagonal(p, range(p))
-    pair = ([FpMatrix.identity(p, p), s, d], [s, d])
-    assert charp._span_dimension(*pair) == _dense_span_dimension(*pair) == p * p
+    dense = _dense_span_dimension([FpMatrix.identity(p, p)], [s, d])
+    assert charp._algebra_dimension([s, d]) == dense == p * p
 
 
 def test_span_dimension_matches_dense_twin_on_random_input():
@@ -500,13 +601,12 @@ def test_span_dimension_matches_dense_twin_on_random_input():
     for p in (2, 3, 5, 7):
         for n in range(1, 5):
             for _ in range(12):
-                seed = [sample(p, n) for _ in range(rng.randint(1, 3))]
-                multipliers = [sample(p, n) for _ in range(rng.randint(1, 2))]
-                want = _dense_span_dimension(seed, multipliers)
-                assert charp._span_dimension(seed, multipliers) == want
+                gens = [sample(p, n) for _ in range(rng.randint(1, 3))]
+                want = _dense_span_dimension([FpMatrix.identity(p, n)], gens)
+                assert charp._algebra_dimension(gens) == want
                 dims.add(want)
-    assert len(dims) > 8  # the sample reaches many dimensions, zero included
-    assert 0 in dims
+    assert len(dims) > 8  # the sample reaches many dimensions, 1 (scalars only) included
+    assert 1 in dims
 
 
 def test_heisenberg_validates_prime():

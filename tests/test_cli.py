@@ -1,10 +1,14 @@
 """End-to-end command-line checks: envelopes, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from liep import acceptance, charp, cli, heights, rootsys
+from liep import acceptance, alcove, charp, cli, heights, rootsys
 from liep.charp import FpMatrix
 
 
@@ -360,3 +364,38 @@ def test_unexpected_exception_is_one_internal_error_report(capsys, monkeypatch):
     assert out == {"subcommand": "coxeter",
                    "error": {"kind": "internal", "message": "RuntimeError: handler bug"}}
     assert "Traceback" in captured.err
+
+
+def test_every_prime_gate_gives_one_message(capsys):
+    rs = rootsys.build("A", 2)
+    gates = [
+        lambda: FpMatrix.from_rows(8, [[1]]),
+        lambda: charp.bch_table(8, 2),
+        lambda: charp.cyclic_shift_matrix(8, (1,) * 8),
+        lambda: charp.heisenberg_module_check(8),
+        lambda: rootsys.is_good_prime(rs, 8),
+        lambda: alcove.mu_pj_restriction(rs, (1, 0), 8, 1),
+        lambda: heights.is_low_height(rs, rootsys.WeightVec((1, 0)), 8),
+        lambda: heights.semisimplicity_bound_ok((4,), (2,), 8),
+    ]
+    for gate in gates:
+        with pytest.raises(ValueError) as err:
+            gate()
+        assert str(err.value) == "8 is not prime"
+    code, out, _ = run_cli(capsys, ["lowheight", "--type", "A", "--rank", "2",
+                                    "--weight", "1,0", "--p", "8"])
+    assert code == 1 and out["error"]["message"] == "8 is not prime"
+
+
+def test_closed_stdout_exits_with_the_report_code_and_no_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, want in ((["heisenberg", "--p", "3"], 0), (["heisenberg", "--p", "4"], 1)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the report is written
+        try:
+            done = subprocess.run([sys.executable, "-m", "liep", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == want and done.stderr == b"", done.stderr.decode()

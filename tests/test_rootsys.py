@@ -407,3 +407,18 @@ def test_a_closure_that_loses_a_root_pair_fails_the_count(monkeypatch):
             rootsys.build("A", 4)
     finally:
         rootsys.build.cache_clear()
+
+
+def test_vectors_share_one_base_but_never_compare_equal():
+    assert RootVec((1, 0)) != WeightVec((1, 0))
+    assert RootVec([1, 0]) == RootVec((1, 0)) and RootVec([1, 0]).coords == (1, 0)
+    r, w = RootVec((1, 2)), WeightVec((3, -1))
+    for got, cls, coords in ((r + r, RootVec, (2, 4)), (r - r, RootVec, (0, 0)), (-r, RootVec, (-1, -2)),
+                             (w + w, WeightVec, (6, -2)), (w - w, WeightVec, (0, 0)),
+                             (-w, WeightVec, (-3, 1))):
+        assert type(got) is cls and got.coords == coords
+    assert (w - w).is_zero() and not w.is_dominant()
+    with pytest.raises(ValueError):
+        r + RootVec((1, 2, 3))
+    with pytest.raises(ValueError):
+        w - WeightVec((1,))
