@@ -137,14 +137,11 @@ class BasisChoice:
 
     weyl_word: tuple[int, ...]
 
-    def to_reference(self, rs: RootSystem, alpha: RootVec) -> RootVec:
-        """Coordinates of ``alpha`` relative to the reference chamber: w^-1(alpha)."""
-        return RootVec(tuple(apply_letters(rs, self.weyl_word, list(alpha.coords), "root")))
-
     def is_positive(self, rs: RootSystem, alpha: RootVec) -> bool:
+        """Whether w^-1(alpha), the word applied first letter first, has no negative coordinate."""
         if not rs.is_root(alpha):
             raise ContractError(f"{alpha.coords} is not a root")
-        return all(c >= 0 for c in self.to_reference(rs, alpha).coords)
+        return all(c >= 0 for c in apply_letters(rs, self.weyl_word, list(alpha.coords), "root"))
 
     def basis_roots(self, rs: RootSystem) -> tuple[RootVec, ...]:
         """Images of the simple roots under w."""
@@ -193,23 +190,24 @@ def _check_rank(rs: RootSystem, n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _theta_pairing_vector(rs: RootSystem) -> tuple[int, ...]:
-    """``t_j = <alpha_j, theta^vee>``; the translation part of the affine wall."""
+    """``t_j = <alpha_j, theta^vee>`` from the sparse Cartan columns; the affine wall's shift."""
     c = rs.coroot(rs.highest_root)
-    return tuple(
-        sum(rs.cartan[k][j] * c[k] for k in range(rs.rank)) for j in range(rs.rank)
-    )
+    return tuple(sum(x * c[k] for k, x in col) for col in rs._cols)
 
 
 @lru_cache(maxsize=None)
-def _reflection_word(rs: RootSystem, alpha: RootVec) -> tuple[int, ...]:
-    """A word for the reflection in a positive root, via s_b = s_i s_{s_i(b)} s_i."""
-    if sum(alpha.coords) == 1:
-        return (alpha.coords.index(1) + 1,)
-    for i in range(1, rs.rank + 1):
-        if rs.pairing(alpha, i) > 0 and alpha != rs.simple_root(i):
-            inner = _reflection_word(rs, rs.reflect(alpha, i))
-            return (i,) + inner + (i,)
-    raise ContractError(f"{alpha.coords} is not a positive root")
+def _reflection_word(rs: RootSystem, alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """A word for the reflection in the positive root b with int coordinates ``alpha``:
+    s_b = s_i s_{s_i(b)} s_i at the lowest i with k = <b, alpha_i^vee> > 0 (from ``rs._rows``)
+    and s_i(b) = b - k alpha_i; above height 1, b is not simple, so s_i(b) is positive and lower."""
+    if sum(alpha) == 1:
+        return (alpha.index(1) + 1,)
+    for i, row in enumerate(rs._rows):
+        k = sum(x * alpha[j] for j, x in row)
+        if k > 0:
+            inner = _reflection_word(rs, alpha[:i] + (alpha[i] - k,) + alpha[i + 1:])
+            return (i + 1,) + inner + (i + 1,)
+    raise ContractError(f"{alpha} is not a positive root")
 
 
 def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoint, ReductionTranscript]:
@@ -225,7 +223,7 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     _check_rank(rs, len(point.values))
     n = rs.rank
     tvec = _theta_pairing_vector(rs)
-    theta_letters = tuple(reversed(_reflection_word(rs, rs.highest_root)))
+    theta_letters = tuple(reversed(_reflection_word(rs, rs.marks)))
 
     start, den = _numerators(point.values)
     values = list(start)
@@ -308,6 +306,8 @@ class WindowReport:
     reduced_point: CoweightPoint
     transcript: ReductionTranscript
     dominance_word: tuple[int, ...]
+    critical_roots: tuple[RootVec, ...]
+    """The window roots, ``critical_roots(rs, phi)``, each checked positive under ``basis``."""
 
 
 def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
@@ -345,13 +345,14 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
 
     basis = BasisChoice(tuple(reversed(transcript.weyl_word)) + tuple(dominance))
     dual = _rho_dual(rs, basis.weyl_word)
-    for alpha in critical_roots(rs, phi):
+    critical = critical_roots(rs, phi)
+    for alpha in critical:
         if sum(map(mul, alpha.coords, dual)) <= 0:
             raise ContractError(
                 f"selected basis leaves window root {alpha.coords} negative; "
                 "this indicates an arithmetic bug"
             )
-    return WindowReport(basis, idx, reduced, transcript, tuple(dominance))
+    return WindowReport(basis, idx, reduced, transcript, tuple(dominance), critical)
 
 
 def window_basis(rs: RootSystem, phi: PhiHom) -> BasisChoice:

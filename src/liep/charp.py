@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
+from math import prod
 from operator import mul
 
 from . import bch
@@ -383,10 +384,10 @@ def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
 
 
 def nilpotent_p_power_check(x: FpMatrix) -> bool:
-    """Whether a nilpotent matrix already satisfies x^p = 0."""
+    """Whether a nilpotent matrix has x^p = 0; as x^n = 0, x^p is formed only when p < n."""
     if not x.is_nilpotent():
         raise ContractError("matrix is not nilpotent")
-    return (x ** x.p).is_zero()
+    return x.p >= x.n or (x ** x.p).is_zero()
 
 
 def pgl_nilpotent_lift(a: FpMatrix) -> FpMatrix:
@@ -416,8 +417,8 @@ def cyclic_shift_matrix(p: int, weights) -> FpMatrix:
     """Weighted cyclic shift: superdiagonal t_1..t_{p-1}, corner t_p.
 
     Row i carries t_{i+1} in column i+1 (0-based), and row p-1 carries
-    t_p in column 0.  The p-th power is the scalar (product of all
-    weights), so the matrix is invertible and never nilpotent.
+    t_p in column 0.  The p-th power is checked to be the scalar (product
+    of all weights), nonzero, so the matrix is invertible and never nilpotent.
     """
     require_prime(p)
     w = [int(t) % p for t in weights]
@@ -437,10 +438,7 @@ def cyclic_shift_matrix(p: int, weights) -> FpMatrix:
 
 def cycle_power_scalar(p: int, weights) -> int:
     """The scalar c with (cyclic shift)^p = c . 1: the product of the weights."""
-    scalar = 1
-    for t in weights:
-        scalar = (scalar * int(t)) % p
-    return scalar
+    return prod(map(int, weights)) % p
 
 
 @dataclass(frozen=True)
@@ -568,18 +566,23 @@ def weight_space_demo(p: int) -> WeightGradingReport:
                 alpha_entries.append((i, j))
     dims[0] -= 1  # scalars are quotiented away from the diagonal component
 
-    witness = cyclic_shift_matrix(p, (1,) * p)
+    total_dim = sum(dims.values())
+    if total_dim != p * p - 1:
+        raise ContractError(f"component dimensions sum to {total_dim}, not p^2 - 1")
+    witness = cyclic_shift_matrix(p, (1,) * p)  # checks witness^p = scalar . 1
     scalar = cycle_power_scalar(p, (1,) * p)
     support = {(i, j) for i in range(p) for j in range(p) if witness.rows[i][j]}
+    if not support <= set(alpha_entries):
+        raise ContractError("the cyclic shift leaves the weight-p component")
 
     return WeightGradingReport(
         p=p,
         component_dims=tuple(sorted(dims.items())),
-        total_dim=sum(dims.values()),
+        total_dim=total_dim,
         alpha_weight=p,
         alpha_entries=tuple(sorted(alpha_entries)),
-        alpha_carries_cycle=support <= set(alpha_entries),
+        alpha_carries_cycle=True,
         witness=witness,
         witness_power_scalar=scalar,
-        witness_is_nilpotent=witness.is_nilpotent(),
+        witness_is_nilpotent=scalar == 0,
     )

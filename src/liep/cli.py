@@ -45,9 +45,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _enc(x):
-    """Recursively convert payload values to JSON-safe exact forms."""
-    if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
+    """The one wire format: ``main`` runs each handler's result (library values, report
+    dataclasses, tuples) through here, recursively, into JSON-safe exact forms."""
+    if isinstance(x, (int, str)) or x is None:
         return x
+    if isinstance(x, (list, tuple)):
+        return [_enc(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _enc(v) for k, v in x.items()}
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, FpMatrix):
@@ -56,10 +61,6 @@ def _enc(x):
         return list(x.coords)
     if dataclasses.is_dataclass(x):
         return {f.name: _enc(getattr(x, f.name)) for f in dataclasses.fields(x)}
-    if isinstance(x, (list, tuple)):
-        return [_enc(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _enc(v) for k, v in x.items()}
     if isinstance(x, float):
         raise TypeError("floats are banned from reports")
     raise TypeError(f"cannot encode {type(x).__name__}")
@@ -121,7 +122,7 @@ def _cmd_goodprime(args):
     rs = _system(args)
     good = rootsys.is_good_prime(rs, args.p)
     return (
-        {"p": args.p, "good": good, "max_mark": max(rs.marks), "marks": list(rs.marks)},
+        {"p": args.p, "good": good, "max_mark": max(rs.marks), "marks": rs.marks},
         ["primality validated", "compared against the largest mark"],
     )
 
@@ -131,7 +132,7 @@ def _cmd_parabolic(args):
     subset = _parse_ints(args.subset) if args.subset else ()
     degrees, max_degree = rootsys.parabolic_degrees(rs, subset)
     entries = [
-        {"root": _enc(a), "degree": d}
+        {"root": a, "degree": d}
         for a, d in sorted(degrees.items(), key=lambda kv: (sum(kv[0].coords), kv[0].coords))
     ]
     invariants = ["degrees positive outside the parabolic"]
@@ -153,10 +154,7 @@ def _weight(args, rs) -> rootsys.WeightVec:
 
 def _cmd_height(args):
     rs = _system(args)
-    report = heights.dynkin_height(rs, _weight(args, rs))
-    if report.via_pairing != report.via_difference:
-        raise ContractError("height routes disagree")
-    return _enc(report), ["pairing and difference routes agree"]
+    return heights.dynkin_height(rs, _weight(args, rs)), ["pairing and difference routes agree"]
 
 
 def _cmd_lowheight(args):
@@ -165,7 +163,7 @@ def _cmd_lowheight(args):
     require_prime(args.p)  # a usage error, so it comes before the height's contract
     report = heights.dynkin_height(rs, w)
     return (
-        {"p": args.p, "low_height": args.p > report.height, "report": _enc(report)},
+        {"p": args.p, "low_height": args.p > report.height, "report": report},
         ["height computed by two agreeing routes", "compared exactly against p"],
     )
 
@@ -190,7 +188,10 @@ def _cmd_glheight(args):
     dims = _parse_ints(args.dims)
     ms = _parse_ints(args.ms)
     total = heights.composite_gl_height(dims, ms)
-    per = [{"dim": d, "m": m, "height": m * (d - m)} for d, m in zip(dims, ms)]
+    per = [{"dim": d, "m": m, "height": heights.composite_gl_height((d,), (m,))}
+           for d, m in zip(dims, ms)]
+    if sum(e["height"] for e in per) != total:
+        raise ContractError("per-factor heights do not sum to the total")
     result = {"height": total, "per_factor": per}
     invariants = ["per-factor heights m(d - m) sum to the total"]
     if args.p is not None:
@@ -211,14 +212,13 @@ def _cmd_basis(args):
     rs = _system(args)
     phi = _phi(args, rs)
     report = alcove.window_basis_report(rs, phi)  # checks every window root is positive
-    critical = alcove.critical_roots(rs, phi)
     result = {
-        "phi": _enc(list(phi.values)),
-        "weyl_word": list(report.basis.weyl_word),
-        "basis_roots": _enc(report.basis.basis_roots(rs)),
+        "phi": phi.values,
+        "weyl_word": report.basis.weyl_word,
+        "basis_roots": report.basis.basis_roots(rs),
         "pigeonhole_index": report.pigeonhole_index,
-        "reduced_point": _enc(list(report.reduced_point.values)),
-        "critical_roots": _enc(critical),
+        "reduced_point": report.reduced_point.values,
+        "critical_roots": report.critical_roots,
     }
     invariants = ["every window root is positive under the returned basis"]
     if args.oracle:
@@ -235,13 +235,12 @@ def _cmd_basis(args):
 def _cmd_critical(args):
     rs = _system(args)
     phi = _phi(args, rs)
-    h = rs.coxeter_number
     return (
         {
-            "phi": _enc(list(phi.values)),
-            "window": _enc(Fraction(1, h)),
-            "critical_roots": _enc(alcove.critical_roots(rs, phi)),
-            "boundary_roots": _enc(alcove.boundary_roots(rs, phi)),
+            "phi": phi.values,
+            "window": Fraction(1, rs.coxeter_number),
+            "critical_roots": alcove.critical_roots(rs, phi),
+            "boundary_roots": alcove.boundary_roots(rs, phi),
         },
         ["window endpoints tested with exact rationals"],
     )
@@ -256,18 +255,18 @@ def _cmd_reduce(args):
     steps = []
     for step in transcript.steps:
         if step[0] == "translate":
-            steps.append({"kind": "translate", "by": list(step[1])})
+            steps.append({"kind": "translate", "by": step[1]})
         elif step[0] == "reflect":
             steps.append({"kind": "reflect", "index": step[1]})
         else:
             steps.append({"kind": "affine_reflect"})
     return (
         {
-            "point": _enc(list(values)),
-            "reduced_point": _enc(list(reduced.values)),
+            "point": values,
+            "reduced_point": reduced.values,
             "steps": steps,
-            "weyl_word": list(transcript.weyl_word),
-            "net_translation": list(transcript.net_translation),
+            "weyl_word": transcript.weyl_word,
+            "net_translation": transcript.net_translation,
         },
         [
             "reduced point lies in the closed fundamental alcove",
@@ -283,7 +282,7 @@ def _cmd_exp(args):
     if charp.trunc_log(u) != x:
         raise ContractError("log(exp(x)) != x")
     return (
-        {"input": _enc(x), "output": _enc(u)},
+        {"input": x, "output": u},
         ["input is p-nilpotent", "output is p-unipotent", "log inverts the result"],
     )
 
@@ -294,7 +293,7 @@ def _cmd_log(args):
     if charp.trunc_exp(x) != u:
         raise ContractError("exp(log(u)) != u")
     return (
-        {"input": _enc(u), "output": _enc(x)},
+        {"input": u, "output": x},
         ["input is p-unipotent", "output is p-nilpotent", "exp inverts the result"],
     )
 
@@ -305,7 +304,7 @@ def _cmd_tpower(args):
     if result != u ** (args.t % u.p):
         raise ContractError("binomial power disagrees with repeated multiplication")
     return (
-        {"t": args.t, "input": _enc(u), "output": _enc(result)},
+        {"t": args.t, "input": u, "output": result},
         ["matches repeated multiplication at t mod p"],
     )
 
@@ -313,7 +312,7 @@ def _cmd_tpower(args):
 def _cmd_bch(args):
     table = charp.bch_table(args.p, args.degree)
     terms = [
-        {"degree": len(word), "word": list(word), "coefficient": _enc(coeff)}
+        {"degree": len(word), "word": word, "coefficient": coeff}
         for word, coeff in table.terms
     ]
     result = {"p": args.p, "degree": args.degree, "terms": terms}
@@ -326,7 +325,7 @@ def _cmd_bch(args):
         z = charp.bch_apply(table, x, y)
         if charp.trunc_exp(z) != charp.trunc_exp(x) * charp.trunc_exp(y):
             raise ContractError("exp(bch(x, y)) != exp(x) exp(y)")
-        result["applied"] = {"x": _enc(x), "y": _enc(y), "z": _enc(z)}
+        result["applied"] = {"x": x, "y": y, "z": z}
         invariants.append("exp of the result equals the product of exponentials")
     return result, invariants
 
@@ -338,10 +337,10 @@ def _cmd_cycle(args):
     return (
         {
             "p": args.p,
-            "weights": list(weights),
-            "matrix": _enc(x),
+            "weights": weights,
+            "matrix": x,
             "power_scalar": scalar,
-            "is_nilpotent": x.is_nilpotent(),
+            "is_nilpotent": scalar == 0,  # x^p = scalar . 1, checked by cyclic_shift_matrix
         },
         ["p-th power is the scalar product of the weights", "matrix is not nilpotent"],
     )
@@ -350,9 +349,9 @@ def _cmd_cycle(args):
 def _cmd_pgl_lift(args):
     a = _parse_matrix(args.p, args.matrix)
     lifted = charp.pgl_nilpotent_lift(a)
-    d = charp.det(a)
+    d = (a - lifted).rows[0][0]  # the lift is a - det(a) . 1
     return (
-        {"input": _enc(a), "det": d, "lift": _enc(lifted)},
+        {"input": a, "det": d, "lift": lifted},
         ["exterior traces below the determinant vanish", "lift is p-nilpotent"],
     )
 
@@ -362,14 +361,14 @@ def _cmd_heisenberg(args):
     if not (rep.shift_order_ok and rep.commutator_ok and rep.spans_full_algebra):
         raise ContractError(f"relations or spanning failed: {rep}")
     return (
-        _enc(rep),
+        rep,
         ["S^p = 1", "[D, S] = S", "products span the full matrix algebra"],
     )
 
 
 def _cmd_weightdemo(args):
     return (
-        _enc(charp.weight_space_demo(args.p)),
+        charp.weight_space_demo(args.p),
         [
             "component dimensions sum to p^2 - 1",
             "weight-p component carries the cyclic shift",
@@ -483,7 +482,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         command = args.command
         outcome = _COMMANDS[command][0](args)
-        result, invariants = outcome[0], outcome[1]
+        result, invariants = _enc(outcome[0]), outcome[1]
         code = outcome[2] if len(outcome) > 2 else 0
     except _HelpRequested as req:
         command, text = req.args

@@ -3,7 +3,7 @@
 The height of a dominant weight is its pairing with the sum of the
 positive coroots.  It is recomputed, on plain ints, as the coordinate
 total of the difference between the weight and its antidominant Weyl
-conjugate, and both answers are reported so callers can cross-examine them.
+conjugate; ``dynkin_height`` compares the two and reports both.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class HeightReport:
     """Height of a dominant weight with both computation routes exposed.
 
     ``height`` equals ``via_pairing``; ``via_difference`` recomputes it
-    from ``weight - lambda_minus`` and is carried so tests can insist
-    the routes agree.
+    from ``weight - lambda_minus``.  ``dynkin_height`` returns a report
+    only when the two agree.
     """
 
     height: int
@@ -88,7 +88,8 @@ def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
     Route one contracts the weight against that coroot sum.  Route two
     finds the antidominant conjugate, converts the difference to
     simple-root coordinates through the integer matrix ``D C^-1``, whose
-    numerators must be divisible by D, and sums them.
+    numerators must be divisible by D, and sums them.  A difference off the
+    root lattice, and then any disagreement of the routes, is a ``ContractError``.
     """
     _require_dominant(weight)
     two_rho = _two_rho_coroot(rs)
@@ -101,7 +102,8 @@ def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
     if any(x % den for x in numerators):
         raise ContractError("weight minus antidominant conjugate left the root lattice")
     via_difference = sum(numerators) // den
-
+    if via_pairing != via_difference:
+        raise ContractError("height routes disagree")
     return HeightReport(via_pairing, via_pairing, via_difference, low)
 
 

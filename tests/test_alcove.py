@@ -277,6 +277,7 @@ def test_integer_window_tests_match_fraction_route(t, n):
         bnd = alcove.boundary_roots(rs, phi)
         assert crit == tuple(a for a, v in zip(rs.roots, values) if 0 < v < edge)
         assert bnd == tuple(a for a, v in zip(rs.roots, values) if v == edge)
+        assert alcove.window_basis_report(rs, phi).critical_roots == crit
         seen_critical |= bool(crit)
         seen_boundary |= bool(bnd)
     assert seen_critical and seen_boundary

@@ -1,5 +1,8 @@
 """Prime-field matrices, truncated series, and the p x p example menagerie."""
 
+import contextlib
+import io
+import json
 import random
 import tracemalloc
 from collections import deque
@@ -7,7 +10,7 @@ from itertools import accumulate, combinations
 
 import pytest
 
-from liep import charp
+from liep import charp, cli
 from liep.charp import FpMatrix
 from liep.errors import ContractError
 from liep.primes import is_prime
@@ -477,6 +480,14 @@ def test_jordan_blocks_detect_the_sharp_bound(p, n):
     assert charp.nilpotent_p_power_check(_jordan(p, n)) == (n <= p)
 
 
+def test_nilpotent_p_power_check_forms_x_to_the_p_only_below_the_size(mul_count):
+    assert charp.nilpotent_p_power_check(_jordan(7, 3))
+    assert mul_count[0] == 2  # x^3 for the nilpotency test, no x^7
+    mul_count[0] = 0
+    assert not charp.nilpotent_p_power_check(_jordan(2, 3))
+    assert mul_count[0] == 3  # x^3, then x^2, which is not 0
+
+
 # --- scalar-shift lift -------------------------------------------------------
 
 def test_lift_of_cycle_matrix():
@@ -535,6 +546,30 @@ def test_cyclic_shift_determinant_is_weight_product():
             w = tuple(rng.randrange(1, p) for _ in range(p))
             # odd p: the p-cycle is an even permutation
             assert charp.det(charp.cyclic_shift_matrix(p, w)) == charp.cycle_power_scalar(p, w)
+
+
+def _cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("argv,nilpotent", [
+    (["cycle", "--p", "7", "--t", "1,2,3,4,5,6,1"], "is_nilpotent"),
+    (["weightdemo", "--p", "7"], "witness_is_nilpotent"),
+])
+def test_cycle_reports_form_one_p_th_power(mul_count, argv, nilpotent):
+    code, out = _cli(argv)
+    assert code == 0 and out["result"][nilpotent] is False
+    assert mul_count[0] == 4  # x^7: two squarings and two products
+
+
+def test_pgl_lift_reads_the_determinant_off_the_lift(monkeypatch):
+    calls = []
+    monkeypatch.setattr(charp, "det", lambda m: calls.append(m))
+    code, out = _cli(["pgl-lift", "--p", "3", "--matrix", "[[0,1,0],[0,0,1],[2,0,0]]"])
+    assert code == 0 and out["result"]["det"] == 2
+    assert calls == []
 
 
 # --- Heisenberg pair and weight grading ---------------------------------------

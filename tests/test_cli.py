@@ -296,6 +296,66 @@ def test_bad_rank_exits_1(capsys):
     assert out["error"]["kind"] == "usage"
 
 
+# --- each listed invariant is checked where it is computed --------------------
+
+@pytest.mark.parametrize("argv", [
+    ["height", "--type", "A", "--rank", "4", "--weight", "1,0,0,1"],
+    ["lowheight", "--type", "A", "--rank", "4", "--weight", "1,0,0,1", "--p", "11"],
+    ["minheight", "--type", "A", "--rank", "4"],
+])
+def test_height_reports_exit_2_when_the_routes_disagree(capsys, monkeypatch, argv):
+    conjugate = heights.antidominant_conjugate
+    alpha_1 = rootsys.WeightVec((2, -1, 0, 0))  # alpha_1 of A4 over the fundamental weights
+
+    def one_root_low(rs, weight):  # still in the root lattice, one height off
+        return conjugate(rs, weight) - alpha_1
+
+    monkeypatch.setattr(heights, "antidominant_conjugate", one_root_low)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 2
+    assert out["error"] == {"kind": "contract", "message": "height routes disagree"}
+
+
+def test_weightdemo_exits_2_when_the_shift_leaves_the_weight_p_component(capsys, monkeypatch):
+    shift = charp.cyclic_shift_matrix
+
+    def transposed(p, weights):  # support on weight -p instead of p
+        x = shift(p, weights)
+        return FpMatrix(p, x.n, tuple(zip(*x.rows)))
+
+    monkeypatch.setattr(charp, "cyclic_shift_matrix", transposed)
+    code, out, _ = run_cli(capsys, ["weightdemo", "--p", "5"])
+    assert code == 2
+    assert out["error"]["message"] == "the cyclic shift leaves the weight-p component"
+
+
+def test_glheight_exits_2_when_a_factor_height_is_off(capsys, monkeypatch):
+    composite = heights.composite_gl_height
+
+    def off_per_factor(dims, ms):
+        return composite(dims, ms) + (len(dims) == 1)
+
+    monkeypatch.setattr(heights, "composite_gl_height", off_per_factor)
+    code, out, _ = run_cli(capsys, ["glheight", "--dims", "4,3", "--ms", "2,1"])
+    assert code == 2
+    assert out["error"]["message"] == "per-factor heights do not sum to the total"
+
+
+def test_basis_oracle_finds_the_window_roots_twice_not_three_times(capsys, monkeypatch):
+    calls = []
+    critical = alcove.critical_roots
+
+    def counted(rs, phi):
+        calls.append(phi)
+        return critical(rs, phi)
+
+    monkeypatch.setattr(alcove, "critical_roots", counted)
+    code, out, _ = run_cli(capsys, ["basis", "--type", "A", "--rank", "2", "--phi", "1/9,1/9",
+                                    "--oracle"])
+    assert code == 0 and sorted(out["result"]["critical_roots"]) == [[0, 1], [1, 0], [1, 1]]
+    assert len(calls) == 2  # the window check and the oracle
+
+
 # --- determinism and the self-test -------------------------------------------
 
 def test_reports_are_deterministic(capsys):

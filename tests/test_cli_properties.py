@@ -1,0 +1,205 @@
+"""The CLI contract over generated argv: one JSON object on stdout, exit code 0, 1 or 2.
+
+Each subcommand but ``selftest`` gets an argv strategy that mixes well-formed
+values with malformed ones (unknown types, bad ranks, non-primes, empty
+strings, ``1/0``, stray commas, leading minus signs with and without ``=``,
+ragged or non-integer JSON matrices), run in-process through ``cli.main``.
+Sizes stay small (rank <= 9, p <= 13) so every case is cheap; the cases are
+derandomized, so every run draws the same ones.
+"""
+
+import contextlib
+import io
+import json
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liep import cli
+
+CASE_SECONDS = 5  # wall-time cap per case
+
+_SYSTEMS = ([("A", n) for n in range(1, 10)] + [(t, n) for t in "BC" for n in range(2, 10)]
+            + [("D", n) for n in range(4, 10)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+_PRIMES = (2, 3, 5, 7, 11, 13)
+_JUNK = ("", "x", "1/0", " ", "3.0")
+
+
+def _mostly(good, bad):
+    """``good`` in about five cases of six, ``bad`` in the rest.
+
+    Hypothesis favours the ends of a range, so ``bad`` takes a value inside it.
+    """
+    return st.integers(0, 5).flatmap(lambda k: bad if k == 2 else good)
+
+
+def _text(ints):
+    return ints.map(str)
+
+
+def _flag(name, values, required=True):
+    """``[name, v]`` or ``[name=v]``; a value that starts with "-" parses only in the second form.
+
+    A required flag is left out in about one case in six, an optional one in half.
+    """
+    spelled = st.tuples(values, st.booleans()).map(
+        lambda vb: [f"{name}={vb[0]}"] if vb[1] else [name, vb[0]])
+    keep = _mostly(st.just(True), st.just(False)) if required else st.booleans()
+    return st.tuples(keep, spelled).map(lambda ks: ks[1] if ks[0] else [])
+
+
+def _listed(good, bad, size):
+    """``size`` comma-joined values; about one case in six mixes in malformed values,
+    misses the length by one or ends in a stray comma."""
+    ill = st.tuples(st.lists(st.one_of(good, bad), min_size=max(size - 1, 0), max_size=size + 1),
+                    st.sampled_from(("", ","))).map(lambda parts: ",".join(parts[0]) + parts[1])
+    return _mostly(st.lists(good, min_size=size, max_size=size).map(",".join), ill)
+
+
+_P = _mostly(_text(st.sampled_from(_PRIMES)),
+             st.sampled_from(("-3", "0", "1", "4", "9", "15", str(10**25)) + _JUNK))
+_RATIONAL = st.sampled_from(("0", "1/3", "-1/4", "2/9", "1/9", "7/5", "-3", " 1/2", "5/12"))
+_BAD = st.sampled_from(_JUNK)
+
+
+@st.composite
+def _system(draw, name, *extras):
+    """``name --type T --rank n``, usually a valid pair, plus flags that depend on the rank."""
+    junk = st.tuples(st.sampled_from(tuple("ABCDEFGH") + ("a", "", "AB")),
+                     st.one_of(_text(st.integers(-1, 9)), _BAD))
+    kind, rank = draw(_mostly(st.sampled_from(_SYSTEMS).map(lambda s: (s[0], str(s[1]))), junk))
+    argv = [name] + draw(_flag("--type", st.just(kind))) + draw(_flag("--rank", st.just(rank)))
+    for extra in extras:
+        argv += draw(extra(max(_int(rank, 2), 0)))
+    return argv
+
+
+def _phi(n):
+    return _flag("--phi", _listed(_RATIONAL, _BAD, n))
+
+
+def _weight(n):
+    return _flag("--weight", _listed(_text(st.integers(-1, 3)), _BAD, n))
+
+
+def _prime(n=None):
+    return _flag("--p", _P)
+
+
+_BAD_MATRICES = st.sampled_from(("[]", "[[]]", "[[1,2],[3]]", "[[true]]", "[[1.5]]", "null",
+                                 "[[null]]", "[[[1]]]", '[["1"]]', "[1,2]", "x", ""))
+
+
+@st.composite
+def _square(draw, size=None):
+    """A JSON n x n integer matrix, n <= 7: strictly upper triangular (nilpotent),
+    unipotent, c . 1 plus strictly upper, or arbitrary."""
+    n = min(max(size or draw(st.integers(1, 3)), 1), 7)
+    kind = draw(st.sampled_from(("strict", "unipotent", "shifted", "any")))
+    diagonal = {"strict": 0, "unipotent": 1, "shifted": draw(st.integers(0, 4))}
+    entries = draw(st.lists(st.integers(-2, 9), min_size=n * n, max_size=n * n))
+    return json.dumps([[entries[i * n + j] if kind == "any" or j > i else diagonal[kind] * (i == j)
+                        for j in range(n)] for i in range(n)])
+
+
+def _matrix(size=None):
+    return _mostly(_square(size), _BAD_MATRICES)
+
+
+def _int(text, default):
+    """The integer a flag value spells, or ``default`` for a malformed one."""
+    return int(text) if text.lstrip("-").isdigit() else default
+
+
+@st.composite
+def _series(draw, name):
+    argv = [name] + draw(_flag("--p", _P)) + draw(_flag("--matrix", _matrix()))
+    if name == "tpower":
+        argv += draw(_flag("--t", _text(st.integers(-20, 40))))
+    return argv
+
+
+@st.composite
+def _bch(draw):
+    p_text = draw(_P)
+    top = min(max(_int(p_text, 3) - 1, 1), 6)  # degrees 1..p-1 tabulate; 6 keeps a case cheap
+    degree = _mostly(_text(st.integers(1, top)), _text(st.integers(-1, 7)))
+    argv = ["bch"] + draw(_flag("--p", st.just(p_text))) + draw(_flag("--degree", degree))
+    n = draw(st.integers(1, 4))
+    operands = ["--x", draw(_matrix(n)), "--y", draw(_matrix(n))]
+    one = st.sampled_from((operands[:2], operands[2:]))
+    return argv + draw(_mostly(st.sampled_from(([], operands)), one))
+
+
+@st.composite
+def _cycle(draw):
+    p_text = draw(_P)
+    t = _listed(_text(st.integers(-3, 20)), _BAD, min(max(_int(p_text, 3), 1), 13))
+    return ["cycle"] + draw(_flag("--p", st.just(p_text))) + draw(_flag("--t", t))
+
+
+@st.composite
+def _pgl_lift(draw):
+    p_text = draw(_P)
+    p = _int(p_text, 3)
+    size = draw(st.sampled_from((p, p, p, p + 1)))
+    matrix = _flag("--matrix", _matrix(size))
+    return ["pgl-lift"] + draw(_flag("--p", st.just(p_text))) + draw(matrix)
+
+
+def _glheight():
+    dims = _listed(_text(st.integers(0, 8)), _BAD, 2)
+    ms = _listed(_text(st.integers(-1, 9)), _BAD, 2)
+    flags = st.tuples(_flag("--dims", dims), _flag("--ms", ms), _flag("--p", _P, required=False))
+    return flags.map(lambda fs: ["glheight"] + fs[0] + fs[1] + fs[2])
+
+
+ARGV = {
+    "basis": _system("basis", _phi, lambda n: st.sampled_from(([], ["--oracle"]))),
+    "critical": _system("critical", _phi),
+    "coxeter": _system("coxeter"),
+    "roots": _system("roots"),
+    "minheight": _system("minheight"),
+    "goodprime": _system("goodprime", _prime),
+    "parabolic": _system("parabolic", lambda n: _flag("--subset", _listed(
+        _text(st.integers(1, max(n, 1))), _text(st.integers(-1, 10)) | _BAD, max(n - 1, 0)),
+        required=False)),
+    "height": _system("height", _weight),
+    "lowheight": _system("lowheight", _weight, _prime),
+    "glheight": _glheight(),
+    "reduce": _system("reduce", lambda n: _flag("--point", _listed(_RATIONAL, _BAD, n))),
+    "exp": _series("exp"),
+    "log": _series("log"),
+    "tpower": _series("tpower"),
+    "bch": _bch(),
+    "cycle": _cycle(),
+    "pgl-lift": _pgl_lift(),
+    "heisenberg": _flag("--p", _P).map(lambda f: ["heisenberg"] + f),
+    "weightdemo": _flag("--p", _P).map(lambda f: ["weightdemo"] + f),
+}
+
+
+def test_every_subcommand_but_selftest_has_a_strategy():
+    assert set(ARGV) == set(cli._COMMANDS) - {"selftest"}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_every_argv_gets_one_json_report_and_a_contract_exit_code(command, data):
+    argv = data.draw(ARGV[command], label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    elapsed = time.perf_counter() - started
+
+    report = json.loads(out.getvalue())  # exactly one JSON value, nothing after it
+    assert isinstance(report, dict)
+    assert code in (0, 1, 2)
+    assert ("result" in report) == (code == 0)
+    if code:
+        assert (report["error"]["kind"], code) in {("usage", 1), ("contract", 2)}, err.getvalue()
+    assert elapsed < CASE_SECONDS, f"{argv} took {elapsed:.1f} s"
