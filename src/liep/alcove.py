@@ -18,7 +18,14 @@ translation by the coweight lattice adds integers to the coordinates.
 All arithmetic is exact.  Points and the values of phi are held as
 integer numerators over one common denominator N, so wall and window
 tests compare integers, and words act letter by letter through
-``rootsys.apply_letters``; Fractions and RootVecs appear only at the API edge.
+``rootsys.apply_letters``; the walks to a dominant point reflect inline from the
+sparse Cartan rows.  Fractions and RootVecs appear only at the API edge.
+
+A word's element is read off its image of rho^vee = (1, ..., 1): W acts simply
+transitively on the chambers and rho^vee is regular, so sorting that image back
+to rho^vee spells a reduced word, of at most |Phi+| letters, for the same element.
+``word_matrix`` and ``BasisChoice.basis_roots`` carry their rank vectors through
+that word, so a word of L letters costs L + rank * l(w) letter steps, not rank * L.
 """
 
 from __future__ import annotations
@@ -144,8 +151,8 @@ class BasisChoice:
         return all(c >= 0 for c in apply_letters(rs, self.weyl_word, list(alpha.coords), "root"))
 
     def basis_roots(self, rs: RootSystem) -> tuple[RootVec, ...]:
-        """Images of the simple roots under w."""
-        back = tuple(reversed(self.weyl_word))
+        """Images of the simple roots under w, through a reduced word for w."""
+        back = _reduced(rs, reversed(self.weyl_word))
         return tuple(
             RootVec(tuple(apply_letters(rs, back, list(e), "root"))) for e in _identity(rs.rank)
         )
@@ -167,11 +174,57 @@ def lift(phi: PhiHom) -> CoweightPoint:
 def word_matrix(rs: RootSystem, word: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Matrix of the word's element on simple-root coordinates.
 
-    Right-multiplying by ``s_i`` is the point action of ``s_i`` on every
-    row, so each row of the identity is carried through the word letter by letter.
+    Right-multiplying by ``s_i`` is the point action of ``s_i`` on every row, so
+    each row of the identity is carried letter by letter through ``_reduced(rs, word)``,
+    a word for the same element of length l(w) <= |Phi+|: L + rank * l(w) letter steps.
     """
-    word = tuple(word)
+    word = _reduced(rs, word)
     return tuple(tuple(apply_letters(rs, word, list(e), "point")) for e in _identity(rs.rank))
+
+
+@lru_cache(maxsize=None)
+def _lowest_links(rs: RootSystem) -> tuple[int, ...]:
+    """For each i, the lowest index j with C[i][j] != 0: the lowest coordinate s_i moves."""
+    return tuple(min(j for j, _ in row) for row in rs._rows)
+
+
+def _dominance_walk(rs: RootSystem, z: list[int], cap: int, message: str) -> list[int]:
+    """Reflect the point ``z`` in place at its lowest negative coordinate until none is left.
+
+    Returns the 1-based letters applied, first applied first.  Reflecting at a negative
+    coordinate i leaves one fewer positive root negative on z (s_i permutes the others
+    and makes alpha_i positive), so the walk ends within |Phi+| steps; taking more than
+    ``cap`` reflections raises ``ContractError(message)``.  Coordinates below s_i's lowest
+    Cartan neighbour did not move and were not negative, so the scan resumes there.
+    """
+    rows, low, n = rs._rows, _lowest_links(rs), rs.rank
+    letters: list[int] = []
+    i = 0
+    while True:
+        while i < n and z[i] >= 0:
+            i += 1
+        if i == n:
+            return letters
+        if len(letters) == cap:
+            raise ContractError(message)
+        x = z[i]
+        for j, c in rows[i]:
+            z[j] -= c * x
+        letters.append(i + 1)
+        i = low[i]
+
+
+def _reduced(rs: RootSystem, word: Iterable[int]) -> tuple[int, ...]:
+    """A reduced word acting like ``word`` (first letter first) in every representation.
+
+    ``word`` carries rho^vee to v = w(rho^vee); the walk back to the dominant rho^vee
+    spells u with u w = 1, since only the identity fixes the regular rho^vee, and
+    ``w = u^-1`` is that walk reversed.  It has l(w) <= |Phi+| letters.
+    """
+    v = apply_letters(rs, word, [1] * rs.rank, "point")
+    walk = _dominance_walk(
+        rs, v, len(rs.positive_roots), "reduced word exceeded the number of positive roots")
+    return tuple(reversed(walk))
 
 
 def _rho_dual(rs: RootSystem, word: tuple[int, ...]) -> list[int]:
@@ -236,23 +289,23 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
         steps.append(("translate", shift))
 
     cap = _reflection_bound(rs, values, den)
-    for _ in range(cap + 1):
-        neg = next((i for i in range(n) if values[i] < 0), None)
-        if neg is not None:
-            apply_letters(rs, (neg + 1,), values, "point")
-            steps.append(("reflect", neg + 1))
-            letters.append(neg + 1)
-            continue
+    overrun = f"alcove reduction exceeded its bound of {cap} steps"
+    taken = 0
+    while True:
+        walk = _dominance_walk(rs, values, cap - taken, overrun)
+        steps.extend(("reflect", i) for i in walk)
+        letters.extend(walk)
+        taken += len(walk)
         excess = sum(map(mul, rs.marks, values)) - den
-        if excess > 0:
-            for j in range(n):
-                values[j] -= tvec[j] * excess
-            steps.append(("affine_reflect",))
-            letters.extend(theta_letters)
-            continue
-        break
-    else:
-        raise ContractError(f"alcove reduction exceeded its bound of {cap} steps")
+        if excess <= 0:
+            break
+        if taken == cap:
+            raise ContractError(overrun)
+        for j in range(n):
+            values[j] -= tvec[j] * excess
+        steps.append(("affine_reflect",))
+        letters.extend(theta_letters)
+        taken += 1
 
     word = tuple(reversed(letters))
     _assert_in_alcove(rs, values, den)
@@ -333,15 +386,8 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
         m = rs.marks[idx - 1]
         z = [v * m for v in values]
         z[idx - 1] -= den
-        # each reflection moves one positive root to the positive side: |Phi+| steps at most
-        for _ in range(len(rs.positive_roots) + 1):
-            neg = next((i for i in range(rs.rank) if z[i] < 0), None)
-            if neg is None:
-                break
-            apply_letters(rs, (neg + 1,), z, "point")
-            dominance.append(neg + 1)
-        else:
-            raise ContractError("dominance loop exceeded the number of positive roots")
+        dominance = _dominance_walk(
+            rs, z, len(rs.positive_roots), "dominance loop exceeded the number of positive roots")
 
     basis = BasisChoice(tuple(reversed(transcript.weyl_word)) + tuple(dominance))
     dual = _rho_dual(rs, basis.weyl_word)

@@ -66,11 +66,19 @@ def _enc(x):
     raise TypeError(f"cannot encode {type(x).__name__}")
 
 
+# Reports print exact integers, and CPython refuses to turn one of more than 4300 digits
+# (about 14284 bits) into text; a translation is as large as the point it moves.
+_MAX_BITS = 4096
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None
+    if max(abs(value.numerator), value.denominator).bit_length() > _MAX_BITS:
+        raise ValueError(f"rational {text!r} has a numerator or denominator above {_MAX_BITS} bits")
+    return value
 
 
 def _parse_fractions(text: str) -> tuple[Fraction, ...]:

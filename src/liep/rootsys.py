@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import ContractError
@@ -332,23 +332,20 @@ def coxeter_via_rho(rs: RootSystem) -> int:
 
 
 def coxeter_via_element(rs: RootSystem) -> int:
-    """Order of the Coxeter element ``c = s_1 s_2 ... s_rank`` on the root lattice.
+    """Order of the Coxeter element ``c = s_1 s_2 ... s_rank``.
 
-    It is the lcm of the orbit lengths of the simple roots under c, applied as
-    the letters rank..1 (Humphreys 1990, 3.16-3.19); neither marks nor rho are
-    read.  An orbit lies in the root set, so one longer than |Phi| is a bug.
+    c, applied as the letters rank..1, walks rho^vee = (1, ..., 1) with the point action
+    until it returns.  Only the identity fixes the regular rho^vee, so c^k = 1 exactly
+    when c^k fixes it, and one orbit gives the order (Humphreys 1990, 3.16-3.19); neither
+    marks nor rho are read.  The order is at most |Phi|, so a longer orbit is a bug.
     """
     letters = range(rs.rank, 0, -1)
-    order = 1
-    for start in ([int(j == i) for j in range(rs.rank)] for i in range(rs.rank)):
-        v = list(start)
-        for length in range(1, len(rs.roots) + 1):
-            if apply_letters(rs, letters, v, "root") == start:
-                break
-        else:
-            raise ContractError("Coxeter element orbit exceeds |Phi|; arithmetic is broken")
-        order = lcm(order, length)
-    return order
+    start = [1] * rs.rank
+    v = list(start)
+    for order in range(1, len(rs.roots) + 1):
+        if apply_letters(rs, letters, v, "point") == start:
+            return order
+    raise ContractError("Coxeter element orbit exceeds |Phi|; arithmetic is broken")
 
 
 def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:

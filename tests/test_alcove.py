@@ -1,5 +1,6 @@
 """Alcove reduction, window roots, and the constructive basis vs the chamber oracle."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -260,6 +261,59 @@ def test_word_matrix_rejects_letters_outside_the_rank():
             alcove.word_matrix(rs, (1, bad))
 
 
+def _full_word_matrix(rs, word):
+    """Every identity row carried through the whole word: rank * L letter steps."""
+    return tuple(tuple(rootsys.apply_letters(rs, word, list(e), "point"))
+                 for e in alcove._identity(rs.rank))
+
+
+def _length(rs, word):
+    """l(w) for w the word applied first letter first: the positive roots it makes negative."""
+    return sum(min(rootsys.apply_letters(rs, word, list(a.coords), "root")) < 0
+               for a in rs.positive_roots)
+
+
+REDUCTION_TWINS = [("A", 8), ("A", 16), ("B", 8), ("B", 12), ("D", 8), ("D", 12), ("E", 8)]
+
+
+@pytest.mark.parametrize("t,n", REDUCTION_TWINS)
+def test_word_matrix_matches_the_full_word_on_long_words_and_transcripts(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"twin-reduced:{t}{n}")
+    words = [tuple(rng.randint(1, n) for _ in range(rng.randrange(2000, 2500))) for _ in range(2)]
+    for _ in range(3):
+        phi = PhiHom(tuple(F(rng.randrange(1000), 1000) for _ in range(n)))
+        words.append(tuple(reversed(alcove.reduce_to_alcove(rs, alcove.lift(phi))[1].weyl_word)))
+    assert max(map(len, words[2:])) > len(rs.positive_roots)
+    for word in words:
+        assert alcove.word_matrix(rs, word) == _full_word_matrix(rs, word)
+
+
+@pytest.mark.parametrize("t,n", TWINS)
+def test_reduced_word_is_reduced_and_cancels_its_reverse(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"reduced:{t}{n}")
+    for length in (0, 1, 7, 150, 2000):
+        word = tuple(rng.randint(1, n) for _ in range(length))
+        reduced = alcove._reduced(rs, word)
+        assert len(reduced) <= len(rs.positive_roots)
+        assert alcove._reduced(rs, word + word[::-1]) == ()
+        if length <= 150:
+            assert len(reduced) == _length(rs, word) == _length(rs, reduced)
+
+
+@pytest.mark.parametrize("t,n", TWINS)
+def test_basis_roots_match_the_full_word_root_action(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"twin-basis:{t}{n}")
+    for length in (0, 1, 40, 2000):
+        basis = BasisChoice(tuple(rng.randint(1, n) for _ in range(length)))
+        back = basis.weyl_word[::-1]
+        full = tuple(rootsys.RootVec(tuple(rootsys.apply_letters(rs, back, list(e), "root")))
+                     for e in alcove._identity(n))
+        assert basis.basis_roots(rs) == full
+
+
 @pytest.mark.parametrize("t,n", TWINS)
 def test_integer_window_tests_match_fraction_route(t, n):
     rs = rootsys.build(t, n)
@@ -356,16 +410,28 @@ def test_reduction_steps_stay_within_the_wall_bound(t, n):
         assert len(steps) <= alcove._reflection_bound(rs, values, common)
 
 
-def test_walks_end_in_a_contract_error_when_reflections_do_nothing(monkeypatch):
+def _inert(rs):
+    """``rs`` with every Cartan coefficient zeroed, so each reflection leaves every vector alone.
+
+    ``RootSystem`` compares and hashes on type and rank, so the per-system caches must
+    already hold the real system's entries before the inert copy reaches them."""
+    zero = lambda links: tuple(tuple((j, 0) for j, _ in row) for row in links)  # noqa: E731
+    return dataclasses.replace(rs, _rows=zero(rs._rows), _cols=zero(rs._cols))
+
+
+def test_walks_end_in_a_contract_error_when_reflections_do_nothing():
     rs = rootsys.build("B", 3)
-    noop = lambda rs, letters, vec, on: vec  # noqa: E731
-    monkeypatch.setattr(alcove, "apply_letters", noop)
-    monkeypatch.setattr(heights, "apply_letters", noop)
+    start = CoweightPoint((F(-1, 3), F(1, 5), F(-7, 2)))
+    weight = rootsys.WeightVec((1, 0, 2))
+    alcove.reduce_to_alcove(rs, start)
+    heights.antidominant_conjugate(rs, weight)
     with pytest.raises(ContractError, match="exceeded its bound"):
-        alcove.reduce_to_alcove(rs, CoweightPoint((F(-1, 3), F(1, 5), F(-7, 2))))
+        alcove.reduce_to_alcove(_inert(rs), start)
+    with pytest.raises(ContractError, match="descent failed"):
+        heights.antidominant_conjugate(_inert(rs), weight)
     # already in the alcove, but re-centred at a vertex that needs the dominance walk
     a2 = rootsys.build("A", 2)
+    phi = PhiHom((F(1, 2), F(1, 3)))
+    alcove.window_basis_report(a2, phi)
     with pytest.raises(ContractError, match="dominance loop"):
-        alcove.window_basis_report(a2, PhiHom((F(1, 2), F(1, 3))))
-    with pytest.raises(ContractError):
-        heights.antidominant_conjugate(rs, rootsys.WeightVec((1, 0, 2)))
+        alcove.window_basis_report(_inert(a2), phi)

@@ -272,6 +272,16 @@ def test_malformed_rational_exits_1(capsys):
     assert out["error"]["kind"] == "usage"
 
 
+def test_rational_past_the_size_limit_exits_1(capsys):
+    # the translation by -10^5000 would not survive the int-to-text step of the JSON report
+    code, out, err = run_cli(capsys, ["reduce", "--type", "A", "--rank", "1", "--point", "1e5000"])
+    assert code == 1 and out["error"]["kind"] == "usage" and "4096 bits" in out["error"]["message"]
+    assert err == ""
+    # 10^1233 has 4096 bits, 10^1234 has 4100
+    assert run_cli(capsys, ["reduce", "--type", "A", "--rank", "1", "--point=-1e1233"])[0] == 0
+    assert run_cli(capsys, ["critical", "--type", "A", "--rank", "2", "--phi", "1,1e-1234"])[0] == 1
+
+
 def test_wrong_arity_exits_1(capsys):
     code, out, _ = run_cli(capsys, ["critical", "--type", "A", "--rank", "2", "--phi", "1/3"])
     assert code == 1

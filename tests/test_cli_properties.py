@@ -3,7 +3,8 @@
 Each subcommand but ``selftest`` gets an argv strategy that mixes well-formed
 values with malformed ones (unknown types, bad ranks, non-primes, empty
 strings, ``1/0``, stray commas, leading minus signs with and without ``=``,
-ragged or non-integer JSON matrices), run in-process through ``cli.main``.
+ragged or non-integer JSON matrices, rationals in exponent form or too large
+to report), run in-process through ``cli.main``.
 Sizes stay small (rank <= 9, p <= 13) so every case is cheap; the cases are
 derandomized, so every run draws the same ones.
 """
@@ -60,7 +61,12 @@ def _listed(good, bad, size):
 
 _P = _mostly(_text(st.sampled_from(_PRIMES)),
              st.sampled_from(("-3", "0", "1", "4", "9", "15", str(10**25)) + _JUNK))
-_RATIONAL = st.sampled_from(("0", "1/3", "-1/4", "2/9", "1/9", "7/5", "-3", " 1/2", "5/12"))
+_RATIONAL = _mostly(
+    st.sampled_from(("0", "1/3", "-1/4", "2/9", "1/9", "7/5", "-3", " 1/2", "5/12")),
+    # exponent forms, and numerators or denominators on both sides of the 4096-bit limit
+    st.sampled_from(("1e3", "-2.5e-1", "1E-2", "1e1233", "-1e1233", "1e5000", "-1e-5000",
+                     "-" + "7" * 1200 + "/9", "1" + "0" * 1300, "3/" + "1" * 1300,
+                     "1" + "0" * 5000)))
 _BAD = st.sampled_from(_JUNK)
 
 

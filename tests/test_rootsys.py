@@ -1,5 +1,6 @@
 """Root systems generated by reflection closure, checked against classical data."""
 
+import math
 import random
 
 import pytest
@@ -359,6 +360,30 @@ def test_sparse_closure_matches_dense_closure(t, n):
 def test_orbit_order_matches_dense_product_order(t, n):
     rs = rootsys.build(t, n)
     assert rootsys.coxeter_via_element(rs) == _dense_coxeter_order(rs) == rs.coxeter_number
+
+
+def _simple_root_orbit_order(rs):
+    """lcm of the orbit lengths of the simple roots under c, applied as the letters rank..1."""
+    letters = range(rs.rank, 0, -1)
+    order = 1
+    for i in range(rs.rank):
+        start = [int(j == i) for j in range(rs.rank)]
+        v = list(start)
+        length = next(k for k in range(1, len(rs.roots) + 1)
+                      if rootsys.apply_letters(rs, letters, v, "root") == start)
+        order = math.lcm(order, length)
+    return order
+
+
+UP_TO_TWELVE = ([("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 13)]
+                + [("C", n) for n in range(2, 13)] + [("D", n) for n in range(4, 13)]
+                + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("t,n", UP_TO_TWELVE)
+def test_rho_orbit_order_matches_simple_root_orbit_lcm(t, n):
+    rs = rootsys.build(t, n)
+    assert rootsys.coxeter_via_element(rs) == _simple_root_orbit_order(rs) == rs.coxeter_number
 
 
 def test_coxeter_element_order_above_one_hundred():
