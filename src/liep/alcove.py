@@ -40,7 +40,7 @@ from typing import Iterable
 
 from .errors import ContractError
 from .primes import require_prime
-from .rootsys import RootSystem, RootVec, apply_letters, simple_reflection_matrix
+from .rootsys import RootSystem, RootVec, _lowest_links, apply_letters, simple_reflection_matrix
 
 __all__ = [
     "PhiHom",
@@ -180,12 +180,6 @@ def word_matrix(rs: RootSystem, word: Iterable[int]) -> tuple[tuple[int, ...], .
     """
     word = _reduced(rs, word)
     return tuple(tuple(apply_letters(rs, word, list(e), "point")) for e in _identity(rs.rank))
-
-
-@lru_cache(maxsize=None)
-def _lowest_links(rs: RootSystem) -> tuple[int, ...]:
-    """For each i, the lowest index j with C[i][j] != 0: the lowest coordinate s_i moves."""
-    return tuple(min(j for j, _ in row) for row in rs._rows)
 
 
 def _dominance_walk(rs: RootSystem, z: list[int], cap: int, message: str) -> list[int]:
@@ -406,17 +400,49 @@ def window_basis(rs: RootSystem, phi: PhiHom) -> BasisChoice:
     return window_basis_report(rs, phi).basis
 
 
+@lru_cache(maxsize=None)
+def _height_parents(rs: RootSystem) -> tuple[tuple[int, int], ...]:
+    """One ``(parent, i)`` per positive root, in ``rs.positive_roots`` order.
+
+    The root is ``positive_roots[parent] + alpha_i``, one height higher, with ``parent = -1``
+    for the simple root alpha_i.  Every positive root above height 1 minus some simple root
+    is a positive root; the lowest such i is taken.  Roots are sorted by height, so each
+    parent precedes its child.
+    """
+    index = rs._index
+    table = []
+    for a in rs.positive_roots:
+        m = a.coords
+        if sum(m) == 1:
+            table.append((-1, m.index(1)))
+            continue
+        for i, x in enumerate(m):
+            if x:
+                parent = index.get(m[:i] + (x - 1,) + m[i + 1:])
+                if parent is not None:
+                    table.append((parent, i))
+                    break
+        else:
+            raise ContractError(f"positive root {m} has no positive root one height below")
+    return tuple(table)
+
+
 def _scaled_values(rs: RootSystem, phi: PhiHom) -> tuple[int, list[int]]:
     """N and ``h * N * phi(alpha)`` per root, with phi(alpha) = (sum_i alpha_i k_i mod N) / N.
 
-    ``rs.roots`` lists the negatives after the positive roots in the same order,
-    so N phi(-alpha) = (-N phi(alpha)) mod N reuses the positive root's value.
+    Each positive root's value is its height parent's value plus h k_i, mod h N
+    (``_height_parents``): one addition per root, not a rank-length dot product.
+    ``rs.roots`` lists the negatives after the positive roots in the same order, so
+    h N phi(-alpha) = (-h N phi(alpha)) mod h N reuses the positive root's value.
     """
     _check_rank(rs, phi.rank)
     k, den = _numerators(phi.values)
     h = rs.coxeter_number
-    pos = [sum(map(mul, a.coords, k)) % den for a in rs.positive_roots]
-    return den, [h * v for v in pos] + [h * (-v % den) for v in pos]
+    hk, hden = [h * x for x in k], h * den
+    pos: list[int] = []
+    for parent, i in _height_parents(rs):
+        pos.append(((pos[parent] if parent >= 0 else 0) + hk[i]) % hden)
+    return den, pos + [-v % hden for v in pos]
 
 
 def critical_roots(rs: RootSystem, phi: PhiHom) -> tuple[RootVec, ...]:

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -71,13 +72,46 @@ def _enc(x):
 _MAX_BITS = 4096
 
 
+# 10^1233 < 2^4096 < 10^1234, so 10^1234 is the least power of ten past the limit
+_MAX_DIGITS = len(str(1 << _MAX_BITS))
+_EXPONENT_FORM = re.compile(r"[+-]?([0-9]*)(?:\.([0-9]*))?[eE]([+-]?)([0-9]+)")
+
+
+def _exponent_past_limit(text: str) -> bool:
+    """Whether an exponent form's exponent alone puts it past ``_MAX_BITS``, read off its digits.
+
+    ``Fraction`` expands 10^|e| before any size check can run, which grows with |e|.  The
+    form's value is M 10^E, with E the exponent less the decimal places and M < 10^d the
+    mantissa of d significant digits.  When M != 0, E >= 1234 gives a numerator of at least
+    10^1234, and -E >= d + 1234 a denominator above 10^(-E - d) >= 10^1234: both past the
+    limit.  Digit groups that ``int`` would refuse under the interpreter's digit limit are
+    left to ``Fraction``, which rejects them as malformed before expanding anything.
+    """
+    form = _EXPONENT_FORM.fullmatch(text)
+    if form is None:
+        return False
+    whole, decimals, sign, exp = form.groups()
+    decimals = decimals or ""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and max(len(whole), len(decimals), len(exp)) > limit:
+        return False
+    digits = len((whole + decimals).lstrip("0"))
+    if not digits:
+        return False
+    shift = int(sign + exp) - len(decimals)
+    return shift >= _MAX_DIGITS or -shift >= digits + _MAX_DIGITS
+
+
 def _parse_fraction(text: str) -> Fraction:
+    too_large = ValueError(f"rational {text!r} has a numerator or denominator above {_MAX_BITS} bits")
+    if _exponent_past_limit(text.strip()):
+        raise too_large
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None
     if max(abs(value.numerator), value.denominator).bit_length() > _MAX_BITS:
-        raise ValueError(f"rational {text!r} has a numerator or denominator above {_MAX_BITS} bits")
+        raise too_large
     return value
 
 

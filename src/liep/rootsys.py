@@ -348,6 +348,17 @@ def coxeter_via_element(rs: RootSystem) -> int:
     raise ContractError("Coxeter element orbit exceeds |Phi|; arithmetic is broken")
 
 
+@lru_cache(maxsize=None)
+def _lowest_links(rs: RootSystem) -> tuple[int, ...]:
+    """For each i, the lowest index j with C[i][j] != 0.
+
+    A Cartan matrix has a symmetric nonzero pattern, so this is also the lowest k with
+    C[k][i] != 0: the lowest coordinate that s_i moves on a point (row i) or on a
+    weight (column i).  The walks that reflect at a lowest bad coordinate resume there.
+    """
+    return tuple(min(j for j, _ in row) for row in rs._rows)
+
+
 def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of ``s_i`` on simple-root coordinates (columns are images of e_j)."""
     rs._check_simple_index(i)

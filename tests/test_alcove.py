@@ -314,6 +314,21 @@ def test_basis_roots_match_the_full_word_root_action(t, n):
         assert basis.basis_roots(rs) == full
 
 
+@pytest.mark.parametrize("t,n", TWINS + [("A", 60), ("B", 30), ("D", 40)])
+def test_height_parents_step_down_by_one_simple_root(t, n):
+    rs = rootsys.build(t, n)
+    parents = alcove._height_parents(rs)
+    assert len(parents) == len(rs.positive_roots)
+    for k, (root, (parent, i)) in enumerate(zip(rs.positive_roots, parents)):
+        below = list(root.coords)
+        below[i] -= 1
+        if parent == -1:
+            assert root == rs.simple_root(i + 1)
+        else:
+            assert 0 <= parent < k
+            assert rs.positive_roots[parent].coords == tuple(below)
+
+
 @pytest.mark.parametrize("t,n", TWINS)
 def test_integer_window_tests_match_fraction_route(t, n):
     rs = rootsys.build(t, n)

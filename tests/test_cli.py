@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,16 @@ def test_rational_past_the_size_limit_exits_1(capsys):
     # 10^1233 has 4096 bits, 10^1234 has 4100
     assert run_cli(capsys, ["reduce", "--type", "A", "--rank", "1", "--point=-1e1233"])[0] == 0
     assert run_cli(capsys, ["critical", "--type", "A", "--rank", "2", "--phi", "1,1e-1234"])[0] == 1
+
+
+def test_exponent_past_the_size_limit_is_rejected_before_it_is_expanded(capsys):
+    # Fraction("1e10000000") would spend seconds building 10^10000000 first
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, ["reduce", "--type", "A", "--rank", "1", "--point", "1e10000000"])
+    assert time.perf_counter() - started < 1
+    assert code == 1 and out["error"]["kind"] == "usage" and err == ""
+    assert out["error"]["message"] == (
+        "rational '1e10000000' has a numerator or denominator above 4096 bits")
 
 
 def test_wrong_arity_exits_1(capsys):

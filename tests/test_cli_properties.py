@@ -6,13 +6,16 @@ strings, ``1/0``, stray commas, leading minus signs with and without ``=``,
 ragged or non-integer JSON matrices, rationals in exponent form or too large
 to report), run in-process through ``cli.main``.
 Sizes stay small (rank <= 9, p <= 13) so every case is cheap; the cases are
-derandomized, so every run draws the same ones.
+derandomized, so every run draws the same ones.  A second property parses
+exponent forms with |e| <= 3000, many of them at the edges of the early
+exponent check, and requires the same value or message as ``Fraction`` alone.
 """
 
 import contextlib
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -209,3 +212,50 @@ def test_every_argv_gets_one_json_report_and_a_contract_exit_code(command, data)
     if code:
         assert (report["error"]["kind"], code) in {("usage", 1), ("contract", 2)}, err.getvalue()
     assert elapsed < CASE_SECONDS, f"{argv} took {elapsed:.1f} s"
+
+
+def _full_parse(text):
+    """``cli._parse_fraction`` without its early exponent check: the value, or the error text."""
+    try:
+        value = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"malformed rational {text!r}: {exc}"
+    if max(abs(value.numerator), value.denominator).bit_length() > cli._MAX_BITS:
+        return f"rational {text!r} has a numerator or denominator above {cli._MAX_BITS} bits"
+    return value
+
+
+_DIGITS = st.text("0123456789", max_size=6)
+# 10^1233, 10^1240 / 5^10 and 10^1261 / 2^93 all have 4096 bits: with these mantissas the
+# full parse accepts one step inside each edge of the early check and rejects at the edge
+_MANTISSAS = st.one_of(_DIGITS, st.sampled_from(("1", "0001", str(5 ** 10), str(2 ** 93))))
+
+
+@st.composite
+def _exponent_form(draw):
+    whole, decimals = draw(_MANTISSAS), draw(st.none() | _DIGITS)
+    places = len(decimals or "")
+    digits = len((whole + (decimals or "")).lstrip("0"))
+    # the edges sit at E = 1234 and -E = digits + 1234, E being the exponent less the places;
+    # |e| <= 3000 keeps the full parse cheap
+    edge = st.sampled_from((places + 1234, places - digits - 1234))
+    exponent = draw(st.one_of(st.integers(-3000, 3000),
+                              st.tuples(edge, st.integers(-2, 2)).map(sum)))
+    pad = draw(st.sampled_from(("", " ")))
+    sign = draw(st.sampled_from(("", "+", "-")))
+    e = draw(st.sampled_from("eE"))
+    point = "" if decimals is None else "." + decimals
+    return f"{pad}{sign}{whole}{point}{e}{exponent}{pad}"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(text=_exponent_form())
+def test_early_exponent_verdict_matches_the_full_parse(text):
+    full = _full_parse(text)
+    try:
+        verdict = cli._parse_fraction(text)
+    except ValueError as exc:
+        verdict = str(exc)
+    assert verdict == full
+    if cli._exponent_past_limit(text.strip()):
+        assert full == f"rational {text!r} has a numerator or denominator above {cli._MAX_BITS} bits"

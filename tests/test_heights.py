@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -241,3 +242,33 @@ def test_non_conjugate_leaves_the_root_lattice(t, n, monkeypatch):
                         lambda rs, w: conjugate(rs, w) - fundamental_weight(rs, i))
     with pytest.raises(ContractError, match="left the root lattice"):
         heights.dynkin_height(rs, fundamental_weight(rs, 1))
+
+
+# Slow twin of the descent: the loop it replaced, copied here as it was (a rescan from
+# index 0, one apply_letters call per letter, and the pairing with 2 rho^vee in full).
+DESCENT_TWINS = ([("A", n) for n in range(1, 13)] + [(t, n) for t in "BC" for n in range(2, 13)]
+                 + [("D", n) for n in range(4, 13)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4),
+                                                       ("G", 2), ("A", 60)])
+
+
+def _descent_twin(rs, weight):
+    two_rho = heights._two_rho_coroot(rs)
+    coords = list(weight.coords)
+    for _ in range(len(rs.positive_roots) + 1):
+        i = next((k for k in range(rs.rank) if coords[k] > 0), None)
+        if i is None:
+            return WeightVec(tuple(coords))
+        before = sum(map(mul, coords, two_rho))
+        rootsys.apply_letters(rs, (i + 1,), coords, "weight")
+        assert sum(map(mul, coords, two_rho)) < before
+    raise AssertionError("descent exceeded the number of positive roots")
+
+
+@pytest.mark.parametrize("t,n", DESCENT_TWINS)
+def test_antidominant_descent_matches_the_rescanning_twin(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"descent-twin:{t}{n}")
+    weights = [WeightVec(tuple(rng.randrange(6) for _ in range(n))) for _ in range(5 if n > 12 else 30)]
+    weights += [WeightVec((1,) * n)] + [fundamental_weight(rs, i) for i in range(1, n + 1)]
+    for lam in weights:
+        assert heights.antidominant_conjugate(rs, lam) == _descent_twin(rs, lam)
