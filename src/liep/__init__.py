@@ -4,13 +4,14 @@ Four areas, all over exact integers and rationals:
 
 * ``rootsys``: irreducible root systems A-G generated by reflection
   closure, Coxeter numbers three independent ways, good primes, and
-  grading degrees for parabolic and closed subsets.
+  grading degrees for parabolic subsets.
 * ``alcove``: homomorphisms from the root lattice to Q/Z, reduction of
   rational coweight points to the fundamental alcove, and the selection
   of a basis making every root in the window (0, 1/h) positive, with a
   brute-force chamber oracle for cross-checking.
 * ``heights``: heights of dominant weights by two routes, minimal
-  nontrivial heights, and composite general-linear heights.
+  nontrivial heights, and composite general-linear heights; ``liep
+  lowheight`` compares a height with p.
 * ``charp`` / ``bch``: truncated exponential, logarithm, and binomial
   power series for p-nilpotent and p-unipotent matrices over Z/p, the
   truncated group law with exact rational bracket tables, scalar-shift
@@ -58,8 +59,6 @@ from .heights import (
     HeightReport,
     composite_gl_height,
     dynkin_height,
-    height_vs_coxeter_check,
-    is_low_height,
     min_nontrivial_height,
     semisimplicity_bound_ok,
 )
@@ -69,7 +68,6 @@ from .rootsys import (
     RootVec,
     WeightVec,
     build,
-    closed_subset_degrees,
     coxeter_via_element,
     coxeter_via_marks,
     coxeter_via_rho,

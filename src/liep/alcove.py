@@ -96,9 +96,6 @@ class PhiHom:
             Fraction(0),
         ) % 1
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
 
 @dataclass(frozen=True)
 class CoweightPoint:
@@ -516,9 +513,12 @@ def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -
     if j < 1:
         raise ValueError("j must be at least 1")
     _check_rank(rs, len(cochar))
+    for c in cochar:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"cocharacter entry {c!r} is not an integer")
     den = p**j
     vals = tuple(
-        Fraction(sum(rs.cartan[k][i] * int(cochar[k]) for k in range(rs.rank)), den)
+        Fraction(sum(rs.cartan[k][i] * cochar[k] for k in range(rs.rank)), den)
         for i in range(rs.rank)
     )
     return PhiHom(vals)

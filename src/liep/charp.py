@@ -78,17 +78,6 @@ class FpMatrix:
         return cls.from_rows(p, [[int(r == c) for c in range(n)] for r in range(n)])
 
     @classmethod
-    def zeros(cls, p: int, n: int) -> "FpMatrix":
-        return cls.from_rows(p, [[0] * n for _ in range(n)])
-
-    @classmethod
-    def matrix_unit(cls, p: int, n: int, i: int, j: int) -> "FpMatrix":
-        """Single 1 in row i, column j (0-based)."""
-        rows = [[0] * n for _ in range(n)]
-        rows[i][j] = 1
-        return cls.from_rows(p, rows)
-
-    @classmethod
     def diagonal(cls, p: int, entries) -> "FpMatrix":
         ent = list(entries)
         n = len(ent)
@@ -139,24 +128,14 @@ class FpMatrix:
                 base = base * base
         return FpMatrix.identity(self.p, self.n) if out is None else out
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n)) % self.p
-
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.rows for a in r)
 
     def is_identity(self) -> bool:
         return self == FpMatrix.identity(self.p, self.n)
 
-    def is_scalar(self) -> bool:
-        d = self.rows[0][0]
-        return self == FpMatrix.identity(self.p, self.n).scale(d)
-
     def is_nilpotent(self) -> bool:
         return (self ** self.n).is_zero()
-
-    def is_unipotent(self) -> bool:
-        return (self - FpMatrix.identity(self.p, self.n)).is_nilpotent()
 
     def is_strictly_upper(self) -> bool:
         return all(
@@ -421,16 +400,15 @@ def cyclic_shift_matrix(p: int, weights) -> FpMatrix:
     of all weights), nonzero, so the matrix is invertible and never nilpotent.
     """
     require_prime(p)
-    w = [int(t) % p for t in weights]
+    w = list(weights)
     if len(w) != p:
         raise ValueError(f"need exactly {p} weights, got {len(w)}")
-    if any(t == 0 for t in w):
-        raise ContractError("every cycle weight must be nonzero mod p")
     rows = [[0] * p for _ in range(p)]
-    for i in range(p - 1):
-        rows[i][i + 1] = w[i]
-    rows[p - 1][0] = w[p - 1]
-    x = FpMatrix.from_rows(p, rows)
+    for i in range(p):
+        rows[i][(i + 1) % p] = w[i]
+    x = FpMatrix.from_rows(p, rows)  # rejects a weight that is not an int
+    if any(x.rows[i][(i + 1) % p] == 0 for i in range(p)):
+        raise ContractError("every cycle weight must be nonzero mod p")
     if (x ** p) != FpMatrix.identity(p, p).scale(cycle_power_scalar(p, w)):
         raise ContractError("cycle power identity failed; arithmetic is broken")
     return x

@@ -77,41 +77,48 @@ _MAX_DIGITS = len(str(1 << _MAX_BITS))
 _EXPONENT_FORM = re.compile(r"[+-]?([0-9]*)(?:\.([0-9]*))?[eE]([+-]?)([0-9]+)")
 
 
-def _exponent_past_limit(text: str) -> bool:
-    """Whether an exponent form's exponent alone puts it past ``_MAX_BITS``, read off its digits.
+def _exponent_form_value(text: str) -> Fraction | None:
+    """The value of an exponent form when its digits alone decide it, else None.
 
     ``Fraction`` expands 10^|e| before any size check can run, which grows with |e|.  The
     form's value is M 10^E, with E the exponent less the decimal places and M < 10^d the
-    mantissa of d significant digits.  When M != 0, E >= 1234 gives a numerator of at least
-    10^1234, and -E >= d + 1234 a denominator above 10^(-E - d) >= 10^1234: both past the
-    limit.  Digit groups that ``int`` would refuse under the interpreter's digit limit are
-    left to ``Fraction``, which rejects them as malformed before expanding anything.
+    mantissa of d significant digits.  M = 0 gives 0 at any exponent.  When M != 0, E >= 1234
+    gives a numerator of at least 10^1234, and -E >= d + 1234 a denominator above
+    10^(-E - d) >= 10^1234: both past the limit, which raises the size usage error.  Every
+    other form is left to ``Fraction``, as are digit groups that ``int`` would refuse under
+    the interpreter's digit limit; ``Fraction`` rejects those as malformed before expanding.
     """
-    form = _EXPONENT_FORM.fullmatch(text)
+    form = _EXPONENT_FORM.fullmatch(text.strip())
     if form is None:
-        return False
+        return None
     whole, decimals, sign, exp = form.groups()
     decimals = decimals or ""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit and max(len(whole), len(decimals), len(exp)) > limit:
-        return False
+        return None
     digits = len((whole + decimals).lstrip("0"))
     if not digits:
-        return False
+        return Fraction(0) if whole or decimals else None
     shift = int(sign + exp) - len(decimals)
-    return shift >= _MAX_DIGITS or -shift >= digits + _MAX_DIGITS
+    if shift >= _MAX_DIGITS or -shift >= digits + _MAX_DIGITS:
+        raise _too_large(text)
+    return None
+
+
+def _too_large(text: str) -> ValueError:
+    return ValueError(f"rational {text!r} has a numerator or denominator above {_MAX_BITS} bits")
 
 
 def _parse_fraction(text: str) -> Fraction:
-    too_large = ValueError(f"rational {text!r} has a numerator or denominator above {_MAX_BITS} bits")
-    if _exponent_past_limit(text.strip()):
-        raise too_large
+    early = _exponent_form_value(text)
+    if early is not None:
+        return early
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}: {exc}") from None
     if max(abs(value.numerator), value.denominator).bit_length() > _MAX_BITS:
-        raise too_large
+        raise _too_large(text)
     return value
 
 

@@ -23,18 +23,15 @@ from .rootsys import (
     WeightVec,
     _lowest_links,
     _scaled_cartan_inverse,
-    coxeter_via_marks,
     fundamental_weight,
 )
 
 __all__ = [
     "HeightReport",
     "dynkin_height",
-    "is_low_height",
     "min_nontrivial_height",
     "composite_gl_height",
     "semisimplicity_bound_ok",
-    "height_vs_coxeter_check",
     "antidominant_conjugate",
 ]
 
@@ -122,12 +119,6 @@ def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
     return HeightReport(via_pairing, via_pairing, via_difference, low)
 
 
-def is_low_height(rs: RootSystem, weight: WeightVec, p: int) -> bool:
-    """Whether the prime strictly exceeds the weight's height."""
-    require_prime(p)
-    return p > dynkin_height(rs, weight).height
-
-
 def min_nontrivial_height(rs: RootSystem) -> int:
     """Smallest height over the fundamental weights."""
     return min(
@@ -154,11 +145,3 @@ def semisimplicity_bound_ok(dims: tuple[int, ...], ms: tuple[int, ...], p: int) 
     """Whether the composite height is strictly below the prime."""
     require_prime(p)
     return composite_gl_height(dims, ms) < p
-
-
-def height_vs_coxeter_check(rs: RootSystem, weight: WeightVec) -> bool:
-    """Whether a nonzero dominant weight's height reaches h - 1."""
-    _require_dominant(weight)
-    if weight.is_zero():
-        raise ContractError("zero weight has no nontrivial height comparison")
-    return dynkin_height(rs, weight).height >= coxeter_via_marks(rs) - 1

@@ -27,7 +27,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, NamedTuple
@@ -47,8 +46,6 @@ __all__ = [
     "root_height",
     "is_good_prime",
     "parabolic_degrees",
-    "closed_subset_degrees",
-    "weight_to_root_coords",
     "fundamental_weight",
     "simple_reflection_matrix",
     "apply_letters",
@@ -84,9 +81,6 @@ class WeightVec(_IntVec):
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -129,16 +123,6 @@ class RootSystem:
         if pos is None:
             raise ContractError(f"{alpha.coords} is not a root of {self.type_label}{self.rank}")
         return self.coroots[pos]
-
-    def pairing(self, alpha: RootVec, i: int) -> int:
-        """``<alpha, alpha_i^vee>`` for a 1-based simple index ``i``."""
-        self._check_simple_index(i)
-        row = self.cartan[i - 1]
-        return sum(cij * a for cij, a in zip(row, alpha.coords))
-
-    def simple_root(self, i: int) -> RootVec:
-        self._check_simple_index(i)
-        return RootVec(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
 
     def reflect(self, v: RootVec, i: int) -> RootVec:
         """Apply the simple reflection ``s_i`` (1-based) to a root vector."""
@@ -441,49 +425,6 @@ def parabolic_degrees(rs: RootSystem, subset: Iterable[int]) -> ParabolicDegrees
     return ParabolicDegrees(degrees, max(degrees.values(), default=0))
 
 
-def closed_subset_degrees(rs: RootSystem, subset: Iterable[RootVec]) -> dict[RootVec, int]:
-    """Maximal number of parts in a decomposition of each member of ``subset``.
-
-    ``subset`` must be a set of positive roots closed under addition
-    within the positive roots.  The degree of ``alpha`` is the largest k
-    such that ``alpha`` is a sum of k members of the subset; members are
-    computed by dynamic programming over lattice points below the
-    highest root, which bounds every partial sum of such a decomposition.
-    """
-    gamma = list(subset)
-    gset = {a.coords for a in gamma}
-    pos = {a.coords for a in rs.positive_roots}
-    for a in gamma:
-        if a.coords not in pos:
-            raise ContractError(f"{a.coords} is not a positive root")
-    for x in gset:
-        for y in gset:
-            s = tuple(u + v for u, v in zip(x, y))
-            if s in pos and s not in gset:
-                raise ContractError(
-                    f"subset is not closed under addition: {x} + {y} = {s} is missing"
-                )
-
-    theta = rs.highest_root.coords
-    top = sum(theta)
-    # best[v] = max parts over decompositions of v into subset members
-    by_height: dict[int, dict[tuple[int, ...], int]] = {0: {tuple(0 for _ in theta): 0}}
-    for h in range(top + 1):
-        level = by_height.get(h)
-        if not level:
-            continue
-        for v, parts in level.items():
-            for g in gset:
-                u = tuple(a + b for a, b in zip(v, g))
-                if any(x > t for x, t in zip(u, theta)):
-                    continue
-                hu = h + sum(g)
-                bucket = by_height.setdefault(hu, {})
-                if bucket.get(u, 0) < parts + 1:
-                    bucket[u] = parts + 1
-    return {a: by_height[sum(a.coords)][a.coords] for a in gamma}
-
-
 @lru_cache(maxsize=None)
 def _scaled_cartan_inverse(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """D and the integer matrix ``D C^-1``, D the lcm of C^-1's denominators (it divides det C).
@@ -504,12 +445,6 @@ def _scaled_cartan_inverse(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], 
         prev = piv
     g = gcd(prev, *(x for row in aug for x in row[n:]))
     return prev // g, tuple(tuple(x // g for x in row[n:]) for row in aug)
-
-
-def weight_to_root_coords(rs: RootSystem, w: WeightVec) -> tuple[Fraction, ...]:
-    """Exact simple-root coordinates of a weight: solve ``C x = w``."""
-    den, scaled = _scaled_cartan_inverse(rs)
-    return tuple(Fraction(sum(x * c for x, c in zip(row, w.coords)), den) for row in scaled)
 
 
 def fundamental_weight(rs: RootSystem, i: int) -> WeightVec:

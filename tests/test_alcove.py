@@ -135,7 +135,7 @@ def test_window_basis_identity_case():
 def test_window_basis_rank_one():
     rs = rootsys.build("A", 1)
     basis = alcove.window_basis(rs, PhiHom((F(1, 4),)))
-    assert basis.is_positive(rs, rs.simple_root(1))
+    assert basis.is_positive(rs, rootsys.RootVec((1,)))
 
 
 def test_window_basis_nontrivial_chamber():
@@ -214,6 +214,14 @@ def test_restriction_validates_arguments():
         alcove.mu_pj_restriction(a2, (1, 1), 3, 0)
     with pytest.raises(ValueError):
         alcove.mu_pj_restriction(a2, (1,), 3, 1)
+
+
+def test_restriction_rejects_non_integer_cocharacters():
+    # int() would quietly read (1.5, 0) as (1, 0)
+    a2 = rootsys.build("A", 2)
+    for cochar in ((1.5, 0), (1, True), (F(1), 0)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            alcove.mu_pj_restriction(a2, cochar, 3, 1)
 
 
 def test_rank_mismatch_rejected():
@@ -323,7 +331,7 @@ def test_height_parents_step_down_by_one_simple_root(t, n):
         below = list(root.coords)
         below[i] -= 1
         if parent == -1:
-            assert root == rs.simple_root(i + 1)
+            assert not any(below)  # root is the simple root alpha_{i+1}
         else:
             assert 0 <= parent < k
             assert rs.positive_roots[parent].coords == tuple(below)

@@ -11,6 +11,7 @@ from itertools import accumulate, combinations
 import pytest
 
 from liep import charp, cli
+from liep.acceptance import random_invertible, random_strict_upper
 from liep.charp import FpMatrix
 from liep.errors import ContractError
 from liep.primes import is_prime
@@ -25,19 +26,6 @@ def _jordan(p, n):
 
 def _random_matrix(rng, p, n):
     return FpMatrix.from_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-
-
-def _random_invertible(rng, p, n):
-    while True:
-        g = _random_matrix(rng, p, n)
-        if charp.det(g):
-            return g
-
-
-def _random_strict_upper(rng, p, n):
-    return FpMatrix.from_rows(
-        p, [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
-    )
 
 
 @pytest.fixture
@@ -85,9 +73,9 @@ def test_arithmetic_basics():
     assert (3 * b).rows == (b * 3).rows == ((0, 3), (3, 0))
     assert (-2 * a).rows == a.scale(5).rows == ((5, 3), (1, 6))
     assert (a * -1) == -a == a.scale(-8)
-    assert a.scale(p) == a.scale(0) == 0 * a == FpMatrix.zeros(p, 2)
+    assert a.scale(p) == a.scale(0) == 0 * a == FpMatrix.from_rows(p, [[0, 0], [0, 0]])
     assert a.scale(p + 3) == a.scale(3) == a.scale(3 - 2 * p) == a + a + a
-    assert a.trace() == 5
+    assert charp.ext_traces(a)[0] == 5
     assert (a ** 3) == a * a * a
     power = FpMatrix.identity(p, 2)
     for k in range(21):
@@ -104,16 +92,12 @@ def test_arithmetic_basics():
 
 def test_predicates():
     p = 5
-    assert FpMatrix.zeros(p, 3).is_zero()
+    assert FpMatrix.identity(p, 3).scale(0).is_zero()
     assert FpMatrix.identity(p, 3).is_identity()
-    assert FpMatrix.identity(p, 3).scale(4).is_scalar()
-    assert not FpMatrix.matrix_unit(p, 3, 0, 1).is_scalar()
     assert _jordan(p, 3).is_nilpotent()
     assert _jordan(p, 3).is_strictly_upper()
-    assert not _jordan(p, 3).is_unipotent()
-    assert (FpMatrix.identity(p, 3) + _jordan(p, 3)).is_unipotent()
     assert not FpMatrix.diagonal(p, [1, 2, 3]).is_nilpotent()
-    assert not FpMatrix.matrix_unit(p, 2, 1, 0).is_strictly_upper()
+    assert not FpMatrix.from_rows(p, [[0, 0], [1, 0]]).is_strictly_upper()
 
 
 # --- determinant, inverse, exterior traces ---------------------------------
@@ -138,7 +122,7 @@ def test_inverse_round_trip():
     rng = random.Random("inverse")
     for p in (3, 5, 7):
         for _ in range(20):
-            g = _random_invertible(rng, p, rng.randint(1, 4))
+            g = random_invertible(rng, p, rng.randint(1, 4))
             assert (g * charp.inverse(g)).is_identity()
             assert (charp.inverse(g) * g).is_identity()
 
@@ -268,7 +252,7 @@ def test_pgl_lift_answers_at_the_e8_scale():
 # --- truncated series ------------------------------------------------------
 
 def test_exp_of_zero_and_log_of_identity():
-    assert charp.trunc_exp(FpMatrix.zeros(5, 3)).is_identity()
+    assert charp.trunc_exp(FpMatrix.identity(5, 3).scale(0)).is_identity()
     assert charp.trunc_log(FpMatrix.identity(5, 3)).is_zero()
 
 
@@ -294,10 +278,10 @@ def test_exp_log_round_trips():
     for p in (2, 3, 5, 7):
         for _ in range(30):
             n = rng.randint(1, p)
-            g = _random_invertible(rng, p, n)
-            x = g * _random_strict_upper(rng, p, n) * charp.inverse(g)
+            g = random_invertible(rng, p, n)
+            x = g * random_strict_upper(rng, p, n) * charp.inverse(g)
             u = charp.trunc_exp(x)
-            assert u.is_unipotent()
+            assert (u - FpMatrix.identity(p, n)).is_nilpotent()
             assert charp.trunc_log(u) == x
             assert charp.trunc_exp(charp.trunc_log(u)) == u
 
@@ -305,7 +289,7 @@ def test_exp_log_round_trips():
 def test_series_keep_nothing_per_input():
     p, n = 1009, 3
     rng = random.Random("retention")
-    inputs = [_random_strict_upper(rng, p, n) for _ in range(20)]
+    inputs = [random_strict_upper(rng, p, n) for _ in range(20)]
     charp.trunc_exp(inputs[0])  # warm any per-process state before measuring
     tracemalloc.start()
     try:
@@ -320,7 +304,7 @@ def test_series_keep_nothing_per_input():
 
 def test_t_power_examples():
     p = 3
-    u = FpMatrix.identity(p, 2) + FpMatrix.matrix_unit(p, 2, 0, 1)
+    u = FpMatrix.from_rows(p, [[1, 1], [0, 1]])
     assert charp.t_power(u, 0).is_identity()
     assert charp.t_power(u, 1) == u
     assert charp.t_power(u, 2).rows == ((1, 2), (0, 1))
@@ -334,8 +318,8 @@ def test_t_power_matches_repeated_multiplication():
     for p in (3, 5, 7):
         for _ in range(15):
             n = rng.randint(1, p)
-            g = _random_invertible(rng, p, n)
-            u = charp.trunc_exp(g * _random_strict_upper(rng, p, n) * charp.inverse(g))
+            g = random_invertible(rng, p, n)
+            u = charp.trunc_exp(g * random_strict_upper(rng, p, n) * charp.inverse(g))
             t = rng.randrange(2 * p)
             assert charp.t_power(u, t) == u ** t
 
@@ -369,12 +353,12 @@ def _unipotents(rng, p, n):
             for j in range(i + 1, start + size):
                 blocks[i][j] = rng.randrange(p)
         start += size
-    g = _random_invertible(rng, p, n)
+    g = random_invertible(rng, p, n)
     one = FpMatrix.identity(p, n)
     out = [one + g * FpMatrix.from_rows(p, blocks) * charp.inverse(g)]
     if n > p:
         out.append(one + _jordan(p, n))
-    out.append(one + FpMatrix.matrix_unit(p, n, n - 1, n - 1))  # last diagonal entry 2
+    out.append(FpMatrix.diagonal(p, [1] * (n - 1) + [2]))
     return out
 
 
@@ -421,9 +405,9 @@ def test_bch_table_validation():
 def test_bch_apply_identity_element():
     p = 5
     table = charp.bch_table(p, 3)
-    x = _jordan(p, 4)
-    assert charp.bch_apply(table, x, FpMatrix.zeros(p, 4)) == x
-    assert charp.bch_apply(table, FpMatrix.zeros(p, 4), x) == x
+    x, zero = _jordan(p, 4), FpMatrix.identity(p, 4).scale(0)
+    assert charp.bch_apply(table, x, zero) == x
+    assert charp.bch_apply(table, zero, x) == x
 
 
 def test_bch_apply_is_the_group_law():
@@ -432,8 +416,8 @@ def test_bch_apply_is_the_group_law():
         for _ in range(25):
             n = rng.randint(2, p)
             table = charp.bch_table(p, n - 1)
-            x = _random_strict_upper(rng, p, n)
-            y = _random_strict_upper(rng, p, n)
+            x = random_strict_upper(rng, p, n)
+            y = random_strict_upper(rng, p, n)
             z = charp.bch_apply(table, x, y)
             assert z.is_strictly_upper()
             assert charp.trunc_exp(z) == charp.trunc_exp(x) * charp.trunc_exp(y)
@@ -445,8 +429,8 @@ def test_bch_apply_matches_the_direct_route():
         for n in range(1, p + 1):
             table = charp.bch_table(p, max(n - 1, 1))
             for _ in range(4):
-                x = _random_strict_upper(rng, p, n)
-                y = _random_strict_upper(rng, p, n)
+                x = random_strict_upper(rng, p, n)
+                y = random_strict_upper(rng, p, n)
                 direct = charp.trunc_log(charp.trunc_exp(x) * charp.trunc_exp(y))
                 assert charp.bch_apply(table, x, y) == direct
 
@@ -501,8 +485,8 @@ def test_lift_recovers_scalar_shift_exactly():
     rng = random.Random("lift")
     for p in (3, 5):
         for _ in range(20):
-            g = _random_invertible(rng, p, p)
-            nil = g * _random_strict_upper(rng, p, p) * charp.inverse(g)
+            g = random_invertible(rng, p, p)
+            nil = g * random_strict_upper(rng, p, p) * charp.inverse(g)
             c = rng.randrange(p)
             shifted = nil + FpMatrix.identity(p, p).scale(c)
             assert charp.pgl_nilpotent_lift(shifted) == nil
@@ -537,6 +521,13 @@ def test_cyclic_shift_validation():
         charp.cyclic_shift_matrix(5, (1, 1, 1))
     with pytest.raises(ContractError):
         charp.cyclic_shift_matrix(3, (1, 0, 1))
+
+
+def test_cyclic_shift_rejects_non_integer_weights():
+    # int() would quietly read 1.7 as weight 1
+    for weights in ((1.7, 1, 1), (1, True, 1), (1, 1, "1")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            charp.cyclic_shift_matrix(3, weights)
 
 
 def test_cyclic_shift_determinant_is_weight_product():

@@ -100,7 +100,7 @@ def test_lowheight_matches_library_at_the_edge(capsys, p):
     code, out, _ = run_cli(capsys, ["lowheight", "--type", "A", "--rank", "2",
                                     "--weight", "1,0", "--p", str(p)])
     assert code == 0 and out["result"]["report"]["height"] == 2
-    assert out["result"]["low_height"] is heights.is_low_height(rs, weight, p) is (p > 2)
+    assert out["result"]["low_height"] is (p > heights.dynkin_height(rs, weight).height) is (p > 2)
 
 
 def test_lowheight_usage_error_before_contract_error(capsys):
@@ -293,6 +293,15 @@ def test_exponent_past_the_size_limit_is_rejected_before_it_is_expanded(capsys):
         "rational '1e10000000' has a numerator or denominator above 4096 bits")
 
 
+def test_zero_mantissa_is_zero_at_any_exponent(capsys):
+    # Fraction("0e10000000") builds 10^10000000 before it multiplies by 0
+    for point in ("0e10000000", "-0.000e-10000000"):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, ["reduce", "--type", "A", "--rank", "1", f"--point={point}"])
+        assert time.perf_counter() - started < 1
+        assert code == 0 and err == "" and out["result"]["reduced_point"] == [0]
+
+
 def test_wrong_arity_exits_1(capsys):
     code, out, _ = run_cli(capsys, ["critical", "--type", "A", "--rank", "2", "--phi", "1/3"])
     assert code == 1
@@ -456,7 +465,6 @@ def test_every_prime_gate_gives_one_message(capsys):
         lambda: charp.heisenberg_module_check(8),
         lambda: rootsys.is_good_prime(rs, 8),
         lambda: alcove.mu_pj_restriction(rs, (1, 0), 8, 1),
-        lambda: heights.is_low_height(rs, rootsys.WeightVec((1, 0)), 8),
         lambda: heights.semisimplicity_bound_ok((4,), (2,), 8),
     ]
     for gate in gates:

@@ -126,15 +126,6 @@ def test_type_a_meets_the_coxeter_floor(n):
     assert heights.min_nontrivial_height(rs) == rs.coxeter_number - 1
 
 
-def test_low_height_predicate():
-    rs = rootsys.build("A", 4)
-    adjoint = WeightVec((1, 0, 0, 1))
-    assert heights.is_low_height(rs, adjoint, 11)
-    assert not heights.is_low_height(rs, adjoint, 7)
-    with pytest.raises(ValueError):
-        heights.is_low_height(rs, adjoint, 9)
-
-
 def test_composite_height_examples():
     assert heights.composite_gl_height((2,), (1,)) == 1
     assert heights.composite_gl_height((4, 6), (2, 3)) == 4 + 9
@@ -176,13 +167,7 @@ def test_semisimplicity_bound():
 def test_fundamental_weights_clear_coxeter_floor(t, n):
     rs = rootsys.build(t, n)
     for i in range(1, n + 1):
-        assert heights.height_vs_coxeter_check(rs, fundamental_weight(rs, i))
-
-
-def test_coxeter_floor_check_rejects_zero():
-    rs = rootsys.build("A", 2)
-    with pytest.raises(ContractError):
-        heights.height_vs_coxeter_check(rs, WeightVec((0, 0)))
+        assert heights.dynkin_height(rs, fundamental_weight(rs, i)).height >= rs.coxeter_number - 1
 
 
 # Slow twins at rank <= 12: the integer height route against the Fraction route it
@@ -224,10 +209,9 @@ def test_integer_height_route_matches_fraction_route(t, n):
         slow = _fraction_root_coords(cinv, diff.coords)
         assert all(x.denominator == 1 for x in slow)
         assert report.via_difference == int(sum(slow)) == report.via_pairing
-        assert rootsys.weight_to_root_coords(rs, diff) == slow
-    for i in range(1, n + 1):
-        omega = fundamental_weight(rs, i)
-        assert rootsys.weight_to_root_coords(rs, omega) == _fraction_root_coords(cinv, omega.coords)
+    # D C^-1, the matrix route two reads, is D times the Fraction inverse
+    den, scaled = rootsys._scaled_cartan_inverse(rs)
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in scaled) == cinv
 
 
 @pytest.mark.parametrize("t,n", [(t, n) for t, n in TWINS if (t, n) not in (("E", 8), ("F", 4), ("G", 2))])

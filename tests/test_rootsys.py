@@ -92,7 +92,7 @@ def test_top_height_is_coxeter_minus_one(t, n):
 def test_root_height_examples():
     rs = rootsys.build("A", 3)
     assert rootsys.root_height(rs, rs.highest_root) == 3
-    assert rootsys.root_height(rs, rs.simple_root(2)) == 1
+    assert rootsys.root_height(rs, RootVec((0, 1, 0))) == 1
     g2 = rootsys.build("G", 2)
     assert rootsys.root_height(g2, -g2.highest_root) == -5
 
@@ -177,62 +177,31 @@ def test_parabolic_rejects_out_of_range_indices():
 
 @pytest.mark.parametrize("t,n", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4), ("D", 4)])
 def test_full_positive_set_degrees_are_heights(t, n):
+    # the empty subset's parabolic has all of Phi+ as its radical
     rs = rootsys.build(t, n)
-    degrees = rootsys.closed_subset_degrees(rs, rs.positive_roots)
-    for a, d in degrees.items():
-        assert d == sum(a.coords)
-
-
-def test_closed_subset_singleton():
-    rs = rootsys.build("G", 2)
-    assert rootsys.closed_subset_degrees(rs, [rs.highest_root]) == {rs.highest_root: 1}
-
-
-def test_closed_subset_highest_root_degree_in_g2():
-    rs = rootsys.build("G", 2)
-    assert rootsys.closed_subset_degrees(rs, rs.positive_roots)[rs.highest_root] == 5
-
-
-def test_closed_subset_rejects_open_sets():
-    rs = rootsys.build("A", 2)
-    # {a1, a2} misses a1 + a2, which is a root
-    with pytest.raises(ContractError):
-        rootsys.closed_subset_degrees(rs, [rs.simple_root(1), rs.simple_root(2)])
-
-
-def test_closed_subset_rejects_negative_roots():
-    rs = rootsys.build("A", 2)
-    with pytest.raises(ContractError):
-        rootsys.closed_subset_degrees(rs, [-rs.simple_root(1)])
-
-
-def test_upper_set_degrees():
-    # roots of height >= 2 in A3 form a closed subset; theta = a1+a2+a3 splits
-    # into at most two members of it, never three
-    rs = rootsys.build("A", 3)
-    upper = [a for a in rs.positive_roots if sum(a.coords) >= 2]
-    degrees = rootsys.closed_subset_degrees(rs, upper)
-    assert degrees[rs.highest_root] == 1  # 1+1+1 needs height-1 parts, not available
-    assert all(d == 1 for d in degrees.values())
+    degrees, top = rootsys.parabolic_degrees(rs, ())
+    assert top == rs.coxeter_number - 1
+    assert degrees == {a: sum(a.coords) for a in rs.positive_roots}
 
 
 @pytest.mark.parametrize("t,n", ALL_TYPES)
 def test_fundamental_weights_are_dual_to_coroots(t, n):
     rs = rootsys.build(t, n)
-    for i in range(1, n + 1):
-        x = rootsys.weight_to_root_coords(rs, rootsys.fundamental_weight(rs, i))
-        # <omega_i, alpha_j^vee> = delta_ij read back through the Cartan matrix
-        for j in range(1, n + 1):
-            pairing = sum(rs.cartan[j - 1][k] * x[k] for k in range(n))
-            assert pairing == (1 if i == j else 0)
+    den, scaled = rootsys._scaled_cartan_inverse(rs)
+    for i in range(n):
+        # column i of D C^-1 is D omega_i; <omega_i, alpha_j^vee> = delta_ij read back through C
+        for j in range(n):
+            pairing = sum(rs.cartan[j][k] * scaled[k][i] for k in range(n))
+            assert pairing == (den if i == j else 0)
 
 
 def test_weight_root_conversion_round_trip():
     rs = rootsys.build("F", 4)
+    den, scaled = rootsys._scaled_cartan_inverse(rs)
     for a in rs.roots:
-        w = WeightVec(tuple(rs.pairing(a, j) for j in range(1, rs.rank + 1)))
-        back = rootsys.weight_to_root_coords(rs, w)
-        assert tuple(back) == a.coords
+        w = [sum(c * x for c, x in zip(row, a.coords)) for row in rs.cartan]
+        back = tuple(sum(c * x for c, x in zip(row, w)) for row in scaled)
+        assert back == tuple(den * x for x in a.coords)
 
 
 def test_coroot_pairings():
@@ -442,7 +411,7 @@ def test_vectors_share_one_base_but_never_compare_equal():
                              (w + w, WeightVec, (6, -2)), (w - w, WeightVec, (0, 0)),
                              (-w, WeightVec, (-3, 1))):
         assert type(got) is cls and got.coords == coords
-    assert (w - w).is_zero() and not w.is_dominant()
+    assert not w.is_dominant()
     with pytest.raises(ValueError):
         r + RootVec((1, 2, 3))
     with pytest.raises(ValueError):
