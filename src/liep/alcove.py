@@ -39,7 +39,7 @@ from operator import mul
 from typing import Iterable
 
 from .errors import ContractError
-from .primes import require_prime
+from .primes import is_int, require_prime
 from .rootsys import RootSystem, RootVec, _lowest_links, apply_letters, simple_reflection_matrix
 
 __all__ = [
@@ -514,7 +514,7 @@ def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -
         raise ValueError("j must be at least 1")
     _check_rank(rs, len(cochar))
     for c in cochar:
-        if not isinstance(c, int) or isinstance(c, bool):
+        if not is_int(c):
             raise ValueError(f"cocharacter entry {c!r} is not an integer")
     den = p**j
     vals = tuple(

@@ -30,18 +30,21 @@ Word = tuple[int, ...]
 Series = dict[Word, Fraction]
 
 
+def _add(series: Series, w: Word, c: Fraction) -> None:
+    """Add ``c`` to the coefficient of ``w``, and drop ``w`` if the sum is zero."""
+    v = series.get(w, 0) + c
+    if v:
+        series[w] = v
+    else:
+        series.pop(w, None)
+
+
 def _mul(a: Series, b: Series, max_deg: int) -> Series:
     out: Series = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            if len(wa) + len(wb) > max_deg:
-                continue
-            w = wa + wb
-            c = out.get(w, Fraction(0)) + ca * cb
-            if c:
-                out[w] = c
-            elif w in out:
-                del out[w]
+            if len(wa) + len(wb) <= max_deg:
+                _add(out, wa + wb, ca * cb)
     return out
 
 
@@ -73,11 +76,7 @@ def associative_terms(max_deg: int) -> tuple[dict, ...]:
         power = _mul(power, nil, max_deg)
         coeff = Fraction(sign, k)
         for w, c in power.items():
-            v = total.get(w, Fraction(0)) + coeff * c
-            if v:
-                total[w] = v
-            elif w in total:
-                del total[w]
+            _add(total, w, coeff * c)
         sign = -sign
     by_degree: list[dict] = [dict() for _ in range(max_deg + 1)]
     for w, c in total.items():
@@ -99,17 +98,10 @@ def bracket_terms(max_deg: int) -> tuple[tuple[Word, Fraction], ...]:
     for d in range(1, max_deg + 1):
         for w, c in assoc[d].items():
             if d == 1:
-                collected[w] = collected.get(w, Fraction(0)) + c
-                continue
-            if w[0] == w[1]:
-                continue  # [l, l] = 0
-            sign = 1 if (w[0], w[1]) == (0, 1) else -1
-            canon = (0, 1) + w[2:]
-            v = collected.get(canon, Fraction(0)) + Fraction(sign, d) * c
-            if v:
-                collected[canon] = v
-            elif canon in collected:
-                del collected[canon]
+                _add(collected, w, c)
+            elif w[0] != w[1]:  # [l, l] = 0
+                sign = 1 if (w[0], w[1]) == (0, 1) else -1
+                _add(collected, (0, 1) + w[2:], Fraction(sign, d) * c)
     return tuple(sorted(collected.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 

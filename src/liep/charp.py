@@ -29,7 +29,7 @@ from operator import mul
 
 from . import bch
 from .errors import ContractError
-from .primes import is_prime, require_prime
+from .primes import is_int, is_prime, require_prime
 
 __all__ = [
     "FpMatrix",
@@ -69,7 +69,7 @@ class FpMatrix:
             raise ValueError("matrix must be square and nonempty")
         for r in grid:
             for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
+                if not is_int(x):
                     raise ValueError(f"entry {x!r} is not an integer")
         return cls(p, n, tuple(tuple(x % p for x in r) for r in grid))
 
@@ -416,7 +416,11 @@ def cyclic_shift_matrix(p: int, weights) -> FpMatrix:
 
 def cycle_power_scalar(p: int, weights) -> int:
     """The scalar c with (cyclic shift)^p = c . 1: the product of the weights."""
-    return prod(map(int, weights)) % p
+    weights = tuple(weights)
+    for w in weights:
+        if not is_int(w):
+            raise ValueError(f"weight {w!r} is not an integer")
+    return prod(weights) % p
 
 
 @dataclass(frozen=True)

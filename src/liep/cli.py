@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 import time
@@ -74,7 +73,9 @@ _MAX_BITS = 4096
 
 # 10^1233 < 2^4096 < 10^1234, so 10^1234 is the least power of ten past the limit
 _MAX_DIGITS = len(str(1 << _MAX_BITS))
-_EXPONENT_FORM = re.compile(r"[+-]?([0-9]*)(?:\.([0-9]*))?[eE]([+-]?)([0-9]+)")
+# Fraction's digit groups: Unicode decimal digits (\d), joined by single underscores from 3.11
+_DIGITS = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
+_EXPONENT_FORM = re.compile(rf"[+-]?({_DIGITS})?(?:\.({_DIGITS})?)?[eE]([+-]?)({_DIGITS})")
 
 
 def _exponent_form_value(text: str) -> Fraction | None:
@@ -91,14 +92,14 @@ def _exponent_form_value(text: str) -> Fraction | None:
     form = _EXPONENT_FORM.fullmatch(text.strip())
     if form is None:
         return None
-    whole, decimals, sign, exp = form.groups()
-    decimals = decimals or ""
+    whole, decimals, sign, exp = ((g or "").replace("_", "") for g in form.groups())
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit and max(len(whole), len(decimals), len(exp)) > limit:
         return None
-    digits = len((whole + decimals).lstrip("0"))
+    mantissa = whole + decimals
+    digits = len(mantissa) - next((k for k, c in enumerate(mantissa) if int(c)), len(mantissa))
     if not digits:
-        return Fraction(0) if whole or decimals else None
+        return Fraction(0) if mantissa else None
     shift = int(sign + exp) - len(decimals)
     if shift >= _MAX_DIGITS or -shift >= digits + _MAX_DIGITS:
         raise _too_large(text)
@@ -519,9 +520,7 @@ def _emit(payload: dict) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
         sys.stdout.flush()
     except BrokenPipeError:
-        # the interpreter flushes stdout again at exit; let that flush go to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        pass
 
 
 def main(argv=None) -> int:

@@ -3,11 +3,13 @@
 The height of a dominant weight is its pairing with the sum of the
 positive coroots.  It is recomputed, on plain ints, as the coordinate
 total of the difference between the weight and its antidominant Weyl
-conjugate; ``dynkin_height`` compares the two and reports both.
+conjugate over the simple roots; ``dynkin_height`` compares the two and
+reports both.
 
 The greedy descent to that conjugate takes at most |Phi+| reflections, each
-costing O(degree) on the sparse Cartan columns, so a height costs
-O(|Phi+| + rank^2) at any rank, the rank^2 being the one pass through ``D C^-1``.
+costing O(degree) on the sparse Cartan columns, and each subtracting a known
+multiple of one simple root, so the descent itself records the difference's
+root coordinates; a height costs O(|Phi+| + rank * degree) at any rank.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .rootsys import (
     RootSystem,
     WeightVec,
     _lowest_links,
-    _scaled_cartan_inverse,
     fundamental_weight,
 )
 
@@ -41,34 +42,33 @@ def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
     return tuple(map(sum, zip(*rs.coroots[:len(rs.positive_roots)])))
 
 
-def _require_dominant(weight: WeightVec) -> None:
-    if not weight.is_dominant():
-        raise ContractError(f"weight {weight.coords} is not dominant")
-
-
-def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
-    """The unique antidominant Weyl conjugate, by greedy descent.
+def _descend(rs: RootSystem, weight: WeightVec) -> tuple[list[int], list[int]]:
+    """The antidominant conjugate's coordinates, by greedy descent, and the root
+    coordinates it subtracts: ``weight - conjugate = sum steps[i] alpha_i``.
 
     Reflecting at the lowest index with a positive coordinate lowers by
     one the number of positive coroots that pair positively with the
     weight, and strictly lowers its pairing with their sum, so the walk
     ends within |Phi+| steps; running past them means an arithmetic bug.
 
-    Each step costs O(degree): s_i moves only the coordinates k linked to i in
-    column i of the Cartan matrix (``l_k -= C[k][i] l_i``), the pairing drops by
-    ``l_i * sum C[k][i] two_rho[k]`` over the same k, and the scan for the next
-    positive coordinate resumes at the lowest one that moved.
+    Each step costs O(degree): s_i subtracts ``x alpha_i`` with ``x = l_i``, which moves
+    only the coordinates k linked to i in column i of the Cartan matrix
+    (``l_k -= C[k][i] x``), the pairing drops by ``x * sum C[k][i] two_rho[k]`` over the
+    same k, and the scan for the next positive coordinate resumes at the lowest one that
+    moved (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.2).
     """
     two_rho = _two_rho_coroot(rs)
     cols, low, n = rs._cols, _lowest_links(rs), rs.rank
     coords = list(weight.coords)
+    steps = [0] * n
     i = 0
     for _ in range(len(rs.positive_roots) + 1):
         while i < n and coords[i] <= 0:
             i += 1
         if i == n:
-            return WeightVec(tuple(coords))
+            return coords, steps
         x = coords[i]
+        steps[i] += x
         pairing = 0
         for k, c in cols[i]:
             coords[k] -= c * x
@@ -77,6 +77,11 @@ def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
             raise ContractError("descent failed to decrease; arithmetic is broken")
         i = low[i]
     raise ContractError("antidominant descent exceeded the number of positive roots")
+
+
+def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
+    """The unique antidominant Weyl conjugate, by the greedy descent of ``_descend``."""
+    return WeightVec(tuple(_descend(rs, weight)[0]))
 
 
 @dataclass(frozen=True)
@@ -98,25 +103,24 @@ def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
     """Pairing of a dominant weight with the sum of the positive coroots.
 
     Route one contracts the weight against that coroot sum.  Route two
-    finds the antidominant conjugate, converts the difference to
-    simple-root coordinates through the integer matrix ``D C^-1``, whose
-    numerators must be divisible by D, and sums them.  A difference off the
-    root lattice, and then any disagreement of the routes, is a ``ContractError``.
+    descends to the antidominant conjugate and sums the simple-root
+    coordinates that the descent subtracted.  Those coordinates, read back
+    through the sparse rows of C, must give the weight minus its conjugate;
+    a mismatch, and then any disagreement of the routes, is a ``ContractError``.
     """
-    _require_dominant(weight)
+    if not weight.is_dominant():
+        raise ContractError(f"weight {weight.coords} is not dominant")
     two_rho = _two_rho_coroot(rs)
     via_pairing = sum(map(mul, weight.coords, two_rho))
 
-    low = antidominant_conjugate(rs, weight)
-    diff = (weight - low).coords
-    den, scaled = _scaled_cartan_inverse(rs)
-    numerators = [sum(map(mul, row, diff)) for row in scaled]
-    if any(x % den for x in numerators):
-        raise ContractError("weight minus antidominant conjugate left the root lattice")
-    via_difference = sum(numerators) // den
+    low, steps = _descend(rs, weight)
+    for w, l, row in zip(weight.coords, low, rs._rows):
+        if w - l != sum(c * steps[j] for j, c in row):
+            raise ContractError("descent's root coordinates do not give weight minus its conjugate")
+    via_difference = sum(steps)
     if via_pairing != via_difference:
         raise ContractError("height routes disagree")
-    return HeightReport(via_pairing, via_pairing, via_difference, low)
+    return HeightReport(via_pairing, via_pairing, via_difference, WeightVec(tuple(low)))
 
 
 def min_nontrivial_height(rs: RootSystem) -> int:

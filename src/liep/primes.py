@@ -31,6 +31,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_int(x) -> bool:
+    """The one integer gate of the public API: an int, and not a bool (int() would read 1.7 as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def require_prime(p: int) -> None:
     """The one prime gate of the public API: raise ValueError("<p> is not prime") unless p is."""
     if not is_prime(p):

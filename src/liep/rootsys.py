@@ -13,8 +13,7 @@ Conventions used throughout the package:
   coordinates by ``s_i(v) = v - <v, alpha_i^vee> e_i``.
 * ``RootVec`` holds integer coordinates over the simple roots;
   ``WeightVec`` holds integer coordinates over the fundamental weights.
-  Weights convert to root coordinates through the cached integer matrix
-  ``D C^-1`` and exact division by D; no floating point is used anywhere.
+  No floating point is used anywhere, and C is never inverted.
 * Alongside each root we carry the coordinates of its coroot over the
   simple coroots.  When ``beta' = s_i(beta)``, the coroot transforms by
   the transposed rule ``c' = c - <alpha_i, beta^vee> e_i`` with
@@ -28,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, NamedTuple
 
 from .errors import ContractError
-from .primes import require_prime
+from .primes import is_int, require_prime
 
 __all__ = [
     "RootVec",
@@ -412,10 +410,11 @@ def parabolic_degrees(rs: RootSystem, subset: Iterable[int]) -> ParabolicDegrees
     supported on J gets the sum of its coordinates at indices outside J.
     The maximal degree over the empty map is 0.
     """
-    J = set(subset)
-    for i in J:
-        if not isinstance(i, int) or not 1 <= i <= rs.rank:
+    subset = tuple(subset)
+    for i in subset:
+        if not is_int(i) or not 1 <= i <= rs.rank:
             raise ValueError(f"subset entry {i!r} is not a simple index in 1..{rs.rank}")
+    J = set(subset)
     outside = [i for i in range(rs.rank) if (i + 1) not in J]
     degrees: dict[RootVec, int] = {}
     for a in rs.positive_roots:
@@ -423,28 +422,6 @@ def parabolic_degrees(rs: RootSystem, subset: Iterable[int]) -> ParabolicDegrees
         if d > 0:
             degrees[a] = d
     return ParabolicDegrees(degrees, max(degrees.values(), default=0))
-
-
-@lru_cache(maxsize=None)
-def _scaled_cartan_inverse(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """D and the integer matrix ``D C^-1``, D the lcm of C^-1's denominators (it divides det C).
-
-    Fraction-free Gauss-Jordan (Bareiss) on ``[C | I]`` divides exactly and ends with
-    ``det C`` times I on the left and the adjugate on the right.  The leading principal
-    minors of a finite-type Cartan matrix are positive, so no pivot is zero.
-    """
-    n = rs.rank
-    aug = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(rs.cartan)]
-    prev = 1
-    for k in range(n):
-        piv = aug[k][k]
-        for r in range(n):
-            if r != k:
-                f = aug[r][k]
-                aug[r] = [(piv * x - f * y) // prev for x, y in zip(aug[r], aug[k])]
-        prev = piv
-    g = gcd(prev, *(x for row in aug for x in row[n:]))
-    return prev // g, tuple(tuple(x // g for x in row[n:]) for row in aug)
 
 
 def fundamental_weight(rs: RootSystem, i: int) -> WeightVec:

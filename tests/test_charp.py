@@ -530,6 +530,13 @@ def test_cyclic_shift_rejects_non_integer_weights():
             charp.cyclic_shift_matrix(3, weights)
 
 
+def test_cycle_power_scalar_rejects_non_integer_weights():
+    # prod(map(int, ...)) read 1.7 as 1 and gave the scalar 1
+    for weights in ((1.7, 1, 1), (1, True, 1), (1, 1, "1")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            charp.cycle_power_scalar(3, weights)
+
+
 def test_cyclic_shift_determinant_is_weight_product():
     rng = random.Random("cycledet")
     for p in (3, 5, 7):

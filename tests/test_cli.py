@@ -302,6 +302,25 @@ def test_zero_mantissa_is_zero_at_any_exponent(capsys):
         assert code == 0 and err == "" and out["result"]["reduced_point"] == [0]
 
 
+@pytest.mark.parametrize("point,zero", [
+    ("1_0e10000000", False), ("1e10_000_000", False), ("\u0661e10000000", False),
+    ("\u0661.\u0665e-1_0000000", False), ("\u0660e10000000", True), ("0_0.0e1_0000000", True),
+])
+def test_exponent_forms_in_fraction_grammar_get_their_verdict_early(capsys, point, zero):
+    # Fraction reads Unicode digits, and digits joined by single underscores from 3.11 on
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, ["reduce", "--type", "A", "--rank", "1", f"--point={point}"])
+    assert time.perf_counter() - started < 1
+    assert err == ""
+    if "_" in point and sys.version_info < (3, 11):
+        assert code == 1 and out["error"]["message"].startswith(f"malformed rational {point!r}")
+    elif zero:
+        assert code == 0 and out["result"]["reduced_point"] == [0]
+    else:
+        assert code == 1 and out["error"]["message"] == (
+            f"rational {point!r} has a numerator or denominator above 4096 bits")
+
+
 def test_wrong_arity_exits_1(capsys):
     code, out, _ = run_cli(capsys, ["critical", "--type", "A", "--rank", "2", "--phi", "1/3"])
     assert code == 1
@@ -334,13 +353,15 @@ def test_bad_rank_exits_1(capsys):
     ["minheight", "--type", "A", "--rank", "4"],
 ])
 def test_height_reports_exit_2_when_the_routes_disagree(capsys, monkeypatch, argv):
-    conjugate = heights.antidominant_conjugate
-    alpha_1 = rootsys.WeightVec((2, -1, 0, 0))  # alpha_1 of A4 over the fundamental weights
+    descend = heights._descend
+    alpha_1 = (2, -1, 0, 0)  # alpha_1 of A4 over the fundamental weights
 
-    def one_root_low(rs, weight):  # still in the root lattice, one height off
-        return conjugate(rs, weight) - alpha_1
+    def one_root_low(rs, weight):  # the steps still give the difference, one height off
+        low, steps = descend(rs, weight)
+        steps[0] += 1
+        return [l - a for l, a in zip(low, alpha_1)], steps
 
-    monkeypatch.setattr(heights, "antidominant_conjugate", one_root_low)
+    monkeypatch.setattr(heights, "_descend", one_root_low)
     code, out, _ = run_cli(capsys, argv)
     assert code == 2
     assert out["error"] == {"kind": "contract", "message": "height routes disagree"}
@@ -479,7 +500,9 @@ def test_every_prime_gate_gives_one_message(capsys):
 def test_closed_stdout_exits_with_the_report_code_and_no_traceback():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for argv, want in ((["heisenberg", "--p", "3"], 0), (["heisenberg", "--p", "4"], 1)):
+    # the roots report of A20 (156 KB) overfills a 64 KiB pipe buffer
+    for argv, want in ((["heisenberg", "--p", "3"], 0), (["heisenberg", "--p", "4"], 1),
+                       (["roots", "--type", "A", "--rank", "20"], 0)):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the report is written
         try:

@@ -8,8 +8,8 @@ to report), run in-process through ``cli.main``.
 Sizes stay small (rank <= 9, p <= 13) so every case is cheap; the cases are
 derandomized, so every run draws the same ones.  A second property parses
 exponent forms with |e| <= 3000, many of them at the edges of the early
-exponent check or with a zero mantissa, and requires the same value or message
-as ``Fraction`` alone.
+exponent check or with a zero mantissa, some in other digit scripts or with
+underscores, and requires the same value or message as ``Fraction`` alone.
 """
 
 import contextlib
@@ -234,6 +234,23 @@ _MANTISSAS = st.one_of(_DIGITS, st.sampled_from(("1", "0001", str(5 ** 10), str(
 _ZEROS = st.sampled_from(("0", "000"))
 
 
+# zeros of digit scripts that Fraction reads as int() does: ASCII, Arabic-Indic, Devanagari,
+# fullwidth and mathematical bold
+_SCRIPT_ZEROS = ("0", "\u0660", "\u0966", "\uff10", "\U0001d7ce")
+
+
+@st.composite
+def _styled(draw, group):
+    """ASCII ``group`` in a drawn digit script, with an underscore or two drawn into it:
+    single ones between digits are Fraction's grammar from 3.11, the rest are malformed."""
+    zero = ord(draw(st.sampled_from(_SCRIPT_ZEROS)))
+    group = "".join(chr(zero + int(c)) for c in group)
+    if group and draw(st.booleans()):
+        cut = draw(st.integers(0, len(group)))
+        group = group[:cut] + draw(st.sampled_from(("_", "__"))) + group[cut:]
+    return group
+
+
 @st.composite
 def _exponent_form(draw):
     whole, decimals = draw(_MANTISSAS | _ZEROS), draw(st.none() | _DIGITS | _ZEROS)
@@ -247,8 +264,9 @@ def _exponent_form(draw):
     pad = draw(st.sampled_from(("", " ")))
     sign = draw(st.sampled_from(("", "+", "-")))
     e = draw(st.sampled_from("eE"))
-    point = "" if decimals is None else "." + decimals
-    return f"{pad}{sign}{whole}{point}{e}{exponent}{pad}"
+    point = "" if decimals is None else "." + draw(_styled(decimals))
+    exponent = ("-" if exponent < 0 else "") + draw(_styled(str(abs(exponent))))
+    return f"{pad}{sign}{draw(_styled(whole))}{point}{e}{exponent}{pad}"
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)

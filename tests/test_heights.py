@@ -209,23 +209,43 @@ def test_integer_height_route_matches_fraction_route(t, n):
         slow = _fraction_root_coords(cinv, diff.coords)
         assert all(x.denominator == 1 for x in slow)
         assert report.via_difference == int(sum(slow)) == report.via_pairing
-    # D C^-1, the matrix route two reads, is D times the Fraction inverse
-    den, scaled = rootsys._scaled_cartan_inverse(rs)
-    assert tuple(tuple(Fraction(x, den) for x in row) for row in scaled) == cinv
+        # the root coordinates the descent records are the Fraction route's coordinates
+        assert tuple(heights._descend(rs, lam)[1]) == slow
+
+
+def _shift_the_conjugate(monkeypatch, i):
+    """Make ``_descend`` return its endpoint less omega_i, with the recorded steps kept."""
+    descend = heights._descend
+
+    def shifted(rs, w):
+        low, steps = descend(rs, w)
+        low[i - 1] -= 1
+        return low, steps
+
+    monkeypatch.setattr(heights, "_descend", shifted)
 
 
 @pytest.mark.parametrize("t,n", [(t, n) for t, n in TWINS if (t, n) not in (("E", 8), ("F", 4), ("G", 2))])
 def test_non_conjugate_leaves_the_root_lattice(t, n, monkeypatch):
-    # E8, F4 and G2 have det C = 1: there every weight lies in the root lattice
     rs = rootsys.build(t, n)
     cinv = _fraction_inverse(rs.cartan)
     # a fundamental weight outside the root lattice: a non-integral column of C^-1
     i = next(i for i in range(1, n + 1) if any(cinv[r][i - 1].denominator != 1 for r in range(n)))
-    conjugate = heights.antidominant_conjugate
-    monkeypatch.setattr(heights, "antidominant_conjugate",
-                        lambda rs, w: conjugate(rs, w) - fundamental_weight(rs, i))
-    with pytest.raises(ContractError, match="left the root lattice"):
+    _shift_the_conjugate(monkeypatch, i)
+    with pytest.raises(ContractError, match="do not give weight minus its conjugate"):
         heights.dynkin_height(rs, fundamental_weight(rs, 1))
+
+
+@pytest.mark.parametrize("t,n", [("E", 8), ("F", 4), ("G", 2)])
+def test_non_conjugate_inside_the_root_lattice_fails_the_root_coordinate_check(t, n, monkeypatch):
+    # det C = 1: every shifted difference is still in the root lattice, so a divisibility
+    # test cannot see it, but the recorded steps no longer give it
+    rs = rootsys.build(t, n)
+    for i in range(1, n + 1):
+        _shift_the_conjugate(monkeypatch, i)
+        with pytest.raises(ContractError, match="do not give weight minus its conjugate"):
+            heights.dynkin_height(rs, fundamental_weight(rs, 1))
+        monkeypatch.undo()
 
 
 # Slow twin of the descent: the loop it replaced, copied here as it was (a rescan from

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from liep import alcove, rootsys
+from liep import alcove, heights, rootsys
 from liep.errors import ContractError
 from liep.rootsys import RootVec, WeightVec
 
@@ -175,6 +175,14 @@ def test_parabolic_rejects_out_of_range_indices():
         rootsys.parabolic_degrees(rs, {3})
 
 
+def test_parabolic_rejects_bools_as_indices():
+    # True == 1, so an isinstance(i, int) gate read (True,) as the subset {1}
+    rs = rootsys.build("A", 2)
+    for subset in ((True,), (1, True), (2, False)):
+        with pytest.raises(ValueError, match="is not a simple index"):
+            rootsys.parabolic_degrees(rs, subset)
+
+
 @pytest.mark.parametrize("t,n", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4), ("D", 4)])
 def test_full_positive_set_degrees_are_heights(t, n):
     # the empty subset's parabolic has all of Phi+ as its radical
@@ -186,22 +194,31 @@ def test_full_positive_set_degrees_are_heights(t, n):
 
 @pytest.mark.parametrize("t,n", ALL_TYPES)
 def test_fundamental_weights_are_dual_to_coroots(t, n):
+    # <omega_i, alpha_j^vee> = delta_ij: s_j fixes omega_i for j != i, and s_i subtracts
+    # alpha_i, whose coordinates over the fundamental weights are column i of C
     rs = rootsys.build(t, n)
-    den, scaled = rootsys._scaled_cartan_inverse(rs)
-    for i in range(n):
-        # column i of D C^-1 is D omega_i; <omega_i, alpha_j^vee> = delta_ij read back through C
-        for j in range(n):
-            pairing = sum(rs.cartan[j][k] * scaled[k][i] for k in range(n))
-            assert pairing == (den if i == j else 0)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            image = rootsys.apply_letters(rs, (j,), list(rootsys.fundamental_weight(rs, i).coords), "weight")
+            assert image == [int(k == i - 1) - (i == j) * rs.cartan[k][j - 1] for k in range(n)]
 
 
 def test_weight_root_conversion_round_trip():
+    # a root's coordinates C a over the fundamental weights descend to a negative root b,
+    # the lowest of its length, and the descent records the root coordinates of a - b
     rs = rootsys.build("F", 4)
-    den, scaled = rootsys._scaled_cartan_inverse(rs)
+
+    def to_weight(v):
+        return tuple(sum(c * x for c, x in zip(row, v.coords)) for row in rs.cartan)
+
+    by_weight = {to_weight(b): b for b in rs.roots}
+    lowest = set()
     for a in rs.roots:
-        w = [sum(c * x for c, x in zip(row, a.coords)) for row in rs.cartan]
-        back = tuple(sum(c * x for c, x in zip(row, w)) for row in scaled)
-        assert back == tuple(den * x for x in a.coords)
+        low, steps = heights._descend(rs, WeightVec(to_weight(a)))
+        b = by_weight[tuple(low)]
+        assert all(x + y == z for x, y, z in zip(b.coords, steps, a.coords))
+        lowest.add(b)
+    assert len(lowest) == 2 and all(sum(b.coords) < 0 for b in lowest)
 
 
 def test_coroot_pairings():
