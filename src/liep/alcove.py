@@ -13,19 +13,20 @@ purpose.
 
 Points of the coweight space are stored by their values on the simple
 roots as well, so a point reflects by ``(s_i y)_j = y_j - C[i][j] y_i``
-(every coordinate moves, unlike the reflection of a root vector), and a
-translation by the coweight lattice adds integers to the coordinates.
-All arithmetic is exact.  Points and the values of phi are held as
-integer numerators over one common denominator N, so wall and window
-tests compare integers, and words act letter by letter through
-``rootsys.apply_letters``; the walks to a dominant point reflect inline from the
-sparse Cartan rows.  Fractions and RootVecs appear only at the API edge.
+and a translation by the coweight lattice adds integers to the coordinates.
+All arithmetic is exact: points and the values of phi are integer numerators
+over one common denominator N, so wall and window tests compare integers.
+Fractions and RootVecs appear only at the API edge.
 
-A word's element is read off its image of rho^vee = (1, ..., 1): W acts simply
-transitively on the chambers and rho^vee is regular, so sorting that image back
-to rho^vee spells a reduced word, of at most |Phi+| letters, for the same element.
-``word_matrix`` and ``BasisChoice.basis_roots`` carry their rank vectors through
-that word, so a word of L letters costs L + rank * l(w) letter steps, not rank * L.
+Words act on points alone, through ``rootsys.apply_letters`` (the walks to a
+dominant point reflect inline from the sparse Cartan rows), and roots are
+read through alpha(w y) = (w^-1 alpha)(y).  A word's element is read off
+w(rho^vee), rho^vee = (1, ..., 1): rho^vee is regular, so sorting w(rho^vee)
+back to rho^vee spells a reduced word for w, of at most |Phi+| letters, and
+alpha is positive in w's chamber iff alpha(w(rho^vee)) > 0.  ``word_matrix``
+carries the identity rows through that reduced word, L + rank * l(w) letter
+steps for a word of L letters, and ``BasisChoice.basis_roots`` reads
+w(alpha_j) off its columns.
 """
 
 from __future__ import annotations
@@ -142,17 +143,14 @@ class BasisChoice:
     weyl_word: tuple[int, ...]
 
     def is_positive(self, rs: RootSystem, alpha: RootVec) -> bool:
-        """Whether w^-1(alpha), the word applied first letter first, has no negative coordinate."""
+        """Whether w^-1(alpha) is positive: its height is alpha(w(rho^vee)) (``_rho_dual``)."""
         if not rs.is_root(alpha):
             raise ContractError(f"{alpha.coords} is not a root")
-        return all(c >= 0 for c in apply_letters(rs, self.weyl_word, list(alpha.coords), "root"))
+        return sum(map(mul, alpha.coords, _rho_dual(rs, self.weyl_word))) > 0
 
     def basis_roots(self, rs: RootSystem) -> tuple[RootVec, ...]:
-        """Images of the simple roots under w, through a reduced word for w."""
-        back = _reduced(rs, reversed(self.weyl_word))
-        return tuple(
-            RootVec(tuple(apply_letters(rs, back, list(e), "root"))) for e in _identity(rs.rank)
-        )
+        """Images w(alpha_j) of the simple roots: the columns of ``word_matrix``."""
+        return tuple(RootVec(col) for col in zip(*word_matrix(rs, self.weyl_word)))
 
 
 def same_basis(rs: RootSystem, a: BasisChoice, b: BasisChoice) -> bool:
@@ -169,14 +167,14 @@ def lift(phi: PhiHom) -> CoweightPoint:
 
 
 def word_matrix(rs: RootSystem, word: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the word's element on simple-root coordinates.
+    """Matrix of the word's element w on simple-root coordinates: column j is w(alpha_j).
 
     Right-multiplying by ``s_i`` is the point action of ``s_i`` on every row, so
     each row of the identity is carried letter by letter through ``_reduced(rs, word)``,
     a word for the same element of length l(w) <= |Phi+|: L + rank * l(w) letter steps.
     """
     word = _reduced(rs, word)
-    return tuple(tuple(apply_letters(rs, word, list(e), "point")) for e in _identity(rs.rank))
+    return tuple(tuple(apply_letters(rs, word, list(e))) for e in _identity(rs.rank))
 
 
 def _dominance_walk(rs: RootSystem, z: list[int], cap: int, message: str) -> list[int]:
@@ -212,7 +210,7 @@ def _reduced(rs: RootSystem, word: Iterable[int]) -> tuple[int, ...]:
     spells u with u w = 1, since only the identity fixes the regular rho^vee, and
     ``w = u^-1`` is that walk reversed.  It has l(w) <= |Phi+| letters.
     """
-    v = apply_letters(rs, word, [1] * rs.rank, "point")
+    v = apply_letters(rs, word, [1] * rs.rank)
     walk = _dominance_walk(
         rs, v, len(rs.positive_roots), "reduced word exceeded the number of positive roots")
     return tuple(reversed(walk))
@@ -224,7 +222,7 @@ def _rho_dual(rs: RootSystem, word: tuple[int, ...]) -> list[int]:
     ``sum_j alpha_j w(rho^vee)_j = height(w^-1 alpha)``, so alpha is positive in w's chamber
     iff that sum is positive.
     """
-    return apply_letters(rs, reversed(word), [1] * rs.rank, "point")
+    return apply_letters(rs, reversed(word), [1] * rs.rank)
 
 
 def _check_rank(rs: RootSystem, n: int) -> None:
@@ -510,6 +508,8 @@ def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -
     the pairing against a simple root is ``sum_k C[k][i] cochar_k``.
     """
     require_prime(p)
+    if not is_int(j):
+        raise ValueError(f"j {j!r} is not an integer")
     if j < 1:
         raise ValueError("j must be at least 1")
     _check_rank(rs, len(cochar))

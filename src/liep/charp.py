@@ -284,6 +284,8 @@ def t_power(u: FpMatrix, t: int) -> FpMatrix:
     for t mod p < k < p by Lucas' theorem; the running product turns 0
     at k = t mod p + 1 and ``_combination`` skips the zero terms.
     """
+    if not is_int(t):
+        raise ValueError(f"exponent {t!r} is not an integer")
     p = u.p
     binomials = accumulate(range(1, min(u.n, p)),
                            lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
@@ -308,6 +310,8 @@ class BchTable:
 def bch_table(p: int, max_degree: int) -> BchTable:
     """Tabulate the truncated group law for characteristic ``p``."""
     require_prime(p)
+    if not is_int(max_degree):
+        raise ValueError(f"max_degree {max_degree!r} is not an integer")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     if max_degree >= p:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import ContractError
-from .primes import require_prime
+from .primes import is_int, require_prime
 from .rootsys import (
     RootSystem,
     WeightVec,
@@ -137,6 +137,8 @@ def composite_gl_height(dims: tuple[int, ...], ms: tuple[int, ...]) -> int:
         raise ValueError("dims and ms must have equal length")
     total = 0
     for d, m in zip(dims, ms):
+        if not (is_int(d) and is_int(m)):
+            raise ValueError(f"factor dimension {d!r} and wedge degree {m!r} must be integers")
         if d < 1:
             raise ValueError(f"factor dimension {d} must be positive")
         if m < 0 or m > d:

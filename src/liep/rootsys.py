@@ -18,9 +18,10 @@ Conventions used throughout the package:
   simple coroots.  When ``beta' = s_i(beta)``, the coroot transforms by
   the transposed rule ``c' = c - <alpha_i, beta^vee> e_i`` with
   ``<alpha_i, beta^vee> = sum_k C[k][i] c_k``.
-* Words act through ``apply_letters``, one simple reflection at a time,
-  on plain integer lists (roots, coweight points or weights); they are
-  never multiplied out into matrices on a hot path.
+* A word acts through ``apply_letters`` alone, one simple reflection at a
+  time, on a coweight point held as a plain integer list of its values on
+  the simple roots; roots are read through ``alpha(w y) = (w^-1 alpha)(y)``,
+  and words are never multiplied out into matrices on a hot path.
 """
 
 from __future__ import annotations
@@ -123,12 +124,15 @@ class RootSystem:
         return self.coroots[pos]
 
     def reflect(self, v: RootVec, i: int) -> RootVec:
-        """Apply the simple reflection ``s_i`` (1-based) to a root vector."""
-        return RootVec(tuple(apply_letters(self, (i,), list(v.coords), "root")))
+        """Apply the simple reflection ``s_i`` (1-based) to a root vector: ``v_i -= <v, alpha_i^vee>``."""
+        self._check_simple_index(i)
+        coords = list(v.coords)
+        coords[i - 1] -= sum(c * coords[j] for j, c in self._rows[i - 1])
+        return RootVec(tuple(coords))
 
     def _check_simple_index(self, i: int) -> None:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple-root index {i} out of range 1..{self.rank}")
+        if not is_int(i) or not 1 <= i <= self.rank:
+            raise ValueError(f"{i!r} is not a simple-root index in 1..{self.rank}")
 
     def to_json_dict(self) -> dict:
         """Stable JSON-ready description (coordinates over the simple roots)."""
@@ -316,7 +320,7 @@ def coxeter_via_rho(rs: RootSystem) -> int:
 def coxeter_via_element(rs: RootSystem) -> int:
     """Order of the Coxeter element ``c = s_1 s_2 ... s_rank``.
 
-    c, applied as the letters rank..1, walks rho^vee = (1, ..., 1) with the point action
+    c, applied as the letters rank..1 by ``apply_letters``, walks rho^vee = (1, ..., 1)
     until it returns.  Only the identity fixes the regular rho^vee, so c^k = 1 exactly
     when c^k fixes it, and one orbit gives the order (Humphreys 1990, 3.16-3.19); neither
     marks nor rho are read.  The order is at most |Phi|, so a longer orbit is a bug.
@@ -325,7 +329,7 @@ def coxeter_via_element(rs: RootSystem) -> int:
     start = [1] * rs.rank
     v = list(start)
     for order in range(1, len(rs.roots) + 1):
-        if apply_letters(rs, letters, v, "point") == start:
+        if apply_letters(rs, letters, v) == start:
             return order
     raise ContractError("Coxeter element orbit exceeds |Phi|; arithmetic is broken")
 
@@ -351,36 +355,20 @@ def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(r) for r in rows)
 
 
-def apply_letters(rs: RootSystem, letters: Iterable[int], vec: list, on: str) -> list:
+def apply_letters(rs: RootSystem, letters: Iterable[int], vec: list) -> list:
     """Apply ``s_i`` for each 1-based letter in turn (first letter first) to ``vec``, in place.
 
-    ``vec`` is a ``"root"`` over the simple roots (``v_i -= sum_j C[i][j] v_j``), a
-    ``"point"`` of the coweight space by its values on the simple roots (``y_j -= C[i][j] y_i``)
-    or a ``"weight"`` over the fundamental weights (``l_k -= C[k][i] l_i``).  A letter reads
-    only the Cartan entries linked to it, so it costs O(degree) at any rank.  Returns ``vec``.
+    ``vec`` is a point of the coweight space by its values on the simple roots, and
+    ``s_i`` moves it by ``y_j -= C[i][j] y_i``.  A letter reads only row i of the sparse
+    Cartan matrix, so it costs O(degree) at any rank.  Returns ``vec``.
     """
-    n = rs.rank
-    if on == "root":
-        for i in letters:
-            if not 0 < i <= n:
-                rs._check_simple_index(i)
-            pairing = 0
-            for j, c in rs._rows[i - 1]:
-                pairing += c * vec[j]
-            vec[i - 1] -= pairing
-        return vec
-    if on == "weight":
-        links = rs._cols
-    elif on == "point":
-        links = rs._rows
-    else:
-        raise ValueError(f"unknown action {on!r}: expected 'root', 'point' or 'weight'")
+    n, rows = rs.rank, rs._rows
     for i in letters:
         if not 0 < i <= n:
             rs._check_simple_index(i)
         x = vec[i - 1]
         if x:
-            for j, c in links[i - 1]:
+            for j, c in rows[i - 1]:
                 vec[j] -= c * x
     return vec
 

@@ -3,12 +3,21 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
 from liep import alcove, heights, rootsys
 from liep.alcove import BasisChoice, CoweightPoint, PhiHom
 from liep.errors import ContractError
+
+
+def _act_on_root(rs, letters, alpha):
+    """s_{i_m} ... s_{i_1} alpha for the letters (i_1, ..., i_m): ``rs.reflect``, first letter first."""
+    for i in letters:
+        alpha = rs.reflect(alpha, i)
+    return alpha
+
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
 
@@ -102,8 +111,8 @@ def test_reduction_preserves_phi_through_the_weyl_word(t, n):
         reduced, transcript = alcove.reduce_to_alcove(rs, alcove.lift(phi))
         for a in rs.roots:
             # w_acc^-1(a): the letters of w_acc = s_{i_1} ... s_{i_m}, first letter first
-            undone = rootsys.apply_letters(rs, transcript.weyl_word, list(a.coords), "root")
-            assert reduced.value_of(a) % 1 == phi.value_of(rootsys.RootVec(undone))
+            undone = _act_on_root(rs, transcript.weyl_word, a)
+            assert reduced.value_of(a) % 1 == phi.value_of(undone)
 
 
 def test_critical_roots_example():
@@ -224,6 +233,14 @@ def test_restriction_rejects_non_integer_cocharacters():
             alcove.mu_pj_restriction(a2, cochar, 3, 1)
 
 
+def test_restriction_rejects_a_non_integer_exponent():
+    # p ** 1.5 is a float, and Fraction(int, float) escaped as a TypeError
+    a2 = rootsys.build("A", 2)
+    for j in (1.5, True, F(2)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            alcove.mu_pj_restriction(a2, (1, 1), 3, j)
+
+
 def test_rank_mismatch_rejected():
     rs = rootsys.build("A", 2)
     with pytest.raises(ValueError):
@@ -271,14 +288,14 @@ def test_word_matrix_rejects_letters_outside_the_rank():
 
 def _full_word_matrix(rs, word):
     """Every identity row carried through the whole word: rank * L letter steps."""
-    return tuple(tuple(rootsys.apply_letters(rs, word, list(e), "point"))
+    return tuple(tuple(rootsys.apply_letters(rs, word, list(e)))
                  for e in alcove._identity(rs.rank))
 
 
 def _length(rs, word):
-    """l(w) for w the word applied first letter first: the positive roots it makes negative."""
-    return sum(min(rootsys.apply_letters(rs, word, list(a.coords), "root")) < 0
-               for a in rs.positive_roots)
+    """l(w) for w the word's element: the positive roots that its dense matrix makes negative."""
+    m = _dense_word_matrix(rs, word)
+    return sum(min(sum(map(mul, row, a.coords)) for row in m) < 0 for a in rs.positive_roots)
 
 
 REDUCTION_TWINS = [("A", 8), ("A", 16), ("B", 8), ("B", 12), ("D", 8), ("D", 12), ("E", 8)]
@@ -317,8 +334,7 @@ def test_basis_roots_match_the_full_word_root_action(t, n):
     for length in (0, 1, 40, 2000):
         basis = BasisChoice(tuple(rng.randint(1, n) for _ in range(length)))
         back = basis.weyl_word[::-1]
-        full = tuple(rootsys.RootVec(tuple(rootsys.apply_letters(rs, back, list(e), "root")))
-                     for e in alcove._identity(n))
+        full = tuple(_act_on_root(rs, back, rootsys.RootVec(e)) for e in alcove._identity(n))
         assert basis.basis_roots(rs) == full
 
 
@@ -368,7 +384,9 @@ def test_dual_vector_positivity_matches_is_positive(t, n):
         basis = BasisChoice(tuple(rng.randint(1, n) for _ in range(length)))
         dual = alcove._rho_dual(rs, basis.weyl_word)
         for a in rs.roots:
-            assert (sum(x * d for x, d in zip(a.coords, dual)) > 0) == basis.is_positive(rs, a)
+            # the twin: w^-1(a), formed root by root, has no negative coordinate
+            twin = min(_act_on_root(rs, basis.weyl_word, a).coords) >= 0
+            assert (sum(x * d for x, d in zip(a.coords, dual)) > 0) == basis.is_positive(rs, a) == twin
 
 
 @pytest.mark.parametrize("t,n", TWINS)

@@ -6,6 +6,7 @@ import json
 import random
 import tracemalloc
 from collections import deque
+from fractions import Fraction as F
 from itertools import accumulate, combinations
 
 import pytest
@@ -313,6 +314,14 @@ def test_t_power_examples():
     assert charp.t_power(u, 5) == charp.t_power(u, 5 % p)
 
 
+def test_t_power_rejects_a_non_integer_exponent():
+    # the binomial recurrence ran on 1.5 and returned float rows, not residues mod p
+    u = FpMatrix.from_rows(5, [[1, 1], [0, 1]])
+    for t in (1.5, True, F(2)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            charp.t_power(u, t)
+
+
 def test_t_power_matches_repeated_multiplication():
     rng = random.Random("tpower")
     for p in (3, 5, 7):
@@ -400,6 +409,13 @@ def test_bch_table_validation():
         charp.bch_table(3, 3)  # denominators would hit p
     table = charp.bch_table(5, 4)
     assert table.p == 5 and table.max_degree == 4
+
+
+def test_bch_table_rejects_a_non_integer_degree():
+    # True == 1 passed the range checks and tabulated degree 1
+    for degree in (True, 2.0, F(2)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            charp.bch_table(5, degree)
 
 
 def test_bch_apply_identity_element():

@@ -155,6 +155,15 @@ def test_composite_height_validation():
         heights.composite_gl_height((4,), (-1,))
 
 
+def test_composite_height_rejects_non_integer_factors():
+    # m (d - m) ran on 2.5 and gave 1.5, so the bound test answered True at p = 2
+    for dims, ms in (((2.5,), (1,)), ((4,), (1.5,)), ((4, True), (2, 0)), ((4,), (Fraction(2),))):
+        with pytest.raises(ValueError, match="must be integers"):
+            heights.composite_gl_height(dims, ms)
+        with pytest.raises(ValueError, match="must be integers"):
+            heights.semisimplicity_bound_ok(dims, ms, 2)
+
+
 def test_semisimplicity_bound():
     assert heights.semisimplicity_bound_ok((4,), (2,), 5)
     assert not heights.semisimplicity_bound_ok((4,), (2,), 3)
@@ -249,7 +258,7 @@ def test_non_conjugate_inside_the_root_lattice_fails_the_root_coordinate_check(t
 
 
 # Slow twin of the descent: the loop it replaced, copied here as it was (a rescan from
-# index 0, one apply_letters call per letter, and the pairing with 2 rho^vee in full).
+# index 0, a dense reflection per letter, and the pairing with 2 rho^vee in full).
 DESCENT_TWINS = ([("A", n) for n in range(1, 13)] + [(t, n) for t in "BC" for n in range(2, 13)]
                  + [("D", n) for n in range(4, 13)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4),
                                                        ("G", 2), ("A", 60)])
@@ -263,7 +272,8 @@ def _descent_twin(rs, weight):
         if i is None:
             return WeightVec(tuple(coords))
         before = sum(map(mul, coords, two_rho))
-        rootsys.apply_letters(rs, (i + 1,), coords, "weight")
+        x = coords[i]
+        coords = [coords[k] - rs.cartan[k][i] * x for k in range(rs.rank)]  # l_k -= C[k][i] l_i
         assert sum(map(mul, coords, two_rho)) < before
     raise AssertionError("descent exceeded the number of positive roots")
 

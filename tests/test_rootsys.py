@@ -18,6 +18,12 @@ ALL_TYPES = (
 )
 
 
+def _reflect_weight(rs, i, lam):
+    """s_i on a weight over the fundamental weights, dense: l_k -= C[k][i] l_i for every k."""
+    x = lam[i - 1]
+    return [lam[k] - rs.cartan[k][i - 1] * x for k in range(rs.rank)]
+
+
 def classical_count(t, n):
     # textbook cardinalities, used only as an oracle for the closure
     if t == "A":
@@ -183,6 +189,18 @@ def test_parabolic_rejects_bools_as_indices():
             rootsys.parabolic_degrees(rs, subset)
 
 
+def test_simple_index_rejects_bools_and_non_integers():
+    # True == 1 and 1.0 == 1 passed the range test and were read as index 1
+    rs = rootsys.build("A", 2)
+    for i in (True, 1.0, 2.0):
+        with pytest.raises(ValueError, match="is not a simple-root index"):
+            rs.reflect(RootVec((1, 0)), i)
+        with pytest.raises(ValueError, match="is not a simple-root index"):
+            rootsys.fundamental_weight(rs, i)
+        with pytest.raises(ValueError, match="is not a simple-root index"):
+            rootsys.simple_reflection_matrix(rs, i)
+
+
 @pytest.mark.parametrize("t,n", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4), ("D", 4)])
 def test_full_positive_set_degrees_are_heights(t, n):
     # the empty subset's parabolic has all of Phi+ as its radical
@@ -199,7 +217,7 @@ def test_fundamental_weights_are_dual_to_coroots(t, n):
     rs = rootsys.build(t, n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            image = rootsys.apply_letters(rs, (j,), list(rootsys.fundamental_weight(rs, i).coords), "weight")
+            image = _reflect_weight(rs, j, rootsys.fundamental_weight(rs, i).coords)
             assert image == [int(k == i - 1) - (i == j) * rs.cartan[k][j - 1] for k in range(n)]
 
 
@@ -265,25 +283,20 @@ def test_kernel_actions_match_the_reflection_matrices(t, n):
         s = rootsys.simple_reflection_matrix(rs, i)
         v = [rng.randint(-5, 5) for _ in range(n)]
         # a root vector is a column: s v
-        root = rootsys.apply_letters(rs, (i,), list(v), "root")
+        root = list(rs.reflect(RootVec(tuple(v)), i).coords)
         assert root == [sum(s[r][c] * v[c] for c in range(n)) for r in range(n)]
         # a point is a row of values on the simple roots: v s
-        point = rootsys.apply_letters(rs, (i,), list(v), "point")
+        point = rootsys.apply_letters(rs, (i,), list(v))
         assert point == [sum(v[r] * s[r][c] for r in range(n)) for c in range(n)]
         # a weight is C times root coordinates: s acts as C s C^-1
         lam = [sum(rs.cartan[j][k] * v[k] for k in range(n)) for j in range(n)]
-        weight = rootsys.apply_letters(rs, (i,), lam, "weight")
+        weight = _reflect_weight(rs, i, lam)
         assert weight == [sum(rs.cartan[j][k] * root[k] for k in range(n)) for j in range(n)]
-    for on in ("root", "point", "weight"):
+    for bad in (0, n + 1):
         with pytest.raises(ValueError):
-            rootsys.apply_letters(rs, (1, n + 1), [0] * n, on)
-
-
-@pytest.mark.parametrize("on", ["roots", "coweight", ""])
-def test_apply_letters_rejects_an_unknown_action(on):
-    rs = rootsys.build("A", 2)
-    with pytest.raises(ValueError, match="'root', 'point' or 'weight'"):
-        rootsys.apply_letters(rs, (1,), [1, 0], on)
+            rootsys.apply_letters(rs, (1, bad), [0] * n)
+        with pytest.raises(ValueError):
+            rs.reflect(RootVec((0,) * n), bad)
 
 
 # Slow twins at rank <= 12: the sparse closure and the orbit order against the
@@ -353,10 +366,14 @@ def _simple_root_orbit_order(rs):
     letters = range(rs.rank, 0, -1)
     order = 1
     for i in range(rs.rank):
-        start = [int(j == i) for j in range(rs.rank)]
-        v = list(start)
-        length = next(k for k in range(1, len(rs.roots) + 1)
-                      if rootsys.apply_letters(rs, letters, v, "root") == start)
+        v = start = RootVec(tuple(int(j == i) for j in range(rs.rank)))
+        for length in range(1, len(rs.roots) + 1):
+            for j in letters:
+                v = rs.reflect(v, j)
+            if v == start:
+                break
+        else:
+            raise AssertionError("simple-root orbit exceeds |Phi|")
         order = math.lcm(order, length)
     return order
 
@@ -381,7 +398,7 @@ def test_coxeter_element_order_above_one_hundred():
 def test_coxeter_orbit_beyond_the_root_set_is_a_contract_error(monkeypatch):
     rs = rootsys.build("A", 3)
 
-    def drift(rs, letters, vec, on):
+    def drift(rs, letters, vec):
         # a broken kernel that moves every vector to a new one never closes an orbit
         vec[:] = [x + 1 for x in vec]
         return vec
