@@ -19,7 +19,7 @@ over one common denominator N, so wall and window tests compare integers.
 Fractions and RootVecs appear only at the API edge.
 
 Words act on points alone, through ``rootsys.apply_letters`` (the walks to a
-dominant point reflect inline from the sparse Cartan rows), and roots are
+dominant point are ``rootsys._walk`` on the sparse Cartan rows), and roots are
 read through alpha(w y) = (w^-1 alpha)(y).  A word's element is read off
 w(rho^vee), rho^vee = (1, ..., 1): rho^vee is regular, so sorting w(rho^vee)
 back to rho^vee spells a reduced word for w, of at most |Phi+| letters, and
@@ -41,7 +41,7 @@ from typing import Iterable
 
 from .errors import ContractError
 from .primes import is_int, require_prime
-from .rootsys import RootSystem, RootVec, _lowest_links, apply_letters, simple_reflection_matrix
+from .rootsys import RootSystem, RootVec, _walk, apply_letters, simple_reflection_matrix
 
 __all__ = [
     "PhiHom",
@@ -177,32 +177,6 @@ def word_matrix(rs: RootSystem, word: Iterable[int]) -> tuple[tuple[int, ...], .
     return tuple(tuple(apply_letters(rs, word, list(e))) for e in _identity(rs.rank))
 
 
-def _dominance_walk(rs: RootSystem, z: list[int], cap: int, message: str) -> list[int]:
-    """Reflect the point ``z`` in place at its lowest negative coordinate until none is left.
-
-    Returns the 1-based letters applied, first applied first.  Reflecting at a negative
-    coordinate i leaves one fewer positive root negative on z (s_i permutes the others
-    and makes alpha_i positive), so the walk ends within |Phi+| steps; taking more than
-    ``cap`` reflections raises ``ContractError(message)``.  Coordinates below s_i's lowest
-    Cartan neighbour did not move and were not negative, so the scan resumes there.
-    """
-    rows, low, n = rs._rows, _lowest_links(rs), rs.rank
-    letters: list[int] = []
-    i = 0
-    while True:
-        while i < n and z[i] >= 0:
-            i += 1
-        if i == n:
-            return letters
-        if len(letters) == cap:
-            raise ContractError(message)
-        x = z[i]
-        for j, c in rows[i]:
-            z[j] -= c * x
-        letters.append(i + 1)
-        i = low[i]
-
-
 def _reduced(rs: RootSystem, word: Iterable[int]) -> tuple[int, ...]:
     """A reduced word acting like ``word`` (first letter first) in every representation.
 
@@ -211,8 +185,8 @@ def _reduced(rs: RootSystem, word: Iterable[int]) -> tuple[int, ...]:
     ``w = u^-1`` is that walk reversed.  It has l(w) <= |Phi+| letters.
     """
     v = apply_letters(rs, word, [1] * rs.rank)
-    walk = _dominance_walk(
-        rs, v, len(rs.positive_roots), "reduced word exceeded the number of positive roots")
+    walk, _ = _walk(rs, rs._rows, v, len(rs.positive_roots),
+                    "reduced word exceeded the number of positive roots")
     return tuple(reversed(walk))
 
 
@@ -281,7 +255,7 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     overrun = f"alcove reduction exceeded its bound of {cap} steps"
     taken = 0
     while True:
-        walk = _dominance_walk(rs, values, cap - taken, overrun)
+        walk, _ = _walk(rs, rs._rows, values, cap - taken, overrun)
         steps.extend(("reflect", i) for i in walk)
         letters.extend(walk)
         taken += len(walk)
@@ -375,8 +349,8 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
         m = rs.marks[idx - 1]
         z = [v * m for v in values]
         z[idx - 1] -= den
-        dominance = _dominance_walk(
-            rs, z, len(rs.positive_roots), "dominance loop exceeded the number of positive roots")
+        dominance, _ = _walk(rs, rs._rows, z, len(rs.positive_roots),
+                             "dominance loop exceeded the number of positive roots")
 
     basis = BasisChoice(tuple(reversed(transcript.weyl_word)) + tuple(dominance))
     dual = _rho_dual(rs, basis.weyl_word)

@@ -6,10 +6,12 @@ total of the difference between the weight and its antidominant Weyl
 conjugate over the simple roots; ``dynkin_height`` compares the two and
 reports both.
 
-The greedy descent to that conjugate takes at most |Phi+| reflections, each
-costing O(degree) on the sparse Cartan columns, and each subtracting a known
-multiple of one simple root, so the descent itself records the difference's
-root coordinates; a height costs O(|Phi+| + rank * degree) at any rank.
+The greedy descent to that conjugate is the package's one dominance walk,
+``rootsys._walk``, on the sparse Cartan columns: at most |Phi+| reflections,
+each costing O(degree) and subtracting a known multiple of one simple root, so
+the walk itself records the difference's root coordinates.  The pairing of each
+simple root with the coroot sum is checked to be 2 once per descent, not per
+step; a height costs O(|Phi+| + rank * degree) at any rank.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from operator import mul
 
 from .errors import ContractError
 from .primes import is_int, require_prime
-from .rootsys import (
-    RootSystem,
-    WeightVec,
-    _lowest_links,
-    fundamental_weight,
-)
+from .rootsys import RootSystem, WeightVec, _walk, fundamental_weight
 
 __all__ = [
     "HeightReport",
@@ -46,37 +43,20 @@ def _descend(rs: RootSystem, weight: WeightVec) -> tuple[list[int], list[int]]:
     """The antidominant conjugate's coordinates, by greedy descent, and the root
     coordinates it subtracts: ``weight - conjugate = sum steps[i] alpha_i``.
 
-    Reflecting at the lowest index with a positive coordinate lowers by
-    one the number of positive coroots that pair positively with the
-    weight, and strictly lowers its pairing with their sum, so the walk
-    ends within |Phi+| steps; running past them means an arithmetic bug.
-
-    Each step costs O(degree): s_i subtracts ``x alpha_i`` with ``x = l_i``, which moves
-    only the coordinates k linked to i in column i of the Cartan matrix
-    (``l_k -= C[k][i] x``), the pairing drops by ``x * sum C[k][i] two_rho[k]`` over the
-    same k, and the scan for the next positive coordinate resumes at the lowest one that
-    moved (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.2).
+    The descent is ``rootsys._walk`` on the sparse Cartan columns, run on the negated
+    weight: each reflection, at the lowest positive coordinate l_i, subtracts ``l_i alpha_i``
+    (``l_k -= C[k][i] l_i``), and the descent ends within |Phi+| of them, so running past
+    them means an arithmetic bug.  Each reflection lowers <weight, 2 rho^vee> by
+    ``l_i <alpha_i, 2 rho^vee> = 2 l_i``; that every simple root pairs to 2 with the
+    coroot sum, ``sum_k C[k][i] two_rho[k] == 2``, is checked once per call, before the walk.
     """
     two_rho = _two_rho_coroot(rs)
-    cols, low, n = rs._cols, _lowest_links(rs), rs.rank
-    coords = list(weight.coords)
-    steps = [0] * n
-    i = 0
-    for _ in range(len(rs.positive_roots) + 1):
-        while i < n and coords[i] <= 0:
-            i += 1
-        if i == n:
-            return coords, steps
-        x = coords[i]
-        steps[i] += x
-        pairing = 0
-        for k, c in cols[i]:
-            coords[k] -= c * x
-            pairing += c * two_rho[k]
-        if x * pairing <= 0:
-            raise ContractError("descent failed to decrease; arithmetic is broken")
-        i = low[i]
-    raise ContractError("antidominant descent exceeded the number of positive roots")
+    if any(sum(c * two_rho[k] for k, c in col) != 2 for col in rs._cols):
+        raise ContractError("descent failed to decrease; arithmetic is broken")
+    z = [-x for x in weight.coords]
+    _, steps = _walk(rs, rs._cols, z, len(rs.positive_roots),
+                     "antidominant descent exceeded the number of positive roots")
+    return [-x for x in z], steps
 
 
 def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:

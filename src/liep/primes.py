@@ -12,7 +12,10 @@ _BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality for n below 3.3 . 10^24; larger n raise ValueError."""
+    """Exact primality for n below 3.3 . 10^24; larger n raise ValueError, and no
+    non-int (a float such as 7.0, or a bool) is prime."""
+    if not is_int(n):
+        return False
     if n >= _BOUND:
         raise ValueError(f"primality is only decided below {_BOUND}")
     if n < 2:

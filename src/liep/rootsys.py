@@ -22,6 +22,9 @@ Conventions used throughout the package:
   time, on a coweight point held as a plain integer list of its values on
   the simple roots; roots are read through ``alpha(w y) = (w^-1 alpha)(y)``,
   and words are never multiplied out into matrices on a hot path.
+* Every walk to the dominant end of a Weyl orbit is ``_walk``: on the Cartan rows
+  for a coweight point (alcove reduction, reduced words, vertex re-centring), on
+  the columns for a negated weight (the antidominant descent behind heights).
 """
 
 from __future__ import annotations
@@ -340,9 +343,43 @@ def _lowest_links(rs: RootSystem) -> tuple[int, ...]:
 
     A Cartan matrix has a symmetric nonzero pattern, so this is also the lowest k with
     C[k][i] != 0: the lowest coordinate that s_i moves on a point (row i) or on a
-    weight (column i).  The walks that reflect at a lowest bad coordinate resume there.
+    weight (column i).  ``_walk`` resumes its scan there after reflecting at i.
     """
     return tuple(min(j for j, _ in row) for row in rs._rows)
+
+
+def _walk(rs: RootSystem, lines: tuple, z: list[int], cap: int, message: str
+          ) -> tuple[list[int], list[int]]:
+    """Reflect ``z`` in place at its lowest negative coordinate until none is left.
+
+    ``lines`` is ``rs._rows`` for a coweight point (``z_j -= C[i][j] z_i``) or ``rs._cols``
+    for a weight (``z_k -= C[k][i] z_i``).  Returns the 1-based letters, first applied
+    first, and ``steps``, where ``steps[i]`` sums ``-z_i`` over the reflections at i: the
+    walk moves ``z`` by C^T steps on the rows and by C steps on the columns.  Reflecting at
+    a negative coordinate leaves one fewer positive root negative on ``z`` (s_i makes
+    alpha_i positive and permutes the others), so the walk ends within |Phi+| steps
+    (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.2); a walk that needs more
+    than ``cap`` raises ``ContractError(message)`` instead of reflection cap + 1.  Each
+    reflection costs O(degree), and coordinates below s_i's lowest Cartan neighbour did
+    not move and were not negative, so the scan resumes there.
+    """
+    low, n = _lowest_links(rs), rs.rank
+    letters: list[int] = []
+    steps = [0] * n
+    i = 0
+    while True:
+        while i < n and z[i] >= 0:
+            i += 1
+        if i == n:
+            return letters, steps
+        if len(letters) == cap:
+            raise ContractError(message)
+        x = z[i]
+        for j, c in lines[i]:
+            z[j] -= c * x
+        letters.append(i + 1)
+        steps[i] -= x
+        i = low[i]
 
 
 def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:

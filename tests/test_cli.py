@@ -480,18 +480,22 @@ def test_unexpected_exception_is_one_internal_error_report(capsys, monkeypatch):
 def test_every_prime_gate_gives_one_message(capsys):
     rs = rootsys.build("A", 2)
     gates = [
-        lambda: FpMatrix.from_rows(8, [[1]]),
-        lambda: charp.bch_table(8, 2),
-        lambda: charp.cyclic_shift_matrix(8, (1,) * 8),
-        lambda: charp.heisenberg_module_check(8),
-        lambda: rootsys.is_good_prime(rs, 8),
-        lambda: alcove.mu_pj_restriction(rs, (1, 0), 8, 1),
-        lambda: heights.semisimplicity_bound_ok((4,), (2,), 8),
+        lambda p: FpMatrix.from_rows(p, [[1]]),
+        lambda p: FpMatrix.identity(p, 2),
+        lambda p: charp.bch_table(p, 2),
+        lambda p: charp.cyclic_shift_matrix(p, (1,) * 8),
+        lambda p: charp.heisenberg_module_check(p),
+        lambda p: rootsys.is_good_prime(rs, p),
+        lambda p: alcove.mu_pj_restriction(rs, (1, 0), p, 1),
+        lambda p: heights.semisimplicity_bound_ok((4,), (2,), p),
     ]
-    for gate in gates:
-        with pytest.raises(ValueError) as err:
-            gate()
-        assert str(err.value) == "8 is not prime"
+    for p in (8, 7.0):  # a float equal to a prime is no prime
+        for gate in gates:
+            with pytest.raises(ValueError) as err:
+                gate(p)
+            assert str(err.value) == f"{p} is not prime"
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        charp.weight_space_demo(7.0)
     code, out, _ = run_cli(capsys, ["lowheight", "--type", "A", "--rank", "2",
                                     "--weight", "1,0", "--p", "8"])
     assert code == 1 and out["error"]["message"] == "8 is not prime"

@@ -278,6 +278,20 @@ def _descent_twin(rs, weight):
     raise AssertionError("descent exceeded the number of positive roots")
 
 
+@pytest.mark.parametrize("t,n", [("A", 4), ("B", 3), ("C", 3), ("F", 4), ("G", 2)])
+def test_a_coroot_sum_that_breaks_the_pairing_with_a_simple_root_stops_the_descent(t, n, monkeypatch):
+    # raising coordinate k of 2 rho^vee raises <alpha_k, 2 rho^vee> from 2 to 4, while the
+    # pairings the descent would meet on its way may all stay positive
+    rs = rootsys.build(t, n)
+    two_rho = heights._two_rho_coroot(rs)
+    for k in range(n):
+        raised = two_rho[:k] + (two_rho[k] + 1,) + two_rho[k + 1:]
+        monkeypatch.setattr(heights, "_two_rho_coroot", lambda _, raised=raised: raised)
+        with pytest.raises(ContractError, match="descent failed to decrease"):
+            heights.antidominant_conjugate(rs, WeightVec((1,) * n))
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("t,n", DESCENT_TWINS)
 def test_antidominant_descent_matches_the_rescanning_twin(t, n):
     rs = rootsys.build(t, n)

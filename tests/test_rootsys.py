@@ -2,6 +2,7 @@
 
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -406,6 +407,28 @@ def test_coxeter_orbit_beyond_the_root_set_is_a_contract_error(monkeypatch):
     monkeypatch.setattr(rootsys, "apply_letters", drift)
     with pytest.raises(ContractError, match="exceeds"):
         rootsys.coxeter_via_element(rs)
+
+
+@pytest.mark.parametrize("t,n", ALL_TYPES)
+@pytest.mark.parametrize("side", ["_rows", "_cols"])
+def test_walk_from_minus_rho_takes_every_positive_root_and_moves_by_the_cartan_matrix(t, n, side):
+    # -rho^vee on the rows and -rho on the columns sit in the chamber of w_0, so the walk
+    # needs exactly |Phi+| reflections: a cap one lower is one too few
+    rs = rootsys.build(t, n)
+    lines, npos = getattr(rs, side), len(rs.positive_roots)
+    with pytest.raises(ContractError, match="one too few"):
+        rootsys._walk(rs, lines, [-1] * n, npos - 1, "one too few")
+    # z moves by C^T steps on the rows (z_j -= C[i][j] z_i), by C steps on the columns
+    moves = rs.cartan if side == "_cols" else tuple(zip(*rs.cartan))
+    rng = random.Random(f"walk:{t}{n}{side}")
+    starts = [[-1] * n] + [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(10)]
+    for start in starts:
+        z = list(start)
+        letters, steps = rootsys._walk(rs, lines, z, npos, "unused")
+        assert min(z) >= 0
+        assert [b - a for a, b in zip(start, z)] == [sum(map(mul, row, steps)) for row in moves]
+        if start == [-1] * n:
+            assert len(letters) == npos and z == [1] * n
 
 
 @pytest.mark.parametrize("t,n", TWINS + [("A", 20)])
