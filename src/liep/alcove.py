@@ -199,11 +199,6 @@ def _rho_dual(rs: RootSystem, word: tuple[int, ...]) -> list[int]:
     return apply_letters(rs, reversed(word), [1] * rs.rank)
 
 
-def _check_rank(rs: RootSystem, n: int) -> None:
-    if n != rs.rank:
-        raise ValueError(f"expected {rs.rank} coordinates for {rs.type_label}{rs.rank}, got {n}")
-
-
 @lru_cache(maxsize=None)
 def _theta_pairing_vector(rs: RootSystem) -> tuple[int, ...]:
     """``t_j = <alpha_j, theta^vee>`` from the sparse Cartan columns; the affine wall's shift."""
@@ -236,7 +231,7 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     the number of separating affine walls, so the loop ends within
     ``_reflection_bound`` steps; running past it means an arithmetic bug.
     """
-    _check_rank(rs, len(point.values))
+    rs._check_rank(len(point.values))
     n = rs.rank
     tvec = _theta_pairing_vector(rs)
     theta_letters = tuple(reversed(_reflection_word(rs, rs.marks)))
@@ -336,7 +331,7 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
     dominant by simple reflections (lowest violated index first).  The
     accumulated Weyl data is transported back through the reduction.
     """
-    _check_rank(rs, phi.rank)
+    rs._check_rank(phi.rank)
     reduced, transcript = reduce_to_alcove(rs, lift(phi))
 
     values, den = _numerators(reduced.values)
@@ -404,7 +399,7 @@ def _scaled_values(rs: RootSystem, phi: PhiHom) -> tuple[int, list[int]]:
     ``rs.roots`` lists the negatives after the positive roots in the same order, so
     h N phi(-alpha) = (-h N phi(alpha)) mod h N reuses the positive root's value.
     """
-    _check_rank(rs, phi.rank)
+    rs._check_rank(phi.rank)
     k, den = _numerators(phi.values)
     h = rs.coxeter_number
     hk, hden = [h * x for x in k], h * den
@@ -470,7 +465,7 @@ def oracle_valid_bases(rs: RootSystem, phi: PhiHom) -> tuple[BasisChoice, ...]:
     """
     if rs.rank > 3:
         raise ValueError("chamber enumeration is restricted to rank <= 3")
-    _check_rank(rs, phi.rank)
+    rs._check_rank(phi.rank)
     critical = {a.coords for a in critical_roots(rs, phi)}
     return tuple(BasisChoice(word) for word, positives in _chambers(rs) if critical <= positives)
 
@@ -486,7 +481,7 @@ def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -
         raise ValueError(f"j {j!r} is not an integer")
     if j < 1:
         raise ValueError("j must be at least 1")
-    _check_rank(rs, len(cochar))
+    rs._check_rank(len(cochar))
     for c in cochar:
         if not is_int(c):
             raise ValueError(f"cocharacter entry {c!r} is not an integer")

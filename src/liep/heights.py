@@ -61,6 +61,7 @@ def _descend(rs: RootSystem, weight: WeightVec) -> tuple[list[int], list[int]]:
 
 def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
     """The unique antidominant Weyl conjugate, by the greedy descent of ``_descend``."""
+    rs._check_rank(len(weight.coords))
     return WeightVec(tuple(_descend(rs, weight)[0]))
 
 
@@ -88,6 +89,7 @@ def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
     through the sparse rows of C, must give the weight minus its conjugate;
     a mismatch, and then any disagreement of the routes, is a ``ContractError``.
     """
+    rs._check_rank(len(weight.coords))
     if not weight.is_dominant():
         raise ContractError(f"weight {weight.coords} is not dominant")
     two_rho = _two_rho_coroot(rs)

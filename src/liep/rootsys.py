@@ -1,9 +1,11 @@
 """Irreducible root systems of types A through G, built from Cartan data.
 
-Roots are enumerated by closing the set of simple roots under simple
-reflections; no root table is hard-coded anywhere, and the classical
-root counts appear only as test oracles.  Simple roots are numbered
-1..rank following Bourbaki.
+The positive roots are enumerated by closing the set of simple roots under
+height-raising simple reflections, and the negative roots are their negatives;
+no root table is hard-coded anywhere, and the classical root counts appear
+only as test oracles.  ``build`` checks at run time only what that
+construction does not guarantee: a unique highest root and |Phi| = rank * h.
+Simple roots are numbered 1..rank following Bourbaki.
 
 Conventions used throughout the package:
 
@@ -128,10 +130,15 @@ class RootSystem:
 
     def reflect(self, v: RootVec, i: int) -> RootVec:
         """Apply the simple reflection ``s_i`` (1-based) to a root vector: ``v_i -= <v, alpha_i^vee>``."""
+        self._check_rank(len(v.coords))
         self._check_simple_index(i)
         coords = list(v.coords)
         coords[i - 1] -= sum(c * coords[j] for j, c in self._rows[i - 1])
         return RootVec(tuple(coords))
+
+    def _check_rank(self, n: int) -> None:
+        if n != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates for {self.type_label}{self.rank}, got {n}")
 
     def _check_simple_index(self, i: int) -> None:
         if not is_int(i) or not 1 <= i <= self.rank:
@@ -216,11 +223,13 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
 
 
 def _close_under_reflections(rows: tuple, cols: tuple) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Orbit of the simple roots under all simple reflections.
+    """The positive roots, generated from the simple roots by height-raising reflections.
 
-    Returns a map from root coordinates to coroot coordinates.  Every
-    root of an irreducible system is conjugate to a simple root, so the
-    closure is the full root set.  Pairings read the sparse Cartan rows and
+    Returns a map from positive-root coordinates to coroot coordinates.  Every positive
+    non-simple root b has an i with <b, alpha_i^vee> > 0, and s_i(b) is a positive root
+    of lower height (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.2), so reflecting a root m at i only when <m, alpha_i^vee> < 0, which raises
+    coordinate i alone, reaches all of Phi+.  Pairings read the sparse Cartan rows and
     columns (``RootSystem._rows``/``_cols``) in O(degree).
     """
     work = [tuple(int(j == i) for j in range(len(rows))) for i in range(len(rows))]
@@ -232,7 +241,7 @@ def _close_under_reflections(rows: tuple, cols: tuple) -> dict[tuple[int, ...], 
             pa = 0
             for j, x in row:
                 pa += x * m[j]
-            if pa == 0:
+            if pa >= 0:
                 continue
             m2 = list(m)
             m2[i] -= pa
@@ -254,29 +263,19 @@ def build(type_label: str, rank: int) -> RootSystem:
     Raises ``ValueError`` for a type/rank pair that does not name an
     irreducible system (including D3, which callers should request as A3).
 
-    The closure needs no replay through ``apply_letters``: it forms the image of
-    every (root, letter) pair with a nonzero pairing from the same sparse rows, by the
-    same two steps, and adds any image it lacks; a zero pairing fixes the root.  What
-    the construction does not guarantee is checked at run time: every root's negative
-    is a root, no root mixes signs, the highest root is unique, and |Phi| = rank * h
-    (Humphreys 1990, 3.18), which catches a closure that lost or gained roots.  The
-    zero vector is never generated, since every s_i is invertible and the closure
-    starts from the nonzero simple roots.
+    The closure builds Phi+ alone, from the same sparse rows, and the negative roots and
+    their coroots are its negation.  So no generated vector mixes signs (each step only
+    raises one coordinate of a nonnegative vector) and the root set is closed under
+    negation; neither is checked.  What the construction does not guarantee is checked
+    at run time: the highest root is unique, and |Phi| = 2 |Phi+| = rank * h (Humphreys
+    1990, 3.18), which catches a closure that lost or gained roots.  The zero vector is
+    never generated, since the closure starts from the simple roots and only adds.
     """
     C = _cartan_matrix(type_label, rank)
     rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C)
     cols = tuple(tuple((j, x) for j, x in enumerate(col) if x) for col in zip(*C))
     found = _close_under_reflections(rows, cols)
-
-    positives = []
-    for m in found:
-        if min(m) >= 0:
-            positives.append(m)
-        elif max(m) > 0:
-            raise ContractError(f"generated vector {m} has mixed signs")
-        if tuple(-x for x in m) not in found:
-            raise ContractError(f"root set not closed under negation at {m}")
-    positives.sort(key=lambda m: (sum(m), m))
+    positives = sorted(found, key=lambda m: (sum(m), m))
 
     top_height = sum(positives[-1])
     tops = [m for m in positives if sum(m) == top_height]
@@ -284,10 +283,12 @@ def build(type_label: str, rank: int) -> RootSystem:
         raise ContractError("highest root is not unique; system is not irreducible")
     theta = tops[0]
     h = 1 + top_height
-    if len(found) != rank * h:
-        raise ContractError(f"closure generated {len(found)} roots, not rank * h = {rank * h}")
+    if 2 * len(found) != rank * h:
+        raise ContractError(f"closure generated {2 * len(found)} roots, not rank * h = {rank * h}")
 
     ordered = positives + [tuple(-x for x in m) for m in positives]
+    coroots = [found[m] for m in positives]
+    coroots += [tuple(-x for x in c) for c in coroots]
     roots = tuple(RootVec(m) for m in ordered)
     return RootSystem(
         type_label=type_label,
@@ -298,7 +299,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         highest_root=RootVec(theta),
         marks=theta,
         coxeter_number=h,
-        coroots=tuple(found[m] for m in ordered),
+        coroots=tuple(coroots),
         _index={m: k for k, m in enumerate(ordered)},
         _rows=rows, _cols=cols,
     )

@@ -52,6 +52,17 @@ def test_nondominant_weight_rejected():
         heights.dynkin_height(rs, WeightVec((1, -1)))
 
 
+@pytest.mark.parametrize("coords", [(1, 0, 0, 0), (0, 0, 1, 5), (1, 0)])
+def test_weight_of_the_wrong_length_is_rejected_by_both_entry_points(coords):
+    # a longer weight once lost its tail silently and a shorter one raised IndexError
+    rs = rootsys.build("A", 3)
+    message = f"expected 3 coordinates for A3, got {len(coords)}"
+    with pytest.raises(ValueError, match=message):
+        heights.dynkin_height(rs, WeightVec(coords))
+    with pytest.raises(ValueError, match=message):
+        heights.antidominant_conjugate(rs, WeightVec(coords))
+
+
 @pytest.mark.parametrize("t,n", EXHAUSTIVE)
 def test_routes_agree_exhaustively_low_rank(t, n):
     rs = rootsys.build(t, n)

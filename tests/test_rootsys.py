@@ -346,13 +346,17 @@ def _dense_coxeter_order(rs):
     raise AssertionError("Coxeter element order exceeds 100")
 
 
-@pytest.mark.parametrize("t,n", TWINS)
+@pytest.mark.parametrize("t,n", TWINS + [("A", 30), ("D", 30)])
 def test_sparse_closure_matches_dense_closure(t, n):
+    # the dense closure generates both halves; the sparse one, Phi+ alone, must be its positive half
     rs = rootsys.build(t, n)
     sparse = rootsys._close_under_reflections(rs._rows, rs._cols)
     dense = _dense_closure([list(row) for row in rs.cartan], n)
     # the maps send each root to its coroot, so both sets and their pairing agree
-    assert list(sparse.items()) == list(dense.items())
+    positive = {m: c for m, c in dense.items() if min(m) >= 0}
+    assert sparse == positive
+    negatives = {m: c for m, c in dense.items() if min(m) < 0}
+    assert negatives == {tuple(-x for x in m): tuple(-x for x in c) for m, c in positive.items()}
     assert {a.coords: c for a, c in zip(rs.roots, rs.coroots)} == dense
 
 
@@ -447,8 +451,9 @@ def test_a_closure_that_loses_a_root_pair_fails_the_count(monkeypatch):
     lost = (1, 1, 0, 0)  # neither simple nor highest in A4, so only the count notices
 
     def lossy(rows, cols):
+        # the closure holds Phi+ only, so losing lost also loses its negative
         found = close(rows, cols)
-        del found[lost], found[tuple(-x for x in lost)]
+        del found[lost]
         return found
 
     monkeypatch.setattr(rootsys, "_close_under_reflections", lossy)
@@ -458,6 +463,13 @@ def test_a_closure_that_loses_a_root_pair_fails_the_count(monkeypatch):
             rootsys.build("A", 4)
     finally:
         rootsys.build.cache_clear()
+
+
+def test_reflect_rejects_a_vector_of_the_wrong_length():
+    rs = rootsys.build("A", 3)
+    for coords, n in (((1, 0), 2), ((1, 0, 0, 0), 4)):
+        with pytest.raises(ValueError, match=f"expected 3 coordinates for A3, got {n}"):
+            rs.reflect(RootVec(coords), 1)
 
 
 def test_vectors_share_one_base_but_never_compare_equal():
