@@ -41,7 +41,7 @@ from typing import Iterable
 
 from .errors import ContractError
 from .primes import is_int, require_prime
-from .rootsys import RootSystem, RootVec, _walk, apply_letters, simple_reflection_matrix
+from .rootsys import RootSystem, RootVec, _dominant_coroots, _walk, apply_letters, simple_reflection_matrix
 
 __all__ = [
     "PhiHom",
@@ -200,13 +200,6 @@ def _rho_dual(rs: RootSystem, word: tuple[int, ...]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _theta_pairing_vector(rs: RootSystem) -> tuple[int, ...]:
-    """``t_j = <alpha_j, theta^vee>`` from the sparse Cartan columns; the affine wall's shift."""
-    c = rs.coroot(rs.highest_root)
-    return tuple(sum(x * c[k] for k, x in col) for col in rs._cols)
-
-
-@lru_cache(maxsize=None)
 def _reflection_word(rs: RootSystem, alpha: tuple[int, ...]) -> tuple[int, ...]:
     """A word for the reflection in the positive root b with int coordinates ``alpha``:
     s_b = s_i s_{s_i(b)} s_i at the lowest i with k = <b, alpha_i^vee> > 0 (from ``rs._rows``)
@@ -233,7 +226,7 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     """
     rs._check_rank(len(point.values))
     n = rs.rank
-    tvec = _theta_pairing_vector(rs)
+    tvec = _dominant_coroots(rs)[0][1]  # <alpha_j, theta^vee>, the affine wall's shift
     theta_letters = tuple(reversed(_reflection_word(rs, rs.marks)))
 
     start, den = _numerators(point.values)

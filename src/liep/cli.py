@@ -163,7 +163,7 @@ def _cmd_roots(args):
     rs = _system(args)
     return rs.to_json_dict(), [
         "roots generated by reflection closure",
-        "closed under negation and simple reflections",
+        "root count equals rank * h",
         "unique highest root",
     ]
 

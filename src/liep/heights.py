@@ -1,10 +1,10 @@
 """Heights of highest-weight data, computed two independent ways.
 
-The height of a dominant weight is its pairing with the sum of the
-positive coroots.  It is recomputed, on plain ints, as the coordinate
-total of the difference between the weight and its antidominant Weyl
-conjugate over the simple roots; ``dynkin_height`` compares the two and
-reports both.
+The height of a dominant weight is its pairing with 2 rho^vee, the sum of
+the positive coroots, read off one walk on the Cartan rows from -rho^vee.  It
+is recomputed, on plain ints, as the coordinate total of the difference between
+the weight and its antidominant Weyl conjugate over the simple roots;
+``dynkin_height`` compares the two and reports both.
 
 The greedy descent to that conjugate is the package's one dominance walk,
 ``rootsys._walk``, on the sparse Cartan columns: at most |Phi+| reflections,
@@ -35,8 +35,17 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
-    """Coordinates of the sum of all positive coroots over the simple coroots."""
-    return tuple(map(sum, zip(*rs.coroots[:len(rs.positive_roots)])))
+    """Coordinates of 2 rho^vee, the sum of all positive coroots, over the simple coroots.
+
+    ``rootsys._walk`` on the rows from -rho^vee = (-1, ..., -1) ends at w_0(-rho^vee) =
+    rho^vee, so it moves by sum_i steps_i alpha_i^vee = 2 rho^vee, in exactly |Phi+| =
+    l(w_0) reflections (Humphreys 1990, 1.8); any other count is an arithmetic bug.
+    """
+    npos, message = len(rs.positive_roots), "walk from -rho^vee did not take |Phi+| reflections"
+    letters, steps = _walk(rs, rs._rows, [-1] * rs.rank, npos, message)
+    if len(letters) != npos:
+        raise ContractError(message)
+    return tuple(steps)
 
 
 def _descend(rs: RootSystem, weight: WeightVec) -> tuple[list[int], list[int]]:

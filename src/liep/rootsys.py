@@ -16,16 +16,15 @@ Conventions used throughout the package:
 * ``RootVec`` holds integer coordinates over the simple roots;
   ``WeightVec`` holds integer coordinates over the fundamental weights.
   No floating point is used anywhere, and C is never inverted.
-* Alongside each root we carry the coordinates of its coroot over the
-  simple coroots.  When ``beta' = s_i(beta)``, the coroot transforms by
-  the transposed rule ``c' = c - <alpha_i, beta^vee> e_i`` with
-  ``<alpha_i, beta^vee> = sum_k C[k][i] c_k``.
+* No coroot is carried through the closure: theta^vee, the highest coroot
+  (``_dominant_coroots``) and 2 rho^vee (``heights._two_rho_coroot``) are
+  walks on the Cartan rows.
 * A word acts through ``apply_letters`` alone, one simple reflection at a
   time, on a coweight point held as a plain integer list of its values on
   the simple roots; roots are read through ``alpha(w y) = (w^-1 alpha)(y)``,
   and words are never multiplied out into matrices on a hot path.
 * Every walk to the dominant end of a Weyl orbit is ``_walk``: on the Cartan rows
-  for a coweight point (alcove reduction, reduced words, vertex re-centring), on
+  for a coweight point (alcove reduction, reduced words, vertex re-centring, coroots), on
   the columns for a negated weight (the antidominant descent behind heights).
 """
 
@@ -91,11 +90,9 @@ class WeightVec(_IntVec):
 class RootSystem:
     """Immutable catalog of one irreducible root system.
 
-    ``roots`` lists the positive roots by increasing height followed by
-    their negatives in the same order; ``coroots`` is aligned with
-    ``roots`` and stores each coroot's coordinates over the simple
-    coroots.  ``_rows[i]`` and ``_cols[i]`` list the nonzero entries
-    ``(j, C[i][j])`` and ``(k, C[k][i])`` of row and column i of the Cartan matrix.
+    ``roots`` lists the positive roots by increasing height followed by their negatives in
+    the same order.  ``_rows[i]`` and ``_cols[i]`` list the nonzero entries ``(j, C[i][j])``
+    and ``(k, C[k][i])`` of row and column i of the Cartan matrix.
     """
 
     type_label: str
@@ -106,7 +103,6 @@ class RootSystem:
     highest_root: RootVec
     marks: tuple[int, ...]
     coxeter_number: int
-    coroots: tuple[tuple[int, ...], ...]
     _index: dict = field(compare=False, repr=False)
     _rows: tuple = field(compare=False, repr=False)
     _cols: tuple = field(compare=False, repr=False)
@@ -120,13 +116,6 @@ class RootSystem:
 
     def is_root(self, v: RootVec) -> bool:
         return v.coords in self._index
-
-    def coroot(self, alpha: RootVec) -> tuple[int, ...]:
-        """Coordinates of ``alpha``'s coroot over the simple coroots."""
-        pos = self._index.get(alpha.coords)
-        if pos is None:
-            raise ContractError(f"{alpha.coords} is not a root of {self.type_label}{self.rank}")
-        return self.coroots[pos]
 
     def reflect(self, v: RootVec, i: int) -> RootVec:
         """Apply the simple reflection ``s_i`` (1-based) to a root vector: ``v_i -= <v, alpha_i^vee>``."""
@@ -165,9 +154,9 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
         f"no irreducible system of type {type_label!r} and rank {rank}: "
         "valid are A(n>=1), B(n>=2), C(n>=2), D(n>=4), E(6..8), F4, G2"
     )
-    if type_label not in "ABCDEFG" or len(type_label) != 1:
+    if not isinstance(type_label, str) or type_label not in "ABCDEFG" or len(type_label) != 1:
         raise bad
-    if rank < 1:
+    if not is_int(rank) or rank < 1:
         raise bad
 
     C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -222,59 +211,52 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
     return C
 
 
-def _close_under_reflections(rows: tuple, cols: tuple) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _close_under_reflections(rows: tuple) -> set[tuple[int, ...]]:
     """The positive roots, generated from the simple roots by height-raising reflections.
 
-    Returns a map from positive-root coordinates to coroot coordinates.  Every positive
-    non-simple root b has an i with <b, alpha_i^vee> > 0, and s_i(b) is a positive root
-    of lower height (Humphreys, Introduction to Lie Algebras and Representation Theory,
-    10.2), so reflecting a root m at i only when <m, alpha_i^vee> < 0, which raises
-    coordinate i alone, reaches all of Phi+.  Pairings read the sparse Cartan rows and
-    columns (``RootSystem._rows``/``_cols``) in O(degree).
+    Returns the set of their coordinates.  Every positive non-simple root b has an i with
+    <b, alpha_i^vee> > 0, and s_i(b) is a positive root of lower height (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 10.2), so reflecting a root m
+    at i only when <m, alpha_i^vee> < 0, which raises coordinate i alone, reaches all of
+    Phi+.  Pairings read the sparse Cartan rows (``RootSystem._rows``) in O(degree).
     """
     work = [tuple(int(j == i) for j in range(len(rows))) for i in range(len(rows))]
-    found = {e: e for e in work}
+    found = set(work)
     while work:
         m = work.pop()
-        c = found[m]
         for i, row in enumerate(rows):
             pa = 0
             for j, x in row:
                 pa += x * m[j]
             if pa >= 0:
                 continue
-            m2 = list(m)
-            m2[i] -= pa
-            key = tuple(m2)
-            if key in found:
-                continue
-            c2 = list(c)
-            for k, x in cols[i]:
-                c2[i] -= x * c[k]
-            found[key] = tuple(c2)
-            work.append(key)
+            key = m[:i] + (m[i] - pa,) + m[i + 1:]
+            if key not in found:
+                found.add(key)
+                work.append(key)
     return found
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build(type_label: str, rank: int) -> RootSystem:
     """Construct the irreducible root system of the given type and rank.
 
-    Raises ``ValueError`` for a type/rank pair that does not name an
-    irreducible system (including D3, which callers should request as A3).
+    Raises ``ValueError`` for a type/rank pair that does not name an irreducible system,
+    including D3 (request A3), a non-string type and a bool or float rank; the cache is
+    typed, so ``True`` reaches that check instead of the entry for rank 1.
 
-    The closure builds Phi+ alone, from the same sparse rows, and the negative roots and
-    their coroots are its negation.  So no generated vector mixes signs (each step only
-    raises one coordinate of a nonnegative vector) and the root set is closed under
-    negation; neither is checked.  What the construction does not guarantee is checked
-    at run time: the highest root is unique, and |Phi| = 2 |Phi+| = rank * h (Humphreys
-    1990, 3.18), which catches a closure that lost or gained roots.  The zero vector is
-    never generated, since the closure starts from the simple roots and only adds.
+    The closure builds Phi+ alone, from the sparse Cartan rows, and the negative roots
+    are its negation.  So no generated vector mixes signs (each step only raises one
+    coordinate of a nonnegative vector) and the root set is closed under negation;
+    neither is checked.  What the construction does not guarantee is checked at run time:
+    the highest root is unique, and |Phi| = 2 |Phi+| = rank * h (Humphreys 1990, 3.18),
+    which catches a closure that lost or gained roots.  The zero vector is never
+    generated, since the closure starts from the simple roots and only adds.
     """
     C = _cartan_matrix(type_label, rank)
     rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C)
     cols = tuple(tuple((j, x) for j, x in enumerate(col) if x) for col in zip(*C))
-    found = _close_under_reflections(rows, cols)
+    found = _close_under_reflections(rows)
     positives = sorted(found, key=lambda m: (sum(m), m))
 
     top_height = sum(positives[-1])
@@ -287,8 +269,6 @@ def build(type_label: str, rank: int) -> RootSystem:
         raise ContractError(f"closure generated {2 * len(found)} roots, not rank * h = {rank * h}")
 
     ordered = positives + [tuple(-x for x in m) for m in positives]
-    coroots = [found[m] for m in positives]
-    coroots += [tuple(-x for x in c) for c in coroots]
     roots = tuple(RootVec(m) for m in ordered)
     return RootSystem(
         type_label=type_label,
@@ -299,7 +279,6 @@ def build(type_label: str, rank: int) -> RootSystem:
         highest_root=RootVec(theta),
         marks=theta,
         coxeter_number=h,
-        coroots=tuple(coroots),
         _index={m: k for k, m in enumerate(ordered)},
         _rows=rows, _cols=cols,
     )
@@ -313,12 +292,11 @@ def coxeter_via_marks(rs: RootSystem) -> int:
 def coxeter_via_rho(rs: RootSystem) -> int:
     """Coxeter number as ``<rho, beta^vee> + 1`` for the highest coroot ``beta^vee``.
 
-    The highest coroot is the coroot of maximal coordinate sum (the
-    highest root of the dual system), and ``rho`` pairs with a coroot by
-    summing its coordinates.
+    The highest coroot (the highest root of the dual system) is the last of
+    ``_dominant_coroots``, a walk on the Cartan rows that never reads the closure, and
+    ``rho`` pairs with a coroot by summing its coordinates over the simple coroots.
     """
-    high = max(rs.coroots[:len(rs.positive_roots)], key=sum)
-    return 1 + sum(high)
+    return 1 + sum(_dominant_coroots(rs)[-1][0])
 
 
 def coxeter_via_element(rs: RootSystem) -> int:
@@ -381,6 +359,25 @@ def _walk(rs: RootSystem, lines: tuple, z: list[int], cap: int, message: str
         letters.append(i + 1)
         steps[i] -= x
         i = low[i]
+
+
+@lru_cache(maxsize=None)
+def _dominant_coroots(rs: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The dominant coroots by height, each as (coordinates over the simple coroots,
+    values on the simple roots): theta^vee, then the highest coroot unless they are one.
+
+    ``_walk`` on the rows carries row i of C, alpha_i^vee's values, to the dominant end of
+    its W-orbit, e_i + steps.  Each of the one or two coroot orbits (one per root length)
+    has one dominant element (Bourbaki, Lie Groups and Lie Algebras, VI 1.8).
+    """
+    found = set()
+    for i, row in enumerate(rs.cartan):
+        z = list(row)
+        _, steps = _walk(rs, rs._rows, z, len(rs.positive_roots),
+                         "coroot walk exceeded the number of positive roots")
+        steps[i] += 1
+        found.add((tuple(steps), tuple(z)))
+    return tuple(sorted(found, key=lambda cz: sum(cz[0])))
 
 
 def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:

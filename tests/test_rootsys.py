@@ -1,12 +1,13 @@
 """Root systems generated by reflection closure, checked against classical data."""
 
+import json
 import math
 import random
 from operator import mul
 
 import pytest
 
-from liep import alcove, heights, rootsys
+from liep import alcove, cli, heights, rootsys
 from liep.errors import ContractError
 from liep.rootsys import RootVec, WeightVec
 
@@ -117,6 +118,21 @@ def test_root_height_rejects_non_roots():
 def test_invalid_type_rank_rejected(bad):
     with pytest.raises(ValueError):
         rootsys.build(*bad)
+
+
+@pytest.mark.parametrize("bad", [("A", True), ("B", 2.0), (1, 3), (None, 2), ("A", "2")])
+def test_bool_float_and_non_string_arguments_are_rejected_and_leave_the_cache_clean(bad, capsys):
+    # True == 1, so an untyped cache could store a system of rank True under A1's key
+    rootsys.build.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="no irreducible system"):
+            rootsys.build(*bad)
+        assert cli.main(["roots", "--type", "A", "--rank", "1"]) == 0
+        assert type(json.loads(capsys.readouterr().out)["result"]["rank"]) is int
+        with pytest.raises(ValueError, match="no irreducible system"):
+            rootsys.build(*bad)  # again, now that A1 is cached
+    finally:
+        rootsys.build.cache_clear()
 
 
 def test_d4_is_accepted_even_though_d3_is_not():
@@ -243,21 +259,20 @@ def test_weight_root_conversion_round_trip():
 def test_coroot_pairings():
     for t, n in [("B", 3), ("C", 3), ("G", 2), ("F", 4)]:
         rs = rootsys.build(t, n)
-        for a in rs.roots:
-            c = rs.coroot(a)
-            # <alpha, alpha^vee> = 2 for every root
-            pair = sum(rs.cartan[k][j] * c[k] * a.coords[j] for k in range(n) for j in range(n))
-            assert pair == 2
+        walked = rootsys._dominant_coroots(rs)
+        # each walk result's values on the simple roots are C^T times its coordinates
+        for c, z in walked:
+            assert list(z) == [sum(rs.cartan[k][j] * c[k] for k in range(n)) for j in range(n)]
+        # <theta, theta^vee> = 2, with theta^vee the lowest dominant coroot
+        assert sum(map(mul, rs.marks, walked[0][1])) == 2
 
 
 def test_highest_coroot_differs_from_theta_coroot_outside_simply_laced():
     # in type C the dual system is type B, so the highest coroot is not theta's
     rs = rootsys.build("C", 3)
-    high = max((rs.coroot(a) for a in rs.positive_roots), key=sum)
-    assert high != rs.coroot(rs.highest_root)
-    e6 = rootsys.build("E", 6)
-    high6 = max((e6.coroot(a) for a in e6.positive_roots), key=sum)
-    assert high6 == e6.coroot(e6.highest_root)
+    theta_dual, high = rootsys._dominant_coroots(rs)
+    assert sum(high[0]) > sum(theta_dual[0])
+    assert len(rootsys._dominant_coroots(rootsys.build("E", 6))) == 1
 
 
 def test_serialization_schema():
@@ -350,14 +365,18 @@ def _dense_coxeter_order(rs):
 def test_sparse_closure_matches_dense_closure(t, n):
     # the dense closure generates both halves; the sparse one, Phi+ alone, must be its positive half
     rs = rootsys.build(t, n)
-    sparse = rootsys._close_under_reflections(rs._rows, rs._cols)
+    sparse = rootsys._close_under_reflections(rs._rows)
     dense = _dense_closure([list(row) for row in rs.cartan], n)
-    # the maps send each root to its coroot, so both sets and their pairing agree
+    # the dense map sends each root to its coroot, the twin of the coroot walks
     positive = {m: c for m, c in dense.items() if min(m) >= 0}
-    assert sparse == positive
+    assert sparse == set(positive)
     negatives = {m: c for m, c in dense.items() if min(m) < 0}
     assert negatives == {tuple(-x for x in m): tuple(-x for x in c) for m, c in positive.items()}
-    assert {a.coords: c for a, c in zip(rs.roots, rs.coroots)} == dense
+    assert {a.coords for a in rs.roots} == set(dense)
+    assert heights._two_rho_coroot(rs) == tuple(map(sum, zip(*positive.values())))
+    walked = [c for c, _ in rootsys._dominant_coroots(rs)]
+    assert walked[0] == positive[rs.marks]
+    assert walked[-1] == max(positive.values(), key=sum)
 
 
 @pytest.mark.parametrize("t,n", TWINS)
@@ -450,10 +469,10 @@ def test_a_closure_that_loses_a_root_pair_fails_the_count(monkeypatch):
     close = rootsys._close_under_reflections
     lost = (1, 1, 0, 0)  # neither simple nor highest in A4, so only the count notices
 
-    def lossy(rows, cols):
+    def lossy(rows):
         # the closure holds Phi+ only, so losing lost also loses its negative
-        found = close(rows, cols)
-        del found[lost]
+        found = close(rows)
+        found.discard(lost)
         return found
 
     monkeypatch.setattr(rootsys, "_close_under_reflections", lossy)
