@@ -203,7 +203,8 @@ def _rho_dual(rs: RootSystem, word: tuple[int, ...]) -> list[int]:
 def _reflection_word(rs: RootSystem, alpha: tuple[int, ...]) -> tuple[int, ...]:
     """A word for the reflection in the positive root b with int coordinates ``alpha``:
     s_b = s_i s_{s_i(b)} s_i at the lowest i with k = <b, alpha_i^vee> > 0 (from ``rs._rows``)
-    and s_i(b) = b - k alpha_i; above height 1, b is not simple, so s_i(b) is positive and lower."""
+    and s_i(b) = b - k alpha_i, so the word is a palindrome; above height 1, b is not simple,
+    so s_i(b) is positive and lower."""
     if sum(alpha) == 1:
         return (alpha.index(1) + 1,)
     for i, row in enumerate(rs._rows):
@@ -227,7 +228,7 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     rs._check_rank(len(point.values))
     n = rs.rank
     tvec = _dominant_coroots(rs)[0][1]  # <alpha_j, theta^vee>, the affine wall's shift
-    theta_letters = tuple(reversed(_reflection_word(rs, rs.marks)))
+    theta_letters = _reflection_word(rs, rs.marks)  # a palindrome, so read either way
 
     start, den = _numerators(point.values)
     values = list(start)
@@ -474,10 +475,7 @@ def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -
         raise ValueError(f"j {j!r} is not an integer")
     if j < 1:
         raise ValueError("j must be at least 1")
-    rs._check_rank(len(cochar))
-    for c in cochar:
-        if not is_int(c):
-            raise ValueError(f"cocharacter entry {c!r} is not an integer")
+    rs._check_int_coords(cochar)
     den = p**j
     vals = tuple(
         Fraction(sum(rs.cartan[k][i] * cochar[k] for k in range(rs.rank)), den)

@@ -100,7 +100,7 @@ class FpMatrix:
         return _combination(self.p, self.n, ((-1, self),))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, FpMatrix):
             return self.scale(other)
         self._same_shape(other)
         p = self.p
@@ -113,6 +113,8 @@ class FpMatrix:
         return self.scale(scalar)
 
     def scale(self, scalar: int) -> "FpMatrix":
+        if not is_int(scalar):
+            raise ValueError(f"scalar {scalar!r} is not an integer")
         return _combination(self.p, self.n, ((scalar, self),))
 
     def __pow__(self, k: int) -> "FpMatrix":

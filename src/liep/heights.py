@@ -9,20 +9,19 @@ the weight and its antidominant Weyl conjugate over the simple roots;
 The greedy descent to that conjugate is the package's one dominance walk,
 ``rootsys._walk``, on the sparse Cartan columns: at most |Phi+| reflections,
 each costing O(degree) and subtracting a known multiple of one simple root, so
-the walk itself records the difference's root coordinates.  The pairing of each
-simple root with the coroot sum is checked to be 2 once per descent, not per
-step; a height costs O(|Phi+| + rank * degree) at any rank.
+the walk itself records the difference's root coordinates.  It reads no 2 rho^vee,
+which ``rootsys._two_rho_coroot`` checks once per system where it walks it; a
+height costs O(|Phi+| + rank * degree) at any rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .errors import ContractError
 from .primes import is_int, require_prime
-from .rootsys import RootSystem, WeightVec, _walk, fundamental_weight
+from .rootsys import RootSystem, WeightVec, _two_rho_coroot, _walk, fundamental_weight
 
 __all__ = [
     "HeightReport",
@@ -33,20 +32,6 @@ __all__ = [
     "antidominant_conjugate",
 ]
 
-@lru_cache(maxsize=None)
-def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
-    """Coordinates of 2 rho^vee, the sum of all positive coroots, over the simple coroots.
-
-    ``rootsys._walk`` on the rows from -rho^vee = (-1, ..., -1) ends at w_0(-rho^vee) =
-    rho^vee, so it moves by sum_i steps_i alpha_i^vee = 2 rho^vee, in exactly |Phi+| =
-    l(w_0) reflections (Humphreys 1990, 1.8); any other count is an arithmetic bug.
-    """
-    npos, message = len(rs.positive_roots), "walk from -rho^vee did not take |Phi+| reflections"
-    letters, steps = _walk(rs, rs._rows, [-1] * rs.rank, npos, message)
-    if len(letters) != npos:
-        raise ContractError(message)
-    return tuple(steps)
-
 
 def _descend(rs: RootSystem, weight: WeightVec) -> tuple[list[int], list[int]]:
     """The antidominant conjugate's coordinates, by greedy descent, and the root
@@ -55,13 +40,8 @@ def _descend(rs: RootSystem, weight: WeightVec) -> tuple[list[int], list[int]]:
     The descent is ``rootsys._walk`` on the sparse Cartan columns, run on the negated
     weight: each reflection, at the lowest positive coordinate l_i, subtracts ``l_i alpha_i``
     (``l_k -= C[k][i] l_i``), and the descent ends within |Phi+| of them, so running past
-    them means an arithmetic bug.  Each reflection lowers <weight, 2 rho^vee> by
-    ``l_i <alpha_i, 2 rho^vee> = 2 l_i``; that every simple root pairs to 2 with the
-    coroot sum, ``sum_k C[k][i] two_rho[k] == 2``, is checked once per call, before the walk.
+    them means an arithmetic bug.
     """
-    two_rho = _two_rho_coroot(rs)
-    if any(sum(c * two_rho[k] for k, c in col) != 2 for col in rs._cols):
-        raise ContractError("descent failed to decrease; arithmetic is broken")
     z = [-x for x in weight.coords]
     _, steps = _walk(rs, rs._cols, z, len(rs.positive_roots),
                      "antidominant descent exceeded the number of positive roots")
@@ -70,7 +50,7 @@ def _descend(rs: RootSystem, weight: WeightVec) -> tuple[list[int], list[int]]:
 
 def antidominant_conjugate(rs: RootSystem, weight: WeightVec) -> WeightVec:
     """The unique antidominant Weyl conjugate, by the greedy descent of ``_descend``."""
-    rs._check_rank(len(weight.coords))
+    rs._check_int_coords(weight.coords)
     return WeightVec(tuple(_descend(rs, weight)[0]))
 
 
@@ -98,7 +78,7 @@ def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
     through the sparse rows of C, must give the weight minus its conjugate;
     a mismatch, and then any disagreement of the routes, is a ``ContractError``.
     """
-    rs._check_rank(len(weight.coords))
+    rs._check_int_coords(weight.coords)
     if not weight.is_dominant():
         raise ContractError(f"weight {weight.coords} is not dominant")
     two_rho = _two_rho_coroot(rs)

@@ -17,8 +17,8 @@ Conventions used throughout the package:
   ``WeightVec`` holds integer coordinates over the fundamental weights.
   No floating point is used anywhere, and C is never inverted.
 * No coroot is carried through the closure: theta^vee, the highest coroot
-  (``_dominant_coroots``) and 2 rho^vee (``heights._two_rho_coroot``) are
-  walks on the Cartan rows.
+  (``_dominant_coroots``) and 2 rho^vee (``_two_rho_coroot``, checked once, where
+  it is walked, to pair to 2 with every simple root) are walks on the Cartan rows.
 * A word acts through ``apply_letters`` alone, one simple reflection at a
   time, on a coweight point held as a plain integer list of its values on
   the simple roots; roots are read through ``alpha(w y) = (w^-1 alpha)(y)``,
@@ -119,7 +119,7 @@ class RootSystem:
 
     def reflect(self, v: RootVec, i: int) -> RootVec:
         """Apply the simple reflection ``s_i`` (1-based) to a root vector: ``v_i -= <v, alpha_i^vee>``."""
-        self._check_rank(len(v.coords))
+        self._check_int_coords(v.coords)
         self._check_simple_index(i)
         coords = list(v.coords)
         coords[i - 1] -= sum(c * coords[j] for j, c in self._rows[i - 1])
@@ -128,6 +128,13 @@ class RootSystem:
     def _check_rank(self, n: int) -> None:
         if n != self.rank:
             raise ValueError(f"expected {self.rank} coordinates for {self.type_label}{self.rank}, got {n}")
+
+    def _check_int_coords(self, coords: tuple) -> None:
+        """The integer gate of a root, weight or cocharacter argument: ``rank`` ints."""
+        self._check_rank(len(coords))
+        for c in coords:
+            if not is_int(c):
+                raise ValueError(f"coordinate {c!r} is not an integer")
 
     def _check_simple_index(self, i: int) -> None:
         if not is_int(i) or not 1 <= i <= self.rank:
@@ -378,6 +385,22 @@ def _dominant_coroots(rs: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[int,
         steps[i] += 1
         found.add((tuple(steps), tuple(z)))
     return tuple(sorted(found, key=lambda cz: sum(cz[0])))
+
+
+@lru_cache(maxsize=None)
+def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
+    """2 rho^vee, the sum of the positive coroots, over the simple coroots.
+
+    ``_walk`` on the rows from -rho^vee = (-1, ..., -1) ends at w_0(-rho^vee) = rho^vee in
+    |Phi+| = l(w_0) reflections (Humphreys 1990, 1.8), so its steps are 2 rho^vee.  It moves
+    z by C^T steps, so z_j ends at -1 + <alpha_j, 2 rho^vee>: the end (1, ..., 1) says that
+    every simple root pairs to 2 with 2 rho^vee.  Anything else is an arithmetic bug.
+    """
+    npos, z, message = len(rs.positive_roots), [-1] * rs.rank, "walk from -rho^vee did not reach rho^vee"
+    letters, steps = _walk(rs, rs._rows, z, npos, message)
+    if len(letters) != npos or z != [1] * rs.rank:
+        raise ContractError(message)
+    return tuple(steps)
 
 
 def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:

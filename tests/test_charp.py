@@ -546,6 +546,15 @@ def test_cyclic_shift_rejects_non_integer_weights():
             charp.cyclic_shift_matrix(3, weights)
 
 
+def test_scaling_by_a_non_integer_is_rejected():
+    # scale(1.5) returned float rows, and m * 1.5 escaped as AttributeError
+    m = FpMatrix.identity(5, 2)
+    for scalar in (1.5, 2.0, True, F(1, 2)):
+        for scaled in (FpMatrix.scale, FpMatrix.__mul__, lambda a, c: c * a):
+            with pytest.raises(ValueError, match="is not an integer"):
+                scaled(m, scalar)
+
+
 def test_cycle_power_scalar_rejects_non_integer_weights():
     # prod(map(int, ...)) read 1.7 as 1 and gave the scalar 1
     for weights in ((1.7, 1, 1), (1, True, 1), (1, 1, "1")):

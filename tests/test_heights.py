@@ -291,16 +291,37 @@ def _descent_twin(rs, weight):
 
 @pytest.mark.parametrize("t,n", [("A", 4), ("B", 3), ("C", 3), ("F", 4), ("G", 2)])
 def test_a_coroot_sum_that_breaks_the_pairing_with_a_simple_root_stops_the_descent(t, n, monkeypatch):
-    # raising coordinate k of 2 rho^vee raises <alpha_k, 2 rho^vee> from 2 to 4, while the
-    # pairings the descent would meet on its way may all stay positive
+    # raising coordinate k of 2 rho^vee raises <alpha_k, 2 rho^vee> from 2 to 4: the pairing
+    # route then disagrees with the descent's root coordinates, which never read 2 rho^vee
     rs = rootsys.build(t, n)
-    two_rho = heights._two_rho_coroot(rs)
+    rho = WeightVec((1,) * n)
+    two_rho, low = heights._two_rho_coroot(rs), heights.antidominant_conjugate(rs, rho)
     for k in range(n):
         raised = two_rho[:k] + (two_rho[k] + 1,) + two_rho[k + 1:]
         monkeypatch.setattr(heights, "_two_rho_coroot", lambda _, raised=raised: raised)
-        with pytest.raises(ContractError, match="descent failed to decrease"):
-            heights.antidominant_conjugate(rs, WeightVec((1,) * n))
+        with pytest.raises(ContractError, match="height routes disagree"):
+            heights.dynkin_height(rs, rho)
+        assert heights.antidominant_conjugate(rs, rho) == low
         monkeypatch.undo()
+
+
+def test_the_antidominant_descent_reads_no_coroot_sum(monkeypatch):
+    def unreadable(_):
+        raise AssertionError("the descent read 2 rho^vee")
+
+    expected = {(t, n): heights.antidominant_conjugate(rootsys.build(t, n), WeightVec((1,) * n))
+                for t, n in [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]}
+    monkeypatch.setattr(heights, "_two_rho_coroot", unreadable)
+    for (t, n), low in expected.items():
+        assert heights.antidominant_conjugate(rootsys.build(t, n), WeightVec((1,) * n)) == low
+
+
+@pytest.mark.parametrize("entry", [heights.dynkin_height, heights.antidominant_conjugate])
+@pytest.mark.parametrize("coords", [(1.5, 0), (0.5, 0.25), (1, 2.0), (True, 0)])
+def test_non_integer_weights_are_rejected_by_both_entry_points(entry, coords):
+    # (1.5, 0) had height 3.0 and conjugate (-0.0, -1.5); (0.5, 0.25) the conjugate (-0.25, -0.5)
+    with pytest.raises(ValueError, match="is not an integer"):
+        entry(rootsys.build("A", 2), WeightVec(coords))
 
 
 @pytest.mark.parametrize("t,n", DESCENT_TWINS)

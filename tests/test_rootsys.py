@@ -1,5 +1,6 @@
 """Root systems generated by reflection closure, checked against classical data."""
 
+import dataclasses
 import json
 import math
 import random
@@ -373,7 +374,7 @@ def test_sparse_closure_matches_dense_closure(t, n):
     negatives = {m: c for m, c in dense.items() if min(m) < 0}
     assert negatives == {tuple(-x for x in m): tuple(-x for x in c) for m, c in positive.items()}
     assert {a.coords for a in rs.roots} == set(dense)
-    assert heights._two_rho_coroot(rs) == tuple(map(sum, zip(*positive.values())))
+    assert rootsys._two_rho_coroot(rs) == tuple(map(sum, zip(*positive.values())))
     walked = [c for c, _ in rootsys._dominant_coroots(rs)]
     assert walked[0] == positive[rs.marks]
     assert walked[-1] == max(positive.values(), key=sum)
@@ -489,6 +490,34 @@ def test_reflect_rejects_a_vector_of_the_wrong_length():
     for coords, n in (((1, 0), 2), ((1, 0, 0, 0), 4)):
         with pytest.raises(ValueError, match=f"expected 3 coordinates for A3, got {n}"):
             rs.reflect(RootVec(coords), 1)
+
+
+def test_reflect_rejects_non_integer_coordinates():
+    # (1.5, 0) was reflected to (-1.5, 0)
+    rs = rootsys.build("A", 2)
+    for coords in ((1.5, 0), (1, 0.0), (True, 0)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            rs.reflect(RootVec(coords), 1)
+
+
+def _rows_with(rs, label, entry):
+    """A copy of ``rs`` under a new label, so no cache entry of ``rs`` answers for it,
+    whose sparse rows hold ``entry(i, j, c)`` in place of each Cartan entry ``c = C[i][j]``."""
+    rows = tuple(tuple((j, entry(i, j, c)) for j, c in row) for i, row in enumerate(rs._rows))
+    return dataclasses.replace(rs, type_label=label, _rows=rows)
+
+
+@pytest.mark.parametrize("t,n,entry", [
+    ("A", 1, lambda i, j, c: 3),  # one letter, as |Phi+| = 1, but the walk ends at 2
+    ("A", 3, lambda i, j, c: c if i == j else 0),  # three letters, not |Phi+| = 6
+    ("B", 3, lambda i, j, c: 2 * c if i != j else c),  # an infinite group: the cap is hit
+    ("G", 2, lambda i, j, c: -c if i != j else c),  # positive off-diagonal entries
+], ids=["wrong-end", "too-few-letters", "past-the-cap", "positive-links"])
+def test_two_rho_coroot_rejects_rows_that_disagree_with_the_cartan_data(t, n, entry):
+    rs = rootsys.build(t, n)
+    assert rootsys._two_rho_coroot(rs) == rootsys._two_rho_coroot(_rows_with(rs, f"{t}-copy", lambda i, j, c: c))
+    with pytest.raises(ContractError, match="walk from -rho\\^vee did not reach rho\\^vee"):
+        rootsys._two_rho_coroot(_rows_with(rs, f"{t}-broken", entry))
 
 
 def test_vectors_share_one_base_but_never_compare_equal():
