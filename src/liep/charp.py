@@ -11,11 +11,12 @@ external dependencies.
 Every linear combination of matrices (sums, differences, scalings, the
 three series and the group law) is formed by ``_combination``, which
 sums on plain ints and reduces mod p once.  The series are evaluated by
-``_series``, which sums c_k . nil^k over the m coefficients it is given,
-walking the powers one product at a time and keeping none of them, and
-requires nil^m = 0: nothing is cached per input.  ``trunc_exp`` and
-``trunc_log`` pass m = p coefficients; ``t_power`` passes m = min(n, p),
-so its cost follows the matrix size n, not p.
+``_series``, which sums c_k . nil^k, walking the powers one product at a
+time and keeping none of them: nothing is cached per input.  ``trunc_exp``,
+``trunc_log`` and ``t_power`` each pass their p coefficients; ``_series``
+reads at most min(n, p) of them and stops at the first zero power, so a
+series costs the nilpotency index of its n x n argument in products, and
+a contract failure at most min(n, p), never p.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from math import prod
 from operator import mul
 
@@ -243,18 +244,22 @@ def _combination(p: int, n: int, terms) -> FpMatrix:
 
 
 def _series(nil: FpMatrix, coeffs) -> FpMatrix:
-    """The sum of c_k . nil^k over the m coefficients c_0 .. c_{m-1}; requires nil^m = 0.
+    """The sum of c_k . nil^k over the coefficients c_0, c_1, ..; requires nil^p = 0.
 
+    For an n x n matrix, nil^p = 0 holds exactly when nil^min(n, p) = 0
+    (Cayley-Hamilton), so at most the first min(n, p) coefficients are read,
+    and the walk stops at the first zero power: every later term is c_k . 0.
     Each power is formed from the one before it and dropped once it is added.
     """
 
     def terms():
         power = FpMatrix.identity(nil.p, nil.n)
-        for c in coeffs:
+        for c in islice(coeffs, min(nil.n, nil.p)):
             yield c, power
             power = power * nil
-        if not power.is_zero():
-            raise ContractError("matrix power p does not vanish")
+            if power.is_zero():
+                return
+        raise ContractError("matrix power p does not vanish")
 
     return _combination(nil.p, nil.n, terms())
 
@@ -280,16 +285,15 @@ def t_power(u: FpMatrix, t: int) -> FpMatrix:
     u^p = 1).  For integer t this agrees with the ordinary power, and
     t only matters mod p.
 
-    For an n x n matrix, (u - 1)^p = 0 holds exactly when
-    (u - 1)^min(n, p) = 0, so only the first min(n, p) binomials are
-    walked: min(n, p) products, not p.  Among those, C(t, k) = 0 mod p
+    ``_series`` walks the binomials only up to the nilpotency index of
+    u - 1, at most min(n, p) products.  Among those, C(t, k) = 0 mod p
     for t mod p < k < p by Lucas' theorem; the running product turns 0
     at k = t mod p + 1 and ``_combination`` skips the zero terms.
     """
     if not is_int(t):
         raise ValueError(f"exponent {t!r} is not an integer")
     p = u.p
-    binomials = accumulate(range(1, min(u.n, p)),
+    binomials = accumulate(range(1, p),
                            lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
                            initial=1)  # C(t, k) mod p
     return _series(u - FpMatrix.identity(p, u.n), binomials)

@@ -115,6 +115,7 @@ class RootSystem:
         return f"RootSystem({self.type_label}{self.rank}, {len(self.roots)} roots)"
 
     def is_root(self, v: RootVec) -> bool:
+        self._check_int_coords(v.coords)
         return v.coords in self._index
 
     def reflect(self, v: RootVec, i: int) -> RootVec:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import random
 import tracemalloc
 from collections import deque
@@ -18,11 +19,11 @@ from liep.errors import ContractError
 from liep.primes import is_prime
 
 
-def _jordan(p, n):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = 1
-    return FpMatrix.from_rows(p, rows)
+def _jordan(p, n, k=None):
+    """The n x n matrix whose one nonzero block is a nilpotent k x k Jordan block
+    (k = n by default) at the top left: its nilpotency index is k."""
+    k = n if k is None else k
+    return FpMatrix.from_rows(p, [[int(j == i + 1 < k) for j in range(n)] for i in range(n)])
 
 
 def _random_matrix(rng, p, n):
@@ -342,13 +343,36 @@ def test_pow_makes_no_unused_products(mul_count):
         assert mul_count[0] == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
 
 
+def _p_term_series(nil, coeffs):
+    """The sum of c_k . nil^k over every coefficient given, checking nil^p = 0 only
+    after the last: the route the series took before they stopped at the
+    nilpotency index, kept as an oracle."""
+    terms = []
+    power = FpMatrix.identity(nil.p, nil.n)
+    for c in coeffs:
+        terms.append((c, power))
+        power = power * nil
+    if not power.is_zero():
+        raise ContractError("matrix power p does not vanish")
+    return charp._combination(nil.p, nil.n, terms)
+
+
+def _trunc_exp_p_terms(x):
+    p = x.p
+    return _p_term_series(x, [pow(math.factorial(k), -1, p) for k in range(p)])
+
+
+def _trunc_log_p_terms(u):
+    p = u.p
+    coeffs = [0] + [(-1) ** (k + 1) * pow(k, -1, p) for k in range(1, p)]
+    return _p_term_series(u - FpMatrix.identity(p, u.n), coeffs)
+
+
 def _t_power_p_terms(u, t):
-    """The binomial series over all p coefficients: the route t_power took before
-    it stopped at min(n, p) terms."""
     p = u.p
     binomials = accumulate(range(1, p), lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
                            initial=1)
-    return charp._series(u - FpMatrix.identity(p, u.n), binomials)
+    return _p_term_series(u - FpMatrix.identity(p, u.n), binomials)
 
 
 def _unipotents(rng, p, n):
@@ -393,9 +417,64 @@ def test_t_power_products_follow_n_not_p(mul_count):
     assert mul_count[0] <= 2
 
 
-def test_trunc_exp_still_walks_p_terms(mul_count):
+def _outcome(f, *args):
+    """What f returns, or the message of the ContractError it raises."""
+    try:
+        return f(*args)
+    except ContractError as e:
+        return str(e)
+
+
+def test_trunc_exp_and_trunc_log_match_the_p_term_series():
+    rng = random.Random("series-twin")
+    outcomes = set()
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, p + 3):
+            one = FpMatrix.identity(p, n)
+            for u in _unipotents(rng, p, n):
+                got = _outcome(charp.trunc_exp, u - one)
+                assert got == _outcome(_trunc_exp_p_terms, u - one)
+                outcomes.add(type(got))
+                got = _outcome(charp.trunc_log, u)
+                assert got == _outcome(_trunc_log_p_terms, u)
+                outcomes.add(type(got))
+    assert outcomes == {FpMatrix, str}
+
+
+def _series_calls(x):
+    one = FpMatrix.identity(x.p, x.n)
+    return ((charp.trunc_exp, x), (charp.trunc_log, one + x), (lambda u: charp.t_power(u, 3), one + x))
+
+
+def test_trunc_exp_of_a_square_zero_matrix_makes_two_products(mul_count):
     assert charp.trunc_exp(_jordan(5, 2)) == FpMatrix.from_rows(5, [[1, 1], [0, 1]])
-    assert mul_count[0] == 5
+    assert mul_count[0] == 2
+
+
+@pytest.mark.parametrize("p", [5, 10007])
+def test_series_products_stop_at_the_nilpotency_index(mul_count, p):
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for f, arg in _series_calls(_jordan(p, n, k)):
+                mul_count[0] = 0
+                f(arg)
+                assert mul_count[0] == k
+
+
+def test_series_contract_failures_make_min_n_p_products(mul_count):
+    p = 10007
+    for n in range(1, 6):
+        for f, arg in _series_calls(FpMatrix.diagonal(p, [0] * (n - 1) + [1])):
+            mul_count[0] = 0
+            with pytest.raises(ContractError, match="matrix power p does not vanish"):
+                f(arg)
+            assert mul_count[0] == n
+    # J_5 is nilpotent, but J_5^3 != 0: three products at p = 3
+    for f, arg in _series_calls(_jordan(3, 5)):
+        mul_count[0] = 0
+        with pytest.raises(ContractError, match="matrix power p does not vanish"):
+            f(arg)
+        assert mul_count[0] == 3
 
 
 # --- tabulated group law ---------------------------------------------------

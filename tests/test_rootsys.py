@@ -500,6 +500,25 @@ def test_reflect_rejects_non_integer_coordinates():
             rs.reflect(RootVec(coords), 1)
 
 
+def test_is_root_and_root_height_reject_non_integer_coordinates():
+    # 1.0 and True hash like 1: root_height gave 1.0 and is_root gave True
+    rs = rootsys.build("A", 2)
+    for coords in ((1.0, 0), (1, 0.5), (True, 0), (0, False)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            rs.is_root(RootVec(coords))
+        with pytest.raises(ValueError, match="is not an integer"):
+            rootsys.root_height(rs, RootVec(coords))
+
+
+def test_is_root_and_root_height_reject_a_vector_of_the_wrong_length():
+    rs = rootsys.build("A", 2)
+    for coords in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="expected 2 coordinates for A2"):
+            rs.is_root(RootVec(coords))
+        with pytest.raises(ValueError, match="expected 2 coordinates for A2"):
+            rootsys.root_height(rs, RootVec(coords))
+
+
 def _rows_with(rs, label, entry):
     """A copy of ``rs`` under a new label, so no cache entry of ``rs`` answers for it,
     whose sparse rows hold ``entry(i, j, c)`` in place of each Cartan entry ``c = C[i][j]``."""
