@@ -244,17 +244,18 @@ def _combination(p: int, n: int, terms) -> FpMatrix:
 
 
 def _series(nil: FpMatrix, coeffs) -> FpMatrix:
-    """The sum of c_k . nil^k over the coefficients c_0, c_1, ..; requires nil^p = 0.
+    """The sum of c_k . nil^k over the coefficients c_0, .., c_{p-1}; requires nil^p = 0.
 
     For an n x n matrix, nil^p = 0 holds exactly when nil^min(n, p) = 0
-    (Cayley-Hamilton), so at most the first min(n, p) coefficients are read,
-    and the walk stops at the first zero power: every later term is c_k . 0.
-    Each power is formed from the one before it and dropped once it is added.
+    (Cayley-Hamilton).  The coefficient stream ends at p, so capping it at
+    n reads at most min(n, p) of them, and the walk stops at the first zero
+    power: every later term is c_k . 0.  Each power is formed from the one
+    before it and dropped once it is added.
     """
 
     def terms():
         power = FpMatrix.identity(nil.p, nil.n)
-        for c in islice(coeffs, min(nil.n, nil.p)):
+        for c in islice(coeffs, nil.n):
             yield c, power
             power = power * nil
             if power.is_zero():
