@@ -40,7 +40,7 @@ from operator import mul
 from typing import Iterable
 
 from .errors import ContractError
-from .primes import is_int, require_prime
+from .primes import require_int, require_prime
 from .rootsys import RootSystem, RootVec, _dominant_coroots, _walk, apply_letters, simple_reflection_matrix
 
 __all__ = [
@@ -74,44 +74,39 @@ def _numerators(values: tuple[Fraction, ...]) -> tuple[list[int], int]:
 
 
 @dataclass(frozen=True)
-class PhiHom:
-    """Homomorphism from the root lattice to Q/Z, by values on the simple roots.
-
-    Values are reduced into [0, 1) on construction.
-    """
+class _RatVec:
+    """Exact values on the simple roots, each passed through ``_reduce``.  The generated
+    equality compares classes first, so a ``PhiHom`` never equals a ``CoweightPoint``."""
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(_as_fraction(v) % 1 for v in self.values)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(self._reduce(_as_fraction(v)) for v in self.values))
+
+    @staticmethod
+    def _reduce(v: Fraction) -> Fraction:
+        return v
+
+    def value_of(self, alpha: RootVec) -> Fraction:
+        """The exact pairing with ``alpha``, reduced like the values."""
+        pairs = zip(alpha.coords, self.values, strict=True)
+        return self._reduce(sum((m * v for m, v in pairs), Fraction(0)))
+
+
+class PhiHom(_RatVec):
+    """Homomorphism from the root lattice to Q/Z, by values on the simple roots, in [0, 1)."""
+
+    @staticmethod
+    def _reduce(v: Fraction) -> Fraction:
+        return v % 1
 
     @property
     def rank(self) -> int:
         return len(self.values)
 
-    def value_of(self, alpha: RootVec) -> Fraction:
-        """phi(alpha) as the representative in [0, 1)."""
-        return sum(
-            (m * v for m, v in zip(alpha.coords, self.values, strict=True)),
-            Fraction(0),
-        ) % 1
 
-
-@dataclass(frozen=True)
-class CoweightPoint:
+class CoweightPoint(_RatVec):
     """Rational point of the coweight space, by values on the simple roots."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(_as_fraction(v) for v in self.values))
-
-    def value_of(self, alpha: RootVec) -> Fraction:
-        return sum(
-            (m * v for m, v in zip(alpha.coords, self.values, strict=True)),
-            Fraction(0),
-        )
 
 
 @dataclass(frozen=True)
@@ -471,8 +466,7 @@ def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -
     the pairing against a simple root is ``sum_k C[k][i] cochar_k``.
     """
     require_prime(p)
-    if not is_int(j):
-        raise ValueError(f"j {j!r} is not an integer")
+    require_int(j, "j")
     if j < 1:
         raise ValueError("j must be at least 1")
     rs._check_int_coords(cochar)

@@ -15,8 +15,8 @@ sums on plain ints and reduces mod p once.  The series are evaluated by
 time and keeping none of them: nothing is cached per input.  ``trunc_exp``,
 ``trunc_log`` and ``t_power`` each pass their p coefficients; ``_series``
 reads at most min(n, p) of them and stops at the first zero power, so a
-series costs the nilpotency index of its n x n argument in products, and
-a contract failure at most min(n, p), never p.
+series costs the nilpotency index of its n x n argument less one in
+products, and a contract failure at most min(n, p) - 1, never p.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from operator import mul
 
 from . import bch
 from .errors import ContractError
-from .primes import is_int, is_prime, require_prime
+from .primes import is_prime, require_int, require_prime
 
 __all__ = [
     "FpMatrix",
@@ -68,10 +68,8 @@ class FpMatrix:
         n = len(grid)
         if n == 0 or any(len(r) != n for r in grid):
             raise ValueError("matrix must be square and nonempty")
-        for r in grid:
-            for x in r:
-                if not is_int(x):
-                    raise ValueError(f"entry {x!r} is not an integer")
+        for x in chain.from_iterable(grid):
+            require_int(x, "entry")
         return cls(p, n, tuple(tuple(x % p for x in r) for r in grid))
 
     @classmethod
@@ -114,8 +112,7 @@ class FpMatrix:
         return self.scale(scalar)
 
     def scale(self, scalar: int) -> "FpMatrix":
-        if not is_int(scalar):
-            raise ValueError(f"scalar {scalar!r} is not an integer")
+        require_int(scalar, "scalar")
         return _combination(self.p, self.n, ((scalar, self),))
 
     def __pow__(self, k: int) -> "FpMatrix":
@@ -249,15 +246,16 @@ def _series(nil: FpMatrix, coeffs) -> FpMatrix:
     For an n x n matrix, nil^p = 0 holds exactly when nil^min(n, p) = 0
     (Cayley-Hamilton).  The coefficient stream ends at p, so capping it at
     n reads at most min(n, p) of them, and the walk stops at the first zero
-    power: every later term is c_k . 0.  Each power is formed from the one
-    before it and dropped once it is added.
+    power: every later term is c_k . 0.  The identity and nil are terms, not
+    factors; each later power is one product of the one before it with nil,
+    dropped once it is added, so nilpotency index k costs k - 1 products.
     """
 
     def terms():
         power = FpMatrix.identity(nil.p, nil.n)
-        for c in islice(coeffs, nil.n):
+        for k, c in enumerate(islice(coeffs, nil.n)):
             yield c, power
-            power = power * nil
+            power = power * nil if k else nil
             if power.is_zero():
                 return
         raise ContractError("matrix power p does not vanish")
@@ -287,12 +285,11 @@ def t_power(u: FpMatrix, t: int) -> FpMatrix:
     t only matters mod p.
 
     ``_series`` walks the binomials only up to the nilpotency index of
-    u - 1, at most min(n, p) products.  Among those, C(t, k) = 0 mod p
+    u - 1, at most min(n, p) - 1 products.  Among those, C(t, k) = 0 mod p
     for t mod p < k < p by Lucas' theorem; the running product turns 0
     at k = t mod p + 1 and ``_combination`` skips the zero terms.
     """
-    if not is_int(t):
-        raise ValueError(f"exponent {t!r} is not an integer")
+    require_int(t, "exponent")
     p = u.p
     binomials = accumulate(range(1, p),
                            lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
@@ -317,8 +314,7 @@ class BchTable:
 def bch_table(p: int, max_degree: int) -> BchTable:
     """Tabulate the truncated group law for characteristic ``p``."""
     require_prime(p)
-    if not is_int(max_degree):
-        raise ValueError(f"max_degree {max_degree!r} is not an integer")
+    require_int(max_degree, "max_degree")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     if max_degree >= p:
@@ -429,8 +425,7 @@ def cycle_power_scalar(p: int, weights) -> int:
     """The scalar c with (cyclic shift)^p = c . 1: the product of the weights."""
     weights = tuple(weights)
     for w in weights:
-        if not is_int(w):
-            raise ValueError(f"weight {w!r} is not an integer")
+        require_int(w, "weight")
     return prod(weights) % p
 
 

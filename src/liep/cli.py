@@ -181,10 +181,7 @@ def _cmd_parabolic(args):
     rs = _system(args)
     subset = _parse_ints(args.subset) if args.subset else ()
     degrees, max_degree = rootsys.parabolic_degrees(rs, subset)
-    entries = [
-        {"root": a, "degree": d}
-        for a, d in sorted(degrees.items(), key=lambda kv: (sum(kv[0].coords), kv[0].coords))
-    ]
+    entries = [{"root": a, "degree": d} for a, d in degrees.items()]  # in the order of Phi+
     invariants = ["degrees positive outside the parabolic"]
     missing = set(range(1, rs.rank + 1)) - set(subset)
     if len(missing) == 1:
@@ -195,11 +192,15 @@ def _cmd_parabolic(args):
     return {"subset": sorted(subset), "max_degree": max_degree, "degrees": entries}, invariants
 
 
+def _of_rank(rs, values: tuple, what: str, unit: str = "coordinates") -> tuple:
+    """The one arity check of a per-simple-root argument: ``values`` if there are ``rank``."""
+    if len(values) != rs.rank:
+        raise ValueError(f"{what} needs {rs.rank} {unit}, got {len(values)}")
+    return values
+
+
 def _weight(args, rs) -> rootsys.WeightVec:
-    coords = _parse_ints(args.weight)
-    if len(coords) != rs.rank:
-        raise ValueError(f"weight needs {rs.rank} coordinates, got {len(coords)}")
-    return rootsys.WeightVec(coords)
+    return rootsys.WeightVec(_of_rank(rs, _parse_ints(args.weight), "weight"))
 
 
 def _cmd_height(args):
@@ -252,10 +253,7 @@ def _cmd_glheight(args):
 
 
 def _phi(args, rs) -> alcove.PhiHom:
-    values = _parse_fractions(args.phi)
-    if len(values) != rs.rank:
-        raise ValueError(f"phi needs {rs.rank} values, got {len(values)}")
-    return alcove.PhiHom(values)
+    return alcove.PhiHom(_of_rank(rs, _parse_fractions(args.phi), "phi", "values"))
 
 
 def _cmd_basis(args):
@@ -298,9 +296,7 @@ def _cmd_critical(args):
 
 def _cmd_reduce(args):
     rs = _system(args)
-    values = _parse_fractions(args.point)
-    if len(values) != rs.rank:
-        raise ValueError(f"point needs {rs.rank} coordinates, got {len(values)}")
+    values = _of_rank(rs, _parse_fractions(args.point), "point")
     reduced, transcript = alcove.reduce_to_alcove(rs, alcove.CoweightPoint(values))
     steps = []
     for step in transcript.steps:

@@ -1,4 +1,7 @@
-"""Small primality helper used to validate field and window parameters.
+"""Small primality helper and the input gates of the public API.
+
+``is_int`` is the one integer predicate, ``require_int`` its raising gate,
+and ``require_prime`` the prime gate of field and window parameters.
 
 Trial division by the thirteen primes 2..41 settles every n < 43^2; above
 that, deterministic Miller-Rabin on the same thirteen bases is proven exact
@@ -35,8 +38,14 @@ def is_prime(n: int) -> bool:
 
 
 def is_int(x) -> bool:
-    """The one integer gate of the public API: an int, and not a bool (int() would read 1.7 as 1)."""
+    """The one integer predicate: an int, and not a bool (int() would read 1.7 as 1)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def require_int(x, what: str) -> None:
+    """The one integer gate of the public API: raise ValueError("<what> <x!r> is not an integer")."""
+    if not is_int(x):
+        raise ValueError(f"{what} {x!r} is not an integer")
 
 
 def require_prime(p: int) -> None:

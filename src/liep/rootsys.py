@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ContractError
-from .primes import is_int, require_prime
+from .primes import is_int, require_int, require_prime
 
 __all__ = [
     "RootVec",
@@ -134,8 +134,7 @@ class RootSystem:
         """The integer gate of a root, weight or cocharacter argument: ``rank`` ints."""
         self._check_rank(len(coords))
         for c in coords:
-            if not is_int(c):
-                raise ValueError(f"coordinate {c!r} is not an integer")
+            require_int(c, "coordinate")
 
     def _check_simple_index(self, i: int) -> None:
         if not is_int(i) or not 1 <= i <= self.rank:

@@ -16,7 +16,7 @@ from liep import charp, cli
 from liep.acceptance import random_invertible, random_strict_upper
 from liep.charp import FpMatrix
 from liep.errors import ContractError
-from liep.primes import is_prime
+from liep.primes import is_prime, require_int
 
 
 def _jordan(p, n, k=None):
@@ -446,9 +446,10 @@ def _series_calls(x):
     return ((charp.trunc_exp, x), (charp.trunc_log, one + x), (lambda u: charp.t_power(u, 3), one + x))
 
 
-def test_trunc_exp_of_a_square_zero_matrix_makes_two_products(mul_count):
+def test_trunc_exp_of_a_square_zero_matrix_makes_one_product(mul_count):
+    # the identity and x are terms of the series, never factors: only x . x is a product
     assert charp.trunc_exp(_jordan(5, 2)) == FpMatrix.from_rows(5, [[1, 1], [0, 1]])
-    assert mul_count[0] == 2
+    assert mul_count[0] == 1
 
 
 @pytest.mark.parametrize("p", [5, 10007])
@@ -458,7 +459,7 @@ def test_series_products_stop_at_the_nilpotency_index(mul_count, p):
             for f, arg in _series_calls(_jordan(p, n, k)):
                 mul_count[0] = 0
                 f(arg)
-                assert mul_count[0] == k
+                assert mul_count[0] == k - 1
 
 
 def test_series_contract_failures_make_min_n_p_products(mul_count):
@@ -468,13 +469,13 @@ def test_series_contract_failures_make_min_n_p_products(mul_count):
             mul_count[0] = 0
             with pytest.raises(ContractError, match="matrix power p does not vanish"):
                 f(arg)
-            assert mul_count[0] == n
-    # J_5 is nilpotent, but J_5^3 != 0: three products at p = 3
+            assert mul_count[0] == n - 1
+    # J_5 is nilpotent, but J_5^3 != 0: J_5^2 and J_5^3 are the two products at p = 3
     for f, arg in _series_calls(_jordan(3, 5)):
         mul_count[0] = 0
         with pytest.raises(ContractError, match="matrix power p does not vanish"):
             f(arg)
-        assert mul_count[0] == 3
+        assert mul_count[0] == 2
 
 
 # --- tabulated group law ---------------------------------------------------
@@ -804,3 +805,12 @@ def test_is_prime_rejects_pseudoprimes_and_bounds_its_range():
     for n in (3317044064679887385961981, 2 ** 89 - 1):
         with pytest.raises(ValueError, match="only decided below"):
             is_prime(n)
+
+
+def test_require_int_rejects_bool_float_and_str_and_accepts_a_big_int():
+    for bad in (False, True, 2.0, 1.5, "2"):
+        with pytest.raises(ValueError) as excinfo:
+            require_int(bad, "x")
+        assert str(excinfo.value) == f"x {bad!r} is not an integer"
+    assert require_int(10**99 + 7, "x") is None
+    assert require_int(-3, "x") is None
