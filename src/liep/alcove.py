@@ -27,6 +27,12 @@ alpha is positive in w's chamber iff alpha(w(rho^vee)) > 0.  ``word_matrix``
 carries the identity rows through that reduced word, L + rank * l(w) letter
 steps for a word of L letters, and ``BasisChoice.basis_roots`` reads
 w(alpha_j) off its columns.
+
+``reduce_to_alcove`` replays its word of L letters once, on rho^vee, to get
+that reduced word, and records it in the transcript; the recomposition check
+and the window check of ``window_basis_report`` move their single vectors
+through it, so each costs l(w) <= |Phi+| letter steps (the window check adds
+the dominance word), not L.
 """
 
 from __future__ import annotations
@@ -118,12 +124,15 @@ class ReductionTranscript:
     (1-based), or ``("affine_reflect",)`` for the reflection in the wall
     theta = 1.  ``weyl_word`` spells the accumulated linear part w_acc,
     leftmost letter applied last, and ``net_translation`` is the integer
-    vector with ``reduced = w_acc . start + net_translation``.
+    vector with ``reduced = w_acc . start + net_translation``.  ``reduced_word``
+    spells the same w_acc in the same convention as ``weyl_word``, by a reduced
+    word of at most |Phi+| letters (``_reduced``).
     """
 
     steps: tuple[tuple, ...]
     weyl_word: tuple[int, ...]
     net_translation: tuple[int, ...]
+    reduced_word: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -219,6 +228,11 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     lowest violated simple wall first.  Each reflection strictly lowers
     the number of separating affine walls, so the loop ends within
     ``_reflection_bound`` steps; running past it means an arithmetic bug.
+
+    The recorded word, each theta-reflection word included, is replayed once, on
+    rho^vee, by ``_reduced``; the recomposition check moves the reduced point back
+    through the resulting reduced word and asks that it differ from the start by
+    a coweight, so past that one pass it costs 2 l(w_acc) <= 2 |Phi+| letter steps.
     """
     rs._check_rank(len(point.values))
     n = rs.rank
@@ -254,20 +268,24 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
         letters.extend(theta_letters)
         taken += 1
 
-    word = tuple(reversed(letters))
     _assert_in_alcove(rs, values, den)
 
-    # net integer translation: reduced - w_acc(start) must lie in the coweight lattice
-    inv = word_matrix(rs, tuple(reversed(word)))  # matrix of w_acc^{-1}
-    net = []
-    for rj, col in zip(values, zip(*inv)):
-        d, r = divmod(rj - sum(map(mul, col, start)), den)
+    # reduced = w_acc(start) + net exactly when w_acc^-1(reduced) - start = w_acc^-1(net)
+    # lies in the coweight lattice, which W preserves; ``short`` moves points as w_acc does
+    short = _reduced(rs, letters)
+    back = apply_letters(rs, reversed(short), list(values))
+    diff = []
+    for b, s in zip(back, start):
+        d, r = divmod(b - s, den)
         if r:
             raise ContractError("reduction transcript does not recompose to the result")
-        net.append(d)
+        diff.append(d)
+    net = apply_letters(rs, short, diff)
 
     reduced = CoweightPoint(tuple(Fraction(v, den) for v in values))
-    return reduced, ReductionTranscript(tuple(steps), word, tuple(net))
+    transcript = ReductionTranscript(tuple(steps), tuple(reversed(letters)), tuple(net),
+                                     tuple(reversed(short)))
+    return reduced, transcript
 
 
 def _reflection_bound(rs: RootSystem, values: list[int], den: int) -> int:
@@ -327,17 +345,19 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
     h = rs.coxeter_number
     idx = next(i for i, a in enumerate(_affine_numerators(rs, values, den)) if a * h >= den)
 
-    dominance: list[int] = []
+    dominance: tuple[int, ...] = ()
     if idx > 0:
         # the vertex sits at 1/m on coordinate idx, so scale the denominator by m
         m = rs.marks[idx - 1]
         z = [v * m for v in values]
         z[idx - 1] -= den
-        dominance, _ = _walk(rs, rs._rows, z, len(rs.positive_roots),
-                             "dominance loop exceeded the number of positive roots")
+        walk, _ = _walk(rs, rs._rows, z, len(rs.positive_roots),
+                        "dominance loop exceeded the number of positive roots")
+        dominance = tuple(walk)
 
-    basis = BasisChoice(tuple(reversed(transcript.weyl_word)) + tuple(dominance))
-    dual = _rho_dual(rs, basis.weyl_word)
+    basis = BasisChoice(tuple(reversed(transcript.weyl_word)) + dominance)
+    # the same element as basis, by a word of at most |Phi+| + len(dominance) letters
+    dual = _rho_dual(rs, tuple(reversed(transcript.reduced_word)) + dominance)
     critical = critical_roots(rs, phi)
     for alpha in critical:
         if sum(map(mul, alpha.coords, dual)) <= 0:
@@ -345,7 +365,7 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
                 f"selected basis leaves window root {alpha.coords} negative; "
                 "this indicates an arithmetic bug"
             )
-    return WindowReport(basis, idx, reduced, transcript, tuple(dominance), critical)
+    return WindowReport(basis, idx, reduced, transcript, dominance, critical)
 
 
 def window_basis(rs: RootSystem, phi: PhiHom) -> BasisChoice:

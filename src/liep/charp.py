@@ -74,14 +74,20 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls.from_rows(p, [[int(r == c) for c in range(n)] for r in range(n)])
+        return cls.diagonal(p, [1] * n)
 
     @classmethod
     def diagonal(cls, p: int, entries) -> "FpMatrix":
+        """The diagonal matrix of ``entries``, built directly: only its n entries are gated."""
+        require_prime(p)
         ent = list(entries)
         n = len(ent)
-        rows = [[ent[r] if r == c else 0 for c in range(n)] for r in range(n)]
-        return cls.from_rows(p, rows)
+        if not n:
+            raise ValueError("matrix must be square and nonempty")
+        for x in ent:
+            require_int(x, "entry")
+        zero = (0,) * n
+        return cls(p, n, tuple(zero[:r] + (x % p,) + zero[r + 1:] for r, x in enumerate(ent)))
 
     def _same_shape(self, other: "FpMatrix") -> None:
         if self.p != other.p or self.n != other.n:

@@ -476,3 +476,98 @@ def test_walks_end_in_a_contract_error_when_reflections_do_nothing():
     alcove.window_basis_report(a2, phi)
     with pytest.raises(ContractError, match="dominance loop"):
         alcove.window_basis_report(_inert(a2), phi)
+
+
+# One replay of the reduction word: the transcript's reduced word against the full-word routes,
+# the net translation read off the matrix of w_acc^-1 and w(rho^vee) read through the basis word.
+ONE_PASS = [("A", 8), ("B", 8), ("C", 8), ("D", 8), ("E", 6), ("E", 7), ("E", 8),
+            ("F", 4), ("G", 2), ("A", 40)]
+
+
+def _full_word_net(rs, start, reduced, weyl_word):
+    """reduced - w_acc(start), with w_acc^-1 as the matrix of the whole recorded word."""
+    inv = alcove.word_matrix(rs, tuple(reversed(weyl_word)))
+    n = rs.rank
+    moved = [sum(inv[k][j] * start.values[k] for k in range(n)) for j in range(n)]
+    return tuple(r - m for r, m in zip(reduced.values, moved))
+
+
+def _one_pass_starts(rs, rng):
+    """Seeded points over denominators that are multiples of h: lifts of phi, far-out points
+    that take the translation first, and points on the walls y_i = 0 and alpha = +-1."""
+    n, h = rs.rank, rs.coxeter_number
+    for trial in range(9):
+        den = h * rng.choice((1, 3, 7))
+        if trial % 3 == 0:
+            values = [rng.randrange(den) for _ in range(n)]
+        elif trial % 3 == 1:
+            values = [rng.randrange(-50 * den, 50 * den) for _ in range(n)]
+        else:
+            values = [rng.choice((0, 0, den, -den, rng.randrange(-2 * den, 2 * den)))
+                      for _ in range(n)]
+        yield CoweightPoint(tuple(F(v, den) for v in values))
+
+
+@pytest.mark.parametrize("t,n", ONE_PASS)
+def test_reduced_word_and_net_translation_match_the_full_word(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"one-pass:{t}{n}")
+    translated = False
+    for start in _one_pass_starts(rs, rng):
+        reduced, tr = alcove.reduce_to_alcove(rs, start)
+        translated |= bool(tr.steps) and tr.steps[0][0] == "translate"
+        assert tr.net_translation == _full_word_net(rs, start, reduced, tr.weyl_word)
+        assert len(tr.reduced_word) <= len(rs.positive_roots)
+        assert alcove._rho_dual(rs, tr.reduced_word) == alcove._rho_dual(rs, tr.weyl_word)
+    assert translated
+
+
+@pytest.mark.parametrize("t,n", ONE_PASS)
+def test_window_check_on_the_reduced_word_matches_the_full_basis_word(t, n):
+    rs = rootsys.build(t, n)
+    h = rs.coxeter_number
+    rng = random.Random(f"one-pass-window:{t}{n}")
+    for trial in range(6):
+        den = h * rng.choice((1, 2, 7, 11))
+        # every other phi puts small multiples of 1/h on the simple roots, so on walls
+        phi = PhiHom(tuple(F(rng.randrange(den) if trial % 2 else den // h * rng.randrange(3), den)
+                           for _ in range(n)))
+        report = alcove.window_basis_report(rs, phi)
+        tr = report.transcript
+        short = tuple(reversed(tr.reduced_word)) + report.dominance_word
+        full = alcove._rho_dual(rs, report.basis.weyl_word)
+        assert alcove._rho_dual(rs, short) == full
+        assert all(sum(map(mul, a.coords, full)) > 0 for a in report.critical_roots)
+        assert BasisChoice(short).basis_roots(rs) == report.basis.basis_roots(rs)
+
+
+def test_reduced_word_that_drops_a_letter_does_not_recompose(monkeypatch):
+    rs = rootsys.build("B", 3)
+    starts = [CoweightPoint((F(4, 3), F(-7, 5), F(9, 4))),
+              CoweightPoint((F(1000001, 7), F(-3, 11), F(2, 13)))]
+    for start in starts:
+        assert alcove.reduce_to_alcove(rs, start)[1].reduced_word
+    reduced = alcove._reduced
+    monkeypatch.setattr(alcove, "_reduced", lambda rs, word: reduced(rs, word)[:-1])
+    for start in starts:
+        with pytest.raises(ContractError, match="does not recompose"):
+            alcove.reduce_to_alcove(rs, start)
+
+
+def test_window_basis_report_replays_its_word_once(monkeypatch):
+    rs = rootsys.build("A", 40)
+    rng = random.Random("one-pass-count")
+    phi = PhiHom(tuple(F(rng.randrange(1000), 1000) for _ in range(40)))
+    stepped = []
+    apply_letters = alcove.apply_letters
+
+    def counting(rs, letters, vec):
+        letters = tuple(letters)
+        stepped.append(len(letters))
+        return apply_letters(rs, letters, vec)
+
+    monkeypatch.setattr(alcove, "apply_letters", counting)
+    report = alcove.window_basis_report(rs, phi)
+    word, pos = len(report.transcript.weyl_word), len(rs.positive_roots)
+    assert word > 3 * pos  # a second pass over the word would break the bound below
+    assert sum(stepped) <= word + 3 * pos + len(report.dominance_word)

@@ -102,6 +102,35 @@ def test_predicates():
     assert not FpMatrix.from_rows(p, [[0, 0], [1, 0]]).is_strictly_upper()
 
 
+def _raised(make):
+    with pytest.raises(ValueError) as err:
+        make()
+    return str(err.value)
+
+
+def test_identity_and_diagonal_match_from_rows():
+    # the twin: the same matrices, and the same gates, as built through from_rows
+    rng = random.Random("direct-constructors")
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 7):
+            eye = [[int(r == c) for c in range(n)] for r in range(n)]
+            assert FpMatrix.identity(p, n) == FpMatrix.from_rows(p, eye)
+            ent = [rng.randrange(-3 * p, 3 * p) for _ in range(n)]
+            rows = [[ent[r] if r == c else 0 for c in range(n)] for r in range(n)]
+            assert FpMatrix.diagonal(p, ent) == FpMatrix.from_rows(p, rows)
+    not_prime = _raised(lambda: FpMatrix.from_rows(4, [[1]]))
+    assert _raised(lambda: FpMatrix.identity(4, 2)) == not_prime == "4 is not prime"
+    assert _raised(lambda: FpMatrix.diagonal(9, [1])) == "9 is not prime"
+    assert _raised(lambda: FpMatrix.identity(4, 0)) == not_prime  # the prime gate comes first
+    empty = _raised(lambda: FpMatrix.from_rows(5, []))
+    assert _raised(lambda: FpMatrix.identity(5, 0)) == _raised(lambda: FpMatrix.diagonal(5, [])) == empty
+    assert empty == "matrix must be square and nonempty"
+    for bad in (1.5, 2.0, True, "1", None):
+        want = _raised(lambda: FpMatrix.from_rows(5, [[1, 0], [0, bad]]))
+        assert _raised(lambda: FpMatrix.diagonal(5, [1, bad])) == want
+        assert want == f"entry {bad!r} is not an integer"
+
+
 # --- determinant, inverse, exterior traces ---------------------------------
 
 def test_det_examples():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -405,6 +406,19 @@ def test_basis_oracle_finds_the_window_roots_twice_not_three_times(capsys, monke
                                     "--oracle"])
     assert code == 0 and sorted(out["result"]["critical_roots"]) == [[0, 1], [1, 0], [1, 1]]
     assert len(calls) == 2  # the window check and the oracle
+
+
+def test_basis_roots_name_the_printed_weyl_word(capsys):
+    # basis_roots is read off the transcript's reduced word, so check it against the printed word
+    rng = random.Random("cli-basis-roots")
+    for t, n in [("B", 4), ("E", 6), ("A", 12)]:
+        rs = rootsys.build(t, n)
+        den = 7 * rs.coxeter_number
+        phi = ",".join(f"{rng.randrange(den)}/{den}" for _ in range(n))
+        code, out, _ = run_cli(capsys, ["basis", "--type", t, "--rank", str(n), "--phi", phi])
+        r = out["result"]
+        full = alcove.BasisChoice(tuple(r["weyl_word"])).basis_roots(rs)
+        assert code == 0 and r["basis_roots"] == [list(a.coords) for a in full]
 
 
 # --- determinism and the self-test -------------------------------------------
