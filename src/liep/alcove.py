@@ -18,21 +18,16 @@ All arithmetic is exact: points and the values of phi are integer numerators
 over one common denominator N, so wall and window tests compare integers.
 Fractions and RootVecs appear only at the API edge.
 
-Words act on points alone, through ``rootsys.apply_letters`` (the walks to a
-dominant point are ``rootsys._walk`` on the sparse Cartan rows), and roots are
-read through alpha(w y) = (w^-1 alpha)(y).  A word's element is read off
-w(rho^vee), rho^vee = (1, ..., 1): rho^vee is regular, so sorting w(rho^vee)
-back to rho^vee spells a reduced word for w, of at most |Phi+| letters, and
-alpha is positive in w's chamber iff alpha(w(rho^vee)) > 0.  ``word_matrix``
-carries the identity rows through that reduced word, L + rank * l(w) letter
-steps for a word of L letters, and ``BasisChoice.basis_roots`` reads
-w(alpha_j) off its columns.
-
-``reduce_to_alcove`` replays its word of L letters once, on rho^vee, to get
-that reduced word, and records it in the transcript; the recomposition check
-and the window check of ``window_basis_report`` move their single vectors
-through it, so each costs l(w) <= |Phi+| letter steps (the window check adds
-the dominance word), not L.
+The reduction is one ``rootsys._walk`` of (y, a_0 = 1 - theta(y)) on the affine
+Cartan rows, alpha_0 the last node.  Words act on points alone, through
+``rootsys.apply_letters``, and roots are read through alpha(w y) = (w^-1 alpha)(y).
+A word's element is read off w(rho^vee), rho^vee = (1, ..., 1): rho^vee is
+regular, so sorting w(rho^vee) back to rho^vee spells a reduced word for w, of
+at most |Phi+| letters, and alpha is positive in w's chamber iff
+alpha(w(rho^vee)) > 0.  ``word_matrix`` carries the identity rows through that
+reduced word, L + rank * l(w) letter steps for a word of L letters, and
+``BasisChoice.basis_roots`` reads w(alpha_j) off its columns.  The transcript keeps
+such a reduced word, so the recomposition and window checks cost l(w) letter steps.
 """
 
 from __future__ import annotations
@@ -189,7 +184,7 @@ def _reduced(rs: RootSystem, word: Iterable[int]) -> tuple[int, ...]:
     ``w = u^-1`` is that walk reversed.  It has l(w) <= |Phi+| letters.
     """
     v = apply_letters(rs, word, [1] * rs.rank)
-    walk, _ = _walk(rs, rs._rows, v, len(rs.positive_roots),
+    walk, _ = _walk(rs._rows, v, len(rs.positive_roots),
                     "reduced word exceeded the number of positive roots")
     return tuple(reversed(walk))
 
@@ -219,30 +214,45 @@ def _reflection_word(rs: RootSystem, alpha: tuple[int, ...]) -> tuple[int, ...]:
     raise ContractError(f"{alpha} is not a positive root")
 
 
+@lru_cache(maxsize=None)
+def _affine(rs: RootSystem) -> tuple[tuple, tuple[tuple, ...]]:
+    """The extended Cartan matrix's rows, alpha_0 = 1 - theta as node ``rank``, and the
+    transcript step of each letter.  s_i moves a_0 by <theta, alpha_i^vee> y_i and s_0
+    moves y_j by <alpha_j, theta^vee> a_0 (Kac, Infinite-Dimensional Lie Algebras, 6.1).
+    """
+    n, marks = rs.rank, rs.marks
+    rows = []
+    for row in rs._rows:
+        k = sum(c * marks[j] for j, c in row)
+        rows.append(row + ((n, -k),) if k else row)
+    tvec = _dominant_coroots(rs)[0][1]
+    rows.append(tuple((j, -t) for j, t in enumerate(tvec) if t) + ((n, 2),))
+    steps = tuple(("reflect", i) for i in range(1, n + 1)) + (("affine_reflect",),)
+    return tuple(rows), steps
+
+
 def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoint, ReductionTranscript]:
     """Move a point into the closed fundamental alcove, recording each generator.
 
-    Points far outside the unit box are first translated by an integer
-    vector of the coweight lattice; after that only reflections in the
-    walls ``y_i = 0`` and ``theta(y) = 1`` are applied, always at the
-    lowest violated simple wall first.  Each reflection strictly lowers
-    the number of separating affine walls, so the loop ends within
+    Points far outside the unit box are first translated by an integer vector of the
+    coweight lattice.  The alcove is the dominant chamber of the affine Weyl group, so
+    then (y, a_0 = 1 - theta(y)) takes one ``_walk`` on the rows of ``_affine``: it
+    reflects in the lowest violated wall, ``y_i = 0`` or, last, ``theta(y) = 1``.  Each
+    reflection lowers the number of separating affine walls, so the walk ends within
     ``_reflection_bound`` steps; running past it means an arithmetic bug.
 
-    The recorded word, each theta-reflection word included, is replayed once, on
+    The recorded word, theta's reflection word at each ``s_0``, is replayed once, on
     rho^vee, by ``_reduced``; the recomposition check moves the reduced point back
     through the resulting reduced word and asks that it differ from the start by
     a coweight, so past that one pass it costs 2 l(w_acc) <= 2 |Phi+| letter steps.
     """
     rs._check_rank(len(point.values))
     n = rs.rank
-    tvec = _dominant_coroots(rs)[0][1]  # <alpha_j, theta^vee>, the affine wall's shift
-    theta_letters = _reflection_word(rs, rs.marks)  # a palindrome, so read either way
+    lines, names = _affine(rs)
 
     start, den = _numerators(point.values)
     values = list(start)
     steps: list[tuple] = []
-    letters: list[int] = []  # the word of w_acc, reversed: last-applied letter last
 
     if any(v < -den or v >= 2 * den for v in values):
         shift = tuple(-(v // den) for v in values)
@@ -250,23 +260,19 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
         steps.append(("translate", shift))
 
     cap = _reflection_bound(rs, values, den)
-    overrun = f"alcove reduction exceeded its bound of {cap} steps"
-    taken = 0
-    while True:
-        walk, _ = _walk(rs, rs._rows, values, cap - taken, overrun)
-        steps.extend(("reflect", i) for i in walk)
-        letters.extend(walk)
-        taken += len(walk)
-        excess = sum(map(mul, rs.marks, values)) - den
-        if excess <= 0:
-            break
-        if taken == cap:
-            raise ContractError(overrun)
-        for j in range(n):
-            values[j] -= tvec[j] * excess
-        steps.append(("affine_reflect",))
-        letters.extend(theta_letters)
-        taken += 1
+    z = values + [den - sum(map(mul, rs.marks, values))]
+    walk, _ = _walk(lines, z, cap, f"alcove reduction exceeded its bound of {cap} steps")
+    values = z[:n]
+    steps.extend([names[i - 1] for i in walk])
+
+    # the word of w_acc, reversed: theta's reflection word, a palindrome, at each s_0
+    letters, at = [], 0
+    for _ in range(walk.count(n + 1)):
+        k = walk.index(n + 1, at)
+        letters += walk[at:k]
+        letters += _reflection_word(rs, rs.marks)
+        at = k + 1
+    letters += walk[at:]
 
     _assert_in_alcove(rs, values, den)
 
@@ -351,7 +357,7 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
         m = rs.marks[idx - 1]
         z = [v * m for v in values]
         z[idx - 1] -= den
-        walk, _ = _walk(rs, rs._rows, z, len(rs.positive_roots),
+        walk, _ = _walk(rs._rows, z, len(rs.positive_roots),
                         "dominance loop exceeded the number of positive roots")
         dominance = tuple(walk)
 

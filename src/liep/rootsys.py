@@ -23,9 +23,9 @@ Conventions used throughout the package:
   time, on a coweight point held as a plain integer list of its values on
   the simple roots; roots are read through ``alpha(w y) = (w^-1 alpha)(y)``,
   and words are never multiplied out into matrices on a hot path.
-* Every walk to the dominant end of a Weyl orbit is ``_walk``: on the Cartan rows
-  for a coweight point (alcove reduction, reduced words, vertex re-centring, coroots), on
-  the columns for a negated weight (the antidominant descent behind heights).
+* Every walk to the dominant end of a Weyl orbit is ``_walk``: on the affine rows for
+  the alcove reduction, on the Cartan rows for a coweight point (reduced words, vertex
+  re-centring, coroots), on the columns for a negated weight (heights' descent).
 """
 
 from __future__ import annotations
@@ -323,33 +323,20 @@ def coxeter_via_element(rs: RootSystem) -> int:
     raise ContractError("Coxeter element orbit exceeds |Phi|; arithmetic is broken")
 
 
-@lru_cache(maxsize=None)
-def _lowest_links(rs: RootSystem) -> tuple[int, ...]:
-    """For each i, the lowest index j with C[i][j] != 0.
-
-    A Cartan matrix has a symmetric nonzero pattern, so this is also the lowest k with
-    C[k][i] != 0: the lowest coordinate that s_i moves on a point (row i) or on a
-    weight (column i).  ``_walk`` resumes its scan there after reflecting at i.
-    """
-    return tuple(min(j for j, _ in row) for row in rs._rows)
-
-
-def _walk(rs: RootSystem, lines: tuple, z: list[int], cap: int, message: str
-          ) -> tuple[list[int], list[int]]:
+def _walk(lines: tuple, z: list[int], cap: int, message: str) -> tuple[list[int], list[int]]:
     """Reflect ``z`` in place at its lowest negative coordinate until none is left.
 
-    ``lines`` is ``rs._rows`` for a coweight point (``z_j -= C[i][j] z_i``) or ``rs._cols``
-    for a weight (``z_k -= C[k][i] z_i``).  Returns the 1-based letters, first applied
-    first, and ``steps``, where ``steps[i]`` sums ``-z_i`` over the reflections at i: the
-    walk moves ``z`` by C^T steps on the rows and by C steps on the columns.  Reflecting at
-    a negative coordinate leaves one fewer positive root negative on ``z`` (s_i makes
-    alpha_i positive and permutes the others), so the walk ends within |Phi+| steps
-    (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.2); a walk that needs more
-    than ``cap`` raises ``ContractError(message)`` instead of reflection cap + 1.  Each
-    reflection costs O(degree), and coordinates below s_i's lowest Cartan neighbour did
-    not move and were not negative, so the scan resumes there.
+    ``lines[i]`` lists the nonzero ``(j, c)``, sorted by j, of the reflection at i, which
+    moves ``z_j -= c z_i``: ``rs._rows`` for a coweight point (``c = C[i][j]``), ``rs._cols``
+    for a weight (``c = C[j][i]``), or the affine rows of ``alcove._affine``.  Returns the
+    1-based letters, first applied first, and ``steps``, where ``steps[i]`` sums ``-z_i``
+    over the reflections at i.  On the finite lines each reflection leaves one fewer
+    positive root negative on ``z``, so the walk ends within |Phi+| steps (Humphreys,
+    Reflection Groups and Coxeter Groups, 1990, 1.2); past ``cap`` steps it raises
+    ``ContractError(message)``.  Coordinates below ``lines[i][0][0]`` did not move and
+    were not negative, so the scan resumes there.
     """
-    low, n = _lowest_links(rs), rs.rank
+    n = len(lines)
     letters: list[int] = []
     steps = [0] * n
     i = 0
@@ -365,7 +352,7 @@ def _walk(rs: RootSystem, lines: tuple, z: list[int], cap: int, message: str
             z[j] -= c * x
         letters.append(i + 1)
         steps[i] -= x
-        i = low[i]
+        i = lines[i][0][0]
 
 
 @lru_cache(maxsize=None)
@@ -380,7 +367,7 @@ def _dominant_coroots(rs: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[int,
     found = set()
     for i, row in enumerate(rs.cartan):
         z = list(row)
-        _, steps = _walk(rs, rs._rows, z, len(rs.positive_roots),
+        _, steps = _walk(rs._rows, z, len(rs.positive_roots),
                          "coroot walk exceeded the number of positive roots")
         steps[i] += 1
         found.add((tuple(steps), tuple(z)))
@@ -397,7 +384,7 @@ def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
     every simple root pairs to 2 with 2 rho^vee.  Anything else is an arithmetic bug.
     """
     npos, z, message = len(rs.positive_roots), [-1] * rs.rank, "walk from -rho^vee did not reach rho^vee"
-    letters, steps = _walk(rs, rs._rows, z, npos, message)
+    letters, steps = _walk(rs._rows, z, npos, message)
     if len(letters) != npos or z != [1] * rs.rank:
         raise ContractError(message)
     return tuple(steps)
@@ -418,16 +405,22 @@ def apply_letters(rs: RootSystem, letters: Iterable[int], vec: list) -> list:
 
     ``vec`` is a point of the coweight space by its values on the simple roots, and
     ``s_i`` moves it by ``y_j -= C[i][j] y_i``.  A letter reads only row i of the sparse
-    Cartan matrix, so it costs O(degree) at any rank.  Returns ``vec``.
+    Cartan matrix, so it costs O(degree) at any rank.  Returns ``vec``.  A bad letter is
+    gated by ``_check_simple_index`` only once it fails, so good ones pay no type test.
     """
     n, rows = rs.rank, rs._rows
-    for i in letters:
-        if not 0 < i <= n:
-            rs._check_simple_index(i)
-        x = vec[i - 1]
-        if x:
-            for j, c in rows[i - 1]:
-                vec[j] -= c * x
+    i = 1  # a valid letter, so a TypeError raised before the first letter passes through
+    try:
+        for i in letters:
+            if not 0 < i <= n:
+                rs._check_simple_index(i)
+            x = vec[i - 1]
+            if x:
+                for j, c in rows[i - 1]:
+                    vec[j] -= c * x
+    except TypeError:
+        rs._check_simple_index(i)
+        raise
     return vec
 
 

@@ -451,21 +451,28 @@ def test_reduction_steps_stay_within_the_wall_bound(t, n):
         assert len(steps) <= alcove._reflection_bound(rs, values, common)
 
 
+def _zero(lines):
+    """``lines`` with every coefficient zeroed, so each reflection leaves every vector alone."""
+    return tuple(tuple((j, 0) for j, _ in line) for line in lines)
+
+
 def _inert(rs):
-    """``rs`` with every Cartan coefficient zeroed, so each reflection leaves every vector alone.
+    """``rs`` with every Cartan coefficient zeroed.
 
     ``RootSystem`` compares and hashes on type and rank, so the per-system caches must
     already hold the real system's entries before the inert copy reaches them."""
-    zero = lambda links: tuple(tuple((j, 0) for j, _ in row) for row in links)  # noqa: E731
-    return dataclasses.replace(rs, _rows=zero(rs._rows), _cols=zero(rs._cols))
+    return dataclasses.replace(rs, _rows=_zero(rs._rows), _cols=_zero(rs._cols))
 
 
-def test_walks_end_in_a_contract_error_when_reflections_do_nothing():
+def test_walks_end_in_a_contract_error_when_reflections_do_nothing(monkeypatch):
     rs = rootsys.build("B", 3)
     start = CoweightPoint((F(-1, 3), F(1, 5), F(-7, 2)))
     weight = rootsys.WeightVec((1, 0, 2))
     alcove.reduce_to_alcove(rs, start)
     heights.antidominant_conjugate(rs, weight)
+    # the affine rows are cached per (type, rank), so the inert copy would reach the real ones
+    affine = alcove._affine
+    monkeypatch.setattr(alcove, "_affine", lambda rs: (_zero(affine(rs)[0]), affine(rs)[1]))
     with pytest.raises(ContractError, match="exceeded its bound"):
         alcove.reduce_to_alcove(_inert(rs), start)
     with pytest.raises(ContractError, match="antidominant descent exceeded the number of positive roots"):
@@ -571,3 +578,105 @@ def test_window_basis_report_replays_its_word_once(monkeypatch):
     word, pos = len(report.transcript.weyl_word), len(rs.positive_roots)
     assert word > 3 * pos  # a second pass over the word would break the bound below
     assert sum(stepped) <= word + 3 * pos + len(report.dominance_word)
+
+
+# The affine rows: the extended Cartan matrix, checked against its kernels and Bourbaki's
+# extended diagrams rather than against how ``_affine`` derives it.
+AFFINE = ([("A", n) for n in range(1, 9)] + [(t, n) for t in "BC" for n in range(2, 9)]
+          + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2), ("A", 40)])
+
+# alpha_0's neighbours (1-based) in the extended diagram (Bourbaki, Lie Groups VI, plates I-IX)
+_ALPHA_0_LINKS = {"B": {2}, "C": {1}, "D": {2}, "E6": {2}, "E7": {1}, "E8": {8}, "F4": {1}, "G2": {2}}
+
+
+@pytest.mark.parametrize("t,n", AFFINE)
+def test_affine_rows_are_the_extended_cartan_matrix(t, n):
+    rs = rootsys.build(t, n)
+    rows, names = alcove._affine(rs)
+    assert len(rows) == len(names) == n + 1
+    assert names == tuple(("reflect", i) for i in range(1, n + 1)) + (("affine_reflect",),)
+    dense = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, row in enumerate(rows):
+        for j, c in row:
+            dense[i][j] = c
+    # delta = (marks, 1) spans the kernel, and the comarks (theta^vee's, 1) the cokernel
+    delta = rs.marks + (1,)
+    comarks = rootsys._dominant_coroots(rs)[0][0] + (1,)
+    assert all(sum(map(mul, row, delta)) == 0 for row in dense)
+    assert all(sum(map(mul, col, comarks)) == 0 for col in zip(*dense))
+    assert [row[:n] for row in dense[:n]] == [list(row) for row in rs.cartan]
+    links = {j + 1 for j in range(n) if dense[n][j]}
+    if t == "A":
+        assert links == {1, n}
+        assert dense[n][0] == (-2 if n == 1 else -1)
+    else:
+        assert links == _ALPHA_0_LINKS.get(f"{t}{n}", _ALPHA_0_LINKS.get(t))
+    assert all((dense[n][j] == 0) == (dense[j][n] == 0) for j in range(n))
+    # ``_walk`` resumes at line[0][0], the lowest index only if every line is sorted
+    for lines in (rs._rows, rs._cols, rows):
+        for i, line in enumerate(lines):
+            indices = [j for j, _ in line]
+            assert indices == sorted(set(indices)) and (i, 2) in line
+
+
+def _wall_by_wall(rs, point):
+    """The reduction as a loop of finite walks on ``rs._rows`` around the theta wall.
+
+    The twin of the single affine walk of ``reduce_to_alcove``: reflect at the lowest negative
+    y_i until none is left, then reflect in theta = 1 once if theta(y) > 1, and repeat.
+    Returns the reduced numerators, the steps and the word of w_acc, last-applied letter last.
+    """
+    n = rs.rank
+    tvec = rootsys._dominant_coroots(rs)[0][1]
+    theta_letters = alcove._reflection_word(rs, rs.marks)
+    values, den = alcove._numerators(point.values)
+    steps, letters = [], []
+    if any(v < -den or v >= 2 * den for v in values):
+        shift = tuple(-(v // den) for v in values)
+        values = [v + s * den for v, s in zip(values, shift)]
+        steps.append(("translate", shift))
+    cap = alcove._reflection_bound(rs, values, den)
+    overrun = f"alcove reduction exceeded its bound of {cap} steps"
+    taken = 0
+    while True:
+        walk, _ = rootsys._walk(rs._rows, values, cap - taken, overrun)
+        steps.extend(("reflect", i) for i in walk)
+        letters.extend(walk)
+        taken += len(walk)
+        excess = sum(map(mul, rs.marks, values)) - den
+        if excess <= 0:
+            break
+        if taken == cap:
+            raise ContractError(overrun)
+        for j in range(n):
+            values[j] -= tvec[j] * excess
+        steps.append(("affine_reflect",))
+        letters.extend(theta_letters)
+        taken += 1
+    return values, den, tuple(steps), letters
+
+
+@pytest.mark.parametrize("t,n", ONE_PASS)
+def test_affine_walk_matches_the_wall_by_wall_loop(t, n, monkeypatch):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"one-pass:{t}{n}")
+    bound = alcove._reflection_bound
+    affine_seen = False
+    for start in _one_pass_starts(rs, rng):
+        values, den, steps, letters = _wall_by_wall(rs, start)
+        reduced, tr = alcove.reduce_to_alcove(rs, start)
+        assert tr.steps == steps
+        assert tr.weyl_word == tuple(reversed(letters))
+        assert reduced.values == tuple(F(v, den) for v in values)
+        affine_seen |= ("affine_reflect",) in steps
+        # with the bound one below the steps taken, both stop at the same step and message
+        taken = sum(step[0] != "translate" for step in steps)
+        if taken:
+            monkeypatch.setattr(alcove, "_reflection_bound", lambda *args: taken - 1)
+            message = f"alcove reduction exceeded its bound of {taken - 1} steps"
+            for reduce in (_wall_by_wall, alcove.reduce_to_alcove):
+                with pytest.raises(ContractError) as excinfo:
+                    reduce(rs, start)
+                assert str(excinfo.value) == message
+            monkeypatch.setattr(alcove, "_reflection_bound", bound)
+    assert affine_seen

@@ -34,3 +34,28 @@ def test_from_rows_names_the_first_bad_entry_in_row_major_order():
         FpMatrix.from_rows(5, [[0, 0.5], [True, 0]])
     assert str(excinfo.value) == "entry 0.5 is not an integer"
 
+
+
+_A3 = rootsys.build("A", 3)
+_ROOT = _A3.positive_roots[0]
+
+# each public word function, given a word whose middle letter is the bad value x
+_WORD_CALLS = {
+    "word_matrix": lambda word: alcove.word_matrix(_A3, word),
+    "is_positive": lambda word: alcove.BasisChoice(word).is_positive(_A3, _ROOT),
+    "basis_roots": lambda word: alcove.BasisChoice(word).basis_roots(_A3),
+    "same_basis": lambda word: alcove.same_basis(_A3, alcove.BasisChoice(word), alcove.BasisChoice(())),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.5, "1", None])
+@pytest.mark.parametrize("name", list(_WORD_CALLS))
+def test_a_letter_that_is_no_int_gets_the_simple_index_message(name, bad):
+    with pytest.raises(ValueError) as excinfo:
+        _WORD_CALLS[name]((2, bad, 1))
+    assert str(excinfo.value) == f"{bad!r} is not a simple-root index in 1..3"
+
+
+def test_a_word_that_is_not_iterable_keeps_its_type_error():
+    with pytest.raises(TypeError, match="not iterable"):
+        rootsys.apply_letters(_A3, 5, [1, 1, 1])
