@@ -27,7 +27,8 @@ at most |Phi+| letters, and alpha is positive in w's chamber iff
 alpha(w(rho^vee)) > 0.  ``word_matrix`` carries the identity rows through that
 reduced word, L + rank * l(w) letter steps for a word of L letters, and
 ``BasisChoice.basis_roots`` reads w(alpha_j) off its columns.  The transcript keeps
-such a reduced word, so the recomposition and window checks cost l(w) letter steps.
+such a reduced word, so the recomposition (the start moved forward once) and the window
+check each cost l(w) letter steps.  theta's word, for each s_0, comes with ``_affine``.
 """
 
 from __future__ import annotations
@@ -199,26 +200,13 @@ def _rho_dual(rs: RootSystem, word: tuple[int, ...]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _reflection_word(rs: RootSystem, alpha: tuple[int, ...]) -> tuple[int, ...]:
-    """A word for the reflection in the positive root b with int coordinates ``alpha``:
-    s_b = s_i s_{s_i(b)} s_i at the lowest i with k = <b, alpha_i^vee> > 0 (from ``rs._rows``)
-    and s_i(b) = b - k alpha_i, so the word is a palindrome; above height 1, b is not simple,
-    so s_i(b) is positive and lower."""
-    if sum(alpha) == 1:
-        return (alpha.index(1) + 1,)
-    for i, row in enumerate(rs._rows):
-        k = sum(x * alpha[j] for j, x in row)
-        if k > 0:
-            inner = _reflection_word(rs, alpha[:i] + (alpha[i] - k,) + alpha[i + 1:])
-            return (i + 1,) + inner + (i + 1,)
-    raise ContractError(f"{alpha} is not a positive root")
-
-
-@lru_cache(maxsize=None)
-def _affine(rs: RootSystem) -> tuple[tuple, tuple[tuple, ...]]:
-    """The extended Cartan matrix's rows, alpha_0 = 1 - theta as node ``rank``, and the
-    transcript step of each letter.  s_i moves a_0 by <theta, alpha_i^vee> y_i and s_0
-    moves y_j by <alpha_j, theta^vee> a_0 (Kac, Infinite-Dimensional Lie Algebras, 6.1).
+def _affine(rs: RootSystem) -> tuple[tuple, tuple[tuple, ...], tuple[int, ...]]:
+    """The extended Cartan matrix's rows, alpha_0 = 1 - theta as node ``rank``, the
+    transcript step of each letter, and a word for s_theta, the linear part of s_0.
+    s_i moves a_0 by <theta, alpha_i^vee> y_i and s_0 moves y_j by <alpha_j, theta^vee> a_0
+    (Kac, Infinite-Dimensional Lie Algebras, 6.1).  s_b = s_i s_{s_i(b)} s_i at the lowest
+    i with k = <b, alpha_i^vee> > 0, and s_i(b) = b - k alpha_i is positive and lower until
+    b is simple, so theta's word, spelled from b = theta down, is a palindrome.
     """
     n, marks = rs.rank, rs.marks
     rows = []
@@ -228,7 +216,18 @@ def _affine(rs: RootSystem) -> tuple[tuple, tuple[tuple, ...]]:
     tvec = _dominant_coroots(rs)[0][1]
     rows.append(tuple((j, -t) for j, t in enumerate(tvec) if t) + ((n, 2),))
     steps = tuple(("reflect", i) for i in range(1, n + 1)) + (("affine_reflect",),)
-    return tuple(rows), steps
+    b, up = list(marks), []
+    while sum(b) > 1:
+        for i, row in enumerate(rs._rows):
+            k = sum(x * b[j] for j, x in row)
+            if k > 0:
+                break
+        else:
+            raise ContractError(f"{tuple(b)} is not a positive root")
+        up.append(i + 1)
+        b[i] -= k
+    theta_word = (*up, b.index(1) + 1, *reversed(up))
+    return tuple(rows), steps, theta_word
 
 
 def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoint, ReductionTranscript]:
@@ -241,14 +240,14 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     reflection lowers the number of separating affine walls, so the walk ends within
     ``_reflection_bound`` steps; running past it means an arithmetic bug.
 
-    The recorded word, theta's reflection word at each ``s_0``, is replayed once, on
-    rho^vee, by ``_reduced``; the recomposition check moves the reduced point back
-    through the resulting reduced word and asks that it differ from the start by
-    a coweight, so past that one pass it costs 2 l(w_acc) <= 2 |Phi+| letter steps.
+    The recorded word, theta's word from ``_affine`` at each ``s_0``, is replayed once,
+    on rho^vee, by ``_reduced``; the recomposition check moves the start forward once
+    through the resulting reduced word and asks that it differ from the reduced point
+    by a coweight, so past that replay it costs l(w_acc) <= |Phi+| letter steps.
     """
     rs._check_rank(len(point.values))
     n = rs.rank
-    lines, names = _affine(rs)
+    lines, names, theta_word = _affine(rs)
 
     start, den = _numerators(point.values)
     values = list(start)
@@ -270,23 +269,19 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     for _ in range(walk.count(n + 1)):
         k = walk.index(n + 1, at)
         letters += walk[at:k]
-        letters += _reflection_word(rs, rs.marks)
+        letters += theta_word
         at = k + 1
     letters += walk[at:]
 
     _assert_in_alcove(rs, values, den)
 
-    # reduced = w_acc(start) + net exactly when w_acc^-1(reduced) - start = w_acc^-1(net)
-    # lies in the coweight lattice, which W preserves; ``short`` moves points as w_acc does
     short = _reduced(rs, letters)
-    back = apply_letters(rs, reversed(short), list(values))
-    diff = []
-    for b, s in zip(back, start):
-        d, r = divmod(b - s, den)
+    net = []
+    for v, w in zip(values, apply_letters(rs, short, list(start))):
+        d, r = divmod(v - w, den)
         if r:
             raise ContractError("reduction transcript does not recompose to the result")
-        diff.append(d)
-    net = apply_letters(rs, short, diff)
+        net.append(d)
 
     reduced = CoweightPoint(tuple(Fraction(v, den) for v in values))
     transcript = ReductionTranscript(tuple(steps), tuple(reversed(letters)), tuple(net),
@@ -333,6 +328,11 @@ class WindowReport:
     critical_roots: tuple[RootVec, ...]
     """The window roots, ``critical_roots(rs, phi)``, each checked positive under ``basis``."""
 
+    @property
+    def short_basis(self) -> BasisChoice:
+        """The same chamber as ``basis``, by a word of at most |Phi+| + len(dominance) letters."""
+        return BasisChoice(tuple(reversed(self.transcript.reduced_word)) + self.dominance_word)
+
 
 def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
     """Select a basis making every root in the open window (0, 1/h) positive.
@@ -344,7 +344,6 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
     dominant by simple reflections (lowest violated index first).  The
     accumulated Weyl data is transported back through the reduction.
     """
-    rs._check_rank(phi.rank)
     reduced, transcript = reduce_to_alcove(rs, lift(phi))
 
     values, den = _numerators(reduced.values)
@@ -362,16 +361,15 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
         dominance = tuple(walk)
 
     basis = BasisChoice(tuple(reversed(transcript.weyl_word)) + dominance)
-    # the same element as basis, by a word of at most |Phi+| + len(dominance) letters
-    dual = _rho_dual(rs, tuple(reversed(transcript.reduced_word)) + dominance)
-    critical = critical_roots(rs, phi)
-    for alpha in critical:
+    report = WindowReport(basis, idx, reduced, transcript, dominance, critical_roots(rs, phi))
+    dual = _rho_dual(rs, report.short_basis.weyl_word)
+    for alpha in report.critical_roots:
         if sum(map(mul, alpha.coords, dual)) <= 0:
             raise ContractError(
                 f"selected basis leaves window root {alpha.coords} negative; "
                 "this indicates an arithmetic bug"
             )
-    return WindowReport(basis, idx, reduced, transcript, dominance, critical)
+    return report
 
 
 def window_basis(rs: RootSystem, phi: PhiHom) -> BasisChoice:
@@ -480,7 +478,6 @@ def oracle_valid_bases(rs: RootSystem, phi: PhiHom) -> tuple[BasisChoice, ...]:
     """
     if rs.rank > 3:
         raise ValueError("chamber enumeration is restricted to rank <= 3")
-    rs._check_rank(phi.rank)
     critical = {a.coords for a in critical_roots(rs, phi)}
     return tuple(BasisChoice(word) for word, positives in _chambers(rs) if critical <= positives)
 

@@ -122,6 +122,7 @@ class FpMatrix:
         return _combination(self.p, self.n, ((scalar, self),))
 
     def __pow__(self, k: int) -> "FpMatrix":
+        require_int(k, "exponent")
         if k < 0:
             raise ValueError("negative powers not supported; use inverse()")
         out = None

@@ -260,12 +260,10 @@ def _cmd_basis(args):
     rs = _system(args)
     phi = _phi(args, rs)
     report = alcove.window_basis_report(rs, phi)  # checks every window root is positive
-    # the same element as report.basis, by a word of at most |Phi+| + len(dominance) letters
-    short = tuple(reversed(report.transcript.reduced_word)) + report.dominance_word
     result = {
         "phi": phi.values,
         "weyl_word": report.basis.weyl_word,
-        "basis_roots": alcove.BasisChoice(short).basis_roots(rs),
+        "basis_roots": report.short_basis.basis_roots(rs),
         "pigeonhole_index": report.pigeonhole_index,
         "reduced_point": report.reduced_point.values,
         "critical_roots": report.critical_roots,

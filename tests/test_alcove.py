@@ -1,6 +1,7 @@
 """Alcove reduction, window roots, and the constructive basis vs the chamber oracle."""
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction as F
 from operator import mul
@@ -472,9 +473,11 @@ def test_walks_end_in_a_contract_error_when_reflections_do_nothing(monkeypatch):
     heights.antidominant_conjugate(rs, weight)
     # the affine rows are cached per (type, rank), so the inert copy would reach the real ones
     affine = alcove._affine
-    monkeypatch.setattr(alcove, "_affine", lambda rs: (_zero(affine(rs)[0]), affine(rs)[1]))
+    monkeypatch.setattr(alcove, "_affine", lambda rs: (_zero(affine(rs)[0]),) + affine(rs)[1:])
     with pytest.raises(ContractError, match="exceeded its bound"):
         alcove.reduce_to_alcove(_inert(rs), start)
+    with pytest.raises(ContractError, match="is not a positive root"):
+        affine.__wrapped__(_inert(rs))  # theta's word, with no positive pairing left
     with pytest.raises(ContractError, match="antidominant descent exceeded the number of positive roots"):
         heights.antidominant_conjugate(_inert(rs), weight)
     # already in the alcove, but re-centred at a vertex that needs the dominance walk
@@ -540,12 +543,11 @@ def test_window_check_on_the_reduced_word_matches_the_full_basis_word(t, n):
         phi = PhiHom(tuple(F(rng.randrange(den) if trial % 2 else den // h * rng.randrange(3), den)
                            for _ in range(n)))
         report = alcove.window_basis_report(rs, phi)
-        tr = report.transcript
-        short = tuple(reversed(tr.reduced_word)) + report.dominance_word
+        short = report.short_basis
         full = alcove._rho_dual(rs, report.basis.weyl_word)
-        assert alcove._rho_dual(rs, short) == full
+        assert alcove._rho_dual(rs, short.weyl_word) == full
         assert all(sum(map(mul, a.coords, full)) > 0 for a in report.critical_roots)
-        assert BasisChoice(short).basis_roots(rs) == report.basis.basis_roots(rs)
+        assert short.basis_roots(rs) == report.basis.basis_roots(rs)
 
 
 def test_reduced_word_that_drops_a_letter_does_not_recompose(monkeypatch):
@@ -577,7 +579,8 @@ def test_window_basis_report_replays_its_word_once(monkeypatch):
     report = alcove.window_basis_report(rs, phi)
     word, pos = len(report.transcript.weyl_word), len(rs.positive_roots)
     assert word > 3 * pos  # a second pass over the word would break the bound below
-    assert sum(stepped) <= word + 3 * pos + len(report.dominance_word)
+    # the replay, the recomposition's one forward pass and the window check
+    assert sum(stepped) == word + 2 * len(report.transcript.reduced_word) + len(report.dominance_word)
 
 
 # The affine rows: the extended Cartan matrix, checked against its kernels and Bourbaki's
@@ -592,7 +595,7 @@ _ALPHA_0_LINKS = {"B": {2}, "C": {1}, "D": {2}, "E6": {2}, "E7": {1}, "E8": {8},
 @pytest.mark.parametrize("t,n", AFFINE)
 def test_affine_rows_are_the_extended_cartan_matrix(t, n):
     rs = rootsys.build(t, n)
-    rows, names = alcove._affine(rs)
+    rows, names, _ = alcove._affine(rs)
     assert len(rows) == len(names) == n + 1
     assert names == tuple(("reflect", i) for i in range(1, n + 1)) + (("affine_reflect",),)
     dense = [[0] * (n + 1) for _ in range(n + 1)]
@@ -619,6 +622,34 @@ def test_affine_rows_are_the_extended_cartan_matrix(t, n):
             assert indices == sorted(set(indices)) and (i, 2) in line
 
 
+@functools.lru_cache(maxsize=None)
+def _reflection_word(rs, alpha):
+    """A word for the reflection in the positive root b with int coordinates ``alpha``, by
+    recursion: s_b = s_i s_{s_i(b)} s_i at the lowest i with k = <b, alpha_i^vee> > 0."""
+    if sum(alpha) == 1:
+        return (alpha.index(1) + 1,)
+    for i, row in enumerate(rs._rows):
+        k = sum(x * alpha[j] for j, x in row)
+        if k > 0:
+            inner = _reflection_word(rs, alpha[:i] + (alpha[i] - k,) + alpha[i + 1:])
+            return (i + 1,) + inner + (i + 1,)
+    raise ContractError(f"{alpha} is not a positive root")
+
+
+@pytest.mark.parametrize("t,n", AFFINE + [("B", 30), ("C", 30), ("D", 30)])
+def test_theta_word_is_the_reflection_in_theta(t, n):
+    rs = rootsys.build(t, n)
+    word = alcove._affine(rs)[2]
+    assert word == _reflection_word(rs, rs.marks)
+    assert len(word) % 2 == 1 and word == word[::-1]
+    tvec = rootsys._dominant_coroots(rs)[0][1]
+    rng = random.Random(f"theta-word:{t}{n}")
+    for _ in range(5):
+        y = [rng.randrange(-9, 10) for _ in range(n)]
+        theta_y = sum(map(mul, rs.marks, y))
+        assert rootsys.apply_letters(rs, word, list(y)) == [v - theta_y * c for v, c in zip(y, tvec)]
+
+
 def _wall_by_wall(rs, point):
     """The reduction as a loop of finite walks on ``rs._rows`` around the theta wall.
 
@@ -628,7 +659,7 @@ def _wall_by_wall(rs, point):
     """
     n = rs.rank
     tvec = rootsys._dominant_coroots(rs)[0][1]
-    theta_letters = alcove._reflection_word(rs, rs.marks)
+    theta_letters = _reflection_word(rs, rs.marks)
     values, den = alcove._numerators(point.values)
     steps, letters = [], []
     if any(v < -den or v >= 2 * den for v in values):

@@ -16,6 +16,7 @@ _GATES = [
     ("entry", lambda x: FpMatrix.from_rows(5, [[0, x], [0, 0]])),
     ("scalar", lambda x: FpMatrix.identity(5, 2).scale(x)),
     ("exponent", lambda x: charp.t_power(_UNIPOTENT, x)),
+    ("exponent", lambda x: _UNIPOTENT ** x),
     ("max_degree", lambda x: charp.bch_table(5, x)),
     ("weight", lambda x: charp.cycle_power_scalar(3, (1, x, 1))),
 ]
