@@ -486,7 +486,8 @@ def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -
     """The homomorphism ``alpha -> <alpha, cochar> / p^j`` into Q/Z.
 
     ``cochar`` gives an integer cocharacter in simple-coroot coordinates;
-    the pairing against a simple root is ``sum_k C[k][i] cochar_k``.
+    the pairing against a simple root is ``sum_k C[k][i] cochar_k``, read off
+    the sparse column i of the Cartan matrix.
     """
     require_prime(p)
     require_int(j, "j")
@@ -494,8 +495,4 @@ def mu_pj_restriction(rs: RootSystem, cochar: tuple[int, ...], p: int, j: int) -
         raise ValueError("j must be at least 1")
     rs._check_int_coords(cochar)
     den = p**j
-    vals = tuple(
-        Fraction(sum(rs.cartan[k][i] * cochar[k] for k in range(rs.rank)), den)
-        for i in range(rs.rank)
-    )
-    return PhiHom(vals)
+    return PhiHom(tuple(Fraction(sum(c * cochar[k] for k, c in col), den) for col in rs._cols))

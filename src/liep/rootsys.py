@@ -1,5 +1,8 @@
 """Irreducible root systems of types A through G, built from Cartan data.
 
+The Cartan matrix is read from each Dynkin diagram's list of bonds (``_DIAGRAMS``),
+the same table that decides which ranks exist.
+
 The positive roots are enumerated by closing the set of simple roots under
 height-raising simple reflections, and the negative roots are their negatives;
 no root table is hard-coded anywhere, and the classical root counts appear
@@ -155,66 +158,40 @@ class RootSystem:
         }
 
 
+def _chain(n: int, start: int = 0) -> list[tuple[int, int, int, int]]:
+    """The simple chain's bonds from node ``start`` to node n - 1."""
+    return [(k, k + 1, -1, -1) for k in range(start, n - 1)]
+
+
+# Each type's lowest and highest rank (None: unbounded) and its Dynkin diagram at rank n,
+# as bonds (i, j, C[i][j], C[j][i]), 0-based, so C[i][j] = <alpha_{j+1}, alpha_{i+1}^vee>.
+_DIAGRAMS = {
+    "A": (1, None, _chain),
+    # alpha_n is the short root: <alpha_{n-1}, alpha_n^vee> = -2
+    "B": (2, None, lambda n: _chain(n)[:-1] + [(n - 2, n - 1, -1, -2)]),
+    # alpha_n is the long root: <alpha_n, alpha_{n-1}^vee> = -2
+    "C": (2, None, lambda n: _chain(n)[:-1] + [(n - 2, n - 1, -2, -1)]),
+    # D3 = A3 is deliberately rejected rather than aliased
+    "D": (4, None, lambda n: _chain(n)[:-1] + [(n - 3, n - 1, -1, -1)]),
+    "E": (6, 8, lambda n: [(0, 2, -1, -1), (1, 3, -1, -1)] + _chain(n, 2)),
+    # alpha_3 and alpha_4 are short
+    "F": (4, 4, lambda n: [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)]),
+    "G": (2, 2, lambda n: [(0, 1, -3, -1)]),  # alpha_1 short, alpha_2 long
+}
+
+
 def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
-    """Bourbaki Cartan matrix, or a descriptive rejection."""
-    bad = ValueError(
-        f"no irreducible system of type {type_label!r} and rank {rank}: "
-        "valid are A(n>=1), B(n>=2), C(n>=2), D(n>=4), E(6..8), F4, G2"
-    )
-    if not isinstance(type_label, str) or type_label not in "ABCDEFG" or len(type_label) != 1:
-        raise bad
-    if not is_int(rank) or rank < 1:
-        raise bad
-
+    """Bourbaki Cartan matrix, read from the bond list of ``_DIAGRAMS``, or a descriptive
+    rejection of any type and rank that the table does not cover."""
+    diagram = _DIAGRAMS.get(type_label) if isinstance(type_label, str) else None
+    if diagram is None or not is_int(rank) or not diagram[0] <= rank <= (diagram[1] or rank):
+        raise ValueError(
+            f"no irreducible system of type {type_label!r} and rank {rank}: "
+            "valid are A(n>=1), B(n>=2), C(n>=2), D(n>=4), E(6..8), F4, G2"
+        )
     C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def link(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
-        # C[i][j] = <alpha_{j+1}, alpha_{i+1}^vee>
-        C[i][j] = cij
-        C[j][i] = cji
-
-    if type_label == "A":
-        for k in range(rank - 1):
-            link(k, k + 1)
-    elif type_label == "B":
-        if rank < 2:
-            raise bad
-        for k in range(rank - 2):
-            link(k, k + 1)
-        # alpha_rank is the short root: <alpha_{n-1}, alpha_n^vee> = -2
-        link(rank - 2, rank - 1, cij=-1, cji=-2)
-    elif type_label == "C":
-        if rank < 2:
-            raise bad
-        for k in range(rank - 2):
-            link(k, k + 1)
-        # alpha_rank is the long root: <alpha_n, alpha_{n-1}^vee> = -2
-        link(rank - 2, rank - 1, cij=-2, cji=-1)
-    elif type_label == "D":
-        # D3 = A3 is deliberately rejected rather than aliased
-        if rank < 4:
-            raise bad
-        for k in range(rank - 2):
-            link(k, k + 1)
-        link(rank - 3, rank - 1)
-    elif type_label == "E":
-        if rank not in (6, 7, 8):
-            raise bad
-        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
-        for a, b in zip(chain, chain[1:]):
-            link(a, b)
-        link(1, 3)
-    elif type_label == "F":
-        if rank != 4:
-            raise bad
-        link(0, 1)
-        link(1, 2, cij=-1, cji=-2)  # alpha_3, alpha_4 short
-        link(2, 3)
-    else:  # G
-        if rank != 2:
-            raise bad
-        link(0, 1, cij=-3, cji=-1)  # alpha_1 short, alpha_2 long
-
+    for i, j, cij, cji in diagram[2](rank):
+        C[i][j], C[j][i] = cij, cji
     return C
 
 

@@ -216,6 +216,18 @@ def test_restriction_homomorphism_values():
     assert alcove.mu_pj_restriction(a2, (3, 3), 3, 1).values == (F(0), F(0))
 
 
+@pytest.mark.parametrize("t,n", [("B", 5), ("C", 5), ("F", 4), ("G", 2), ("E", 7)])
+def test_restriction_matches_the_dense_column_sum(t, n):
+    # C is not symmetric on B, C, F and G, so a pairing that reads rows for columns fails there
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"restriction:{t}{n}")
+    for _ in range(40):
+        cochar = tuple(rng.randint(-30, 30) for _ in range(n))
+        p, j = rng.choice((2, 3, 5, 7, 11)), rng.randint(1, 3)
+        want = tuple(F(sum(rs.cartan[k][i] * cochar[k] for k in range(n)), p**j) % 1 for i in range(n))
+        assert alcove.mu_pj_restriction(rs, cochar, p, j).values == want
+
+
 def test_restriction_validates_arguments():
     a2 = rootsys.build("A", 2)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 
 from liep import alcove, cli, heights, rootsys
 from liep.errors import ContractError
+from liep.primes import is_int
 from liep.rootsys import RootVec, WeightVec
 
 ALL_TYPES = (
@@ -134,6 +135,81 @@ def test_bool_float_and_non_string_arguments_are_rejected_and_leave_the_cache_cl
             rootsys.build(*bad)  # again, now that A1 is cached
     finally:
         rootsys.build.cache_clear()
+
+
+def _branch_ladder_cartan(type_label, rank):
+    """The branch-per-type Cartan construction that the bond table replaced, kept as a twin."""
+    bad = ValueError(
+        f"no irreducible system of type {type_label!r} and rank {rank}: "
+        "valid are A(n>=1), B(n>=2), C(n>=2), D(n>=4), E(6..8), F4, G2"
+    )
+    if not isinstance(type_label, str) or type_label not in "ABCDEFG" or len(type_label) != 1:
+        raise bad
+    if not is_int(rank) or rank < 1:
+        raise bad
+
+    C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+
+    def link(i, j, cij=-1, cji=-1):
+        C[i][j] = cij
+        C[j][i] = cji
+
+    if type_label == "A":
+        for k in range(rank - 1):
+            link(k, k + 1)
+    elif type_label == "B":
+        if rank < 2:
+            raise bad
+        for k in range(rank - 2):
+            link(k, k + 1)
+        link(rank - 2, rank - 1, cij=-1, cji=-2)
+    elif type_label == "C":
+        if rank < 2:
+            raise bad
+        for k in range(rank - 2):
+            link(k, k + 1)
+        link(rank - 2, rank - 1, cij=-2, cji=-1)
+    elif type_label == "D":
+        if rank < 4:
+            raise bad
+        for k in range(rank - 2):
+            link(k, k + 1)
+        link(rank - 3, rank - 1)
+    elif type_label == "E":
+        if rank not in (6, 7, 8):
+            raise bad
+        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
+        for a, b in zip(chain, chain[1:]):
+            link(a, b)
+        link(1, 3)
+    elif type_label == "F":
+        if rank != 4:
+            raise bad
+        link(0, 1)
+        link(1, 2, cij=-1, cji=-2)
+        link(2, 3)
+    else:
+        if rank != 2:
+            raise bad
+        link(0, 1, cij=-3, cji=-1)
+    return C
+
+
+def _matrix_or_message(construct, type_label, rank):
+    try:
+        return construct(type_label, rank)
+    except ValueError as exc:
+        return str(exc)
+
+
+ODD_INPUTS = [True, 2.0, "2", None, "", "a", "AB", 1]
+
+
+@pytest.mark.parametrize("type_label", list("ABCDEFG") + ODD_INPUTS, ids=repr)
+def test_bond_table_matches_the_branch_ladder(type_label):
+    for rank in list(range(-1, 31)) + ODD_INPUTS:
+        want = _matrix_or_message(_branch_ladder_cartan, type_label, rank)
+        assert _matrix_or_message(rootsys._cartan_matrix, type_label, rank) == want, (type_label, rank)
 
 
 def test_d4_is_accepted_even_though_d3_is_not():

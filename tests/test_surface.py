@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,17 @@ def test_package_imports_only_exported_names():
         module = importlib.import_module(f"liep.{module_name}")
         assert getattr(liep, name) is getattr(module, name)
         assert name in getattr(module, "__all__", (name,)), f"liep.{module_name} does not export {name!r}"
+
+
+def test_package_imports_only_the_standard_library():
+    # numpy or sympy may be installed alongside, so an accidental import would pass every other test
+    imported = set()
+    for path in sorted(Path(liep.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert "__future__" in imported
+    outside = sorted(m for m in imported if m.partition(".")[0] not in sys.stdlib_module_names)
+    assert not outside, f"liep imports {outside} from outside the standard library"
