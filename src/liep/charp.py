@@ -10,7 +10,10 @@ external dependencies.
 
 Every linear combination of matrices (sums, differences, scalings, the
 three series and the group law) is formed by ``_combination``, which
-sums on plain ints and reduces mod p once.  The series are evaluated by
+sums on plain ints and reduces mod p once.  Every matrix product (``*``
+and the group law's brackets [a, b] = ab - ba) is formed by ``_products``,
+which sums c . (left . right) on rows packed into single ints and
+reduces mod p once per entry.  The series are evaluated by
 ``_series``, which sums c_k . nil^k, walking the powers one product at a
 time and keeping none of them: nothing is cached per input.  ``trunc_exp``,
 ``trunc_log`` and ``t_power`` each pass their p coefficients; ``_series``
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from math import prod
-from operator import mul
+from operator import lshift
 
 from . import bch
 from .errors import ContractError
@@ -55,7 +58,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FpMatrix:
-    """Immutable square matrix over Z/p with canonical residue entries."""
+    """Immutable square matrix over Z/p whose entries are canonical residues, in [0, p).
+
+    The raw constructor does not check that; ``from_rows``, ``identity``,
+    ``diagonal`` and every operation below guarantee it.
+    """
 
     p: int
     n: int
@@ -108,11 +115,7 @@ class FpMatrix:
         if not isinstance(other, FpMatrix):
             return self.scale(other)
         self._same_shape(other)
-        p = self.p
-        cols = list(zip(*other.rows))
-        return FpMatrix(p, self.n, tuple(
-            tuple(sum(map(mul, row, col)) % p for col in cols) for row in self.rows
-        ))
+        return _products(self.p, self.n, ((1, self, other),))
 
     def __rmul__(self, scalar: int) -> "FpMatrix":
         return self.scale(scalar)
@@ -247,6 +250,35 @@ def _combination(p: int, n: int, terms) -> FpMatrix:
     return FpMatrix(p, n, tuple(tuple(a % p for a in acc[r:r + n]) for r in range(0, n * n, n)))
 
 
+def _products(p: int, n: int, terms) -> FpMatrix:
+    """The n x n matrix sum of c . (left . right) over the (c, left, right) triples.
+
+    Each row of ``right`` is packed into one int, entry j in the slot j . width
+    bits up.  A slot sums at most len(terms) . n products of two residues, at
+    most len(terms) . n . (p - 1)^2, and ``width`` holds that, so no slot carries
+    into the next.  Output row i is the sum of (c . x mod p) . packed row k over
+    the non-zero entries x = left[i][k] whose packed row is non-zero, and is
+    unpacked once, with one % p per slot; a row that sums to 0 is not unpacked.
+    """
+    width = (len(terms) * n * (p - 1) ** 2).bit_length()
+    shifts = range(0, width * n, width)
+    mask = (1 << width) - 1
+    acc = [0] * n
+    for c, left, right in terms:
+        c %= p
+        packed = [sum(map(lshift, row, shifts)) for row in right.rows]
+        for i, row in enumerate(left.rows):
+            a = acc[i]
+            for x, q in zip(row, packed):
+                if x and q:
+                    a += x * c % p * q
+            acc[i] = a
+    zero = (0,) * n
+    return FpMatrix(p, n, tuple([
+        tuple([(a >> s & mask) % p for s in shifts]) if a else zero for a in acc
+    ]))
+
+
 def _series(nil: FpMatrix, coeffs) -> FpMatrix:
     """The sum of c_k . nil^k over the coefficients c_0, .., c_{p-1}; requires nil^p = 0.
 
@@ -367,7 +399,7 @@ def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
         if got is None:
             head = value(word[:-1])
             tail = letters[(word[-1],)]
-            got = head * tail - tail * head
+            got = _products(x.p, x.n, ((1, head, tail), (-1, tail, head)))  # [head, tail]
             values[word] = got
         return got
 

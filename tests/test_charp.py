@@ -9,6 +9,7 @@ import tracemalloc
 from collections import deque
 from fractions import Fraction as F
 from itertools import accumulate, combinations
+from operator import mul
 
 import pytest
 
@@ -129,6 +130,59 @@ def test_identity_and_diagonal_match_from_rows():
         want = _raised(lambda: FpMatrix.from_rows(5, [[1, 0], [0, bad]]))
         assert _raised(lambda: FpMatrix.diagonal(5, [1, bad])) == want
         assert want == f"entry {bad!r} is not an integer"
+
+
+PRODUCT_PRIMES = (2, 3, 13, 101, 10007, 10**18 + 3)
+
+
+def _drawn(rng, p, n):
+    """A drawn dense matrix, the dense matrix of p - 1 (every slot of a packed
+    product at its largest), the zero and identity matrices, the strictly upper
+    matrix of p - 1, and a drawn strictly upper matrix that is zero below its
+    k-th superdiagonal for a drawn k in 1..n."""
+    k = rng.randint(1, n)
+    return [
+        _random_matrix(rng, p, n),
+        FpMatrix.from_rows(p, [[p - 1] * n] * n),
+        FpMatrix.diagonal(p, [0] * n),
+        FpMatrix.identity(p, n),
+        FpMatrix.from_rows(p, [[p - 1 if c > r else 0 for c in range(n)] for r in range(n)]),
+        FpMatrix.from_rows(p, [[rng.randrange(p) if c - r >= k else 0 for c in range(n)]
+                               for r in range(n)]),
+    ]
+
+
+def _entry_product(a, b):
+    """a . b one entry at a time, a row times a column reduced mod p: the route of
+    ``*`` before rows were packed, kept as an oracle."""
+    p = a.p
+    cols = list(zip(*b.rows))
+    return FpMatrix(p, a.n, tuple(
+        tuple(sum(map(mul, row, col)) % p for col in cols) for row in a.rows
+    ))
+
+
+def _two_product_bracket(head, tail):
+    """[head, tail] as head . tail - tail . head from per-entry products: the route
+    of bch_apply's brackets before they were one packed sum, kept as an oracle."""
+    return _entry_product(head, tail) - _entry_product(tail, head)
+
+
+def _canonical(m):
+    return all(type(x) is int and 0 <= x < m.p for row in m.rows for x in row)
+
+
+def test_products_match_the_per_entry_twin():
+    rng = random.Random("product-twin")
+    for p in PRODUCT_PRIMES:
+        for n in range(1, 10):
+            drawn = _drawn(rng, p, n)
+            for a in drawn:
+                for b in drawn:
+                    got = a * b
+                    assert got == _entry_product(a, b) and _canonical(got)
+                    got = charp._products(p, n, ((1, a, b), (-1, b, a)))
+                    assert got == _two_product_bracket(a, b) and _canonical(got)
 
 
 # --- determinant, inverse, exterior traces ---------------------------------
@@ -558,6 +612,56 @@ def test_bch_apply_matches_the_direct_route():
                 y = random_strict_upper(rng, p, n)
                 direct = charp.trunc_log(charp.trunc_exp(x) * charp.trunc_exp(y))
                 assert charp.bch_apply(table, x, y) == direct
+
+
+def _two_product_bch(table, x, y):
+    """bch_apply with each bracket formed by ``_two_product_bracket``, kept as an oracle."""
+    letters = {(0,): x, (1,): y}
+    values = dict(letters)
+
+    def value(word):
+        if word not in values:
+            values[word] = _two_product_bracket(value(word[:-1]), letters[word[-1:]])
+        return values[word]
+
+    terms = [(charp._fraction_mod(c, x.p), value(word)) for word, c in table.terms if len(word) < x.n]
+    return charp._combination(x.p, x.n, terms)
+
+
+def test_bch_apply_matches_the_two_product_twin():
+    rng = random.Random("bch-twin")
+    for p in PRODUCT_PRIMES:
+        for n in range(1, min(p, 9) + 1):
+            table = charp.bch_table(p, max(n - 1, 1))
+            uppers = [m for m in _drawn(rng, p, n) if m.is_strictly_upper()]
+            for x in uppers:
+                for y in uppers:
+                    got = charp.bch_apply(table, x, y)
+                    assert got == _two_product_bch(table, x, y) and _canonical(got)
+
+
+def test_bch_apply_forms_each_bracket_prefix_once(monkeypatch):
+    # one packed sum per left-nested bracket: per distinct prefix, of length 2 or
+    # more, of a word that is shorter than n and whose coefficient is non-zero mod p
+    calls = [0]
+    products = charp._products
+
+    def counted(*args):
+        calls[0] += 1
+        return products(*args)
+
+    monkeypatch.setattr(charp, "_products", counted)
+    rng = random.Random("bch-work")
+    for p in (3, 5, 7, 13):
+        table = charp.bch_table(p, min(p - 1, 10))
+        for n in range(2, min(p, 11) + 1):
+            words = [w for w, c in table.terms if len(w) < n and c.numerator % p]
+            prefixes = {w[:k] for w in words for k in range(2, len(w) + 1)}
+            calls[0] = 0
+            charp.bch_apply(table, random_strict_upper(rng, p, n), random_strict_upper(rng, p, n))
+            assert calls[0] == len(prefixes)
+    # at p = 13, four words of length 10 have coefficients that vanish mod 13
+    assert len([w for w, c in table.terms if c.numerator % 13 == 0]) == 4
 
 
 def test_bch_apply_validation_and_contracts():
