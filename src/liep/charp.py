@@ -8,18 +8,23 @@ exercise them: the scalar-shift lift, weighted cyclic shifts, and the
 Heisenberg pair.  Everything is computed over Z/p with no floats and no
 external dependencies.
 
-Every linear combination of matrices (sums, differences, scalings, the
-three series and the group law) is formed by ``_combination``, which
-sums on plain ints and reduces mod p once.  Every matrix product (``*``
-and the group law's brackets [a, b] = ab - ba) is formed by ``_products``,
-which sums c . (left . right) on rows packed into single ints and
-reduces mod p once per entry.  The series are evaluated by
-``_series``, which sums c_k . nil^k, walking the powers one product at a
-time and keeping none of them: nothing is cached per input.  ``trunc_exp``,
-``trunc_log`` and ``t_power`` each pass their p coefficients; ``_series``
-reads at most min(n, p) of them and stops at the first zero power, so a
-series costs the nilpotency index of its n x n argument less one in
-products, and a contract failure at most min(n, p) - 1, never p.
+Every linear combination of matrices (sums, differences, scalings and the
+three series) is formed by ``_combination``, which sums on plain ints and
+reduces mod p once.  Every matrix product (``*`` and the group law's
+brackets) is formed by ``_products``, which takes the left factor as rows
+of residues and the right factor as rows packed into single ints, so an
+entry costs one bigint multiply-add; the packed sums are reduced mod p once
+per slot.  ``bch_apply`` stays on packed rows from start to finish: it
+packs x and y once, forms each bracket [h, t] = ht - th as the one product
+(h | -t) . (t ; h), keeps only the rows that can be non-zero, and sums the
+table's terms on packed rows before reducing once.  The series are
+evaluated by ``_series``, which sums c_k . nil^k, walking the powers one
+product at a time and keeping none of them: nothing is cached per input.
+``trunc_exp``, ``trunc_log`` and ``t_power`` each pass their p
+coefficients; ``_series`` reads at most min(n, p) of them and stops at the
+first zero power, so a series costs the nilpotency index of its n x n
+argument less one in products, and a contract failure at most
+min(n, p) - 1, never p.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from math import prod
-from operator import lshift
+from operator import lshift, mul
 
 from . import bch
 from .errors import ContractError
@@ -115,7 +120,9 @@ class FpMatrix:
         if not isinstance(other, FpMatrix):
             return self.scale(other)
         self._same_shape(other)
-        return _products(self.p, self.n, ((1, self, other),))
+        shifts, mask = _slots(self.p, self.n, self.n)
+        acc = _products(self.rows, _packed(other.rows, shifts))
+        return FpMatrix(self.p, self.n, _unpacked(self.p, acc, shifts, mask))
 
     def __rmul__(self, scalar: int) -> "FpMatrix":
         return self.scale(scalar)
@@ -250,33 +257,38 @@ def _combination(p: int, n: int, terms) -> FpMatrix:
     return FpMatrix(p, n, tuple(tuple(a % p for a in acc[r:r + n]) for r in range(0, n * n, n)))
 
 
-def _products(p: int, n: int, terms) -> FpMatrix:
-    """The n x n matrix sum of c . (left . right) over the (c, left, right) triples.
+def _slots(p: int, n: int, terms: int) -> tuple[range, int]:
+    """The shifts and mask of n slots, each wide enough for a sum of ``terms``
+    products of two residues, at most terms . (p - 1)^2, so no slot carries
+    into the next."""
+    width = (terms * (p - 1) ** 2).bit_length()
+    return range(0, width * n, width), (1 << width) - 1
 
-    Each row of ``right`` is packed into one int, entry j in the slot j . width
-    bits up.  A slot sums at most len(terms) . n products of two residues, at
-    most len(terms) . n . (p - 1)^2, and ``width`` holds that, so no slot carries
-    into the next.  Output row i is the sum of (c . x mod p) . packed row k over
-    the non-zero entries x = left[i][k] whose packed row is non-zero, and is
-    unpacked once, with one % p per slot; a row that sums to 0 is not unpacked.
+
+def _packed(rows, shifts) -> list[int]:
+    """Each row of residues as one int, entry j in the slot ``shifts[j]`` bits up."""
+    return [sum(map(lshift, row, shifts)) for row in rows]
+
+
+def _unpacked(p: int, acc, shifts, mask) -> tuple[tuple[int, ...], ...]:
+    """The packed row sums in ``acc`` as rows of residues, with one % p per slot;
+    a row that sums to 0 is not unpacked."""
+    zero = (0,) * len(shifts)
+    return tuple([tuple([(a >> s & mask) % p for s in shifts]) if a else zero for a in acc])
+
+
+def _products(left, right) -> list[int]:
+    """The rows of left . right, packed: row i is the sum of left[i][k] . right[k].
+
+    ``left`` holds rows of residues and ``right`` the packed rows of the other
+    factor, so each entry costs one bigint multiply-add and nothing is
+    reduced; the caller sizes the slots with ``_slots`` and unpacks.  ``*``
+    passes two n x n factors, and each bracket of ``bch_apply`` the n x 2n
+    block row (head | -tail) and the 2n x n block column (tail ; head).  A
+    ``right`` with fewer rows than ``left`` has columns stands for a factor
+    whose later rows are 0.
     """
-    width = (len(terms) * n * (p - 1) ** 2).bit_length()
-    shifts = range(0, width * n, width)
-    mask = (1 << width) - 1
-    acc = [0] * n
-    for c, left, right in terms:
-        c %= p
-        packed = [sum(map(lshift, row, shifts)) for row in right.rows]
-        for i, row in enumerate(left.rows):
-            a = acc[i]
-            for x, q in zip(row, packed):
-                if x and q:
-                    a += x * c % p * q
-            acc[i] = a
-    zero = (0,) * n
-    return FpMatrix(p, n, tuple([
-        tuple([(a >> s & mask) % p for s in shifts]) if a else zero for a in acc
-    ]))
+    return [sum(map(mul, row, right)) for row in left]
 
 
 def _series(nil: FpMatrix, coeffs) -> FpMatrix:
@@ -377,6 +389,17 @@ def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
     Strict triangularity makes every product of n or more factors
     vanish, so the truncation at table.max_degree >= n - 1 is exact and
     exp(result) = exp(x) exp(y) on the nose.
+
+    Each value is carried in the two forms a product reads: its rows of
+    residues, for the left factor, and its packed rows, for the right.  x
+    and y are packed once, and their rows negated once, so a bracket
+    [head, tail] = head . tail + (-tail) . head is the one ``_products``
+    call (head | -tail) . (tail ; head), made once per distinct prefix.  A
+    bracket of k letters is 0 below its k-th superdiagonal, so it is formed,
+    unpacked and repacked only on its first n - k rows.  The table's terms
+    are summed as c . packed rows and unpacked once.  A bracket's slot sums
+    at most 2n products of two residues and the final one a product per
+    term, so the slots hold max(2n, terms) . (p - 1)^2.
     """
     if x.p != table.p or y.p != table.p or x.n != y.n:
         raise ValueError("operands must share the table's characteristic and one size")
@@ -391,21 +414,35 @@ def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
         raise ValueError(
             f"table degree {table.max_degree} below commutator depth {x.n - 1}"
         )
-    letters = {(0,): x, (1,): y}
-    values: dict[tuple[int, ...], FpMatrix] = dict(letters)
+    p, n = x.p, x.n
+    # words of n or more letters are exact zeros at this size
+    coeffs = [(_fraction_mod(c, p), word) for word, c in table.terms if len(word) < n]
+    shifts, mask = _slots(p, n, max(2 * n, len(coeffs)))
+    values = {}  # word -> its rows and its packed rows
+    tails = {}  # letter -> its negated rows and its packed rows
+    for letter, m in enumerate((x, y)):
+        packed = _packed(m.rows, shifts)
+        values[(letter,)] = m.rows, packed
+        tails[letter] = [tuple([-v % p for v in row]) for row in m.rows], packed
 
-    def value(word: tuple[int, ...]) -> FpMatrix:
+    def value(word: tuple[int, ...]):
         got = values.get(word)
         if got is None:
-            head = value(word[:-1])
-            tail = letters[(word[-1],)]
-            got = _products(x.p, x.n, ((1, head, tail), (-1, tail, head)))  # [head, tail]
-            values[word] = got
+            head, head_packed = value(word[:-1])
+            tail, tail_packed = tails[word[-1]]
+            # [head, tail] = (head | -tail) . (tail ; head), 0 from row n - len(word) on
+            left = [h + t for h, t in zip(head, tail[:n - len(word)])]
+            acc = _products(left, tail_packed + head_packed)
+            rows = _unpacked(p, acc, shifts, mask)
+            got = values[word] = rows, _packed(rows, shifts)
         return got
 
-    # words of n or more letters are exact zeros at this size
-    coeffs = ((_fraction_mod(c, table.p), word) for word, c in table.terms if len(word) < x.n)
-    return _combination(x.p, x.n, ((c, value(word)) for c, word in coeffs if c))
+    total = [0] * n
+    for c, word in coeffs:
+        if c:
+            for i, q in enumerate(value(word)[1]):
+                total[i] += c * q
+    return FpMatrix(p, n, _unpacked(p, total, shifts, mask))
 
 
 def nilpotent_p_power_check(x: FpMatrix) -> bool:
@@ -503,30 +540,31 @@ def _algebra_dimension(gens: list[FpMatrix]) -> int:
 
     Every word is ((1 . g_1) . g_2) ... g_k, so closing {1} under m -> m . g
     alone reaches that span, which is then stable under products on both
-    sides.  Matrices are held sparse, as {(row, col): x} over their nonzero
+    sides.  Matrices are held sparse, as {row . n + col: x} over their nonzero
     entries, and m . g is formed from g's row lists.  Each independent
-    product is kept in a pivot dict, lead -> {index: x}, lead = min(vec),
-    and multiplied further.  Every S^a . D^b of the Heisenberg pair has at
-    most p nonzeros, so a product or an elimination step costs O(p).
+    product is kept in a pivot dict, lead -> {index: x}, lead = min(vec): the
+    flat index orders entries as (row, col) pairs would, at the cost of one
+    int per key.  Every S^a . D^b of the Heisenberg pair has at most p
+    nonzeros, so a product or an elimination step costs O(p).
     """
     p, n = gens[0].p, gens[0].n
-    row_lists = []  # per generator: row k -> [(c, x)]
+    row_lists = []  # per generator: row k -> [(c - k, x)], so (r, k) . (k, c) lands at i + c - k
     for g in gens:
         by_row = {}
         for k, row in enumerate(g.rows):
             for c, x in enumerate(row):
                 if x:
-                    by_row.setdefault(k, []).append((c, x))
+                    by_row.setdefault(k, []).append((c - k, x))
         row_lists.append(by_row)
 
     def product(m: dict, by_row: dict) -> dict:
-        acc: dict[tuple[int, int], int] = {}
-        for (r, k), x in m.items():
-            for c, y in by_row.get(k, ()):
-                acc[r, c] = acc.get((r, c), 0) + x * y
-        return {key: x % p for key, x in acc.items() if x % p}
+        acc: dict[int, int] = {}
+        for i, x in m.items():
+            for step, y in by_row.get(i % n, ()):
+                acc[i + step] = acc.get(i + step, 0) + x * y
+        return {j: x % p for j, x in acc.items() if x % p}
 
-    echelon: dict[tuple[int, int], dict] = {}  # lead -> reduced sparse vector
+    echelon: dict[int, dict] = {}  # lead -> reduced sparse vector
 
     def independent(vec: dict) -> bool:
         while vec:
@@ -543,7 +581,7 @@ def _algebra_dimension(gens: list[FpMatrix]) -> int:
                     del vec[i]
         return False
 
-    queue = deque([{(i, i): 1 for i in range(n)}])
+    queue = deque([{i * (n + 1): 1 for i in range(n)}])
     while queue:
         m = queue.popleft()
         if independent(dict(m)):

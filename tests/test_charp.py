@@ -181,7 +181,11 @@ def test_products_match_the_per_entry_twin():
                 for b in drawn:
                     got = a * b
                     assert got == _entry_product(a, b) and _canonical(got)
-                    got = charp._products(p, n, ((1, a, b), (-1, b, a)))
+                    # [a, b] = (a | -b) . (b ; a), as bch_apply forms its brackets
+                    shifts, mask = charp._slots(p, n, 2 * n)
+                    left = [ra + tuple(-v % p for v in rb) for ra, rb in zip(a.rows, b.rows)]
+                    acc = charp._products(left, charp._packed(b.rows + a.rows, shifts))
+                    got = FpMatrix(p, n, charp._unpacked(p, acc, shifts, mask))
                     assert got == _two_product_bracket(a, b) and _canonical(got)
 
 
@@ -638,6 +642,24 @@ def test_bch_apply_matches_the_two_product_twin():
                 for y in uppers:
                     got = charp.bch_apply(table, x, y)
                     assert got == _two_product_bch(table, x, y) and _canonical(got)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 5), (7, 7), (11, 11), (13, 13), (101, 8)])
+def test_bch_apply_fills_the_widest_slot(p, n):
+    # at n = p the table of degree n - 1 is the largest there is; from p = 7 on it
+    # has more than 2n terms, so the slot of the final sum must hold more than a
+    # bracket's 2n . (p - 1)^2.  x is p - 1 above the diagonal.  With p - 1 on the
+    # superdiagonal it commutes, as both are polynomials in the shift, so every
+    # bracket vanishes.  With a drawn strictly upper y the final slots reach about
+    # 60,000 at p = 13, past the 4,095 that a width for 2n . (p - 1)^2 leaves.
+    table = charp.bch_table(p, n - 1)
+    x = FpMatrix.from_rows(p, [[p - 1 if c > r else 0 for c in range(n)] for r in range(n)])
+    shift = FpMatrix.from_rows(p, [[p - 1 if c == r + 1 else 0 for c in range(n)]
+                                   for r in range(n)])
+    assert charp.bch_apply(table, x, shift) == x + shift
+    y = random_strict_upper(random.Random(f"widest-slot-{p}"), p, n)
+    got = charp.bch_apply(table, x, y)
+    assert got == _two_product_bch(table, x, y) and _canonical(got)
 
 
 def test_bch_apply_forms_each_bracket_prefix_once(monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -46,3 +47,10 @@ def test_package_imports_only_the_standard_library():
     assert "__future__" in imported
     outside = sorted(m for m in imported if m.partition(".")[0] not in sys.stdlib_module_names)
     assert not outside, f"liep imports {outside} from outside the standard library"
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"^## Library quick tour\n+```python\n(.*?)^```$", readme, re.M | re.S)
+    assert tour, "README.md has no python block under '## Library quick tour'"
+    exec(compile(tour.group(1), "README.md (Library quick tour)", "exec"), {})
