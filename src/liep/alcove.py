@@ -26,9 +26,12 @@ regular, so sorting w(rho^vee) back to rho^vee spells a reduced word for w, of
 at most |Phi+| letters, and alpha is positive in w's chamber iff
 alpha(w(rho^vee)) > 0.  ``word_matrix`` carries the identity rows through that
 reduced word, L + rank * l(w) letter steps for a word of L letters, and
-``BasisChoice.basis_roots`` reads w(alpha_j) off its columns.  The transcript keeps
-such a reduced word, so the recomposition (the start moved forward once) and the window
-check each cost l(w) letter steps.  theta's word, for each s_0, comes with ``_affine``.
+``BasisChoice.basis_roots`` reads w(alpha_j) off its columns.  The reduction never
+replays its word: the walked point carries (rho^vee, -theta(rho^vee)) packed beside it,
+so the walk ends with w_acc(rho^vee), and the transcript keeps the reduced word walked
+back from it.  The recomposition (the start moved forward once) and the window check
+each cost l(w) letter steps.  theta's word, spliced into ``weyl_word`` at each s_0,
+comes with ``_affine``.
 """
 
 from __future__ import annotations
@@ -170,21 +173,21 @@ def word_matrix(rs: RootSystem, word: Iterable[int]) -> tuple[tuple[int, ...], .
     """Matrix of the word's element w on simple-root coordinates: column j is w(alpha_j).
 
     Right-multiplying by ``s_i`` is the point action of ``s_i`` on every row, so
-    each row of the identity is carried letter by letter through ``_reduced(rs, word)``,
-    a word for the same element of length l(w) <= |Phi+|: L + rank * l(w) letter steps.
+    each row of the identity is carried letter by letter through a word for the same
+    element of length l(w) <= |Phi+|, ``_reduced`` of the word's image of rho^vee:
+    L + rank * l(w) letter steps.
     """
-    word = _reduced(rs, word)
+    word = _reduced(rs, apply_letters(rs, word, [1] * rs.rank))
     return tuple(tuple(apply_letters(rs, word, list(e))) for e in _identity(rs.rank))
 
 
-def _reduced(rs: RootSystem, word: Iterable[int]) -> tuple[int, ...]:
-    """A reduced word acting like ``word`` (first letter first) in every representation.
+def _reduced(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
+    """A reduced word for w, first letter first, from v = w(rho^vee), which it walks in place.
 
-    ``word`` carries rho^vee to v = w(rho^vee); the walk back to the dominant rho^vee
-    spells u with u w = 1, since only the identity fixes the regular rho^vee, and
-    ``w = u^-1`` is that walk reversed.  It has l(w) <= |Phi+| letters.
+    The walk back to the dominant rho^vee spells u with u w = 1, since only the identity
+    fixes the regular rho^vee, and ``w = u^-1`` is that walk reversed.  It has
+    l(w) <= |Phi+| letters.
     """
-    v = apply_letters(rs, word, [1] * rs.rank)
     walk, _ = _walk(rs._rows, v, len(rs.positive_roots),
                     "reduced word exceeded the number of positive roots")
     return tuple(reversed(walk))
@@ -240,13 +243,18 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     reflection lowers the number of separating affine walls, so the walk ends within
     ``_reflection_bound`` steps; running past it means an arithmetic bug.
 
-    The recorded word, theta's word from ``_affine`` at each ``s_0``, is replayed once,
-    on rho^vee, by ``_reduced``; the recomposition check moves the start forward once
-    through the resulting reduced word and asks that it differ from the reduced point
-    by a coweight, so past that replay it costs l(w_acc) <= |Phi+| letter steps.
+    The rows act linearly on (y, a_0), and on r = (rho^vee, -theta(rho^vee)) =
+    (1, ..., 1, 1 - h), where s_0 acts as s_theta: each letter keeps r at
+    (u rho^vee, -theta(u rho^vee)) for some u in W, whose entries are heights of roots,
+    so |r_j| <= h - 1.  The walk runs on z = 2h (y, a_0) + r with ``low = 1 - h``, takes
+    the reflections that y alone would take, and ends with r = (w_acc(rho^vee), ...),
+    decoded as (z + h) mod 2h - h.  ``_reduced`` walks w_acc(rho^vee) back to a reduced
+    word; the recomposition check moves the start forward once through it, l(w_acc) <=
+    |Phi+| letter steps, and asks that it differ from the reduced point by a coweight.
+    ``weyl_word`` splices theta's word from ``_affine`` in at each ``s_0``.
     """
     rs._check_rank(len(point.values))
-    n = rs.rank
+    n, h = rs.rank, rs.coxeter_number
     lines, names, theta_word = _affine(rs)
 
     start, den = _numerators(point.values)
@@ -259,9 +267,12 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
         steps.append(("translate", shift))
 
     cap = _reflection_bound(rs, values, den)
-    z = values + [den - sum(map(mul, rs.marks, values))]
-    walk, _ = _walk(lines, z, cap, f"alcove reduction exceeded its bound of {cap} steps")
-    values = z[:n]
+    # 2h (y, a_0) + (rho^vee, -theta(rho^vee)): the walk moves w_acc(rho^vee) along
+    m = 2 * h
+    z = [m * v + 1 for v in values] + [m * (den - sum(map(mul, rs.marks, values))) + 1 - h]
+    walk, _ = _walk(lines, z, cap, f"alcove reduction exceeded its bound of {cap} steps", 1 - h)
+    rho = [(x + h) % m - h for x in z[:n]]
+    values = [(x - r) // m for x, r in zip(z, rho)]
     steps.extend([names[i - 1] for i in walk])
 
     # the word of w_acc, reversed: theta's reflection word, a palindrome, at each s_0
@@ -275,7 +286,7 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
 
     _assert_in_alcove(rs, values, den)
 
-    short = _reduced(rs, letters)
+    short = _reduced(rs, rho)
     net = []
     for v, w in zip(values, apply_letters(rs, short, list(start))):
         d, r = divmod(v - w, den)

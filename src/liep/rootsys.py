@@ -300,8 +300,9 @@ def coxeter_via_element(rs: RootSystem) -> int:
     raise ContractError("Coxeter element orbit exceeds |Phi|; arithmetic is broken")
 
 
-def _walk(lines: tuple, z: list[int], cap: int, message: str) -> tuple[list[int], list[int]]:
-    """Reflect ``z`` in place at its lowest negative coordinate until none is left.
+def _walk(lines: tuple, z: list[int], cap: int, message: str,
+          low: int = 0) -> tuple[list[int], list[int]]:
+    """Reflect ``z`` in place at its lowest coordinate below ``low`` until none is left.
 
     ``lines[i]`` lists the nonzero ``(j, c)``, sorted by j, of the reflection at i, which
     moves ``z_j -= c z_i``: ``rs._rows`` for a coweight point (``c = C[i][j]``), ``rs._cols``
@@ -311,14 +312,20 @@ def _walk(lines: tuple, z: list[int], cap: int, message: str) -> tuple[list[int]
     positive root negative on ``z``, so the walk ends within |Phi+| steps (Humphreys,
     Reflection Groups and Coxeter Groups, 1990, 1.2); past ``cap`` steps it raises
     ``ContractError(message)``.  Coordinates below ``lines[i][0][0]`` did not move and
-    were not negative, so the scan resumes there.
+    were not below ``low``, so the scan resumes there.
+
+    ``low`` is 0 but for a packed vector ``z = M x + r``, integral x, whose r stays within
+    ``|r_j| <= -low < M / 2`` all along: the lines act linearly, so they carry x and r
+    together, and ``z_i >= low`` exactly when ``x_i >= 0``.  The walk then takes x's
+    reflections in x's order (``alcove.reduce_to_alcove``), and ``steps``, which sums
+    the packed ``-z_i``, carries no meaning.
     """
     n = len(lines)
     letters: list[int] = []
     steps = [0] * n
     i = 0
     while True:
-        while i < n and z[i] >= 0:
+        while i < n and z[i] >= low:
             i += 1
         if i == n:
             return letters, steps

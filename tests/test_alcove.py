@@ -333,9 +333,9 @@ def test_reduced_word_is_reduced_and_cancels_its_reverse(t, n):
     rng = random.Random(f"reduced:{t}{n}")
     for length in (0, 1, 7, 150, 2000):
         word = tuple(rng.randint(1, n) for _ in range(length))
-        reduced = alcove._reduced(rs, word)
+        reduced = alcove._reduced(rs, rootsys.apply_letters(rs, word, [1] * n))
         assert len(reduced) <= len(rs.positive_roots)
-        assert alcove._reduced(rs, word + word[::-1]) == ()
+        assert alcove._reduced(rs, rootsys.apply_letters(rs, word + word[::-1], [1] * n)) == ()
         if length <= 150:
             assert len(reduced) == _length(rs, word) == _length(rs, reduced)
 
@@ -575,7 +575,7 @@ def test_reduced_word_that_drops_a_letter_does_not_recompose(monkeypatch):
             alcove.reduce_to_alcove(rs, start)
 
 
-def test_window_basis_report_replays_its_word_once(monkeypatch):
+def test_window_basis_report_replays_no_long_word(monkeypatch):
     rs = rootsys.build("A", 40)
     rng = random.Random("one-pass-count")
     phi = PhiHom(tuple(F(rng.randrange(1000), 1000) for _ in range(40)))
@@ -590,9 +590,62 @@ def test_window_basis_report_replays_its_word_once(monkeypatch):
     monkeypatch.setattr(alcove, "apply_letters", counting)
     report = alcove.window_basis_report(rs, phi)
     word, pos = len(report.transcript.weyl_word), len(rs.positive_roots)
-    assert word > 3 * pos  # a second pass over the word would break the bound below
-    # the replay, the recomposition's one forward pass and the window check
-    assert sum(stepped) == word + 2 * len(report.transcript.reduced_word) + len(report.dominance_word)
+    assert word > 3 * pos  # a pass over the word would break the bound below
+    # the recomposition's one forward pass and the window check
+    assert sum(stepped) == 2 * len(report.transcript.reduced_word) + len(report.dominance_word)
+
+
+def _spliced_reduction(rs, point):
+    """The reduction by the long word: an unpacked walk of (y, a_0), theta's word spliced in
+    at each s_0, that word replayed on rho^vee and walked back to a reduced word, and the
+    start moved through the whole word for the net translation."""
+    n = rs.rank
+    lines, _, theta_word = alcove._affine(rs)
+    start, den = alcove._numerators(point.values)
+    values = list(start)
+    if any(v < -den or v >= 2 * den for v in values):
+        values = [v % den for v in values]
+    z = values + [den - sum(map(mul, rs.marks, values))]
+    walk, _ = rootsys._walk(lines, z, 10**9, "unreachable")
+    letters = []
+    for i in walk:
+        letters += theta_word if i == n + 1 else (i,)
+    back, _ = rootsys._walk(rs._rows, rootsys.apply_letters(rs, letters, [1] * n),
+                            len(rs.positive_roots), "reduced word exceeded |Phi+|")
+    moved = rootsys.apply_letters(rs, letters, list(start))
+    assert all((v - w) % den == 0 for v, w in zip(z, moved))
+    net = tuple((v - w) // den for v, w in zip(z, moved))
+    return tuple(F(v, den) for v in z[:n]), tuple(reversed(letters)), net, tuple(back)
+
+
+PACKED_TWINS = ([("A", n) for n in range(1, 13)] + [(t, n) for t in "BC" for n in range(2, 10)]
+                + [("D", n) for n in range(4, 10)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+                ("A", 40), ("B", 30), ("C", 30), ("D", 30)])
+
+
+@pytest.mark.parametrize("t,n", PACKED_TWINS)
+def test_packed_walk_matches_the_spliced_word_replay(t, n):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"packed-walk:{t}{n}")
+    h = rs.coxeter_number
+    points = []
+    for _ in range(9):
+        # far out; on walls: every alpha(y) in Z / d, the alcove vertex omega_i^vee / m_i on
+        # theta = 1, or a Weyl image of it shifted by a coweight; and regular
+        points.append([F(rng.randrange(-10**6, 10**6), rng.randrange(1, 60)) for _ in range(n)])
+        d = rng.choice((1, 2, h))
+        points.append([F(rng.randrange(-2 * d, 2 * d), d) for _ in range(n)])
+        i = rng.randrange(n)
+        vertex = [int(j == i) for j in range(n)]
+        points.append([F(v, rs.marks[i]) for v in vertex])
+        vertex = rootsys.apply_letters(rs, [rng.randint(1, n) for _ in range(3 * n)], vertex)
+        points.append([F(v, rs.marks[i]) + rng.randrange(-2, 3) for v in vertex])
+        points.append([F(rng.randrange(1000), 1000) for _ in range(n)])
+    for values in points:
+        reduced, transcript = alcove.reduce_to_alcove(rs, CoweightPoint(values))
+        twin = _spliced_reduction(rs, CoweightPoint(values))
+        assert (reduced.values, transcript.weyl_word, transcript.net_translation,
+                transcript.reduced_word) == twin
 
 
 # The affine rows: the extended Cartan matrix, checked against its kernels and Bourbaki's
