@@ -8,6 +8,15 @@ each degree-d piece by d: on a Lie element the projection is the
 identity, so the collected form still sums to the same series, which is
 exactly what the expansion check below verifies.
 
+The series is formed on plain ints.  A degree-d word is a d-bit int,
+first letter in the highest bit, and its coefficient is an integer
+numerator over L·d!, with L = lcm(1..max_deg).  The degree-d piece of
+exp(X) exp(Y) - 1 is then C(d, a) on X^a Y^b; multiplying pieces of
+degrees d1 and d2 concatenates words as ``w1 << d2 | w2`` and scales
+numerators by C(d1 + d2, d1); the k-th log term adds ±(L/k) times a
+numerator.  Only degree pairs with d1 + d2 <= max_deg are formed.
+``Fraction``s are made once per word, when the public tables are read.
+
 A bracket word ``(l_1, ..., l_d)`` denotes the left-nested commutator
 ``[[...[[l_1, l_2], l_3]...], l_d]``.  Canonical bracket words start
 with (0, 1); words whose first two letters agree are dropped as zero,
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial, lcm
 
 __all__ = [
     "associative_terms",
@@ -27,34 +37,48 @@ __all__ = [
 ]
 
 Word = tuple[int, ...]
-Series = dict[Word, Fraction]
 
 
-def _add(series: Series, w: Word, c: Fraction) -> None:
-    """Add ``c`` to the coefficient of ``w``, and drop ``w`` if the sum is zero."""
-    v = series.get(w, 0) + c
-    if v:
-        series[w] = v
-    else:
-        series.pop(w, None)
+@lru_cache(maxsize=None)
+def _log_numerators(max_deg: int) -> tuple[int, tuple[dict[int, int], ...]]:
+    """``(L, pieces)``: the pieces of log(exp(X) exp(Y)) on integer numerators.
 
-
-def _mul(a: Series, b: Series, max_deg: int) -> Series:
-    out: Series = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            if len(wa) + len(wb) <= max_deg:
-                _add(out, wa + wb, ca * cb)
-    return out
-
-
-def _exp_letter(letter: int, max_deg: int) -> Series:
-    out: Series = {(): Fraction(1)}
-    fact = 1
+    L = lcm(1..max_deg).  Entry d of ``pieces`` maps each degree-d word,
+    read as a d-bit int, to its non-zero numerator n; the coefficient is
+    n / (L·d!).
+    """
+    if max_deg < 1:
+        raise ValueError("max_deg must be at least 1")
+    big_l = lcm(*range(1, max_deg + 1))
+    # nil[d] is the degree-d piece of exp(X) exp(Y) - 1 over d!: C(d, a) on X^a Y^b.
+    nil = [{}] + [{(1 << b) - 1: comb(d, b) for b in range(d + 1)} for d in range(1, max_deg + 1)]
+    pieces: list[dict[int, int]] = [{} for _ in range(max_deg + 1)]
+    power = nil  # nil^k over d!; its pieces start at degree k
     for k in range(1, max_deg + 1):
-        fact *= k
-        out[(letter,) * k] = Fraction(1, fact)
-    return out
+        step = big_l // k if k % 2 else -(big_l // k)
+        for d in range(k, max_deg + 1):
+            acc = pieces[d]
+            for w, n in power[d].items():
+                acc[w] = acc.get(w, 0) + step * n
+        if k == max_deg:
+            break
+        nxt: list[dict[int, int]] = [{} for _ in range(max_deg + 1)]
+        for d in range(k + 1, max_deg + 1):
+            acc = nxt[d]
+            for d2 in range(1, d - k + 1):  # nil's degree; power's is d - d2 >= k
+                c = comb(d, d2)
+                for w2, n2 in nil[d2].items():
+                    m = c * n2
+                    for w1, n1 in power[d - d2].items():
+                        w = w1 << d2 | w2
+                        acc[w] = acc.get(w, 0) + m * n1
+        power = nxt
+    return big_l, tuple({w: n for w, n in piece.items() if n} for piece in pieces)
+
+
+def _letters(w: int, d: int) -> Word:
+    """The d-bit word ``w`` as a tuple of letters, highest bit first."""
+    return tuple((w >> s) & 1 for s in range(d - 1, -1, -1))
 
 
 @lru_cache(maxsize=None)
@@ -62,26 +86,14 @@ def associative_terms(max_deg: int) -> tuple[dict, ...]:
     """Homogeneous pieces of log(exp(X) exp(Y)) up to ``max_deg``.
 
     Entry d of the returned tuple maps degree-d associative words to
-    their exact coefficients (entry 0 is empty).
+    their exact coefficients (entry 0 is empty), with the words in
+    lexicographic order.
     """
-    if max_deg < 1:
-        raise ValueError("max_deg must be at least 1")
-    prod = _mul(_exp_letter(0, max_deg), _exp_letter(1, max_deg), max_deg)
-    nil = dict(prod)
-    del nil[()]  # log argument is 1 + nil
-    total: Series = {}
-    power: Series = {(): Fraction(1)}
-    sign = 1
-    for k in range(1, max_deg + 1):
-        power = _mul(power, nil, max_deg)
-        coeff = Fraction(sign, k)
-        for w, c in power.items():
-            _add(total, w, coeff * c)
-        sign = -sign
-    by_degree: list[dict] = [dict() for _ in range(max_deg + 1)]
-    for w, c in total.items():
-        by_degree[len(w)][w] = c
-    return tuple(by_degree)
+    big_l, pieces = _log_numerators(max_deg)
+    return ({},) + tuple(
+        {_letters(w, d): Fraction(n, big_l * factorial(d)) for w, n in sorted(pieces[d].items())}
+        for d in range(1, max_deg + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -93,16 +105,22 @@ def bracket_terms(max_deg: int) -> tuple[tuple[Word, Fraction], ...]:
     the same canonical word are merged and zeros dropped.  The result is
     sorted by (degree, word).
     """
-    assoc = associative_terms(max_deg)
-    collected: dict[Word, Fraction] = {}
+    big_l, pieces = _log_numerators(max_deg)
+    terms: list[tuple[Word, Fraction]] = []
     for d in range(1, max_deg + 1):
-        for w, c in assoc[d].items():
-            if d == 1:
-                _add(collected, w, c)
-            elif w[0] != w[1]:  # [l, l] = 0
-                sign = 1 if (w[0], w[1]) == (0, 1) else -1
-                _add(collected, (0, 1) + w[2:], Fraction(sign, d) * c)
-    return tuple(sorted(collected.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        if d == 1:
+            collected, den = pieces[1], big_l
+        else:
+            collected, den = {}, big_l * factorial(d) * d
+            flip = 3 << (d - 2)  # (1, 0, ...) -> (0, 1, ...)
+            for w, n in pieces[d].items():
+                top = w >> (d - 2)
+                if top == 1:
+                    collected[w] = collected.get(w, 0) + n
+                elif top == 2:
+                    collected[w ^ flip] = collected.get(w ^ flip, 0) - n
+        terms.extend((_letters(w, d), Fraction(n, den)) for w, n in sorted(collected.items()) if n)
+    return tuple(terms)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Group-law series: frozen low-degree coefficients and an exact matrix oracle."""
+"""Group-law series: frozen low-degree coefficients, a Fraction twin and an exact matrix oracle."""
 
 import random
 from fractions import Fraction as F
@@ -6,6 +6,80 @@ from fractions import Fraction as F
 import pytest
 
 from liep import bch
+
+
+# --- the Fraction twin ---------------------------------------------------
+# The series on tuple words and Fraction coefficients, multiplied word pair
+# by word pair: the direct reading of log(exp(X) exp(Y)) that bch tabulates
+# on integer numerators over bit-packed words.
+
+def _add(series, w, c):
+    """Add ``c`` to the coefficient of ``w``, and drop ``w`` if the sum is zero."""
+    v = series.get(w, 0) + c
+    if v:
+        series[w] = v
+    else:
+        series.pop(w, None)
+
+
+def _mul(a, b, max_deg):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) <= max_deg:
+                _add(out, wa + wb, ca * cb)
+    return out
+
+
+def _exp_letter(letter, max_deg):
+    out = {(): F(1)}
+    fact = 1
+    for k in range(1, max_deg + 1):
+        fact *= k
+        out[(letter,) * k] = F(1, fact)
+    return out
+
+
+def _fraction_associative_terms(max_deg):
+    if max_deg < 1:
+        raise ValueError("max_deg must be at least 1")
+    prod = _mul(_exp_letter(0, max_deg), _exp_letter(1, max_deg), max_deg)
+    nil = dict(prod)
+    del nil[()]  # log argument is 1 + nil
+    total = {}
+    power = {(): F(1)}
+    sign = 1
+    for k in range(1, max_deg + 1):
+        power = _mul(power, nil, max_deg)
+        coeff = F(sign, k)
+        for w, c in power.items():
+            _add(total, w, coeff * c)
+        sign = -sign
+    by_degree = [dict() for _ in range(max_deg + 1)]
+    for w, c in total.items():
+        by_degree[len(w)][w] = c
+    return tuple(by_degree)
+
+
+def _fraction_bracket_terms(max_deg):
+    assoc = _fraction_associative_terms(max_deg)
+    collected = {}
+    for d in range(1, max_deg + 1):
+        for w, c in assoc[d].items():
+            if d == 1:
+                _add(collected, w, c)
+            elif w[0] != w[1]:  # [l, l] = 0
+                sign = 1 if (w[0], w[1]) == (0, 1) else -1
+                _add(collected, (0, 1) + w[2:], F(sign, d) * c)
+    return tuple(sorted(collected.items(), key=lambda kv: (len(kv[0]), kv[0])))
+
+
+@pytest.mark.parametrize("deg", range(1, 11))
+def test_numerator_tables_match_the_fraction_twin(deg):
+    assert bch.bracket_terms(deg) == _fraction_bracket_terms(deg)
+    assoc = bch.associative_terms(deg)
+    assert assoc == _fraction_associative_terms(deg)
+    assert all(list(piece) == sorted(piece) for piece in assoc)
 
 
 def _by_degree(max_deg):
@@ -101,10 +175,14 @@ def test_expand_bracket_base_cases():
 
 
 def test_degree_validation():
-    with pytest.raises(ValueError):
-        bch.associative_terms(0)
-    with pytest.raises(ValueError):
-        bch.bracket_terms(-3)
+    pairs = ((bch.associative_terms, _fraction_associative_terms), (bch.bracket_terms, _fraction_bracket_terms))
+    for bad, exc in ((0, ValueError), (-1, ValueError), (-3, ValueError), (2.5, TypeError), ("3", TypeError)):
+        for tabulate, twin in pairs:
+            with pytest.raises(exc) as raised:
+                tabulate(bad)
+            with pytest.raises(exc) as expected:
+                twin(bad)
+            assert str(raised.value) == str(expected.value)
 
 
 # --- exact matrix oracle -------------------------------------------------

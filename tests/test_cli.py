@@ -1,5 +1,6 @@
 """End-to-end command-line checks: envelopes, exit codes, and determinism."""
 
+import importlib.util
 import json
 import os
 import random
@@ -194,6 +195,25 @@ def test_bch_terms_and_application(capsys):
         table, FpMatrix.from_rows(5, json.loads(x)), FpMatrix.from_rows(5, json.loads(y))
     )
     assert r["applied"]["z"]["matrix"] == [list(row) for row in expected.rows]
+
+
+def _bench_check():
+    """bench/check.py, loaded by path: it imports nothing from liep."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "check.py"
+    spec = importlib.util.spec_from_file_location("liep_bench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_bch_tables_pass_the_independent_group_law_check(capsys, p):
+    # check_cli evaluates each table as a group law over 1000003 on its own matrices
+    check = _bench_check()
+    for degree in range(1, min(p - 1, 8) + 1):
+        argv = ["bch", "--p", str(p), "--degree", str(degree)]
+        code = cli.main(argv)
+        check.check_cli(argv, code, capsys.readouterr().out)
 
 
 def test_bch_requires_both_operands(capsys):
