@@ -69,6 +69,8 @@ __all__ = [
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise ValueError("floating-point input rejected; pass Fraction, int, or 'a/b' string")
+    if isinstance(x, bool):
+        raise ValueError(f"boolean input {x!r} rejected; pass Fraction, int, or 'a/b' string")
     return Fraction(x)
 
 

@@ -29,6 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
+from .primes import require_int
+
 __all__ = [
     "associative_terms",
     "bracket_terms",
@@ -39,16 +41,16 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def _log_numerators(max_deg: int) -> tuple[int, tuple[dict[int, int], ...]]:
     """``(L, pieces)``: the pieces of log(exp(X) exp(Y)) on integer numerators.
 
     L = lcm(1..max_deg).  Entry d of ``pieces`` maps each degree-d word,
     read as a d-bit int, to its non-zero numerator n; the coefficient is
-    n / (L·d!).
+    n / (L·d!).  This is the one gate of a table degree.
     """
+    require_int(max_deg, "max_degree")
     if max_deg < 1:
-        raise ValueError("max_deg must be at least 1")
+        raise ValueError("max_degree must be at least 1")
     big_l = lcm(*range(1, max_deg + 1))
     # nil[d] is the degree-d piece of exp(X) exp(Y) - 1 over d!: C(d, a) on X^a Y^b.
     nil = [{}] + [{(1 << b) - 1: comb(d, b) for b in range(d + 1)} for d in range(1, max_deg + 1)]
@@ -81,13 +83,12 @@ def _letters(w: int, d: int) -> Word:
     return tuple((w >> s) & 1 for s in range(d - 1, -1, -1))
 
 
-@lru_cache(maxsize=None)
 def associative_terms(max_deg: int) -> tuple[dict, ...]:
     """Homogeneous pieces of log(exp(X) exp(Y)) up to ``max_deg``.
 
     Entry d of the returned tuple maps degree-d associative words to
     their exact coefficients (entry 0 is empty), with the words in
-    lexicographic order.
+    lexicographic order; each call builds its own dicts.
     """
     big_l, pieces = _log_numerators(max_deg)
     return ({},) + tuple(
@@ -96,14 +97,15 @@ def associative_terms(max_deg: int) -> tuple[dict, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bracket_terms(max_deg: int) -> tuple[tuple[Word, Fraction], ...]:
     """The group law as canonical left-nested bracket words up to ``max_deg``.
 
     Degree one contributes the bare letters (0,) and (1,).  Each higher
     degree-d associative term is rebracketed and scaled by 1/d; terms on
     the same canonical word are merged and zeros dropped.  The result is
-    sorted by (degree, word).
+    sorted by (degree, word); the cache is typed, so ``True`` reaches the
+    degree gate instead of the entry for degree 1.
     """
     big_l, pieces = _log_numerators(max_deg)
     terms: list[tuple[Word, Fraction]] = []

@@ -86,6 +86,7 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
+        require_int(n, "size")
         return cls.diagonal(p, [1] * n)
 
     @classmethod
@@ -366,8 +367,6 @@ def bch_table(p: int, max_degree: int) -> BchTable:
     """Tabulate the truncated group law for characteristic ``p``."""
     require_prime(p)
     require_int(max_degree, "max_degree")
-    if max_degree < 1:
-        raise ValueError("max_degree must be at least 1")
     if max_degree >= p:
         raise ValueError(
             f"max_degree {max_degree} >= p = {p}: coefficient denominators divide "

@@ -389,22 +389,18 @@ def apply_letters(rs: RootSystem, letters: Iterable[int], vec: list) -> list:
 
     ``vec`` is a point of the coweight space by its values on the simple roots, and
     ``s_i`` moves it by ``y_j -= C[i][j] y_i``.  A letter reads only row i of the sparse
-    Cartan matrix, so it costs O(degree) at any rank.  Returns ``vec``.  A bad letter is
-    gated by ``_check_simple_index`` only once it fails, so good ones pay no type test.
+    Cartan matrix, so it costs O(degree) at any rank.  Returns ``vec``.  Each letter
+    passes the one integer rule: an int in 1..rank goes straight on, and anything else,
+    a bool included, goes to ``_check_simple_index``.
     """
     n, rows = rs.rank, rs._rows
-    i = 1  # a valid letter, so a TypeError raised before the first letter passes through
-    try:
-        for i in letters:
-            if not 0 < i <= n:
-                rs._check_simple_index(i)
-            x = vec[i - 1]
-            if x:
-                for j, c in rows[i - 1]:
-                    vec[j] -= c * x
-    except TypeError:
-        rs._check_simple_index(i)
-        raise
+    for i in letters:
+        if type(i) is not int or not 0 < i <= n:
+            rs._check_simple_index(i)
+        x = vec[i - 1]
+        if x:
+            for j, c in rows[i - 1]:
+                vec[j] -= c * x
     return vec
 
 

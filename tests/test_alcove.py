@@ -33,6 +33,14 @@ def test_phi_rejects_floats():
         PhiHom((0.5,))
 
 
+@pytest.mark.parametrize("make", [PhiHom, CoweightPoint])
+@pytest.mark.parametrize("bad", [True, False])
+def test_a_bool_value_is_rejected_by_name(make, bad):
+    with pytest.raises(ValueError) as excinfo:
+        make((bad, 0))
+    assert str(excinfo.value) == f"boolean input {bad!r} rejected; pass Fraction, int, or 'a/b' string"
+
+
 def test_phi_value_on_roots():
     rs = rootsys.build("A", 2)
     phi = PhiHom((F(1, 9), F(1, 9)))

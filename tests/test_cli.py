@@ -13,6 +13,7 @@ import pytest
 
 from liep import acceptance, alcove, charp, cli, heights, rootsys
 from liep.charp import FpMatrix
+from test_cli_properties import _PRIMES, _SYSTEMS
 
 
 def run_cli(capsys, argv):
@@ -214,6 +215,88 @@ def test_bch_tables_pass_the_independent_group_law_check(capsys, p):
         argv = ["bch", "--p", str(p), "--degree", str(degree)]
         code = cli.main(argv)
         check.check_cli(argv, code, capsys.readouterr().out)
+
+
+def _flag(rng, name, value):
+    """``[name, value]`` or ``[name=value]``; a value that starts with "-" parses only in the second."""
+    return [f"{name}={value}"] if value.startswith("-") or rng.random() < 0.5 else [name, value]
+
+
+def _rationals(rng, n):
+    return ",".join(f"{rng.randint(-12, 12)}/{rng.randint(1, 12)}" for _ in range(n))
+
+
+def _ints(values):
+    return ",".join(map(str, values))
+
+
+def _system_calls(rng, t, n):
+    """One call of each system subcommand on ``t`` ``n``, the type in a drawn case."""
+    system = ["--type", rng.choice((t, t.lower())), "--rank", str(n)]
+    weight = _ints(rng.randint(0, 3) for _ in range(n))  # dominant, as a height needs
+    subset = _ints(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+    calls = [["coxeter"], ["roots"], ["minheight"],
+             ["goodprime"] + _flag(rng, "--p", str(rng.choice(_PRIMES))),
+             ["parabolic"] + (_flag(rng, "--subset", subset) if subset else []),
+             ["height"] + _flag(rng, "--weight", weight),
+             ["lowheight"] + _flag(rng, "--weight", weight) + _flag(rng, "--p", str(rng.choice(_PRIMES))),
+             ["basis"] + _flag(rng, "--phi", _rationals(rng, n)),
+             ["critical"] + _flag(rng, "--phi", _rationals(rng, n)),
+             ["reduce", f"--point={_rationals(rng, n)}"]]
+    if n <= 3:
+        calls.append(["basis", "--oracle"] + _flag(rng, "--phi", _rationals(rng, n)))
+    return [[call[0]] + system + call[1:] for call in calls]
+
+
+def _matrix(rng, n, diagonal):
+    """``diagonal`` . 1 plus a drawn strictly upper matrix, conjugated by a drawn permutation."""
+    rows = [[rng.randint(-3, 20) if c > r else diagonal * (r == c) for c in range(n)] for r in range(n)]
+    order = rng.sample(range(n), n)
+    return json.dumps([[rows[order[r]][order[c]] for c in range(n)] for r in range(n)])
+
+
+def _field_calls(rng, p):
+    """One call of exp, log, tpower, cycle, pgl-lift and glheight at ``p``."""
+    n = rng.randint(1, min(p, 4))
+    dims = [rng.randint(1, 8) for _ in range(rng.randint(1, 3))]
+    weights = [rng.choice([w for w in range(-p, 3 * p) if w % p]) for _ in range(p)]
+    return [["exp", "--p", str(p)] + _flag(rng, "--matrix", _matrix(rng, n, 0)),
+            ["log", "--p", str(p)] + _flag(rng, "--matrix", _matrix(rng, n, 1)),
+            ["tpower", "--p", str(p), "--matrix", _matrix(rng, n, 1)] + _flag(rng, "--t", str(rng.randint(-20, 40))),
+            ["cycle", "--p", str(p)] + _flag(rng, "--t", _ints(weights)),
+            ["pgl-lift", "--p", str(p), "--matrix", _matrix(rng, p, rng.randrange(p))],
+            ["glheight", "--dims", _ints(dims), "--ms", _ints(rng.randint(0, d) for d in dims)]
+            + (["--p", str(p)] if rng.random() < 0.5 else [])]
+
+
+def _value_corpus():
+    """The seeded corpus of calls whose values ``check_cli`` confirms: every subcommand but
+    ``selftest`` and ``bch``, on every system of ``test_cli_properties`` and at p <= 13."""
+    rng = random.Random(30)
+    calls = [call for t, n in _SYSTEMS for call in _system_calls(rng, t, n)]
+    for p in _PRIMES:
+        for _ in range(3):
+            calls += _field_calls(rng, p)
+        calls += [["heisenberg", "--p", str(p)]] + ([["weightdemo", "--p", str(p)]] if p > 2 else [])
+    return calls
+
+
+def _checker_argv(argv):
+    """``argv`` with its ``--type`` upper-cased, since ``check_cli`` keys its closed forms by it."""
+    out = list(argv)
+    for i, arg in enumerate(out):
+        if arg == "--type":
+            out[i + 1] = out[i + 1].upper()
+    return out
+
+
+def test_a_seeded_corpus_passes_the_independent_value_check(capsys):
+    check = _bench_check()
+    corpus = _value_corpus()
+    assert {argv[0] for argv in corpus} == set(cli._COMMANDS) - {"selftest", "bch"}
+    for argv in corpus:
+        code = cli.main(argv)
+        check.check_cli(_checker_argv(argv), code, capsys.readouterr().out)
 
 
 def test_bch_requires_both_operands(capsys):

@@ -1,8 +1,10 @@
 """The integer gate of every public entry point, pinned to its whole message."""
 
+from fractions import Fraction
+
 import pytest
 
-from liep import alcove, charp, rootsys
+from liep import alcove, bch, charp, rootsys
 from liep.charp import FpMatrix
 from liep.rootsys import RootVec
 
@@ -18,6 +20,10 @@ _GATES = [
     ("exponent", lambda x: charp.t_power(_UNIPOTENT, x)),
     ("exponent", lambda x: _UNIPOTENT ** x),
     ("max_degree", lambda x: charp.bch_table(5, x)),
+    ("max_degree", lambda x: bch.bracket_terms(x)),
+    ("max_degree", lambda x: bch.associative_terms(x)),
+    ("max_degree", lambda x: bch.max_denominator_prime(x)),
+    ("size", lambda x: FpMatrix.identity(5, x)),
     ("weight", lambda x: charp.cycle_power_scalar(3, (1, x, 1))),
 ]
 
@@ -36,12 +42,17 @@ def test_from_rows_names_the_first_bad_entry_in_row_major_order():
     assert str(excinfo.value) == "entry 0.5 is not an integer"
 
 
+def test_each_call_gets_its_own_associative_terms():
+    bch.associative_terms(3)[2].clear()
+    assert bch.associative_terms(3)[2] == {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}
+
 
 _A3 = rootsys.build("A", 3)
 _ROOT = _A3.positive_roots[0]
 
 # each public word function, given a word whose middle letter is the bad value x
 _WORD_CALLS = {
+    "apply_letters": lambda word: rootsys.apply_letters(_A3, word, [1, 1, 1]),
     "word_matrix": lambda word: alcove.word_matrix(_A3, word),
     "is_positive": lambda word: alcove.BasisChoice(word).is_positive(_A3, _ROOT),
     "basis_roots": lambda word: alcove.BasisChoice(word).basis_roots(_A3),
@@ -49,12 +60,19 @@ _WORD_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [1.0, 2.5, "1", None])
+@pytest.mark.parametrize("bad", [1.0, 2.5, "1", None, True])
 @pytest.mark.parametrize("name", list(_WORD_CALLS))
 def test_a_letter_that_is_no_int_gets_the_simple_index_message(name, bad):
     with pytest.raises(ValueError) as excinfo:
         _WORD_CALLS[name]((2, bad, 1))
     assert str(excinfo.value) == f"{bad!r} is not a simple-root index in 1..3"
+
+
+def test_a_letter_of_an_int_subclass_is_applied_as_its_value():
+    class Letter(int):
+        pass
+
+    assert rootsys.apply_letters(_A3, (Letter(1),), [1, 1, 1]) == rootsys.apply_letters(_A3, (1,), [1, 1, 1])
 
 
 def test_a_word_that_is_not_iterable_keeps_its_type_error():

@@ -509,6 +509,25 @@ def test_coxeter_orbit_beyond_the_root_set_is_a_contract_error(monkeypatch):
         rootsys.coxeter_via_element(rs)
 
 
+@pytest.mark.parametrize("t,n", [("A", n) for n in range(1, 13)]
+                         + [(t, n) for t in "BC" for n in range(2, 10)]
+                         + [("D", n) for n in range(4, 10)]
+                         + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+def test_coxeter_element_steps_h_times_rank_letters(monkeypatch, t, n):
+    # c = s_1 ... s_rank has order h, so its orbit of rho^vee takes h powers of rank letters
+    rs = rootsys.build(t, n)
+    apply_letters, stepped = rootsys.apply_letters, []
+
+    def counting(rs, letters, vec):
+        letters = list(letters)
+        stepped.append(len(letters))
+        return apply_letters(rs, letters, vec)
+
+    monkeypatch.setattr(rootsys, "apply_letters", counting)
+    assert rootsys.coxeter_via_element(rs) == rs.coxeter_number
+    assert sum(stepped) == rs.coxeter_number * n
+
+
 @pytest.mark.parametrize("t,n", ALL_TYPES)
 @pytest.mark.parametrize("side", ["_rows", "_cols"])
 def test_walk_from_minus_rho_takes_every_positive_root_and_moves_by_the_cartan_matrix(t, n, side):
