@@ -18,8 +18,14 @@ All arithmetic is exact: points and the values of phi are integer numerators
 over one common denominator N, so wall and window tests compare integers.
 Fractions and RootVecs appear only at the API edge.
 
-The reduction is one ``rootsys._walk`` of (y, a_0 = 1 - theta(y)) on the affine
-Cartan rows, alpha_0 the last node.  Words act on points alone, through
+The reduction walks (y, a_0 = 1 - theta(y)) on the affine Cartan rows, alpha_0 the
+last node, by the affine Weyl group W_a = W x Q^vee: each phase is one ``rootsys._walk``
+on the simple rows, and between phases a dominant point with theta(y) >= 3 takes one
+translation by a multiple of theta^vee, so a translation may come mid-transcript, and
+any other point outside the alcove takes s_0.  The reduced point is unique, since the
+closed alcove is a fundamental domain for W_a; the accumulated element, and with it the
+chamber, is unique only for a point on no wall, so on wall points it may differ from
+the one a wall-by-wall reduction finds.  Words act on points alone, through
 ``rootsys.apply_letters``, and roots are read through alpha(w y) = (w^-1 alpha)(y).
 A word's element is read off w(rho^vee), rho^vee = (1, ..., 1): rho^vee is
 regular, so sorting w(rho^vee) back to rho^vee spells a reduced word for w, of
@@ -123,11 +129,15 @@ class ReductionTranscript:
     ``steps`` lists the applied generators in order: ``("translate", t)``
     with an integer tuple t, ``("reflect", i)`` for a simple reflection
     (1-based), or ``("affine_reflect",)`` for the reflection in the wall
-    theta = 1.  ``weyl_word`` spells the accumulated linear part w_acc,
-    leftmost letter applied last, and ``net_translation`` is the integer
-    vector with ``reduced = w_acc . start + net_translation``.  ``reduced_word``
-    spells the same w_acc in the same convention as ``weyl_word``, by a reduced
-    word of at most |Phi+| letters (``_reduced``).
+    theta = 1.  A translation comes first when the point lies far outside the
+    unit box, and mid-transcript, by a coroot t = -k theta^vee, when a dominant
+    point has theta(y) >= 3.  ``weyl_word`` spells the accumulated linear part
+    w_acc, leftmost letter applied last; on a point that lies on a wall, w_acc is
+    one of several elements that reach the same reduced point.
+    ``net_translation`` is the integer vector with ``reduced = w_acc . start +
+    net_translation``.  ``reduced_word`` spells the same w_acc in the same
+    convention as ``weyl_word``, by a reduced word of at most |Phi+| letters
+    (``_reduced``).
     """
 
     steps: tuple[tuple, ...]
@@ -239,25 +249,35 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     """Move a point into the closed fundamental alcove, recording each generator.
 
     Points far outside the unit box are first translated by an integer vector of the
-    coweight lattice.  The alcove is the dominant chamber of the affine Weyl group, so
-    then (y, a_0 = 1 - theta(y)) takes one ``_walk`` on the rows of ``_affine``: it
-    reflects in the lowest violated wall, ``y_i = 0`` or, last, ``theta(y) = 1``.  Each
-    reflection lowers the number of separating affine walls, so the walk ends within
-    ``_reflection_bound`` steps; running past it means an arithmetic bug.
+    coweight lattice.  The alcove is the dominant chamber of the affine Weyl group
+    W_a = W x Q^vee, and the point (y, a_0 = 1 - theta(y)) moves on the rows of
+    ``_affine``.  Each phase is one ``_walk`` on the simple rows alone, which reflects
+    in the lowest violated wall ``y_i = 0`` until y is dominant, at most |Phi+| steps,
+    and moves a_0 along.  Then a_0 >= 0 ends the reduction; theta(y) >= 3 takes one
+    ``("translate", t)`` step by the coroot t = -k theta^vee, k = floor(theta(y) / 2),
+    which lowers theta(y) by 2k and crosses many walls at once; and otherwise the walk
+    reflects once in ``theta(y) = 1``.  So a translation may come mid-transcript.
+    Reflections and translations each lower the number of separating affine walls,
+    so the reduction ends within ``_reflection_bound`` steps; running past it means an
+    arithmetic bug.  The closed alcove is a fundamental domain for W_a, so the reduced
+    point does not depend on the path; the element w_acc, and so the chamber, is unique
+    only when the point lies on no wall.
 
     The rows act linearly on (y, a_0), and on r = (rho^vee, -theta(rho^vee)) =
     (1, ..., 1, 1 - h), where s_0 acts as s_theta: each letter keeps r at
     (u rho^vee, -theta(u rho^vee)) for some u in W, whose entries are heights of roots,
-    so |r_j| <= h - 1.  The walk runs on z = 2h (y, a_0) + r with ``low = 1 - h``, takes
-    the reflections that y alone would take, and ends with r = (w_acc(rho^vee), ...),
-    decoded as (z + h) mod 2h - h.  ``_reduced`` walks w_acc(rho^vee) back to a reduced
-    word; the recomposition check moves the start forward once through it, l(w_acc) <=
-    |Phi+| letter steps, and asks that it differ from the reduced point by a coweight.
+    so |r_j| <= h - 1.  A translation has no linear part and leaves r alone.  The walk
+    runs on z = 2h (y, a_0) + r with ``low = 1 - h``, takes the reflections that y
+    alone would take, and ends with r = (w_acc(rho^vee), ...), decoded as
+    (z + h) mod 2h - h.  ``_reduced`` walks w_acc(rho^vee) back to a reduced word; the
+    recomposition check moves the start forward once through it, l(w_acc) <= |Phi+|
+    letter steps, and asks that it differ from the reduced point by a coweight.
     ``weyl_word`` splices theta's word from ``_affine`` in at each ``s_0``.
     """
     rs._check_rank(len(point.values))
     n, h = rs.rank, rs.coxeter_number
     lines, names, theta_word = _affine(rs)
+    simple, s0 = lines[:n], lines[n]
 
     start, den = _numerators(point.values)
     values = list(start)
@@ -269,22 +289,36 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
         steps.append(("translate", shift))
 
     cap = _reflection_bound(rs, values, den)
+    overrun = f"alcove reduction exceeded its bound of {cap} steps"
     # 2h (y, a_0) + (rho^vee, -theta(rho^vee)): the walk moves w_acc(rho^vee) along
     m = 2 * h
     z = [m * v + 1 for v in values] + [m * (den - sum(map(mul, rs.marks, values))) + 1 - h]
-    walk, _ = _walk(lines, z, cap, f"alcove reduction exceeded its bound of {cap} steps", 1 - h)
+    letters: list[int] = []  # w_acc's letters, first applied first
+    taken = 0
+    while True:
+        walk, _ = _walk(simple, z, cap - taken, overrun, 1 - h)
+        taken += len(walk)
+        letters += walk
+        steps.extend([names[i - 1] for i in walk])
+        if z[n] >= 1 - h:  # a_0 >= 0
+            break
+        if taken == cap:
+            raise ContractError(overrun)
+        taken += 1
+        theta = den - (z[n] - (z[n] + h) % m + h) // m  # den theta(y)
+        if theta >= 3 * den:
+            # the alpha_0 row is -theta^vee on y and 2 on a_0, so k of it moves y by -k theta^vee
+            k = theta // (2 * den)
+            steps.append(("translate", tuple(-k * c for c in _dominant_coroots(rs)[0][1])))
+            q = k * m * den
+        else:
+            steps.append(names[n])
+            letters += theta_word  # the linear part of s_0, a palindrome
+            q = -z[n]
+        for j, c in s0:
+            z[j] += c * q
     rho = [(x + h) % m - h for x in z[:n]]
     values = [(x - r) // m for x, r in zip(z, rho)]
-    steps.extend([names[i - 1] for i in walk])
-
-    # the word of w_acc, reversed: theta's reflection word, a palindrome, at each s_0
-    letters, at = [], 0
-    for _ in range(walk.count(n + 1)):
-        k = walk.index(n + 1, at)
-        letters += walk[at:k]
-        letters += theta_word
-        at = k + 1
-    letters += walk[at:]
 
     _assert_in_alcove(rs, values, den)
 
@@ -303,12 +337,28 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
 
 
 def _reflection_bound(rs: RootSystem, values: list[int], den: int) -> int:
-    """A bound on the reflections that carry the point ``values / den`` into the alcove.
+    """A bound on the steps, reflections and translations, that carry the point
+    ``values / den`` into the alcove.
 
-    Each reflection is in a wall of the alcove that strictly separates the point
-    from it, so it lowers the number of separating affine walls ``alpha = k`` by one.
-    A positive root has coefficients at most the marks, so ``|alpha(y)| <= S =
-    sum_j m_j |y_j|`` and fewer than ``floor(S) + 2`` of its walls separate.
+    Let N(y) count the affine walls ``alpha = j`` (alpha > 0, j an integer) that strictly
+    separate y from the alcove: alpha has ceil(d) of them, d the distance of alpha(y) from
+    [0, 1].  Each reflection is in a wall of the alcove that strictly separates y from it,
+    so it lowers N by exactly one.  A translation lowers N too.  It is taken at a dominant y
+    with x = theta(y) >= 3, by t = -k theta^vee with k = floor(x / 2) >= 1, and moves each
+    alpha(y) by -k <alpha, theta^vee>, where <alpha, theta^vee> is 0, 1, or 2 for theta alone.
+
+    * A root with 0 keeps its walls.
+    * theta goes from x to x - 2k in [0, 2): from ceil(x) - 1 >= 2k - 1 >= 1 walls to none
+      if x - 2k <= 1, and from at least 2k + 1 walls to one otherwise.
+    * The roots with 1 pair off as alpha and theta - alpha, with values a, b >= 0 and
+      a + b = x >= 2k.  If a, b >= k, each moves towards [0, 1] and keeps at most its
+      walls.  Otherwise a < k < b, say, so ceil(b) >= k + 1, and the pair goes from
+      max(ceil(a) - 1, 0) + ceil(b) - 1 walls to ceil(k - a) + ceil(b) - k - 1, which is no
+      more, since ceil(k - a) = k - floor(a).
+
+    So there are at most N(y) steps.  A positive root has coefficients at most the marks,
+    so ``|alpha(y)| <= S = sum_j m_j |y_j|`` and at most ``floor(S) + 1`` of its walls
+    separate; the bound allows one more per root.
     """
     reach = sum(m * abs(v) for m, v in zip(rs.marks, values)) // den
     return len(rs.positive_roots) * (reach + 2)

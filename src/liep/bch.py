@@ -41,16 +41,21 @@ __all__ = [
 Word = tuple[int, ...]
 
 
+def _require_degree(max_deg: int) -> None:
+    """The one gate of a table degree: an int of at least 1."""
+    require_int(max_deg, "max_degree")
+    if max_deg < 1:
+        raise ValueError("max_degree must be at least 1")
+
+
 def _log_numerators(max_deg: int) -> tuple[int, tuple[dict[int, int], ...]]:
     """``(L, pieces)``: the pieces of log(exp(X) exp(Y)) on integer numerators.
 
     L = lcm(1..max_deg).  Entry d of ``pieces`` maps each degree-d word,
     read as a d-bit int, to its non-zero numerator n; the coefficient is
-    n / (L·d!).  This is the one gate of a table degree.
+    n / (L·d!).
     """
-    require_int(max_deg, "max_degree")
-    if max_deg < 1:
-        raise ValueError("max_degree must be at least 1")
+    _require_degree(max_deg)
     big_l = lcm(*range(1, max_deg + 1))
     # nil[d] is the degree-d piece of exp(X) exp(Y) - 1 over d!: C(d, a) on X^a Y^b.
     nil = [{}] + [{(1 << b) - 1: comb(d, b) for b in range(d + 1)} for d in range(1, max_deg + 1)]
@@ -97,16 +102,22 @@ def associative_terms(max_deg: int) -> tuple[dict, ...]:
     )
 
 
-@lru_cache(maxsize=None, typed=True)
 def bracket_terms(max_deg: int) -> tuple[tuple[Word, Fraction], ...]:
     """The group law as canonical left-nested bracket words up to ``max_deg``.
 
     Degree one contributes the bare letters (0,) and (1,).  Each higher
     degree-d associative term is rebracketed and scaled by 1/d; terms on
     the same canonical word are merged and zeros dropped.  The result is
-    sorted by (degree, word); the cache is typed, so ``True`` reaches the
-    degree gate instead of the entry for degree 1.
+    sorted by (degree, word) and cached per degree.  The degree gate runs
+    before the cache, which would hash ``[3]`` into a ``TypeError`` and
+    file ``True`` under degree 1.
     """
+    _require_degree(max_deg)
+    return _bracket_terms(max_deg)
+
+
+@lru_cache(maxsize=None)
+def _bracket_terms(max_deg: int) -> tuple[tuple[Word, Fraction], ...]:
     big_l, pieces = _log_numerators(max_deg)
     terms: list[tuple[Word, Fraction]] = []
     for d in range(1, max_deg + 1):

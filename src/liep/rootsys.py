@@ -26,9 +26,10 @@ Conventions used throughout the package:
   time, on a coweight point held as a plain integer list of its values on
   the simple roots; roots are read through ``alpha(w y) = (w^-1 alpha)(y)``,
   and words are never multiplied out into matrices on a hot path.
-* Every walk to the dominant end of a Weyl orbit is ``_walk``: on the affine rows for
-  the alcove reduction, on the Cartan rows for a coweight point (reduced words, vertex
-  re-centring, coroots), on the columns for a negated weight (heights' descent).
+* Every walk to the dominant end of a Weyl orbit is ``_walk``: on the simple affine rows
+  for each phase of the alcove reduction, on the Cartan rows for a coweight point
+  (reduced words, vertex re-centring, coroots), on the columns for a negated weight
+  (heights' descent).
 """
 
 from __future__ import annotations
@@ -180,17 +181,23 @@ _DIAGRAMS = {
 }
 
 
-def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
-    """Bourbaki Cartan matrix, read from the bond list of ``_DIAGRAMS``, or a descriptive
-    rejection of any type and rank that the table does not cover."""
+def _bonds(type_label: str, rank: int) -> list[tuple[int, int, int, int]]:
+    """The bond list of ``_DIAGRAMS`` at ``rank``, or a descriptive rejection of any type
+    and rank that the table does not cover: the one gate of a system."""
     diagram = _DIAGRAMS.get(type_label) if isinstance(type_label, str) else None
     if diagram is None or not is_int(rank) or not diagram[0] <= rank <= (diagram[1] or rank):
         raise ValueError(
             f"no irreducible system of type {type_label!r} and rank {rank}: "
             "valid are A(n>=1), B(n>=2), C(n>=2), D(n>=4), E(6..8), F4, G2"
         )
+    return diagram[2](rank)
+
+
+def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
+    """Bourbaki Cartan matrix, read from the bond list of ``_bonds``."""
+    bonds = _bonds(type_label, rank)
     C = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j, cij, cji in diagram[2](rank):
+    for i, j, cij, cji in bonds:
         C[i][j], C[j][i] = cij, cji
     return C
 
@@ -221,13 +228,21 @@ def _close_under_reflections(rows: tuple) -> set[tuple[int, ...]]:
     return found
 
 
-@lru_cache(maxsize=None, typed=True)
 def build(type_label: str, rank: int) -> RootSystem:
-    """Construct the irreducible root system of the given type and rank.
+    """Construct the irreducible root system of the given type and rank, once per pair.
 
     Raises ``ValueError`` for a type/rank pair that does not name an irreducible system,
-    including D3 (request A3), a non-string type and a bool or float rank; the cache is
-    typed, so ``True`` reaches that check instead of the entry for rank 1.
+    including D3 (request A3), a non-string type and a bool, float or list rank.  The
+    gate runs before the cache, which would hash ``[3]`` into a ``TypeError`` and file
+    ``True`` under rank 1.
+    """
+    _bonds(type_label, rank)
+    return _build(type_label, rank)
+
+
+@lru_cache(maxsize=None)
+def _build(type_label: str, rank: int) -> RootSystem:
+    """``build``'s cached body, for a pair that passed the gate.
 
     The closure builds Phi+ alone, from the sparse Cartan rows, and the negative roots
     are its negation.  So no generated vector mixes signs (each step only raises one
@@ -268,6 +283,9 @@ def build(type_label: str, rank: int) -> RootSystem:
     )
 
 
+build.cache_clear = _build.cache_clear  # the public name keeps the cache's reset
+
+
 def coxeter_via_marks(rs: RootSystem) -> int:
     """Coxeter number as one plus the sum of the highest root's coordinates."""
     return 1 + sum(rs.marks)
@@ -306,12 +324,12 @@ def _walk(lines: tuple, z: list[int], cap: int, message: str,
 
     ``lines[i]`` lists the nonzero ``(j, c)``, sorted by j, of the reflection at i, which
     moves ``z_j -= c z_i``: ``rs._rows`` for a coweight point (``c = C[i][j]``), ``rs._cols``
-    for a weight (``c = C[j][i]``), or the affine rows of ``alcove._affine``.  Returns the
-    1-based letters, first applied first, and ``steps``, where ``steps[i]`` sums ``-z_i``
-    over the reflections at i.  On the finite lines each reflection leaves one fewer
-    positive root negative on ``z``, so the walk ends within |Phi+| steps (Humphreys,
-    Reflection Groups and Coxeter Groups, 1990, 1.2); past ``cap`` steps it raises
-    ``ContractError(message)``.  Coordinates below ``lines[i][0][0]`` did not move and
+    for a weight (``c = C[j][i]``), or the simple rows of ``alcove._affine``, which move
+    the a_0 slot past the last line as well.  Returns the 1-based letters, first applied
+    first, and ``steps``, where ``steps[i]`` sums ``-z_i`` over the reflections at i.
+    Each reflection leaves one fewer positive root negative on the first ``len(lines)``
+    coordinates, so the walk ends within |Phi+| steps (Humphreys, Reflection Groups and
+    Coxeter Groups, 1990, 1.2); past ``cap`` steps it raises ``ContractError(message)``.  Coordinates below ``lines[i][0][0]`` did not move and
     were not below ``low``, so the scan resumes there.
 
     ``low`` is 0 but for a packed vector ``z = M x + r``, integral x, whose r stays within

@@ -448,7 +448,9 @@ def test_window_basis_past_ten_thousand_reduction_steps():
     rng = random.Random(3)
     phi = PhiHom(tuple(F(rng.randrange(427), 427) for _ in range(60)))
     report = alcove.window_basis_report(rs, phi)  # raises unless every window root is positive
-    assert len(report.transcript.steps) == 19151
+    # wall by wall the reduction takes 19151 steps; coroot translations cut it to 2102
+    assert len(_wall_by_wall(rs, alcove.lift(phi))[2]) == 19151
+    assert len(report.transcript.steps) == 2102
     assert report.basis == alcove.window_basis(rs, phi)
     for a in alcove.critical_roots(rs, phi)[:5]:
         assert report.basis.is_positive(rs, a)
@@ -506,6 +508,19 @@ def test_walks_end_in_a_contract_error_when_reflections_do_nothing(monkeypatch):
     alcove.window_basis_report(a2, phi)
     with pytest.raises(ContractError, match="dominance loop"):
         alcove.window_basis_report(_inert(a2), phi)
+
+
+def test_the_alcove_check_names_each_way_out_of_the_alcove():
+    rs = rootsys.build("A", 2)
+    with pytest.raises(ContractError, match="left the dominant cone"):
+        alcove._assert_in_alcove(rs, [-1, 2], 3)
+    with pytest.raises(ContractError, match=r"violates theta\(y\) <= 1"):
+        alcove._assert_in_alcove(rs, [2, 2], 3)
+    # a_0 + sum m_j a_j = 1 spreads over h coordinates, so no point of the alcove breaks the
+    # pigeonhole; the barycentre, every a_j = 1/h, breaks it for a system whose h is too small
+    alcove._assert_in_alcove(rs, [1, 1], 3)
+    with pytest.raises(ContractError, match="pigeonhole is broken"):
+        alcove._assert_in_alcove(dataclasses.replace(rs, coxeter_number=2), [1, 1], 3)
 
 
 # One replay of the reduction word: the transcript's reduced word against the full-word routes,
@@ -597,10 +612,10 @@ def test_window_basis_report_replays_no_long_word(monkeypatch):
 
     monkeypatch.setattr(alcove, "apply_letters", counting)
     report = alcove.window_basis_report(rs, phi)
-    word, pos = len(report.transcript.weyl_word), len(rs.positive_roots)
-    assert word > 3 * pos  # a pass over the word would break the bound below
+    bound = 2 * len(report.transcript.reduced_word) + len(report.dominance_word)
+    assert len(report.transcript.weyl_word) > bound  # a pass over the word would break the bound
     # the recomposition's one forward pass and the window check
-    assert sum(stepped) == 2 * len(report.transcript.reduced_word) + len(report.dominance_word)
+    assert sum(stepped) == bound
 
 
 def _spliced_reduction(rs, point):
@@ -626,34 +641,91 @@ def _spliced_reduction(rs, point):
     return tuple(F(v, den) for v in z[:n]), tuple(reversed(letters)), net, tuple(back)
 
 
+def _agrees_with_twin(rs, start, reduced, tr, twin_values, twin_letters):
+    """The reduction against a twin that reflects wall by wall, with w_acc's letters first
+    applied first: the same reduced point, the same chamber when the point lies on no wall
+    (its stabiliser in W_a is then trivial), and a transcript that recomposes.  Returns
+    whether the point was regular."""
+    assert reduced.values == twin_values
+    # the steps, replayed one generator at a time, and the word with the net translation
+    y, tvec = list(start.values), rootsys._dominant_coroots(rs)[0][1]
+    for step in tr.steps:
+        if step[0] == "translate":
+            y = [v + s for v, s in zip(y, step[1])]
+        elif step[0] == "reflect":
+            rootsys.apply_letters(rs, step[1:], y)
+        else:
+            excess = sum(map(mul, rs.marks, y)) - 1
+            y = [v - excess * c for v, c in zip(y, tvec)]
+    assert tuple(y) == reduced.values
+    values, den = alcove._numerators(start.values)
+    moved = rootsys.apply_letters(rs, reversed(tr.weyl_word), values)
+    assert [F(v, den) + t for v, t in zip(moved, tr.net_translation)] == list(reduced.values)
+    assert alcove._rho_dual(rs, tr.reduced_word) == alcove._rho_dual(rs, tr.weyl_word)
+    affine = (1 - sum(map(mul, rs.marks, reduced.values)),) + reduced.values
+    regular = min(affine) > 0
+    if regular:
+        ours, twins = BasisChoice(tr.weyl_word[::-1]), BasisChoice(tuple(twin_letters))
+        assert alcove.same_basis(rs, ours, twins)
+    return regular
+
+
 PACKED_TWINS = ([("A", n) for n in range(1, 13)] + [(t, n) for t in "BC" for n in range(2, 10)]
                 + [("D", n) for n in range(4, 10)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
                 ("A", 40), ("B", 30), ("C", 30), ("D", 30)])
+
+
+def _twin_points(rs, rng):
+    """Seeded points: far out; on walls, every alpha(y) in Z / d; the alcove vertex
+    omega_i^vee / m_i on theta = 1, and a Weyl image of it shifted by a coweight; regular."""
+    n, h = rs.rank, rs.coxeter_number
+    for _ in range(9):
+        yield [F(rng.randrange(-10**6, 10**6), rng.randrange(1, 60)) for _ in range(n)]
+        d = rng.choice((1, 2, h))
+        yield [F(rng.randrange(-2 * d, 2 * d), d) for _ in range(n)]
+        i = rng.randrange(n)
+        vertex = [int(j == i) for j in range(n)]
+        yield [F(v, rs.marks[i]) for v in vertex]
+        vertex = rootsys.apply_letters(rs, [rng.randint(1, n) for _ in range(3 * n)], vertex)
+        yield [F(v, rs.marks[i]) + rng.randrange(-2, 3) for v in vertex]
+        yield [F(rng.randrange(1000), 1000) for _ in range(n)]
 
 
 @pytest.mark.parametrize("t,n", PACKED_TWINS)
 def test_packed_walk_matches_the_spliced_word_replay(t, n):
     rs = rootsys.build(t, n)
     rng = random.Random(f"packed-walk:{t}{n}")
-    h = rs.coxeter_number
-    points = []
-    for _ in range(9):
-        # far out; on walls: every alpha(y) in Z / d, the alcove vertex omega_i^vee / m_i on
-        # theta = 1, or a Weyl image of it shifted by a coweight; and regular
-        points.append([F(rng.randrange(-10**6, 10**6), rng.randrange(1, 60)) for _ in range(n)])
-        d = rng.choice((1, 2, h))
-        points.append([F(rng.randrange(-2 * d, 2 * d), d) for _ in range(n)])
-        i = rng.randrange(n)
-        vertex = [int(j == i) for j in range(n)]
-        points.append([F(v, rs.marks[i]) for v in vertex])
-        vertex = rootsys.apply_letters(rs, [rng.randint(1, n) for _ in range(3 * n)], vertex)
-        points.append([F(v, rs.marks[i]) + rng.randrange(-2, 3) for v in vertex])
-        points.append([F(rng.randrange(1000), 1000) for _ in range(n)])
-    for values in points:
-        reduced, transcript = alcove.reduce_to_alcove(rs, CoweightPoint(values))
-        twin = _spliced_reduction(rs, CoweightPoint(values))
-        assert (reduced.values, transcript.weyl_word, transcript.net_translation,
-                transcript.reduced_word) == twin
+    regular = 0
+    for values in _twin_points(rs, rng):
+        start = CoweightPoint(values)
+        reduced, transcript = alcove.reduce_to_alcove(rs, start)
+        twin_values, twin_word, _, _ = _spliced_reduction(rs, start)
+        regular += _agrees_with_twin(rs, start, reduced, transcript, twin_values, twin_word[::-1])
+    assert regular
+
+
+@pytest.mark.parametrize("t,n", [("A", 12), ("B", 9), ("C", 9), ("D", 9), ("E", 8), ("F", 4), ("G", 2),
+                                 ("A", 40), ("D", 30)])
+def test_each_simple_wall_phase_takes_at_most_the_positive_roots(t, n, monkeypatch):
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"phases:{t}{n}")
+    walks = []  # (number of lines, letters walked) per call
+    walk = alcove._walk
+
+    def counting(lines, z, *args):
+        letters, steps = walk(lines, z, *args)
+        walks.append((len(lines), len(letters)))
+        return letters, steps
+
+    monkeypatch.setattr(alcove, "_walk", counting)
+    phases = 0
+    for values in _twin_points(rs, rng):
+        walks.clear()
+        alcove.reduce_to_alcove(rs, CoweightPoint(values))
+        # every walk is on the rank simple lines: the phases, then ``_reduced``'s walk back
+        assert all(lines == n and taken <= len(rs.positive_roots) for lines, taken in walks)
+        phases = max(phases, len(walks) - 1)
+    assert phases > 1
 
 
 # The affine rows: the extended Cartan matrix, checked against its kernels and Bourbaki's
@@ -760,27 +832,32 @@ def _wall_by_wall(rs, point):
     return values, den, tuple(steps), letters
 
 
-@pytest.mark.parametrize("t,n", ONE_PASS)
+@pytest.mark.parametrize("t,n", ONE_PASS + [("B", 30), ("C", 30), ("D", 30)])
 def test_affine_walk_matches_the_wall_by_wall_loop(t, n, monkeypatch):
     rs = rootsys.build(t, n)
     rng = random.Random(f"one-pass:{t}{n}")
+    starts = list(_one_pass_starts(rs, rng)) + [CoweightPoint(v) for v in _twin_points(rs, rng)]
     bound = alcove._reflection_bound
-    affine_seen = False
-    for start in _one_pass_starts(rs, rng):
-        values, den, steps, letters = _wall_by_wall(rs, start)
+    regular, shortcut = 0, False
+    for start in starts:
+        values, den, _, letters = _wall_by_wall(rs, start)
         reduced, tr = alcove.reduce_to_alcove(rs, start)
-        assert tr.steps == steps
-        assert tr.weyl_word == tuple(reversed(letters))
-        assert reduced.values == tuple(F(v, den) for v in values)
-        affine_seen |= ("affine_reflect",) in steps
-        # with the bound one below the steps taken, both stop at the same step and message
-        taken = sum(step[0] != "translate" for step in steps)
-        if taken:
-            monkeypatch.setattr(alcove, "_reflection_bound", lambda *args: taken - 1)
-            message = f"alcove reduction exceeded its bound of {taken - 1} steps"
-            for reduce in (_wall_by_wall, alcove.reduce_to_alcove):
-                with pytest.raises(ContractError) as excinfo:
-                    reduce(rs, start)
-                assert str(excinfo.value) == message
-            monkeypatch.setattr(alcove, "_reflection_bound", bound)
-    assert affine_seen
+        twin_values = tuple(F(v, den) for v in values)
+        regular += _agrees_with_twin(rs, start, reduced, tr, twin_values, letters)
+        # the steps past the box translation count against the bound, translations included
+        counted = tr.steps[any(v < -1 or v >= 2 for v in start.values):]
+        kinds = [step[0] for step in counted]
+        shortcut |= "translate" in kinds
+        # a cap at the steps taken passes; one below, or at a reflection or a translation or
+        # s_0 still to come, stops with the cap's message
+        caps = {len(counted) - 1} | {kinds.index(k) for k in ("reflect", "translate", "affine_reflect")
+                                     if k in kinds}
+        for cap in sorted(caps - {-1}):
+            monkeypatch.setattr(alcove, "_reflection_bound", lambda *args: cap)
+            with pytest.raises(ContractError) as excinfo:
+                alcove.reduce_to_alcove(rs, start)
+            assert str(excinfo.value) == f"alcove reduction exceeded its bound of {cap} steps"
+        monkeypatch.setattr(alcove, "_reflection_bound", lambda *args: len(counted))
+        assert alcove.reduce_to_alcove(rs, start) == (reduced, tr)
+        monkeypatch.setattr(alcove, "_reflection_bound", bound)
+    assert shortcut and 0 < regular < len(starts)

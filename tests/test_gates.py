@@ -11,29 +11,34 @@ from liep.rootsys import RootVec
 _A2 = rootsys.build("A", 2)
 _UNIPOTENT = FpMatrix.from_rows(5, [[1, 1], [0, 1]])
 
-# (noun in the message, a call that passes the bad value x where that noun is gated)
+_SYSTEM = ("no irreducible system of type 'A' and rank {}: "
+           "valid are A(n>=1), B(n>=2), C(n>=2), D(n>=4), E(6..8), F4, G2")
+
+# (the message, formatted with the bad value x, and a call that passes x where it is gated)
 _GATES = [
-    ("coordinate", lambda x: _A2.reflect(RootVec((x, 0)), 1)),
-    ("j", lambda x: alcove.mu_pj_restriction(_A2, (1, 1), 3, x)),
-    ("entry", lambda x: FpMatrix.from_rows(5, [[0, x], [0, 0]])),
-    ("scalar", lambda x: FpMatrix.identity(5, 2).scale(x)),
-    ("exponent", lambda x: charp.t_power(_UNIPOTENT, x)),
-    ("exponent", lambda x: _UNIPOTENT ** x),
-    ("max_degree", lambda x: charp.bch_table(5, x)),
-    ("max_degree", lambda x: bch.bracket_terms(x)),
-    ("max_degree", lambda x: bch.associative_terms(x)),
-    ("max_degree", lambda x: bch.max_denominator_prime(x)),
-    ("size", lambda x: FpMatrix.identity(5, x)),
-    ("weight", lambda x: charp.cycle_power_scalar(3, (1, x, 1))),
+    ("coordinate {!r} is not an integer", lambda x: _A2.reflect(RootVec((x, 0)), 1)),
+    ("j {!r} is not an integer", lambda x: alcove.mu_pj_restriction(_A2, (1, 1), 3, x)),
+    ("entry {!r} is not an integer", lambda x: FpMatrix.from_rows(5, [[0, x], [0, 0]])),
+    ("scalar {!r} is not an integer", lambda x: FpMatrix.identity(5, 2).scale(x)),
+    ("exponent {!r} is not an integer", lambda x: charp.t_power(_UNIPOTENT, x)),
+    ("exponent {!r} is not an integer", lambda x: _UNIPOTENT ** x),
+    ("max_degree {!r} is not an integer", lambda x: charp.bch_table(5, x)),
+    ("max_degree {!r} is not an integer", lambda x: bch.bracket_terms(x)),
+    ("max_degree {!r} is not an integer", lambda x: bch.associative_terms(x)),
+    ("max_degree {!r} is not an integer", lambda x: bch.max_denominator_prime(x)),
+    ("size {!r} is not an integer", lambda x: FpMatrix.identity(5, x)),
+    ("weight {!r} is not an integer", lambda x: charp.cycle_power_scalar(3, (1, x, 1))),
+    (_SYSTEM, lambda x: rootsys.build("A", x)),
 ]
 
 
-@pytest.mark.parametrize("bad", [1.5, True, "1"])
-@pytest.mark.parametrize("noun, call", _GATES, ids=[noun for noun, _ in _GATES])
-def test_every_integer_gate_names_its_argument_and_value(noun, call, bad):
+# a list is unhashable, so it also shows that each gate runs before any cache
+@pytest.mark.parametrize("bad", [1.5, True, "1", [3]])
+@pytest.mark.parametrize("message, call", _GATES, ids=[m.split(" {")[0].split()[-1] for m, _ in _GATES])
+def test_every_integer_gate_names_its_argument_and_value(message, call, bad):
     with pytest.raises(ValueError) as excinfo:
         call(bad)
-    assert str(excinfo.value) == f"{noun} {bad!r} is not an integer"
+    assert str(excinfo.value) == message.format(bad)
 
 
 def test_from_rows_names_the_first_bad_entry_in_row_major_order():
