@@ -37,7 +37,7 @@ replays its word: the walked point carries (rho^vee, -theta(rho^vee)) packed bes
 so the walk ends with w_acc(rho^vee), and the transcript keeps the reduced word walked
 back from it.  The recomposition (the start moved forward once) and the window check
 each cost l(w) letter steps.  theta's word, spliced into ``weyl_word`` at each s_0,
-comes with ``_affine``.
+comes with ``_affine``, off the closure's table ``RootSystem._parents``.
 """
 
 from __future__ import annotations
@@ -219,9 +219,9 @@ def _affine(rs: RootSystem) -> tuple[tuple, tuple[tuple, ...], tuple[int, ...]]:
     """The extended Cartan matrix's rows, alpha_0 = 1 - theta as node ``rank``, the
     transcript step of each letter, and a word for s_theta, the linear part of s_0.
     s_i moves a_0 by <theta, alpha_i^vee> y_i and s_0 moves y_j by <alpha_j, theta^vee> a_0
-    (Kac, Infinite-Dimensional Lie Algebras, 6.1).  s_b = s_i s_{s_i(b)} s_i at the lowest
-    i with k = <b, alpha_i^vee> > 0, and s_i(b) = b - k alpha_i is positive and lower until
-    b is simple, so theta's word, spelled from b = theta down, is a palindrome.
+    (Kac, Infinite-Dimensional Lie Algebras, 6.1).  s_b = s_i s_{s_i(b)} s_i for the
+    parent s_i(b) that ``rs._parents`` records for b, so theta's word, spelled by following
+    the parents from b = theta down to a simple root, is a palindrome.
     """
     n, marks = rs.rank, rs.marks
     rows = []
@@ -231,17 +231,11 @@ def _affine(rs: RootSystem) -> tuple[tuple, tuple[tuple, ...], tuple[int, ...]]:
     tvec = _dominant_coroots(rs)[0][1]
     rows.append(tuple((j, -t) for j, t in enumerate(tvec) if t) + ((n, 2),))
     steps = tuple(("reflect", i) for i in range(1, n + 1)) + (("affine_reflect",),)
-    b, up = list(marks), []
-    while sum(b) > 1:
-        for i, row in enumerate(rs._rows):
-            k = sum(x * b[j] for j, x in row)
-            if k > 0:
-                break
-        else:
-            raise ContractError(f"{tuple(b)} is not a positive root")
+    up, (parent, i, _) = [], rs._parents[-1]  # theta is the last positive root
+    while parent >= 0:
         up.append(i + 1)
-        b[i] -= k
-    theta_word = (*up, b.index(1) + 1, *reversed(up))
+        parent, i, _ = rs._parents[parent]
+    theta_word = (*up, i + 1, *reversed(up))
     return tuple(rows), steps, theta_word
 
 
@@ -440,38 +434,11 @@ def window_basis(rs: RootSystem, phi: PhiHom) -> BasisChoice:
     return window_basis_report(rs, phi).basis
 
 
-@lru_cache(maxsize=None)
-def _height_parents(rs: RootSystem) -> tuple[tuple[int, int], ...]:
-    """One ``(parent, i)`` per positive root, in ``rs.positive_roots`` order.
-
-    The root is ``positive_roots[parent] + alpha_i``, one height higher, with ``parent = -1``
-    for the simple root alpha_i.  Every positive root above height 1 minus some simple root
-    is a positive root; the lowest such i is taken.  Roots are sorted by height, so each
-    parent precedes its child.
-    """
-    index = rs._index
-    table = []
-    for a in rs.positive_roots:
-        m = a.coords
-        if sum(m) == 1:
-            table.append((-1, m.index(1)))
-            continue
-        for i, x in enumerate(m):
-            if x:
-                parent = index.get(m[:i] + (x - 1,) + m[i + 1:])
-                if parent is not None:
-                    table.append((parent, i))
-                    break
-        else:
-            raise ContractError(f"positive root {m} has no positive root one height below")
-    return tuple(table)
-
-
 def _scaled_values(rs: RootSystem, phi: PhiHom) -> tuple[int, list[int]]:
     """N and ``h * N * phi(alpha)`` per root, with phi(alpha) = (sum_i alpha_i k_i mod N) / N.
 
-    Each positive root's value is its height parent's value plus h k_i, mod h N
-    (``_height_parents``): one addition per root, not a rank-length dot product.
+    Each positive root's value is its parent's plus k h k_i, mod h N, for root = parent +
+    k alpha_i (``rs._parents``): one addition per root, not a rank-length dot product.
     ``rs.roots`` lists the negatives after the positive roots in the same order, so
     h N phi(-alpha) = (-h N phi(alpha)) mod h N reuses the positive root's value.
     """
@@ -480,8 +447,8 @@ def _scaled_values(rs: RootSystem, phi: PhiHom) -> tuple[int, list[int]]:
     h = rs.coxeter_number
     hk, hden = [h * x for x in k], h * den
     pos: list[int] = []
-    for parent, i in _height_parents(rs):
-        pos.append(((pos[parent] if parent >= 0 else 0) + hk[i]) % hden)
+    for parent, i, step in rs._parents:
+        pos.append(((pos[parent] if parent >= 0 else 0) + step * hk[i]) % hden)
     return den, pos + [-v % hden for v in pos]
 
 

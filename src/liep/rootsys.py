@@ -96,24 +96,23 @@ class RootSystem:
 
     ``roots`` lists the positive roots by increasing height followed by their negatives in
     the same order.  ``_rows[i]`` and ``_cols[i]`` list the nonzero entries ``(j, C[i][j])``
-    and ``(k, C[k][i])`` of row and column i of the Cartan matrix.
+    and ``(k, C[k][i])`` of row and column i of the Cartan matrix; ``_build`` describes
+    ``_parents``.  Type and rank alone compare and hash, so a rebuilt system hits the
+    per-system caches.
     """
 
     type_label: str
     rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    roots: tuple[RootVec, ...]
-    positive_roots: tuple[RootVec, ...]
-    highest_root: RootVec
-    marks: tuple[int, ...]
-    coxeter_number: int
+    cartan: tuple[tuple[int, ...], ...] = field(compare=False)
+    roots: tuple[RootVec, ...] = field(compare=False)
+    positive_roots: tuple[RootVec, ...] = field(compare=False)
+    highest_root: RootVec = field(compare=False)
+    marks: tuple[int, ...] = field(compare=False)
+    coxeter_number: int = field(compare=False)
     _index: dict = field(compare=False, repr=False)
     _rows: tuple = field(compare=False, repr=False)
     _cols: tuple = field(compare=False, repr=False)
-
-    def __hash__(self) -> int:
-        # type and rank name the system; the generated hash of every root took 0.1 ms
-        return hash((self.type_label, self.rank))
+    _parents: tuple = field(compare=False, repr=False)
 
     def __repr__(self) -> str:  # the full field dump is unreadable
         return f"RootSystem({self.type_label}{self.rank}, {len(self.roots)} roots)"
@@ -202,29 +201,33 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
     return C
 
 
-def _close_under_reflections(rows: tuple) -> set[tuple[int, ...]]:
+def _close_under_reflections(rows: tuple) -> dict[tuple[int, ...], tuple[int, int]]:
     """The positive roots, generated from the simple roots by height-raising reflections.
 
-    Returns the set of their coordinates.  Every positive non-simple root b has an i with
-    <b, alpha_i^vee> > 0, and s_i(b) is a positive root of lower height (Humphreys,
+    Maps each root b to ``(i, k)``, the lowest i with k = <b, alpha_i^vee> > 0.  If b is not
+    simple, s_i(b) = b - k alpha_i is a positive root of lower height (Humphreys,
     Introduction to Lie Algebras and Representation Theory, 10.2), so reflecting a root m
     at i only when <m, alpha_i^vee> < 0, which raises coordinate i alone, reaches all of
     Phi+.  Pairings read the sparse Cartan rows (``RootSystem._rows``) in O(degree).
     """
     work = [tuple(int(j == i) for j in range(len(rows))) for i in range(len(rows))]
-    found = set(work)
+    found = dict.fromkeys(work)
     while work:
         m = work.pop()
+        low = None
         for i, row in enumerate(rows):
             pa = 0
             for j, x in row:
                 pa += x * m[j]
             if pa >= 0:
+                if pa and low is None:
+                    low = i, pa
                 continue
             key = m[:i] + (m[i] - pa,) + m[i + 1:]
             if key not in found:
-                found.add(key)
+                found[key] = None
                 work.append(key)
+        found[m] = low
     return found
 
 
@@ -251,6 +254,10 @@ def _build(type_label: str, rank: int) -> RootSystem:
     the highest root is unique, and |Phi| = 2 |Phi+| = rank * h (Humphreys 1990, 3.18),
     which catches a closure that lost or gained roots.  The zero vector is never
     generated, since the closure starts from the simple roots and only adds.
+
+    ``_parents`` holds one ``(parent, i, k)`` per positive root, in ``positive_roots`` order:
+    the closure's (i, k), with root = positive_roots[parent] + k alpha_i, the parent lower
+    and so earlier, and ``(-1, i, 1)`` for the simple root alpha_i.
     """
     C = _cartan_matrix(type_label, rank)
     rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C)
@@ -268,6 +275,11 @@ def _build(type_label: str, rank: int) -> RootSystem:
         raise ContractError(f"closure generated {2 * len(found)} roots, not rank * h = {rank * h}")
 
     ordered = positives + [tuple(-x for x in m) for m in positives]
+    index = {m: k for k, m in enumerate(ordered)}
+    parents = [(-1, m.index(1), 1) for m in positives[:rank]]  # height 1 sorts first
+    for m in positives[rank:]:
+        i, k = found[m]
+        parents.append((index[m[:i] + (m[i] - k,) + m[i + 1:]], i, k))
     roots = tuple(RootVec(m) for m in ordered)
     return RootSystem(
         type_label=type_label,
@@ -278,8 +290,8 @@ def _build(type_label: str, rank: int) -> RootSystem:
         highest_root=RootVec(theta),
         marks=theta,
         coxeter_number=h,
-        _index={m: k for k, m in enumerate(ordered)},
-        _rows=rows, _cols=cols,
+        _index=index,
+        _rows=rows, _cols=cols, _parents=tuple(parents),
     )
 
 

@@ -156,6 +156,12 @@ def test_window_basis_rank_one():
     assert basis.is_positive(rs, rootsys.RootVec((1,)))
 
 
+def test_is_positive_rejects_a_vector_that_is_not_a_root():
+    rs = rootsys.build("A", 2)
+    with pytest.raises(ContractError, match=r"\(2, 0\) is not a root"):
+        BasisChoice((1,)).is_positive(rs, rootsys.RootVec((2, 0)))
+
+
 def test_window_basis_nontrivial_chamber():
     rs = rootsys.build("A", 2)
     phi = PhiHom((F(5, 6), F(1, 6)))
@@ -359,21 +365,6 @@ def test_basis_roots_match_the_full_word_root_action(t, n):
         assert basis.basis_roots(rs) == full
 
 
-@pytest.mark.parametrize("t,n", TWINS + [("A", 60), ("B", 30), ("D", 40)])
-def test_height_parents_step_down_by_one_simple_root(t, n):
-    rs = rootsys.build(t, n)
-    parents = alcove._height_parents(rs)
-    assert len(parents) == len(rs.positive_roots)
-    for k, (root, (parent, i)) in enumerate(zip(rs.positive_roots, parents)):
-        below = list(root.coords)
-        below[i] -= 1
-        if parent == -1:
-            assert not any(below)  # root is the simple root alpha_{i+1}
-        else:
-            assert 0 <= parent < k
-            assert rs.positive_roots[parent].coords == tuple(below)
-
-
 @pytest.mark.parametrize("t,n", TWINS)
 def test_integer_window_tests_match_fraction_route(t, n):
     rs = rootsys.build(t, n)
@@ -468,7 +459,10 @@ def test_reduction_steps_stay_within_the_wall_bound(t, n):
         _, transcript = alcove.reduce_to_alcove(rs, start)
         steps = transcript.steps
         values, common = alcove._numerators(start.values)
-        if steps and steps[0][0] == "translate":
+        # the box translation, taken as reduce_to_alcove takes it; a leading coroot
+        # translation counts against the bound of the untranslated start
+        if any(v < -common or v >= 2 * common for v in values):
+            assert steps[0][0] == "translate"
             values = [v + s * common for v, s in zip(values, steps[0][1])]
             steps = steps[1:]
         assert len(steps) <= alcove._reflection_bound(rs, values, common)
@@ -498,8 +492,6 @@ def test_walks_end_in_a_contract_error_when_reflections_do_nothing(monkeypatch):
     monkeypatch.setattr(alcove, "_affine", lambda rs: (_zero(affine(rs)[0]),) + affine(rs)[1:])
     with pytest.raises(ContractError, match="exceeded its bound"):
         alcove.reduce_to_alcove(_inert(rs), start)
-    with pytest.raises(ContractError, match="is not a positive root"):
-        affine.__wrapped__(_inert(rs))  # theta's word, with no positive pairing left
     with pytest.raises(ContractError, match="antidominant descent exceeded the number of positive roots"):
         heights.antidominant_conjugate(_inert(rs), weight)
     # already in the alcove, but re-centred at a vertex that needs the dominance walk

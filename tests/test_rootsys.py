@@ -137,6 +137,21 @@ def test_bool_float_and_non_string_arguments_are_rejected_and_leave_the_cache_cl
         rootsys.build.cache_clear()
 
 
+def test_type_and_rank_alone_name_a_system():
+    rs = rootsys.build("E", 8)
+    # a rebuilt system must hit the per-system caches without its roots being compared
+    assert dataclasses.replace(rs, roots=None) == rs
+    assert hash(dataclasses.replace(rs, roots=None)) == hash(rs)
+    rootsys.build.cache_clear()
+    try:
+        rebuilt = rootsys.build("E", 8)
+        assert rebuilt is not rs and rebuilt == rs and hash(rebuilt) == hash(rs)
+    finally:
+        rootsys.build.cache_clear()
+    assert rs != rootsys.build("E", 7) and rs != rootsys.build("A", 8)
+    assert repr(rs) == "RootSystem(E8, 240 roots)"
+
+
 def _branch_ladder_cartan(type_label, rank):
     """The branch-per-type Cartan construction that the bond table replaced, kept as a twin."""
     bad = ValueError(
@@ -446,7 +461,11 @@ def test_sparse_closure_matches_dense_closure(t, n):
     dense = _dense_closure([list(row) for row in rs.cartan], n)
     # the dense map sends each root to its coroot, the twin of the coroot walks
     positive = {m: c for m, c in dense.items() if min(m) >= 0}
-    assert sparse == set(positive)
+    assert set(sparse) == set(positive)
+    for m, (i, k) in sparse.items():
+        # the recorded pair is the lowest positive pairing, read here off the dense matrix
+        pairings = [sum(x * y for x, y in zip(row, m)) for row in rs.cartan]
+        assert k == pairings[i] > 0 and max(pairings[:i], default=0) <= 0
     negatives = {m: c for m, c in dense.items() if min(m) < 0}
     assert negatives == {tuple(-x for x in m): tuple(-x for x in c) for m, c in positive.items()}
     assert {a.coords for a in rs.roots} == set(dense)
@@ -454,6 +473,22 @@ def test_sparse_closure_matches_dense_closure(t, n):
     walked = [c for c, _ in rootsys._dominant_coroots(rs)]
     assert walked[0] == positive[rs.marks]
     assert walked[-1] == max(positive.values(), key=sum)
+
+
+@pytest.mark.parametrize("t,n", TWINS + [("A", 60), ("B", 30), ("C", 30), ("D", 40)])
+def test_parents_lower_each_root_at_its_lowest_positive_pairing(t, n):
+    rs = rootsys.build(t, n)
+    assert len(rs._parents) == len(rs.positive_roots)
+    for r, (root, (parent, i, k)) in enumerate(zip(rs.positive_roots, rs._parents)):
+        if parent == -1:
+            assert k == 1 and root.coords == tuple(int(j == i) for j in range(n))
+            continue
+        # root = s_i(parent) = parent + k alpha_i, i the lowest index pairing positively
+        pairings = [sum(c * root.coords[j] for j, c in row) for row in rs._rows]
+        assert k == pairings[i] > 0 and max(pairings[:i], default=0) <= 0
+        below = list(root.coords)
+        below[i] -= k
+        assert 0 <= parent < r and rs.positive_roots[parent].coords == tuple(below)
 
 
 @pytest.mark.parametrize("t,n", TWINS)
@@ -568,7 +603,7 @@ def test_a_closure_that_loses_a_root_pair_fails_the_count(monkeypatch):
     def lossy(rows):
         # the closure holds Phi+ only, so losing lost also loses its negative
         found = close(rows)
-        found.discard(lost)
+        found.pop(lost)
         return found
 
     monkeypatch.setattr(rootsys, "_close_under_reflections", lossy)
