@@ -215,9 +215,9 @@ def _rho_dual(rs: RootSystem, word: tuple[int, ...]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _affine(rs: RootSystem) -> tuple[tuple, tuple[tuple, ...], tuple[int, ...]]:
-    """The extended Cartan matrix's rows, alpha_0 = 1 - theta as node ``rank``, the
-    transcript step of each letter, and a word for s_theta, the linear part of s_0.
+def _affine(rs: RootSystem) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """The extended Cartan matrix's rows, alpha_0 = 1 - theta as node ``rank``, theta^vee's
+    values on the simple roots, and a word for s_theta, the linear part of s_0.
     s_i moves a_0 by <theta, alpha_i^vee> y_i and s_0 moves y_j by <alpha_j, theta^vee> a_0
     (Kac, Infinite-Dimensional Lie Algebras, 6.1).  s_b = s_i s_{s_i(b)} s_i for the
     parent s_i(b) that ``rs._parents`` records for b, so theta's word, spelled by following
@@ -230,13 +230,12 @@ def _affine(rs: RootSystem) -> tuple[tuple, tuple[tuple, ...], tuple[int, ...]]:
         rows.append(row + ((n, -k),) if k else row)
     tvec = _dominant_coroots(rs)[0][1]
     rows.append(tuple((j, -t) for j, t in enumerate(tvec) if t) + ((n, 2),))
-    steps = tuple(("reflect", i) for i in range(1, n + 1)) + (("affine_reflect",),)
     up, (parent, i, _) = [], rs._parents[-1]  # theta is the last positive root
     while parent >= 0:
         up.append(i + 1)
         parent, i, _ = rs._parents[parent]
     theta_word = (*up, i + 1, *reversed(up))
-    return tuple(rows), steps, theta_word
+    return tuple(rows), tvec, theta_word
 
 
 def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoint, ReductionTranscript]:
@@ -252,10 +251,10 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     which lowers theta(y) by 2k and crosses many walls at once; and otherwise the walk
     reflects once in ``theta(y) = 1``.  So a translation may come mid-transcript.
     Reflections and translations each lower the number of separating affine walls,
-    so the reduction ends within ``_reflection_bound`` steps; running past it means an
-    arithmetic bug.  The closed alcove is a fundamental domain for W_a, so the reduced
-    point does not depend on the path; the element w_acc, and so the chamber, is unique
-    only when the point lies on no wall.
+    so the transcript past the box translation stays within ``_reflection_bound`` steps;
+    running past it means an arithmetic bug.  The closed alcove is a fundamental domain
+    for W_a, so the reduced point does not depend on the path; the element w_acc, and so
+    the chamber, is unique only when the point lies on no wall.
 
     The rows act linearly on (y, a_0), and on r = (rho^vee, -theta(rho^vee)) =
     (1, ..., 1, 1 - h), where s_0 acts as s_theta: each letter keeps r at
@@ -270,17 +269,18 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     """
     rs._check_rank(len(point.values))
     n, h = rs.rank, rs.coxeter_number
-    lines, names, theta_word = _affine(rs)
+    lines, theta_dual, theta_word = _affine(rs)
     simple, s0 = lines[:n], lines[n]
 
     start, den = _numerators(point.values)
     values = list(start)
+    box: list[tuple] = []  # the box translation, not counted against the bound
     steps: list[tuple] = []
 
     if any(v < -den or v >= 2 * den for v in values):
         shift = tuple(-(v // den) for v in values)
         values = [v + s * den for v, s in zip(values, shift)]
-        steps.append(("translate", shift))
+        box.append(("translate", shift))
 
     cap = _reflection_bound(rs, values, den)
     overrun = f"alcove reduction exceeded its bound of {cap} steps"
@@ -288,25 +288,22 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     m = 2 * h
     z = [m * v + 1 for v in values] + [m * (den - sum(map(mul, rs.marks, values))) + 1 - h]
     letters: list[int] = []  # w_acc's letters, first applied first
-    taken = 0
     while True:
-        walk, _ = _walk(simple, z, cap - taken, overrun, 1 - h)
-        taken += len(walk)
+        walk, _ = _walk(simple, z, cap - len(steps), overrun, 1 - h)
         letters += walk
-        steps.extend([names[i - 1] for i in walk])
+        steps.extend([("reflect", i) for i in walk])
         if z[n] >= 1 - h:  # a_0 >= 0
             break
-        if taken == cap:
+        if len(steps) == cap:
             raise ContractError(overrun)
-        taken += 1
         theta = den - (z[n] - (z[n] + h) % m + h) // m  # den theta(y)
         if theta >= 3 * den:
             # the alpha_0 row is -theta^vee on y and 2 on a_0, so k of it moves y by -k theta^vee
             k = theta // (2 * den)
-            steps.append(("translate", tuple(-k * c for c in _dominant_coroots(rs)[0][1])))
+            steps.append(("translate", tuple(-k * c for c in theta_dual)))
             q = k * m * den
         else:
-            steps.append(names[n])
+            steps.append(("affine_reflect",))
             letters += theta_word  # the linear part of s_0, a palindrome
             q = -z[n]
         for j, c in s0:
@@ -325,7 +322,7 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
         net.append(d)
 
     reduced = CoweightPoint(tuple(Fraction(v, den) for v in values))
-    transcript = ReductionTranscript(tuple(steps), tuple(reversed(letters)), tuple(net),
+    transcript = ReductionTranscript(tuple(box + steps), tuple(reversed(letters)), tuple(net),
                                      tuple(reversed(short)))
     return reduced, transcript
 
@@ -475,28 +472,26 @@ def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _chambers(rs: RootSystem) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
-    """Breadth-first enumeration of the Weyl group: (shortlex-minimal word, positive roots)."""
+    """Breadth-first enumeration of the Weyl group: (shortlex-minimal word, positive roots),
+    each chamber listed as the search pops its matrix w, with positive roots w(Phi+)."""
     n = rs.rank
     ident = _identity(n)
     gens = [simple_reflection_matrix(rs, i) for i in range(1, n + 1)]
-    seen = {ident: ()}
+    seen = {ident}
     queue = deque([(ident, ())])
-    out = []
+    chambers = []
     while queue:
         mat, word = queue.popleft()
-        out.append((mat, word))
-        for i in range(1, n + 1):
-            nxt = _matmul(mat, gens[i - 1])
-            if nxt not in seen:
-                seen[nxt] = word + (i,)
-                queue.append((nxt, word + (i,)))
-    chambers = []
-    for mat, word in out:
         pos = frozenset(
             tuple(sum(mat[r][c] * a.coords[c] for c in range(n)) for r in range(n))
             for a in rs.positive_roots
         )
         chambers.append((word, pos))
+        for i in range(1, n + 1):
+            nxt = _matmul(mat, gens[i - 1])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + (i,)))
     return tuple(chambers)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import ContractError
-from .primes import is_int, require_prime
+from .primes import require_int, require_prime
 from .rootsys import RootSystem, WeightVec, _two_rho_coroot, _walk, fundamental_weight
 
 __all__ = [
@@ -108,8 +108,8 @@ def composite_gl_height(dims: tuple[int, ...], ms: tuple[int, ...]) -> int:
         raise ValueError("dims and ms must have equal length")
     total = 0
     for d, m in zip(dims, ms):
-        if not (is_int(d) and is_int(m)):
-            raise ValueError(f"factor dimension {d!r} and wedge degree {m!r} must be integers")
+        require_int(d, "factor dimension")
+        require_int(m, "wedge degree")
         if d < 1:
             raise ValueError(f"factor dimension {d} must be positive")
         if m < 0 or m > d:

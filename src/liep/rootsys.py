@@ -251,7 +251,8 @@ def _build(type_label: str, rank: int) -> RootSystem:
     are its negation.  So no generated vector mixes signs (each step only raises one
     coordinate of a nonnegative vector) and the root set is closed under negation;
     neither is checked.  What the construction does not guarantee is checked at run time:
-    the highest root is unique, and |Phi| = 2 |Phi+| = rank * h (Humphreys 1990, 3.18),
+    the highest root theta, the last root of Phi+ sorted by height, is unique, which holds
+    iff the root before it is lower, and |Phi| = 2 |Phi+| = rank * h (Humphreys 1990, 3.18),
     which catches a closure that lost or gained roots.  The zero vector is never
     generated, since the closure starts from the simple roots and only adds.
 
@@ -265,12 +266,10 @@ def _build(type_label: str, rank: int) -> RootSystem:
     found = _close_under_reflections(rows)
     positives = sorted(found, key=lambda m: (sum(m), m))
 
-    top_height = sum(positives[-1])
-    tops = [m for m in positives if sum(m) == top_height]
-    if len(tops) != 1:
+    theta = positives[-1]
+    h = 1 + sum(theta)
+    if len(positives) > 1 and sum(positives[-2]) == h - 1:
         raise ContractError("highest root is not unique; system is not irreducible")
-    theta = tops[0]
-    h = 1 + top_height
     if 2 * len(found) != rank * h:
         raise ContractError(f"closure generated {2 * len(found)} roots, not rank * h = {rank * h}")
 

@@ -702,6 +702,14 @@ def test_bch_apply_validation_and_contracts():
         charp.bch_apply(charp.bch_table(7, 4), x, x)  # characteristic mismatch
 
 
+def test_bch_apply_rejects_a_coefficient_that_does_not_reduce_mod_p():
+    # bch_table never holds such a term, so only a hand-built table reaches the check
+    table = charp.BchTable(5, 2, (((0, 1), F(1, 5)),))
+    x, y = _jordan(5, 3), FpMatrix.from_rows(5, [[0, 0, 1], [0, 0, 2], [0, 0, 0]])
+    with pytest.raises(ContractError, match="coefficient 1/5 has denominator divisible by 5"):
+        charp.bch_apply(table, x, y)
+
+
 # --- p-th power sharpness ---------------------------------------------------
 
 def test_p_power_check_rejects_non_nilpotent():

@@ -1,6 +1,5 @@
 """End-to-end command-line checks: envelopes, exit codes, and determinism."""
 
-import importlib.util
 import json
 import os
 import random
@@ -13,7 +12,7 @@ import pytest
 
 from liep import acceptance, alcove, charp, cli, heights, rootsys
 from liep.charp import FpMatrix
-from test_cli_properties import _PRIMES, _SYSTEMS
+from test_cli_properties import _PRIMES, _SYSTEMS, _bench_check, _checker_argv
 
 
 def run_cli(capsys, argv):
@@ -198,15 +197,6 @@ def test_bch_terms_and_application(capsys):
     assert r["applied"]["z"]["matrix"] == [list(row) for row in expected.rows]
 
 
-def _bench_check():
-    """bench/check.py, loaded by path: it imports nothing from liep."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "check.py"
-    spec = importlib.util.spec_from_file_location("liep_bench_check", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_bch_tables_pass_the_independent_group_law_check(capsys, p):
     # check_cli evaluates each table as a group law over 1000003 on its own matrices
@@ -279,15 +269,6 @@ def _value_corpus():
             calls += _field_calls(rng, p)
         calls += [["heisenberg", "--p", str(p)]] + ([["weightdemo", "--p", str(p)]] if p > 2 else [])
     return calls
-
-
-def _checker_argv(argv):
-    """``argv`` with its ``--type`` upper-cased, since ``check_cli`` keys its closed forms by it."""
-    out = list(argv)
-    for i, arg in enumerate(out):
-        if arg == "--type":
-            out[i + 1] = out[i + 1].upper()
-    return out
 
 
 def test_a_seeded_corpus_passes_the_independent_value_check(capsys):
@@ -592,6 +573,35 @@ def test_unexpected_exception_is_one_internal_error_report(capsys, monkeypatch):
     assert out == {"subcommand": "coxeter",
                    "error": {"kind": "internal", "message": "RuntimeError: handler bug"}}
     assert "Traceback" in captured.err
+
+
+@pytest.mark.parametrize("value,message", [({"x": 0.5}, "TypeError: floats are banned from reports"),
+                                           (object(), "TypeError: cannot encode object")])
+def test_an_unencodable_result_is_one_internal_error_report(capsys, monkeypatch, value, message):
+    flags = cli._COMMANDS["coxeter"][1]
+    monkeypatch.setitem(cli._COMMANDS, "coxeter", (lambda args: (value, []), flags))
+    code, out, err = run_cli(capsys, ["coxeter", "--type", "A", "--rank", "2"])
+    assert code == 2
+    assert out == {"subcommand": "coxeter", "error": {"kind": "internal", "message": message}}
+    assert "Traceback" in err
+
+
+def test_a_closed_stdout_drops_the_report_without_raising(monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert cli.main(["coxeter", "--type", "A", "--rank", "2"]) == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+def test_digits_past_the_interpreter_limit_are_malformed_not_too_large(capsys):
+    # _exponent_form_value leaves a 5000-digit mantissa to Fraction, which int() refuses
+    point = "1" * 5000 + "e2000"
+    code, out, _ = run_cli(capsys, ["reduce", "--type", "A", "--rank", "1", "--point", point])
+    assert code == 1 and out["error"]["kind"] == "usage"
+    assert out["error"]["message"].startswith(f"malformed rational {point!r}")
 
 
 def test_every_prime_gate_gives_one_message(capsys):

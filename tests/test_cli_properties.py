@@ -13,10 +13,13 @@ underscores, and requires the same value or message as ``Fraction`` alone.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import time
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +194,28 @@ ARGV = {
 }
 
 
+@lru_cache(maxsize=None)
+def _bench_check():
+    """bench/check.py, loaded by path: it imports nothing from liep."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "check.py"
+    spec = importlib.util.spec_from_file_location("liep_bench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checker_argv(argv):
+    """``argv`` with its ``--type`` upper-cased, in either spelling, since ``check_cli`` keys
+    its closed forms by it."""
+    out = list(argv)
+    for i, arg in enumerate(out):
+        if arg == "--type":
+            out[i + 1] = out[i + 1].upper()
+        elif arg.startswith("--type="):
+            out[i] = "--type=" + arg[len("--type="):].upper()
+    return out
+
+
 def test_every_subcommand_but_selftest_has_a_strategy():
     assert set(ARGV) == set(cli._COMMANDS) - {"selftest"}
 
@@ -213,6 +238,8 @@ def test_every_argv_gets_one_json_report_and_a_contract_exit_code(command, data)
     if code:
         assert (report["error"]["kind"], code) in {("usage", 1), ("contract", 2)}, err.getvalue()
     assert elapsed < CASE_SECONDS, f"{argv} took {elapsed:.1f} s"
+    if code == 0:  # bench/check.py recomputes the values from closed forms of its own
+        _bench_check().check_cli(_checker_argv(argv), code, out.getvalue())
 
 
 def _full_parse(text):

@@ -615,6 +615,20 @@ def test_a_closure_that_loses_a_root_pair_fails_the_count(monkeypatch):
         rootsys.build.cache_clear()
 
 
+def test_a_second_root_at_the_top_height_fails_the_uniqueness_check(monkeypatch):
+    close = rootsys._close_under_reflections
+
+    def doubled(rows):
+        # (2, 2, 1) has theta = (1, 2, 2)'s height on B3, so theta is no longer the one top root
+        found = close(rows)
+        found[(2, 2, 1)] = None
+        return found
+
+    monkeypatch.setattr(rootsys, "_close_under_reflections", doubled)
+    with pytest.raises(ContractError, match="highest root is not unique"):
+        rootsys._build.__wrapped__("B", 3)  # the uncached body, so the cache keeps no broken B3
+
+
 def test_reflect_rejects_a_vector_of_the_wrong_length():
     rs = rootsys.build("A", 3)
     for coords, n in (((1, 0), 2), ((1, 0, 0, 0), 4)):
