@@ -510,10 +510,47 @@ def _parser() -> _Parser:
     return parser
 
 
+_quote = json.encoder.encode_basestring_ascii  # json.dumps' own quoter under ensure_ascii
+
+
+def _layout(x, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` of a value ``_enc`` made, byte for byte,
+    without its pure-Python indenting encoder; ``pad`` is the newline and indent before the
+    closing bracket.  A list of exact ints (a root, a matrix row, a word) is joined in one
+    call; a bool is not an exact int, and ``int.__repr__(True)`` would be "True".
+    """
+    kind = type(x)
+    if kind is str:
+        return _quote(x)
+    if kind is int:
+        return int.__repr__(x)
+    inner = pad + "  "
+    if kind is dict:
+        if not x:
+            return "{}"
+        items = [_quote(k) + ": " + _layout(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list:
+        if not x:
+            return "[]"
+        if {*map(type, x)} == {int}:
+            items = map(int.__repr__, x)
+        else:
+            items = [_layout(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if x is None or kind is bool:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, (int, str)):  # a subclass, which _enc passes through
+        return int.__repr__(x) if isinstance(x, int) else _quote(x)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(payload: dict) -> None:
-    """Print one report; if the reader has closed stdout, drop it without a traceback."""
+    """Print one report, laid out by ``_layout`` in the bytes of ``json.dumps(payload,
+    indent=2, sort_keys=True)``; if the reader has closed stdout, drop it without a traceback.
+    (The module docstring is ``liep --help``'s text, so the layout is told here.)"""
     try:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_layout(payload))
         sys.stdout.flush()
     except BrokenPipeError:
         pass

@@ -1,5 +1,7 @@
 """End-to-end command-line checks: envelopes, exit codes, and determinism."""
 
+import dataclasses
+import enum
 import json
 import os
 import random
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liep import acceptance, alcove, charp, cli, heights, rootsys
 from liep.charp import FpMatrix
@@ -325,6 +329,46 @@ def test_enc_rejects_a_dataclass_that_holds_a_float():
         cli._enc(result)
 
 
+def _dumps(x):
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+# any code point, lone surrogates and control characters included
+_TEXT = st.text(st.characters(exclude_categories=()))
+_INTS = st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+_TREES = st.recursive(
+    st.none() | st.booleans() | _INTS | _TEXT | st.lists(_INTS),
+    lambda inner: st.lists(inner) | st.dictionaries(_TEXT, inner),
+    max_leaves=30)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(tree=_TREES)
+def test_the_report_writer_gives_the_bytes_of_json_dumps(tree):
+    assert cli._layout(tree) == _dumps(tree)
+
+
+class _Mark(enum.IntEnum):
+    ONE = 1
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize("tree", [[True, 1], [1, False], [[], {}], {"": []},
+                                  {"b": 1, "a": [2]}, [_Mark.ONE, 2], [_Name("\u00e9\n")],
+                                  {"k": [[-3, 10**30], [], [None, "x"]]}])
+def test_the_report_writer_lays_out_bools_empties_keys_and_subclasses_as_json_dumps(tree):
+    assert cli._layout(tree) == _dumps(tree)
+
+
+@pytest.mark.parametrize("value", [0.5, [1, 0.5], {"x": object()}, (1, 2)])
+def test_the_report_writer_refuses_what_enc_never_makes(value):
+    with pytest.raises(TypeError):
+        cli._layout(value)
+
+
 # --- error paths -------------------------------------------------------------
 
 def test_contract_violation_exits_2(capsys):
@@ -475,6 +519,47 @@ def test_glheight_exits_2_when_a_factor_height_is_off(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["glheight", "--dims", "4,3", "--ms", "2,1"])
     assert code == 2
     assert out["error"]["message"] == "per-factor heights do not sum to the total"
+
+
+# Each post-check of a handler fires when the library function it checks has a wrong twin.
+_HEISENBERG_3 = charp.HeisenbergReport(3, True, True, 9, False)
+_POST_CHECKS = [
+    (rootsys, "coxeter_via_element", lambda f: lambda rs: f(rs) + 1,
+     ["coxeter", "--type", "A", "--rank", "2"], "Coxeter routes disagree: 3, 3, 4"),
+    (rootsys, "parabolic_degrees", lambda f: lambda rs, s: (f(rs, s)[0], f(rs, s)[1] + 1),
+     ["parabolic", "--type", "A", "--rank", "3", "--subset", "1,3"],
+     "maximal-parabolic degree does not match the mark"),
+    (heights, "dynkin_height",
+     lambda f: lambda rs, w: dataclasses.replace(f(rs, w), height=f(rs, w).height - 1),
+     ["minheight", "--type", "A", "--rank", "3"], "minimal height fell below h - 1"),
+    (alcove, "oracle_valid_bases", lambda f: lambda rs, phi: (),
+     ["basis", "--type", "A", "--rank", "2", "--phi", "1/9,1/9", "--oracle"],
+     "constructive basis is not among the oracle's valid bases"),
+    (charp, "trunc_log", lambda f: lambda u: u,
+     ["exp", "--p", "5", "--matrix", "[[0,1],[0,0]]"], "log(exp(x)) != x"),
+    (charp, "trunc_exp", lambda f: lambda x: x,
+     ["log", "--p", "5", "--matrix", "[[1,1],[0,1]]"], "exp(log(u)) != u"),
+    (charp, "t_power", lambda f: lambda u, t: u,
+     ["tpower", "--p", "5", "--matrix", "[[1,1],[0,1]]", "--t", "2"],
+     "binomial power disagrees with repeated multiplication"),
+    (charp, "bch_apply", lambda f: lambda table, x, y: x + y,  # the brackets dropped
+     ["bch", "--p", "5", "--degree", "2", "--x", "[[0,1,0],[0,0,0],[0,0,0]]",
+      "--y", "[[0,0,0],[0,0,1],[0,0,0]]"], "exp(bch(x, y)) != exp(x) exp(y)"),
+    (charp, "heisenberg_module_check",
+     lambda f: lambda p: dataclasses.replace(f(p), spans_full_algebra=False),
+     ["heisenberg", "--p", "3"], f"relations or spanning failed: {_HEISENBERG_3}"),
+]
+
+
+@pytest.mark.parametrize("module,name,twin,argv,message", _POST_CHECKS,
+                         ids=[case[3][0] for case in _POST_CHECKS])
+def test_each_post_check_exits_2_on_a_wrong_library_twin(capsys, monkeypatch,
+                                                         module, name, twin, argv, message):
+    monkeypatch.setattr(module, name, twin(getattr(module, name)))
+    code = cli.main(argv)
+    printed = capsys.readouterr().out
+    report = {"subcommand": argv[0], "error": {"kind": "contract", "message": message}}
+    assert code == 2 and printed == _dumps(report) + "\n"
 
 
 def test_basis_oracle_finds_the_window_roots_twice_not_three_times(capsys, monkeypatch):

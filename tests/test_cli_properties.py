@@ -4,7 +4,10 @@ Each subcommand but ``selftest`` gets an argv strategy that mixes well-formed
 values with malformed ones (unknown types, bad ranks, non-primes, empty
 strings, ``1/0``, stray commas, leading minus signs with and without ``=``,
 ragged or non-integer JSON matrices, rationals in exponent form or too large
-to report), run in-process through ``cli.main``.
+to report), run in-process through ``cli.main``.  Every report must be laid out
+as ``json.dumps(indent=2, sort_keys=True)`` lays it out; ``bench/check.py``
+checks the values of each exit-0 report, and confirms each series report of
+exit 2 whose matrix power does not vanish.
 Sizes stay small (rank <= 9, p <= 13) so every case is cheap; the cases are
 derandomized, so every run draws the same ones.  A second property parses
 exponent forms with |e| <= 3000, many of them at the edges of the early
@@ -233,6 +236,7 @@ def test_every_argv_gets_one_json_report_and_a_contract_exit_code(command, data)
 
     report = json.loads(out.getvalue())  # exactly one JSON value, nothing after it
     assert isinstance(report, dict)
+    assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert code in (0, 1, 2)
     assert ("result" in report) == (code == 0)
     if code:
@@ -240,6 +244,21 @@ def test_every_argv_gets_one_json_report_and_a_contract_exit_code(command, data)
     assert elapsed < CASE_SECONDS, f"{argv} took {elapsed:.1f} s"
     if code == 0:  # bench/check.py recomputes the values from closed forms of its own
         _bench_check().check_cli(_checker_argv(argv), code, out.getvalue())
+    elif command in ("exp", "log", "tpower") and report["error"]["message"] == _NOT_NILPOTENT:
+        _check_power_does_not_vanish(argv)
+
+
+_NOT_NILPOTENT = "matrix power p does not vanish"
+
+
+def _check_power_does_not_vanish(argv):
+    """bench/check.py confirms a series' exit 2: x^p != 0 for exp, (u - 1)^p != 0 for log
+    and tpower, mod p."""
+    check = _bench_check()
+    flags = check._flags(argv)
+    p, m = int(flags["p"]), check._mat(flags, "matrix")
+    nil = m if argv[0] == "exp" else check.mat_add(m, check.identity(len(m)), p, -1)
+    assert any(map(any, check.mat_pow(nil, p, p))), argv
 
 
 def _full_parse(text):
