@@ -288,10 +288,11 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     m = 2 * h
     z = [m * v + 1 for v in values] + [m * (den - sum(map(mul, rs.marks, values))) + 1 - h]
     letters: list[int] = []  # w_acc's letters, first applied first
+    reflect = [("reflect", i) for i in range(n + 1)]  # one shared step per letter
     while True:
         walk, _ = _walk(simple, z, cap - len(steps), overrun, 1 - h)
         letters += walk
-        steps.extend([("reflect", i) for i in walk])
+        steps += map(reflect.__getitem__, walk)
         if z[n] >= 1 - h:  # a_0 >= 0
             break
         if len(steps) == cap:

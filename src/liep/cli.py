@@ -1,13 +1,8 @@
-"""Command-line front end with machine-readable JSON output.
+"""Command-line front end: each call prints one JSON report, laid out in one pass.
 
-Every subcommand prints one JSON report to stdout: the subcommand name,
-a result payload, the list of invariants that were verified while
-building it, and the elapsed time in integer microseconds.  Rationals
-are emitted as exact integers or "a/b" strings, never floats.  Exit
-codes: 0 success, 1 usage error (bad flags, malformed rational or
-matrix), 2 contract violation (well-formed input that fails a
-mathematical precondition, or a failed self-test).  Diagnostics go to
-stderr; stdout stays valid JSON on every path, including errors.
+A handler returns library values and the invariants it checked; ``main`` lays the report out
+with ``_layout``, in the bytes of ``json.dumps(indent=2, sort_keys=True)``, inside its ``try``,
+so a failure at any step is one error report, and ``_emit`` prints it.
 """
 
 from __future__ import annotations
@@ -44,30 +39,9 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.prog.partition(" ")[2] or None, self.format_help())
 
 
-def _enc(x):
-    """The one wire format: ``main`` runs each handler's result (library values, report
-    dataclasses, tuples) through here, recursively, into JSON-safe exact forms."""
-    if isinstance(x, (int, str)) or x is None:
-        return x
-    if isinstance(x, (list, tuple)):
-        return [_enc(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _enc(v) for k, v in x.items()}
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, FpMatrix):
-        return {"p": x.p, "matrix": [list(r) for r in x.rows]}
-    if isinstance(x, (rootsys.RootVec, rootsys.WeightVec)):
-        return list(x.coords)
-    if dataclasses.is_dataclass(x):
-        return {f.name: _enc(getattr(x, f.name)) for f in dataclasses.fields(x)}
-    if isinstance(x, float):
-        raise TypeError("floats are banned from reports")
-    raise TypeError(f"cannot encode {type(x).__name__}")
-
-
 # Reports print exact integers, and CPython refuses to turn one of more than 4300 digits
-# (about 14284 bits) into text; a translation is as large as the point it moves.
+# (about 14284 bits) into text.  A translation is as large as the point it moves, a product
+# m(d - m) of two flag values stays below 2^8192, and a height below 2^4096 |2 rho^vee|.
 _MAX_BITS = 4096
 
 
@@ -128,10 +102,15 @@ def _parse_fractions(text: str) -> tuple[Fraction, ...]:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
+    parts = [part.strip() for part in text.split(",")]
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        values = tuple(map(int, parts))
     except ValueError:
         raise ValueError(f"malformed integer list {text!r}") from None
+    for part, value in zip(parts, values):
+        if value.bit_length() > _MAX_BITS:
+            raise ValueError(f"integer {part!r} is above {_MAX_BITS} bits")
+    return values
 
 
 def _parse_matrix(p: int, text: str) -> FpMatrix:
@@ -498,10 +477,23 @@ _COMMANDS = {
 }
 
 
+_DESCRIPTION = """Command-line front end with machine-readable JSON output.
+
+Every subcommand prints one JSON report to stdout: the subcommand name,
+a result payload, the list of invariants that were verified while
+building it, and the elapsed time in integer microseconds.  Rationals
+are emitted as exact integers or "a/b" strings, never floats.  Exit
+codes: 0 success, 1 usage error (bad flags, malformed rational or
+matrix), 2 contract violation (well-formed input that fails a
+mathematical precondition, or a failed self-test).  Diagnostics go to
+stderr; stdout stays valid JSON on every path, including errors.
+"""
+
+
 @lru_cache(maxsize=None)
 def _parser() -> _Parser:
     """The argparse tree for `_COMMANDS`, built once per process."""
-    parser = _Parser(prog="liep", description=__doc__)
+    parser = _Parser(prog="liep", description=_DESCRIPTION)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
         sub = subs.add_parser(name)
@@ -514,8 +506,8 @@ _quote = json.encoder.encode_basestring_ascii  # json.dumps' own quoter under en
 
 
 def _layout(x, pad: str = "\n") -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)`` of a value ``_enc`` made, byte for byte,
-    without its pure-Python indenting encoder; ``pad`` is the newline and indent before the
+    """The one wire format: library values written as ``json.dumps(indent=2, sort_keys=True)``
+    writes their exact JSON forms, byte for byte; ``pad`` is the newline and indent before the
     closing bracket.  A list of exact ints (a root, a matrix row, a word) is joined in one
     call; a bool is not an exact int, and ``int.__repr__(True)`` would be "True".
     """
@@ -524,13 +516,12 @@ def _layout(x, pad: str = "\n") -> str:
         return _quote(x)
     if kind is int:
         return int.__repr__(x)
+    if x is None or kind is bool:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, (int, str)):  # a subclass, such as an IntEnum
+        return int.__repr__(x) if isinstance(x, int) else _quote(x)
     inner = pad + "  "
-    if kind is dict:
-        if not x:
-            return "{}"
-        items = [_quote(k) + ": " + _layout(v, inner) for k, v in sorted(x.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list:
+    if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
         if {*map(type, x)} == {int}:
@@ -538,19 +529,29 @@ def _layout(x, pad: str = "\n") -> str:
         else:
             items = [_layout(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if x is None or kind is bool:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, (int, str)):  # a subclass, which _enc passes through
-        return int.__repr__(x) if isinstance(x, int) else _quote(x)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [_quote(k) + ": " + _layout(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(x, Fraction):
+        n, d = x.numerator, x.denominator
+        return int.__repr__(n) if d == 1 else _quote(f"{n}/{d}")
+    if isinstance(x, FpMatrix):  # before the dataclass branch: an FpMatrix is a dataclass
+        return _layout({"matrix": x.rows, "p": x.p}, pad)
+    if isinstance(x, (rootsys.RootVec, rootsys.WeightVec)):
+        return _layout(x.coords, pad)
+    if dataclasses.is_dataclass(x):
+        return _layout({f.name: getattr(x, f.name) for f in dataclasses.fields(x)}, pad)
+    if isinstance(x, float):
+        raise TypeError("floats are banned from reports")
+    raise TypeError(f"cannot encode {kind.__name__}")
 
 
-def _emit(payload: dict) -> None:
-    """Print one report, laid out by ``_layout`` in the bytes of ``json.dumps(payload,
-    indent=2, sort_keys=True)``; if the reader has closed stdout, drop it without a traceback.
-    (The module docstring is ``liep --help``'s text, so the layout is told here.)"""
+def _emit(report: str) -> None:
+    """Print one laid-out report; if the reader has closed stdout, drop it without a traceback."""
     try:
-        print(_layout(payload))
+        print(report)
         sys.stdout.flush()
     except BrokenPipeError:
         pass
@@ -558,35 +559,27 @@ def _emit(payload: dict) -> None:
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    command = None
+    command = error = None
     try:
-        args = _parser().parse_args(argv)
-        command = args.command
-        outcome = _COMMANDS[command][0](args)
-        result, invariants = _enc(outcome[0]), outcome[1]
-        code = outcome[2] if len(outcome) > 2 else 0
-    except _HelpRequested as req:
-        command, text = req.args
-        result, invariants, code = {"usage": text}, [], 0
+        try:
+            args = _parser().parse_args(argv)
+            command = args.command
+            result, invariants, *code = _COMMANDS[command][0](args)
+        except _HelpRequested as req:
+            command, text = req.args
+            result, invariants, code = {"usage": text}, [], []
+        elapsed_us = int((time.perf_counter() - started) * 1_000_000)
+        report = _layout({"subcommand": command, "result": result, "invariants": invariants,
+                          "elapsed_us": elapsed_us})
+        code = code[0] if code else 0
     except ContractError as exc:
-        _emit({"subcommand": command, "error": {"kind": "contract", "message": str(exc)}})
-        return 2
+        error, code = {"kind": "contract", "message": str(exc)}, 2
     except ValueError as exc:
-        _emit({"subcommand": command, "error": {"kind": "usage", "message": str(exc)}})
-        return 1
+        error, code = {"kind": "usage", "message": str(exc)}, 1
     except Exception as exc:  # a bug: stdout still carries one report, stderr the traceback
         traceback.print_exc()
-        message = f"{type(exc).__name__}: {exc}"
-        _emit({"subcommand": command, "error": {"kind": "internal", "message": message}})
-        return 2
-    _emit(
-        {
-            "subcommand": command,
-            "result": result,
-            "invariants": invariants,
-            "elapsed_us": int((time.perf_counter() - started) * 1_000_000),
-        }
-    )
+        error, code = {"kind": "internal", "message": f"{type(exc).__name__}: {exc}"}, 2
+    _emit(report if error is None else _layout({"subcommand": command, "error": error}))
     return code
 
 

@@ -8,6 +8,8 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -326,7 +328,7 @@ def test_weightdemo(capsys):
 def test_enc_rejects_a_dataclass_that_holds_a_float():
     result = acceptance.CriterionResult(1, "name", True, "details", 0.5, None)
     with pytest.raises(TypeError, match="floats"):
-        cli._enc(result)
+        cli._layout(result)
 
 
 def _dumps(x):
@@ -358,15 +360,58 @@ class _Name(str):
 
 @pytest.mark.parametrize("tree", [[True, 1], [1, False], [[], {}], {"": []},
                                   {"b": 1, "a": [2]}, [_Mark.ONE, 2], [_Name("\u00e9\n")],
-                                  {"k": [[-3, 10**30], [], [None, "x"]]}])
+                                  {"k": [[-3, 10**30], [], [None, "x"]]}, (1, 2)])
 def test_the_report_writer_lays_out_bools_empties_keys_and_subclasses_as_json_dumps(tree):
     assert cli._layout(tree) == _dumps(tree)
 
 
-@pytest.mark.parametrize("value", [0.5, [1, 0.5], {"x": object()}, (1, 2)])
+@pytest.mark.parametrize("value", [0.5, [1, 0.5], {"x": object()}])
 def test_the_report_writer_refuses_what_enc_never_makes(value):
     with pytest.raises(TypeError):
         cli._layout(value)
+
+
+def _enc_twin(x):
+    """The JSON-safe tree that ``_layout`` writes a library value as, built by a separate
+    walk: ``json.dumps(_enc_twin(x), indent=2, sort_keys=True)`` is ``_layout(x)``."""
+    if isinstance(x, (int, str)) or x is None:
+        return x
+    if isinstance(x, (list, tuple)):
+        return [_enc_twin(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _enc_twin(v) for k, v in x.items()}
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, FpMatrix):
+        return {"p": x.p, "matrix": [list(r) for r in x.rows]}
+    if isinstance(x, (rootsys.RootVec, rootsys.WeightVec)):
+        return list(x.coords)
+    if dataclasses.is_dataclass(x):
+        return {f.name: _enc_twin(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    raise TypeError(f"cannot encode {type(x).__name__}")
+
+
+_COORDS = st.lists(_INTS, max_size=4).map(tuple)
+_MATRICES = st.tuples(st.sampled_from((2, 3, 13)), st.integers(1, 3)).flatmap(
+    lambda pn: st.lists(st.lists(st.integers(0, pn[0] - 1), min_size=pn[1], max_size=pn[1]),
+                        min_size=pn[1], max_size=pn[1]).map(partial(FpMatrix.from_rows, pn[0])))
+_LIBRARY_LEAVES = st.one_of(
+    st.none(), st.booleans(), _INTS, _TEXT, st.sampled_from([_Mark.ONE, _Name("a\u00e9")]),
+    st.fractions(), st.integers().map(Fraction), _MATRICES,
+    _COORDS.map(rootsys.RootVec), _COORDS.map(rootsys.WeightVec),
+    st.builds(heights.HeightReport, _INTS, _INTS, _INTS, _COORDS.map(rootsys.WeightVec)),
+    st.builds(charp.HeisenbergReport, _INTS, st.booleans(), st.booleans(), _INTS, st.booleans()))
+_LIBRARY_VALUES = st.recursive(
+    _LIBRARY_LEAVES,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_TEXT, inner)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(value=_LIBRARY_VALUES)
+def test_the_report_writer_lays_out_library_values_as_json_dumps_of_their_tree(value):
+    assert cli._layout(value) == _dumps(_enc_twin(value))
 
 
 # --- error paths -------------------------------------------------------------
@@ -410,6 +455,30 @@ def test_rational_past_the_size_limit_exits_1(capsys):
     # 10^1233 has 4096 bits, 10^1234 has 4100
     assert run_cli(capsys, ["reduce", "--type", "A", "--rank", "1", "--point=-1e1233"])[0] == 0
     assert run_cli(capsys, ["critical", "--type", "A", "--rank", "2", "--phi", "1,1e-1234"])[0] == 1
+
+
+_NINES = "9" * 4300  # 14284 bits: int() reads it, a report could not print 2 rho^vee times it
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["glheight", "--dims", "1" + "0" * 4000, "--ms", "5" + "0" * 3999], "1" + "0" * 4000),
+    (["height", "--type", "A", "--rank", "3", "--weight", f"{_NINES},0,0"], _NINES),
+    (["lowheight", "--type", "A", "--rank", "3", "--weight", f"0, {_NINES},0", "--p", "5"], _NINES),
+])
+def test_integer_flag_past_the_size_limit_exits_1(capsys, argv, text):
+    # m (d - m) and the height would pass the interpreter's 4300-digit int-to-text limit
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and err == ""
+    assert out == {"subcommand": argv[0],
+                   "error": {"kind": "usage", "message": f"integer {text!r} is above 4096 bits"}}
+
+
+def test_integer_flag_at_the_size_limit_is_reported(capsys):
+    # 2^4096 - 1 has 4096 bits, 2^4096 has 4097
+    argv = ["height", "--type", "A", "--rank", "1", "--weight"]
+    code, out, _ = run_cli(capsys, argv + [str(2**4096 - 1)])
+    assert code == 0 and out["result"]["height"] == 2**4096 - 1
+    assert run_cli(capsys, argv + [str(-2**4096)])[1]["error"]["kind"] == "usage"
 
 
 def test_exponent_past_the_size_limit_is_rejected_before_it_is_expanded(capsys):

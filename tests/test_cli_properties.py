@@ -4,10 +4,10 @@ Each subcommand but ``selftest`` gets an argv strategy that mixes well-formed
 values with malformed ones (unknown types, bad ranks, non-primes, empty
 strings, ``1/0``, stray commas, leading minus signs with and without ``=``,
 ragged or non-integer JSON matrices, rationals in exponent form or too large
-to report), run in-process through ``cli.main``.  Every report must be laid out
-as ``json.dumps(indent=2, sort_keys=True)`` lays it out; ``bench/check.py``
-checks the values of each exit-0 report, and confirms each series report of
-exit 2 whose matrix power does not vanish.
+to report, integers past 4096 bits), run in-process through ``cli.main``.
+Every report must be laid out as ``json.dumps(indent=2, sort_keys=True)`` lays
+it out; ``bench/check.py`` checks the values of each exit-0 report, and
+confirms each series report of exit 2 whose matrix power does not vanish.
 Sizes stay small (rank <= 9, p <= 13) so every case is cheap; the cases are
 derandomized, so every run draws the same ones.  A second property parses
 exponent forms with |e| <= 3000, many of them at the edges of the early
@@ -78,6 +78,8 @@ _RATIONAL = _mostly(
                      "-" + "7" * 1200 + "/9", "1" + "0" * 1300, "3/" + "1" * 1300,
                      "1" + "0" * 5000)))
 _BAD = st.sampled_from(_JUNK)
+# the integer lists' junk, with values of 4097 bits: past the limit of an integer flag
+_BAD_INT = st.sampled_from(_JUNK + (str(2**4096), str(-2**4096)))
 
 
 @st.composite
@@ -97,7 +99,7 @@ def _phi(n):
 
 
 def _weight(n):
-    return _flag("--weight", _listed(_text(st.integers(-1, 3)), _BAD, n))
+    return _flag("--weight", _listed(_text(st.integers(-1, 3)), _BAD_INT, n))
 
 
 def _prime(n=None):
@@ -152,7 +154,7 @@ def _bch(draw):
 @st.composite
 def _cycle(draw):
     p_text = draw(_P)
-    t = _listed(_text(st.integers(-3, 20)), _BAD, min(max(_int(p_text, 3), 1), 13))
+    t = _listed(_text(st.integers(-3, 20)), _BAD_INT, min(max(_int(p_text, 3), 1), 13))
     return ["cycle"] + draw(_flag("--p", st.just(p_text))) + draw(_flag("--t", t))
 
 
@@ -166,8 +168,8 @@ def _pgl_lift(draw):
 
 
 def _glheight():
-    dims = _listed(_text(st.integers(0, 8)), _BAD, 2)
-    ms = _listed(_text(st.integers(-1, 9)), _BAD, 2)
+    dims = _listed(_text(st.integers(0, 8)), _BAD_INT, 2)
+    ms = _listed(_text(st.integers(-1, 9)), _BAD_INT, 2)
     flags = st.tuples(_flag("--dims", dims), _flag("--ms", ms), _flag("--p", _P, required=False))
     return flags.map(lambda fs: ["glheight"] + fs[0] + fs[1] + fs[2])
 
@@ -180,7 +182,7 @@ ARGV = {
     "minheight": _system("minheight"),
     "goodprime": _system("goodprime", _prime),
     "parabolic": _system("parabolic", lambda n: _flag("--subset", _listed(
-        _text(st.integers(1, max(n, 1))), _text(st.integers(-1, 10)) | _BAD, max(n - 1, 0)),
+        _text(st.integers(1, max(n, 1))), _text(st.integers(-1, 10)) | _BAD_INT, max(n - 1, 0)),
         required=False)),
     "height": _system("height", _weight),
     "lowheight": _system("lowheight", _weight, _prime),
