@@ -8,23 +8,25 @@ exercise them: the scalar-shift lift, weighted cyclic shifts, and the
 Heisenberg pair.  Everything is computed over Z/p with no floats and no
 external dependencies.
 
-Every linear combination of matrices (sums, differences, scalings and the
-three series) is formed by ``_combination``, which sums on plain ints and
-reduces mod p once.  Every matrix product (``*`` and the group law's
+Every linear combination of matrices (sums, differences and scalings) is
+formed by ``_combination``, which sums on plain ints and reduces mod p
+once.  Every matrix product (``*``, the series' powers and the group law's
 brackets) is formed by ``_products``, which takes the left factor as rows
 of residues and the right factor as rows packed into single ints, so an
 entry costs one bigint multiply-add; the packed sums are reduced mod p once
 per slot.  ``bch_apply`` stays on packed rows from start to finish: it
 packs x and y once, forms each bracket [h, t] = ht - th as the one product
 (h | -t) . (t ; h), keeps only the rows that can be non-zero, and sums the
-table's terms on packed rows before reducing once.  The series are
-evaluated by ``_series``, which sums c_k . nil^k, walking the powers one
-product at a time and keeping none of them: nothing is cached per input.
-``trunc_exp``, ``trunc_log`` and ``t_power`` each pass their p
-coefficients; ``_series`` reads at most min(n, p) of them and stops at the
-first zero power, so a series costs the nilpotency index of its n x n
-argument less one in products, and a contract failure at most
-min(n, p) - 1, never p.
+table's terms on packed rows before reducing once.  The series stay on
+packed rows too: ``_series`` packs its base nil once, forms each power as
+one product of the power before it with nil, unpacks that once for the
+zero test and the next product, adds c_k times the unreduced product to
+one packed total, and reduces once, at the end.  It keeps no power past
+the next one: nothing is cached per input.  ``trunc_exp``, ``trunc_log``
+and ``t_power`` each pass their p coefficients; ``_series`` reads at most
+min(n, p) of them and stops at the first zero power, so a series costs the
+nilpotency index of its n x n argument less one in products, and a
+contract failure at most min(n, p) - 1, never p.
 """
 
 from __future__ import annotations
@@ -299,20 +301,45 @@ def _series(nil: FpMatrix, coeffs) -> FpMatrix:
     (Cayley-Hamilton).  The coefficient stream ends at p, so capping it at
     n reads at most min(n, p) of them, and the walk stops at the first zero
     power: every later term is c_k . 0.  The identity and nil are terms, not
-    factors; each later power is one product of the one before it with nil,
-    dropped once it is added, so nilpotency index k costs k - 1 products.
+    factors; each later power is one ``_products`` call, the power before it
+    as rows of residues times nil packed once, so nilpotency index k costs
+    k - 1 products.  Each product is unpacked once, for the zero test and as
+    the next left factor, and c_k times the unreduced product is added to
+    one packed total, which is unpacked once, at the end.
+
+    The slots hold the total.  Every c_k is reduced into [0, p).  A slot of
+    c_0 . 1 is at most p - 1, of c_1 . nil at most (p - 1)^2, and of a
+    product at most n (p - 1)^2, as it sums n products of two residues; so
+    a term's slot is at most (p - 1) . n (p - 1)^2.  There are at most n
+    terms, so a slot of the total is at most n^2 (p - 1)^3, the width that
+    ``_slots(p, n, n^2 (p - 1))`` gives, and no slot carries into the next.
     """
+    p, n = nil.p, nil.n
+    shifts, mask = _slots(p, n, n * n * (p - 1))
+    base = _packed(nil.rows, shifts)
+    coeffs = islice(coeffs, n)
+    c = next(coeffs) % p
+    total = [c << s for s in shifts]  # c_0 . 1
+    rows, packed = nil.rows, base  # nil^k as residues and packed, unreduced from k = 2 on
+    for c in coeffs:
+        if not any(map(any, rows)):
+            break
+        c %= p
+        if c:
+            total = [t + c * q for t, q in zip(total, packed)]
+        packed = _products(rows, base)
+        rows = _unpacked(p, packed, shifts, mask)
+    else:
+        if any(map(any, rows)):
+            raise ContractError("matrix power p does not vanish")
+    return FpMatrix(p, n, _unpacked(p, total, shifts, mask))
 
-    def terms():
-        power = FpMatrix.identity(nil.p, nil.n)
-        for k, c in enumerate(islice(coeffs, nil.n)):
-            yield c, power
-            power = power * nil if k else nil
-            if power.is_zero():
-                return
-        raise ContractError("matrix power p does not vanish")
 
-    return _combination(nil.p, nil.n, terms())
+def _minus_one(u: FpMatrix) -> FpMatrix:
+    """u - 1: 1 is subtracted on the diagonal of u's rows."""
+    p = u.p
+    return FpMatrix(p, u.n, tuple(row[:i] + ((row[i] - 1) % p,) + row[i + 1:]
+                                  for i, row in enumerate(u.rows)))
 
 
 def trunc_exp(x: FpMatrix) -> FpMatrix:
@@ -326,7 +353,7 @@ def trunc_log(u: FpMatrix) -> FpMatrix:
     """Logarithm truncated below degree p; requires (u - 1)^p = 0."""
     p = u.p
     coeffs = (0 if k == 0 else (-1) ** (k + 1) * pow(k, -1, p) for k in range(p))
-    return _series(u - FpMatrix.identity(p, u.n), coeffs)
+    return _series(_minus_one(u), coeffs)
 
 
 def t_power(u: FpMatrix, t: int) -> FpMatrix:
@@ -339,14 +366,14 @@ def t_power(u: FpMatrix, t: int) -> FpMatrix:
     ``_series`` walks the binomials only up to the nilpotency index of
     u - 1, at most min(n, p) - 1 products.  Among those, C(t, k) = 0 mod p
     for t mod p < k < p by Lucas' theorem; the running product turns 0
-    at k = t mod p + 1 and ``_combination`` skips the zero terms.
+    at k = t mod p + 1 and ``_series`` skips the zero terms.
     """
     require_int(t, "exponent")
     p = u.p
     binomials = accumulate(range(1, p),
                            lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
                            initial=1)  # C(t, k) mod p
-    return _series(u - FpMatrix.identity(p, u.n), binomials)
+    return _series(_minus_one(u), binomials)
 
 
 @dataclass(frozen=True)
@@ -631,8 +658,6 @@ def weight_space_demo(p: int) -> WeightGradingReport:
     dims[0] -= 1  # scalars are quotiented away from the diagonal component
 
     total_dim = sum(dims.values())
-    if total_dim != p * p - 1:
-        raise ContractError(f"component dimensions sum to {total_dim}, not p^2 - 1")
     witness = cyclic_shift_matrix(p, (1,) * p)  # checks witness^p = scalar . 1
     scalar = cycle_power_scalar(p, (1,) * p)
     support = {(i, j) for i in range(p) for j in range(p) if witness.rows[i][j]}

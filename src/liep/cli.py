@@ -33,6 +33,11 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems and help requests as exceptions, not exits."""
 
     def error(self, message):
+        # argparse quotes the choices it lists after an invalid choice up to 3.13.0 and not
+        # in later releases; the only choices are the subcommands, listed here as it did
+        head, sep, _ = message.rpartition(" (choose from ")
+        if sep:
+            message = f"{head} (choose from {', '.join(map(repr, _COMMANDS))})"
         raise ValueError(message)
 
     def print_help(self, file=None):
@@ -492,9 +497,15 @@ stderr; stdout stays valid JSON on every path, including errors.
 
 @lru_cache(maxsize=None)
 def _parser() -> _Parser:
-    """The argparse tree for `_COMMANDS`, built once per process."""
-    parser = _Parser(prog="liep", description=_DESCRIPTION)
-    subs = parser.add_subparsers(dest="command", required=True)
+    """The argparse tree for `_COMMANDS`, built once per process.
+
+    The top-level usage is spelled out, as argparse 3.10-3.12 wraps it, since 3.13 wraps
+    it differently; the subcommands' ``prog`` is then given, as argparse would read it off
+    that usage otherwise.
+    """
+    usage = "liep [-h]\n            {" + ",".join(_COMMANDS) + "}\n            ..."
+    parser = _Parser(prog="liep", usage=usage, description=_DESCRIPTION)
+    subs = parser.add_subparsers(dest="command", required=True, prog="liep")
     for name, (_, flags) in _COMMANDS.items():
         sub = subs.add_parser(name)
         for flag, options in flags:

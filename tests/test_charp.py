@@ -8,13 +8,13 @@ import random
 import tracemalloc
 from collections import deque
 from fractions import Fraction as F
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from operator import mul
 
 import pytest
 
 from liep import charp, cli
-from liep.acceptance import random_invertible, random_strict_upper
+from liep.acceptance import random_conjugate, random_invertible, random_strict_upper
 from liep.charp import FpMatrix
 from liep.errors import ContractError
 from liep.primes import is_prime, require_int
@@ -31,18 +31,24 @@ def _random_matrix(rng, p, n):
     return FpMatrix.from_rows(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
 
 
+def _count_calls(monkeypatch, name):
+    """A one-element list counting every call of ``charp.<name>`` made from here on."""
+    count = [0]
+    orig = getattr(charp, name)
+
+    def counted(*args):
+        count[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(charp, name, counted)
+    return count
+
+
 @pytest.fixture
 def mul_count(monkeypatch):
-    """A one-element list counting every FpMatrix product made from here on."""
-    count = [0]
-    orig = FpMatrix.__mul__
-
-    def counted(self, other):
-        count[0] += 1
-        return orig(self, other)
-
-    monkeypatch.setattr(FpMatrix, "__mul__", counted)
-    return count
+    """A one-element list counting every matrix product made from here on: ``*``, each
+    power of a series and each bracket of bch_apply is one ``_products`` call."""
+    return _count_calls(monkeypatch, "_products")
 
 
 # --- construction and arithmetic ------------------------------------------
@@ -540,29 +546,91 @@ def test_trunc_exp_of_a_square_zero_matrix_makes_one_product(mul_count):
 
 
 @pytest.mark.parametrize("p", [5, 10007])
-def test_series_products_stop_at_the_nilpotency_index(mul_count, p):
+def test_series_products_stop_at_the_nilpotency_index(mul_count, monkeypatch, p):
+    packed = _count_calls(monkeypatch, "_packed")  # nil once a series, not once a product
     for n in range(1, 6):
         for k in range(1, n + 1):
             for f, arg in _series_calls(_jordan(p, n, k)):
-                mul_count[0] = 0
+                mul_count[0] = packed[0] = 0
                 f(arg)
-                assert mul_count[0] == k - 1
+                assert (mul_count[0], packed[0]) == (k - 1, 1)
 
 
-def test_series_contract_failures_make_min_n_p_products(mul_count):
+def test_series_contract_failures_make_min_n_p_products(mul_count, monkeypatch):
+    packed = _count_calls(monkeypatch, "_packed")
     p = 10007
     for n in range(1, 6):
         for f, arg in _series_calls(FpMatrix.diagonal(p, [0] * (n - 1) + [1])):
-            mul_count[0] = 0
+            mul_count[0] = packed[0] = 0
             with pytest.raises(ContractError, match="matrix power p does not vanish"):
                 f(arg)
-            assert mul_count[0] == n - 1
+            assert (mul_count[0], packed[0]) == (n - 1, 1)
     # J_5 is nilpotent, but J_5^3 != 0: J_5^2 and J_5^3 are the two products at p = 3
     for f, arg in _series_calls(_jordan(3, 5)):
         mul_count[0] = 0
         with pytest.raises(ContractError, match="matrix power p does not vanish"):
             f(arg)
         assert mul_count[0] == 2
+
+
+def _walked_series(nil, coeffs):
+    """The sum of c_k . nil^k with each power formed as power * nil and the terms
+    summed by ``_combination``: the route the series took before they stayed on
+    packed rows, kept as an oracle."""
+
+    def terms():
+        power = FpMatrix.identity(nil.p, nil.n)
+        for k, c in enumerate(islice(coeffs, nil.n)):
+            yield c, power
+            power = power * nil if k else nil
+            if power.is_zero():
+                return
+        raise ContractError("matrix power p does not vanish")
+
+    return charp._combination(nil.p, nil.n, terms())
+
+
+def _walked_exp(x):
+    p = x.p
+    return _walked_series(x, accumulate(range(1, p), lambda c, k: c * pow(k, -1, p) % p,
+                                        initial=1))
+
+
+def _walked_log(u):
+    p = u.p
+    coeffs = (0 if k == 0 else (-1) ** (k + 1) * pow(k, -1, p) for k in range(p))
+    return _walked_series(u - FpMatrix.identity(p, u.n), coeffs)
+
+
+def _walked_t_power(u, t):
+    p = u.p
+    binomials = accumulate(range(1, p), lambda c, k: c * (t - k + 1) * pow(k, -1, p) % p,
+                           initial=1)
+    return _walked_series(u - FpMatrix.identity(p, u.n), binomials)
+
+
+@pytest.mark.parametrize("p", PRODUCT_PRIMES)
+def test_series_match_the_walked_twin(p):
+    # The packed total holds n unreduced terms.  Its slots fill most on long series with
+    # large residues: the strictly upper matrix of p - 1 in _drawn has nilpotency index n
+    # and powers dense above the diagonal, a drawn conjugate of a strictly upper matrix
+    # has dense powers, and at t = p - 1 every binomial is p - 1 or 1.  Once n > p the
+    # p-th power of either survives, and the series must fail as the walk does.
+    rng = random.Random(f"walked-series-{p}")
+    outcomes = set()
+    for n in range(1, 10):
+        one = FpMatrix.identity(p, n)
+        for nil in [random_conjugate(rng, random_strict_upper(rng, p, n)), *_drawn(rng, p, n)]:
+            u = one + nil
+            calls = [(charp.trunc_exp, _walked_exp, (nil,)), (charp.trunc_log, _walked_log, (u,))]
+            calls += [(charp.t_power, _walked_t_power, (u, t))
+                      for t in (2, p - 1, rng.randrange(-p, 2 * p))]
+            for f, twin, args in calls:
+                got = _outcome(f, *args)
+                assert got == _outcome(twin, *args)
+                assert isinstance(got, str) or _canonical(got)
+                outcomes.add(type(got))
+    assert outcomes == {FpMatrix, str}
 
 
 # --- tabulated group law ---------------------------------------------------
@@ -662,26 +730,18 @@ def test_bch_apply_fills_the_widest_slot(p, n):
     assert got == _two_product_bch(table, x, y) and _canonical(got)
 
 
-def test_bch_apply_forms_each_bracket_prefix_once(monkeypatch):
+def test_bch_apply_forms_each_bracket_prefix_once(mul_count):
     # one packed sum per left-nested bracket: per distinct prefix, of length 2 or
     # more, of a word that is shorter than n and whose coefficient is non-zero mod p
-    calls = [0]
-    products = charp._products
-
-    def counted(*args):
-        calls[0] += 1
-        return products(*args)
-
-    monkeypatch.setattr(charp, "_products", counted)
     rng = random.Random("bch-work")
     for p in (3, 5, 7, 13):
         table = charp.bch_table(p, min(p - 1, 10))
         for n in range(2, min(p, 11) + 1):
             words = [w for w, c in table.terms if len(w) < n and c.numerator % p]
             prefixes = {w[:k] for w in words for k in range(2, len(w) + 1)}
-            calls[0] = 0
+            mul_count[0] = 0
             charp.bch_apply(table, random_strict_upper(rng, p, n), random_strict_upper(rng, p, n))
-            assert calls[0] == len(prefixes)
+            assert mul_count[0] == len(prefixes)
     # at p = 13, four words of length 10 have coefficients that vanish mod 13
     assert len([w for w, c in table.terms if c.numerator % 13 == 0]) == 4
 
@@ -756,6 +816,16 @@ def test_lift_rejects_obstructed_matrices():
         charp.pgl_nilpotent_lift(FpMatrix.diagonal(3, [1, 2, 0]))
     with pytest.raises(ValueError):
         charp.pgl_nilpotent_lift(FpMatrix.identity(3, 2))
+
+
+def test_lift_and_cycle_self_checks_fire_on_a_wrong_power(monkeypatch):
+    # both guard an identity of x^p; a power one factor short breaks each
+    power = FpMatrix.__pow__
+    monkeypatch.setattr(FpMatrix, "__pow__", lambda m, k: power(m, k - 1))
+    with pytest.raises(ContractError, match="scalar shift failed to be nilpotent"):
+        charp.pgl_nilpotent_lift(FpMatrix.from_rows(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    with pytest.raises(ContractError, match="cycle power identity failed"):
+        charp.cyclic_shift_matrix(3, (1, 2, 1))
 
 
 # --- cyclic shifts ------------------------------------------------------------

@@ -9,9 +9,10 @@ byte against ``tests/golden/<name>.json``.  The corpus covers every
 each family of subcommands.
 
 Help texts depend on the terminal width, so the test pins ``COLUMNS=80``.
-They and argparse's own error messages match on Python 3.10.13, 3.11.7
-and 3.12.1; Python 3.13 lays out the top-level usage line, and later 3.13
-releases the invalid-choice message, differently.
+They and argparse's own error messages match on Python 3.10.13, 3.11.7,
+3.12.1, 3.13.0 and 3.13.13: the CLI writes its top-level usage line and
+the choices after an invalid subcommand itself, as argparse lays them out
+differently from 3.13 on.
 
 A deliberate change to a report rewrites the corpus in the same change:
 
@@ -152,6 +153,16 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     code = cli.main(list(CASES[name]))
     text = golden_text(CASES[name], code, capsys.readouterr().out)
     assert text == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_invalid_choice_lists_the_subcommands_as_the_golden_does():
+    # argparse after 3.13.0 lists the choices unquoted; the report keeps them quoted
+    golden = json.loads((GOLDEN_DIR / "usage-unknown-subcommand.json").read_text())
+    unquoted = ("argument command: invalid choice: 'frobnicate' (choose from "
+                + ", ".join(cli._COMMANDS) + ")")
+    with pytest.raises(ValueError) as caught:
+        cli._parser().error(unquoted)
+    assert str(caught.value) == golden["report"]["error"]["message"]
 
 
 if __name__ == "__main__":
