@@ -1,7 +1,9 @@
 """Runnable acceptance checks, shared by the test suite and the CLI self-test.
 
-Each criterion is a self-contained function returning (ok, details); the
-driver wraps it with timing and an optional wall-clock budget.  Random
+Each criterion is a generator of (ok, label) pairs, one per check in the order
+the checks run, whose last pair is (True, summary).  The driver stops at the
+first failing check and reports its label, or the summary when all pass, and
+wraps each criterion with timing and an optional wall-clock budget.  Random
 criteria derive their generators deterministically from one seed, so a
 failure reproduces from the reported seed alone.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +40,8 @@ _ALL_TYPES = (
 )
 
 _SMALL_RANK = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
+
+_Checks = Iterator[tuple[bool, str]]
 
 
 @dataclass(frozen=True)
@@ -66,23 +71,20 @@ def random_conjugate(rng: random.Random, m: FpMatrix) -> FpMatrix:
     return g * m * charp.inverse(g)
 
 
-def _criterion_coxeter() -> tuple[bool, str]:
+def _criterion_coxeter() -> _Checks:
     for t, n in _ALL_TYPES:
         rs = rootsys.build(t, n)
         a = rootsys.coxeter_via_marks(rs)
         b = rootsys.coxeter_via_rho(rs)
         c = rootsys.coxeter_via_element(rs)
-        if not a == b == c:
-            return False, f"{t}{n}: routes disagree ({a}, {b}, {c})"
+        yield a == b == c, f"{t}{n}: routes disagree ({a}, {b}, {c})"
     for n in range(2, 10):
-        if rootsys.coxeter_via_marks(rootsys.build("A", n - 1)) != n:
-            return False, f"A{n - 1}: Coxeter number != {n}"
+        yield rootsys.coxeter_via_marks(rootsys.build("A", n - 1)) == n, f"A{n - 1}: Coxeter number != {n}"
     specific = {("F", 4): 12, ("E", 6): 12, ("E", 7): 18, ("E", 8): 30}
     for (t, n), want in specific.items():
         got = rootsys.coxeter_via_marks(rootsys.build(t, n))
-        if got != want:
-            return False, f"{t}{n}: Coxeter number {got} != {want}"
-    return True, f"three routes agree on {len(_ALL_TYPES)} systems; named values match"
+        yield got == want, f"{t}{n}: Coxeter number {got} != {want}"
+    yield True, f"three routes agree on {len(_ALL_TYPES)} systems; named values match"
 
 
 def _classical_count(t: str, n: int) -> int:
@@ -95,39 +97,33 @@ def _classical_count(t: str, n: int) -> int:
     return {("E", 6): 72, ("E", 7): 126, ("E", 8): 240, ("F", 4): 48, ("G", 2): 12}[(t, n)]
 
 
-def _criterion_root_counts() -> tuple[bool, str]:
+def _criterion_root_counts() -> _Checks:
     for t, n in _ALL_TYPES:
         rs = rootsys.build(t, n)
         want = _classical_count(t, n)
-        if len(rs.roots) != want:
-            return False, f"{t}{n}: {len(rs.roots)} roots != classical {want}"
+        yield len(rs.roots) == want, f"{t}{n}: {len(rs.roots)} roots != classical {want}"
         h = rootsys.coxeter_via_marks(rs)
         top = max(rootsys.root_height(rs, a) for a in rs.positive_roots)
-        if top != h - 1:
-            return False, f"{t}{n}: top height {top} != h - 1 = {h - 1}"
-    return True, f"closure counts and top heights match on {len(_ALL_TYPES)} systems"
+        yield top == h - 1, f"{t}{n}: top height {top} != h - 1 = {h - 1}"
+    yield True, f"closure counts and top heights match on {len(_ALL_TYPES)} systems"
 
 
-def _criterion_min_heights() -> tuple[bool, str]:
+def _criterion_min_heights() -> _Checks:
     named = {("F", 4): 16, ("E", 6): 16, ("E", 7): 27, ("E", 8): 58}
     for (t, n), want in named.items():
         got = heights.min_nontrivial_height(rootsys.build(t, n))
-        if got != want:
-            return False, f"{t}{n}: minimal height {got} != {want}"
+        yield got == want, f"{t}{n}: minimal height {got} != {want}"
     for n in range(1, 9):
         rs = rootsys.build("A", n)
-        if heights.min_nontrivial_height(rs) != n:
-            return False, f"A{n}: minimal height != {n}"
+        yield heights.min_nontrivial_height(rs) == n, f"A{n}: minimal height != {n}"
     for t, n in _ALL_TYPES:
         rs = rootsys.build(t, n)
         h = rootsys.coxeter_via_marks(rs)
-        if heights.min_nontrivial_height(rs) < h - 1:
-            return False, f"{t}{n}: minimal height below h - 1"
-    return True, "named minima, A-type minima, and the h - 1 bound all hold"
+        yield heights.min_nontrivial_height(rs) >= h - 1, f"{t}{n}: minimal height below h - 1"
+    yield True, "named minima, A-type minima, and the h - 1 bound all hold"
 
 
-def _criterion_window_basis(seed: int, trials: int) -> tuple[bool, str]:
-    total = 0
+def _criterion_window_basis(seed: int, trials: int) -> _Checks:
     for t, n in _SMALL_RANK:
         rs = rootsys.build(t, n)
         rng = random.Random(f"{seed}:basis:{t}{n}")
@@ -138,41 +134,35 @@ def _criterion_window_basis(seed: int, trials: int) -> tuple[bool, str]:
                 values.append(Fraction(rng.randrange(den), den))
             phi = alcove.PhiHom(tuple(values))
             chosen = alcove.window_basis(rs, phi)
+            where = f"{t}{n}, phi={values}"
             for a in alcove.critical_roots(rs, phi):
-                if not chosen.is_positive(rs, a):
-                    return False, f"{t}{n}, phi={values}: critical {a.coords} negative"
+                yield chosen.is_positive(rs, a), f"{where}: critical {a.coords} negative"
             valid = alcove.oracle_valid_bases(rs, phi)
-            if not any(alcove.same_basis(rs, chosen, b) for b in valid):
-                return False, f"{t}{n}, phi={values}: constructive choice not among {len(valid)} oracle bases"
-            total += 1
-    return True, f"{total} random homomorphisms: constructive basis always valid and oracle-confirmed"
+            yield (any(alcove.same_basis(rs, chosen, b) for b in valid),
+                   f"{where}: constructive choice not among {len(valid)} oracle bases")
+    yield True, (f"{len(_SMALL_RANK) * trials} random homomorphisms: "
+                 "constructive basis always valid and oracle-confirmed")
 
 
-def _criterion_boundary() -> tuple[bool, str]:
+def _criterion_boundary() -> _Checks:
     rs = rootsys.build("A", 2)
     phi = alcove.mu_pj_restriction(rs, (3, 3), 3, 2)
     third = Fraction(1, 3)
-    if phi.values != (third, third):
-        return False, f"restriction gave {phi.values}, want (1/3, 1/3)"
-    if third != Fraction(1, rs.coxeter_number):
-        return False, "1/3 is not 1/h for A2"
-    if alcove.critical_roots(rs, phi):
-        return False, "boundary homomorphism has critical roots; window must be open"
+    yield phi.values == (third, third), f"restriction gave {phi.values}, want (1/3, 1/3)"
+    yield third == Fraction(1, rs.coxeter_number), "1/3 is not 1/h for A2"
+    yield not alcove.critical_roots(rs, phi), "boundary homomorphism has critical roots; window must be open"
     edge = {a.coords for a in alcove.boundary_roots(rs, phi)}
-    if edge != {(1, 0), (0, 1), (-1, -1)}:
-        return False, f"boundary roots {sorted(edge)} != simple roots and minus the highest root"
+    yield (edge == {(1, 0), (0, 1), (-1, -1)},
+           f"boundary roots {sorted(edge)} != simple roots and minus the highest root")
     for p in (3, 5, 7):
         rep = charp.weight_space_demo(p)
         want = FpMatrix.identity(p, p).scale(rep.witness_power_scalar)
-        if rep.witness_is_nilpotent or (rep.witness ** p) != want:
-            return False, f"p={p}: witness power identity failed"
-        if not rep.alpha_carries_cycle or rep.total_dim != p * p - 1:
-            return False, f"p={p}: weight grading malformed"
-    return True, "1/h boundary is exact and non-critical; cycle witnesses verified for p in {3,5,7}"
+        yield (not rep.witness_is_nilpotent and rep.witness ** p == want,
+               f"p={p}: witness power identity failed")
+    yield True, "1/h boundary is exact and non-critical; cycle witnesses verified for p in {3,5,7}"
 
 
-def _criterion_calculus(seed: int, trials: int) -> tuple[bool, str]:
-    checks = 0
+def _criterion_calculus(seed: int, trials: int) -> _Checks:
     for p in (3, 5, 7):
         rng = random.Random(f"{seed}:calculus:{p}")
         table = charp.bch_table(p, p - 1)
@@ -181,31 +171,26 @@ def _criterion_calculus(seed: int, trials: int) -> tuple[bool, str]:
             x = random_conjugate(rng, random_strict_upper(rng, p, n))
             u = charp.trunc_exp(x)
             logu = charp.trunc_log(u)
-            if logu != x:
-                return False, f"p={p}: log(exp(x)) != x for {x.rows}"
+            yield logu == x, f"p={p}: log(exp(x)) != x for {x.rows}"
             powers = [charp.t_power(u, t) for t in range(p)]
             for t in range(p):
                 for s in range(p):
-                    if powers[t] * powers[s] != powers[(t + s) % p]:
-                        return False, f"p={p}: u^{t} u^{s} != u^{t + s}"
+                    yield powers[t] * powers[s] == powers[(t + s) % p], f"p={p}: u^{t} u^{s} != u^{t + s}"
             for t in range(p):
-                if charp.trunc_exp(logu.scale(t)) != powers[t]:
-                    return False, f"p={p}: exp({t} log u) != u^{t}"
+                yield charp.trunc_exp(logu.scale(t)) == powers[t], f"p={p}: exp({t} log u) != u^{t}"
             g = random_invertible(rng, p, n)
             ginv = charp.inverse(g)
-            if charp.trunc_exp(g * x * ginv) != g * u * ginv:
-                return False, f"p={p}: conjugation equivariance failed"
+            yield charp.trunc_exp(g * x * ginv) == g * u * ginv, f"p={p}: conjugation equivariance failed"
             if n >= 2:
                 a = random_strict_upper(rng, p, n)
                 b = random_strict_upper(rng, p, n)
                 z = charp.bch_apply(table, a, b)
-                if charp.trunc_exp(z) != charp.trunc_exp(a) * charp.trunc_exp(b):
-                    return False, f"p={p}: exp(bch) != exp exp for {a.rows}, {b.rows}"
-            checks += 1
-    return True, f"{checks} seeded instances: round trips, power laws, equivariance, group law"
+                yield (charp.trunc_exp(z) == charp.trunc_exp(a) * charp.trunc_exp(b),
+                       f"p={p}: exp(bch) != exp exp for {a.rows}, {b.rows}")
+    yield True, f"{3 * trials} seeded instances: round trips, power laws, equivariance, group law"
 
 
-def _criterion_bch_table() -> tuple[bool, str]:
+def _criterion_bch_table() -> _Checks:
     terms = bch.bracket_terms(6)
     assoc = bch.associative_terms(6)
     for d in range(1, 7):
@@ -219,36 +204,31 @@ def _criterion_bch_table() -> tuple[bool, str]:
                     expanded[aw] = v
                 else:
                     expanded.pop(aw, None)
-        if expanded != assoc[d]:
-            return False, f"degree {d}: bracket expansion disagrees with associative series"
+        yield expanded == assoc[d], f"degree {d}: bracket expansion disagrees with associative series"
     by_deg: dict[int, dict] = {}
     for word, coeff in terms:
         by_deg.setdefault(len(word), {})[word] = coeff
-    if by_deg[2] != {(0, 1): Fraction(1, 2)}:
-        return False, f"degree 2 is {by_deg[2]}, want (1/2) [X,Y]"
+    yield by_deg[2] == {(0, 1): Fraction(1, 2)}, f"degree 2 is {by_deg[2]}, want (1/2) [X,Y]"
     # 1/12 [X,[X,Y]] + 1/12 [Y,[Y,X]] in left-nested form
     want3 = {(0, 1, 0): Fraction(-1, 12), (0, 1, 1): Fraction(1, 12)}
-    if by_deg[3] != want3:
-        return False, f"degree 3 is {by_deg[3]}, want {want3}"
+    yield by_deg[3] == want3, f"degree 3 is {by_deg[3]}, want {want3}"
     worst = bch.max_denominator_prime(6)
-    if worst >= 7:
-        return False, f"denominator prime {worst} would vanish mod 7"
-    return True, "degrees 1..6 match the associative oracle; named low-degree terms exact"
+    yield worst < 7, f"denominator prime {worst} would vanish mod 7"
+    yield True, "degrees 1..6 match the associative oracle; named low-degree terms exact"
 
 
-def _criterion_p_nilpotency() -> tuple[bool, str]:
+def _criterion_p_nilpotency() -> _Checks:
     for p in (3, 5, 7):
         for n in range(1, 10):
             jordan = FpMatrix.from_rows(
                 p, [[int(c == r + 1) for c in range(n)] for r in range(n)]
             )
-            if charp.nilpotent_p_power_check(jordan) != (p >= n):
-                return False, f"J_{n} over F_{p}: p-nilpotency != (p >= n)"
-    return True, "regular nilpotent is p-nilpotent exactly when p >= n, for n <= 9, p in {3,5,7}"
+            yield (charp.nilpotent_p_power_check(jordan) == (p >= n),
+                   f"J_{n} over F_{p}: p-nilpotency != (p >= n)")
+    yield True, "regular nilpotent is p-nilpotent exactly when p >= n, for n <= 9, p in {3,5,7}"
 
 
-def _criterion_scalar_shift_lift(seed: int, trials: int) -> tuple[bool, str]:
-    done = 0
+def _criterion_scalar_shift_lift(seed: int, trials: int) -> _Checks:
     for p in (3, 5):
         rng = random.Random(f"{seed}:lift:{p}")
         for _ in range(trials):
@@ -265,22 +245,16 @@ def _criterion_scalar_shift_lift(seed: int, trials: int) -> tuple[bool, str]:
             a = random_conjugate(rng, base)
             lifted = charp.pgl_nilpotent_lift(a)
             expected = a - FpMatrix.identity(p, p).scale(charp.det(a))
-            if lifted != expected:
-                return False, f"p={p}: lift differs from A - det(A) I"
-            if not (lifted ** p).is_zero():
-                return False, f"p={p}: lift is not nilpotent"
-            done += 1
-    return True, f"{done} seeded matrices: scalar shift by det is nilpotent"
+            yield lifted == expected, f"p={p}: lift differs from A - det(A) I"
+            yield (lifted ** p).is_zero(), f"p={p}: lift is not nilpotent"
+    yield True, f"{2 * trials} seeded matrices: scalar shift by det is nilpotent"
 
 
-def _criterion_heisenberg() -> tuple[bool, str]:
+def _criterion_heisenberg() -> _Checks:
     for p in (2, 3, 5, 7):
         rep = charp.heisenberg_module_check(p)
-        if not (rep.shift_order_ok and rep.commutator_ok and rep.spans_full_algebra):
-            return False, f"p={p}: {rep}"
-        if rep.span_dimension != p * p:
-            return False, f"p={p}: span {rep.span_dimension} != {p * p}"
-    return True, "pair generates the full matrix algebra for p in {2,3,5,7}"
+        yield rep.shift_order_ok and rep.commutator_ok and rep.spans_full_algebra, f"p={p}: {rep}"
+    yield True, "pair generates the full matrix algebra for p in {2,3,5,7}"
 
 
 # (d, m, height m(d-m), prime below or at the bound, prime above), all hand-checked
@@ -298,26 +272,23 @@ _GL_TUPLES = (
 )
 
 
-def _criterion_gl_heights() -> tuple[bool, str]:
+def _criterion_gl_heights() -> _Checks:
     for d in range(1, 11):
-        if heights.composite_gl_height((d,), (1,)) != d - 1:
-            return False, f"standard factor of dimension {d}: height != {d - 1}"
+        yield (heights.composite_gl_height((d,), (1,)) == d - 1,
+               f"standard factor of dimension {d}: height != {d - 1}")
     for d, m, want, p_low, p_high in _GL_TUPLES:
         got = heights.composite_gl_height((d,), (m,))
-        if got != want:
-            return False, f"(d,m)=({d},{m}): height {got} != {want}"
+        yield got == want, f"(d,m)=({d},{m}): height {got} != {want}"
         rs = rootsys.build("A", d - 1)
         dyn = heights.dynkin_height(rs, rootsys.fundamental_weight(rs, m)).height
-        if dyn != want:
-            return False, f"(d,m)=({d},{m}): wedge height {want} != A-type height {dyn}"
-        if p_low is not None and heights.semisimplicity_bound_ok((d,), (m,), p_low):
-            return False, f"(d,m)=({d},{m}): bound wrongly passes at p={p_low}"
-        if not heights.semisimplicity_bound_ok((d,), (m,), p_high):
-            return False, f"(d,m)=({d},{m}): bound wrongly fails at p={p_high}"
+        yield dyn == want, f"(d,m)=({d},{m}): wedge height {want} != A-type height {dyn}"
+        yield (p_low is None or not heights.semisimplicity_bound_ok((d,), (m,), p_low),
+               f"(d,m)=({d},{m}): bound wrongly passes at p={p_low}")
+        yield (heights.semisimplicity_bound_ok((d,), (m,), p_high),
+               f"(d,m)=({d},{m}): bound wrongly fails at p={p_high}")
     multi = heights.composite_gl_height((4, 3), (2, 1))
-    if multi != 6:
-        return False, f"two-factor example: {multi} != 6"
-    return True, "ten wedge tuples match m(d - m) and A-type heights; bound predicate sharp"
+    yield multi == 6, f"two-factor example: {multi} != 6"
+    yield True, "ten wedge tuples match m(d - m) and A-type heights; bound predicate sharp"
 
 
 def run_all(seed: int = DEFAULT_SEED, trials: int | None = None) -> list[CriterionResult]:
@@ -344,7 +315,9 @@ def run_all(seed: int = DEFAULT_SEED, trials: int | None = None) -> list[Criteri
     for number, name, budget, fn in plan:
         t0 = time.perf_counter()
         try:
-            ok, details = fn()
+            for ok, details in fn():
+                if not ok:
+                    break
         except Exception as exc:  # a crash is a failure, not an abort
             ok, details = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - t0

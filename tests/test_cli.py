@@ -688,6 +688,21 @@ def test_selftest_reports_each_criterion(capsys):
     assert _no_floats(out)
 
 
+def test_failing_selftest_exits_2_with_the_first_failing_label(capsys, monkeypatch):
+    via_rho = rootsys.coxeter_via_rho
+    monkeypatch.setattr(rootsys, "coxeter_via_rho", lambda rs: via_rho(rs) + 1)
+    code, out, err = run_cli(capsys, ["selftest", "--trials", "1"])
+    assert code == 2
+    assert out["result"]["all_passed"] is False
+    criteria = out["result"]["criteria"]
+    assert [c["passed"] for c in criteria] == [False] + [True] * 10
+    assert criteria[0]["details"] == "A1: routes disagree (2, 3, 2)"
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 11
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL criterion 1: coxeter-three-routes (A1: routes disagree (2, 3, 2))"]
+
+
 @pytest.mark.parametrize("argv,sub", [(["--help"], None), (["-h"], None),
                                       (["coxeter", "--help"], "coxeter"),
                                       (["basis", "--type", "A", "-h"], "basis")])
