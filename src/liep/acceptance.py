@@ -134,7 +134,7 @@ def _criterion_window_basis(seed: int, trials: int) -> _Checks:
                 values.append(Fraction(rng.randrange(den), den))
             phi = alcove.PhiHom(tuple(values))
             chosen = alcove.window_basis(rs, phi)
-            where = f"{t}{n}, phi={values}"
+            where = f"{t}{n}, phi=[{', '.join(map(str, values))}]"
             for a in alcove.critical_roots(rs, phi):
                 yield chosen.is_positive(rs, a), f"{where}: critical {a.coords} negative"
             valid = alcove.oracle_valid_bases(rs, phi)
@@ -148,7 +148,8 @@ def _criterion_boundary() -> _Checks:
     rs = rootsys.build("A", 2)
     phi = alcove.mu_pj_restriction(rs, (3, 3), 3, 2)
     third = Fraction(1, 3)
-    yield phi.values == (third, third), f"restriction gave {phi.values}, want (1/3, 1/3)"
+    yield (phi.values == (third, third),
+           f"restriction gave ({', '.join(map(str, phi.values))}), want (1/3, 1/3)")
     yield third == Fraction(1, rs.coxeter_number), "1/3 is not 1/h for A2"
     yield not alcove.critical_roots(rs, phi), "boundary homomorphism has critical roots; window must be open"
     edge = {a.coords for a in alcove.boundary_roots(rs, phi)}
@@ -253,7 +254,8 @@ def _criterion_scalar_shift_lift(seed: int, trials: int) -> _Checks:
 def _criterion_heisenberg() -> _Checks:
     for p in (2, 3, 5, 7):
         rep = charp.heisenberg_module_check(p)
-        yield rep.shift_order_ok and rep.commutator_ok and rep.spans_full_algebra, f"p={p}: {rep}"
+        false = [f for f in ("shift_order_ok", "commutator_ok", "spans_full_algebra") if not getattr(rep, f)]
+        yield not false, f"p={p}: {', '.join(false)} false"
     yield True, "pair generates the full matrix algebra for p in {2,3,5,7}"
 
 

@@ -437,8 +437,8 @@ def _scaled_values(rs: RootSystem, phi: PhiHom) -> tuple[int, list[int]]:
 
     Each positive root's value is its parent's plus k h k_i, mod h N, for root = parent +
     k alpha_i (``rs._parents``): one addition per root, not a rank-length dot product.
-    ``rs.roots`` lists the negatives after the positive roots in the same order, so
-    h N phi(-alpha) = (-h N phi(alpha)) mod h N reuses the positive root's value.
+    ``rs.roots``, whose Phi- is derived on its first read, lists the negatives in Phi+'s
+    order after it, so h N phi(-alpha) = (-h N phi(alpha)) mod h N reuses Phi+'s values.
     """
     rs._check_rank(phi.rank)
     k, den = _numerators(phi.values)
@@ -451,7 +451,7 @@ def _scaled_values(rs: RootSystem, phi: PhiHom) -> tuple[int, list[int]]:
 
 
 def critical_roots(rs: RootSystem, phi: PhiHom) -> tuple[RootVec, ...]:
-    """Roots whose phi-value lies strictly inside the window (0, 1/h)."""
+    """Roots whose phi-value lies strictly inside the window (0, 1/h); derives ``rs.roots`` once."""
     den, scaled = _scaled_values(rs, phi)
     return tuple(a for a, v in zip(rs.roots, scaled) if 0 < v < den)
 

@@ -3,12 +3,12 @@
 The Cartan matrix is read from each Dynkin diagram's list of bonds (``_DIAGRAMS``),
 the same table that decides which ranks exist.
 
-The positive roots are enumerated by closing the set of simple roots under
-height-raising simple reflections, and the negative roots are their negatives;
-no root table is hard-coded anywhere, and the classical root counts appear
-only as test oracles.  ``build`` checks at run time only what that
-construction does not guarantee: a unique highest root and |Phi| = rank * h.
-Simple roots are numbered 1..rank following Bourbaki.
+The positive roots are enumerated by closing the set of simple roots under height-raising
+simple reflections and are all that ``build`` stores: the negative roots, their negatives,
+are derived on the first read of ``RootSystem.roots``.  No root table is hard-coded
+anywhere, and the classical root counts appear only as test oracles.  ``build`` checks at
+run time only what that construction does not guarantee: a unique highest root and
+|Phi| = rank * h.  Simple roots are numbered 1..rank following Bourbaki.
 
 Conventions used throughout the package:
 
@@ -35,7 +35,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import ContractError
@@ -94,19 +94,18 @@ class WeightVec(_IntVec):
 class RootSystem:
     """Immutable catalog of one irreducible root system.
 
-    ``roots`` lists the positive roots by increasing height followed by their negatives in
-    the same order.  ``_rows[i]`` and ``_cols[i]`` list the nonzero entries ``(j, C[i][j])``
-    and ``(k, C[k][i])`` of row and column i of the Cartan matrix; ``_build`` describes
-    ``_parents``.  Type and rank alone compare and hash, so a rebuilt system hits the
-    per-system caches.
+    ``positive_roots`` lists Phi+ by increasing height, and ``_index`` maps its coordinates
+    to positions; ``roots`` appends the negatives in the same order, derived on first read
+    and not stored by ``build``.  ``_rows[i]`` and ``_cols[i]`` list the nonzero entries
+    ``(j, C[i][j])`` and ``(k, C[k][i])`` of row and column i of the Cartan matrix;
+    ``_build`` describes ``_parents``.  Type and rank alone compare and hash, so a rebuilt
+    system hits the per-system caches.
     """
 
     type_label: str
     rank: int
     cartan: tuple[tuple[int, ...], ...] = field(compare=False)
-    roots: tuple[RootVec, ...] = field(compare=False)
     positive_roots: tuple[RootVec, ...] = field(compare=False)
-    highest_root: RootVec = field(compare=False)
     marks: tuple[int, ...] = field(compare=False)
     coxeter_number: int = field(compare=False)
     _index: dict = field(compare=False, repr=False)
@@ -115,11 +114,19 @@ class RootSystem:
     _parents: tuple = field(compare=False, repr=False)
 
     def __repr__(self) -> str:  # the full field dump is unreadable
-        return f"RootSystem({self.type_label}{self.rank}, {len(self.roots)} roots)"
+        return f"RootSystem({self.type_label}{self.rank}, {2 * len(self.positive_roots)} roots)"
+
+    @cached_property
+    def roots(self) -> tuple[RootVec, ...]:
+        return self.positive_roots + tuple(-a for a in self.positive_roots)
+
+    @property
+    def highest_root(self) -> RootVec:
+        return self.positive_roots[-1]
 
     def is_root(self, v: RootVec) -> bool:
         self._check_int_coords(v.coords)
-        return v.coords in self._index
+        return v.coords in self._index or tuple(-c for c in v.coords) in self._index
 
     def reflect(self, v: RootVec, i: int) -> RootVec:
         """Apply the simple reflection ``s_i`` (1-based) to a root vector: ``v_i -= <v, alpha_i^vee>``."""
@@ -154,7 +161,7 @@ class RootSystem:
             "highest_root": list(self.highest_root.coords),
             "marks": list(self.marks),
             "coxeter_number": self.coxeter_number,
-            "root_count": len(self.roots),
+            "root_count": 2 * len(self.positive_roots),
         }
 
 
@@ -247,9 +254,9 @@ def build(type_label: str, rank: int) -> RootSystem:
 def _build(type_label: str, rank: int) -> RootSystem:
     """``build``'s cached body, for a pair that passed the gate.
 
-    The closure builds Phi+ alone, from the sparse Cartan rows, and the negative roots
-    are its negation.  So no generated vector mixes signs (each step only raises one
-    coordinate of a nonnegative vector) and the root set is closed under negation;
+    The closure builds Phi+ alone, from the sparse Cartan rows, and Phi+ alone is stored;
+    the negative roots are its negation.  So no generated vector mixes signs (each step only
+    raises one coordinate of a nonnegative vector) and the root set is closed under negation;
     neither is checked.  What the construction does not guarantee is checked at run time:
     the highest root theta, the last root of Phi+ sorted by height, is unique, which holds
     iff the root before it is lower, and |Phi| = 2 |Phi+| = rank * h (Humphreys 1990, 3.18),
@@ -273,24 +280,15 @@ def _build(type_label: str, rank: int) -> RootSystem:
     if 2 * len(found) != rank * h:
         raise ContractError(f"closure generated {2 * len(found)} roots, not rank * h = {rank * h}")
 
-    ordered = positives + [tuple(-x for x in m) for m in positives]
-    index = {m: k for k, m in enumerate(ordered)}
+    index = {m: k for k, m in enumerate(positives)}
     parents = [(-1, m.index(1), 1) for m in positives[:rank]]  # height 1 sorts first
     for m in positives[rank:]:
         i, k = found[m]
         parents.append((index[m[:i] + (m[i] - k,) + m[i + 1:]], i, k))
-    roots = tuple(RootVec(m) for m in ordered)
     return RootSystem(
-        type_label=type_label,
-        rank=rank,
-        cartan=tuple(tuple(row) for row in C),
-        roots=roots,
-        positive_roots=roots[: len(positives)],
-        highest_root=RootVec(theta),
-        marks=theta,
-        coxeter_number=h,
-        _index=index,
-        _rows=rows, _cols=cols, _parents=tuple(parents),
+        type_label=type_label, rank=rank, cartan=tuple(tuple(row) for row in C),
+        positive_roots=tuple(RootVec(m) for m in positives), marks=theta, coxeter_number=h,
+        _index=index, _rows=rows, _cols=cols, _parents=tuple(parents),
     )
 
 
@@ -323,7 +321,7 @@ def coxeter_via_element(rs: RootSystem) -> int:
     letters = range(rs.rank, 0, -1)
     start = [1] * rs.rank
     v = list(start)
-    for order in range(1, len(rs.roots) + 1):
+    for order in range(1, 2 * len(rs.positive_roots) + 1):
         if apply_letters(rs, letters, v) == start:
             return order
     raise ContractError("Coxeter element orbit exceeds |Phi|; arithmetic is broken")

@@ -72,10 +72,10 @@ WRONG_TWINS = [
     (2, rootsys, "root_height", _shifted(1), "A1: top height 2 != h - 1 = 1"),
     (3, heights, "min_nontrivial_height", _shifted(-1), "F4: minimal height 15 != 16"),
     (4, alcove, "oracle_valid_bases", lambda f: lambda rs, phi: (),
-     "A1, phi=[Fraction(10, 11)]: constructive choice not among 0 oracle bases"),
+     "A1, phi=[10/11]: constructive choice not among 0 oracle bases"),
     (5, alcove, "mu_pj_restriction",
      lambda f: lambda rs, *args: alcove.PhiHom((Fraction(0),) * rs.rank),
-     "restriction gave (Fraction(0, 1), Fraction(0, 1)), want (1/3, 1/3)"),
+     "restriction gave (0, 0), want (1/3, 1/3)"),
     (6, charp, "trunc_log", lambda f: lambda u: u,
      "p=3: log(exp(x)) != x for ((0, 2, 0), (0, 2, 1), (0, 2, 1))"),
     (7, bch, "max_denominator_prime", lambda f: lambda max_deg: 7,
@@ -85,8 +85,7 @@ WRONG_TWINS = [
     (9, charp, "pgl_nilpotent_lift", lambda f: lambda a: a, "p=3: lift differs from A - det(A) I"),
     (10, charp, "heisenberg_module_check",
      lambda f: lambda p: dataclasses.replace(f(p), spans_full_algebra=False),
-     "p=2: HeisenbergReport(p=2, shift_order_ok=True, commutator_ok=True, span_dimension=4,"
-     " spans_full_algebra=False)"),
+     "p=2: spans_full_algebra false"),
     (11, heights, "composite_gl_height", _shifted(1), "standard factor of dimension 1: height != 0"),
 ]
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -52,6 +53,21 @@ def test_roots_have_uniform_sign_and_negatives(t, n):
     for a in rs.roots:
         assert all(c >= 0 for c in a.coords) or all(c <= 0 for c in a.coords)
         assert rs.is_root(-a)
+    # Phi+ in build order, by (height, coordinates), then each positive root negated in
+    # the same order
+    pos = rs.positive_roots
+    assert list(pos) == sorted(pos, key=lambda a: (sum(a.coords), a.coords))
+    assert rs.roots == pos + tuple(RootVec(tuple(-c for c in a.coords)) for a in pos)
+    assert rs.highest_root == pos[-1] and rs.highest_root.coords == rs.marks
+    # is_root knows +-Phi and nothing else: not 0, not a mixed sign, not past a mark
+    assert all(rs.is_root(a) and rs.is_root(-a) for a in pos)
+    assert not rs.is_root(RootVec((0,) * n))
+    if n > 1:
+        assert not rs.is_root(RootVec((1, -1) + (0,) * (n - 2)))
+        assert not rs.is_root(RootVec((0,) * (n - 2) + (-1, 1)))
+    for i in range(n):
+        past = RootVec(tuple(m + (j == i) for j, m in enumerate(rs.marks)))
+        assert not rs.is_root(past) and not rs.is_root(-past)
 
 
 @pytest.mark.parametrize("t,n", ALL_TYPES)
@@ -140,8 +156,8 @@ def test_bool_float_and_non_string_arguments_are_rejected_and_leave_the_cache_cl
 def test_type_and_rank_alone_name_a_system():
     rs = rootsys.build("E", 8)
     # a rebuilt system must hit the per-system caches without its roots being compared
-    assert dataclasses.replace(rs, roots=None) == rs
-    assert hash(dataclasses.replace(rs, roots=None)) == hash(rs)
+    assert dataclasses.replace(rs, positive_roots=None) == rs
+    assert hash(dataclasses.replace(rs, positive_roots=None)) == hash(rs)
     rootsys.build.cache_clear()
     try:
         rebuilt = rootsys.build("E", 8)
@@ -150,6 +166,50 @@ def test_type_and_rank_alone_name_a_system():
         rootsys.build.cache_clear()
     assert rs != rootsys.build("E", 7) and rs != rootsys.build("A", 8)
     assert repr(rs) == "RootSystem(E8, 240 roots)"
+
+
+PER_SYSTEM_CACHES = (rootsys._build, rootsys._dominant_coroots, rootsys._two_rho_coroot, alcove._affine)
+
+
+@pytest.mark.parametrize("t,n", [("A", 12), ("B", 8), ("E", 8)])
+def test_closure_free_paths_never_derive_the_negative_roots(t, n, capsys):
+    # every per-system cache starts empty, so each path below runs on the fresh system
+    for cache in PER_SYSTEM_CACHES:
+        cache.cache_clear()
+    try:
+        rs = rootsys.build(t, n)
+        rng = random.Random(f"phi-free:{t}{n}")
+        point = alcove.CoweightPoint(tuple(Fraction(rng.randrange(-50, 100), 37) for _ in range(n)))
+        paths = [
+            lambda: rootsys.coxeter_via_marks(rs),
+            lambda: rootsys.coxeter_via_rho(rs),
+            lambda: rootsys.coxeter_via_element(rs),
+            lambda: heights.dynkin_height(rs, rootsys.fundamental_weight(rs, n)),
+            lambda: heights.min_nontrivial_height(rs),
+            lambda: alcove.reduce_to_alcove(rs, point),
+            lambda: rootsys.is_good_prime(rs, 7),
+        ]
+        for k, path in enumerate(paths):
+            path()
+            assert "roots" not in vars(rs), k
+        system = ["--type", t, "--rank", str(n)]
+        for argv in (["coxeter", *system], ["minheight", *system],
+                     ["height", *system, "--weight", ",".join(["1"] * n)],
+                     ["goodprime", *system, "--p", "7"],
+                     ["reduce", *system, "--point=" + ",".join(map(str, point.values))]):
+            assert cli.main(argv) == 0
+            assert "roots" not in vars(rs), argv[0]
+        capsys.readouterr()
+        # positive controls: the window roots and `liep roots` read Phi and derive it once
+        assert alcove.critical_roots(rs, alcove.PhiHom((Fraction(0),) * n)) == ()
+        assert "roots" in vars(rs)
+        rootsys.build.cache_clear()
+        fresh = rootsys.build(t, n)
+        assert cli.main(["roots", *system]) == 0 and "roots" in vars(fresh)
+        assert fresh.roots is fresh.roots
+    finally:
+        for cache in PER_SYSTEM_CACHES:
+            cache.cache_clear()
 
 
 def _branch_ladder_cartan(type_label, rank):
