@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["ContractError"]
+
 
 class ContractError(ValueError):
     """Raised when input data violates a documented mathematical precondition.

@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,14 +27,89 @@ def test_star_import_resolves_every_export(name):
 
 
 def test_package_imports_only_exported_names():
-    tree = ast.parse(Path(liep.__file__).read_text())
-    imported = [(node.module, alias.name) for node in tree.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names if node.module]
-    assert imported
-    for module_name, name in imported:
+    assert liep._EXPORTS
+    for module_name, names in liep._EXPORTS.items():
         module = importlib.import_module(f"liep.{module_name}")
-        assert getattr(liep, name) is getattr(module, name)
-        assert name in getattr(module, "__all__", (name,)), f"liep.{module_name} does not export {name!r}"
+        for name in names:
+            assert getattr(liep, name) is getattr(module, name)
+            assert name in module.__all__, f"liep.{module_name} does not export {name!r}"
+    exported = [name for names in liep._EXPORTS.values() for name in names]
+    assert len(liep.__all__) == len(set(liep.__all__))
+    assert set(liep.__all__) == {*exported, *liep._SUBMODULES}
+
+
+# Every attribute of ``import liep`` when the package imported its submodules eagerly.
+PACKAGE_ATTRIBUTES = (
+    "BasisChoice BchTable ContractError CoweightPoint FpMatrix HeightReport HeisenbergReport "
+    "ParabolicDegrees PhiHom ReductionTranscript RootSystem RootVec WeightGradingReport WeightVec "
+    "WindowReport alcove bch bch_apply bch_table boundary_roots build charp composite_gl_height "
+    "coxeter_via_element coxeter_via_marks coxeter_via_rho critical_roots cyclic_shift_matrix "
+    "dynkin_height errors fundamental_weight heights heisenberg_module_check is_good_prime lift "
+    "min_nontrivial_height mu_pj_restriction nilpotent_p_power_check oracle_valid_bases "
+    "parabolic_degrees pgl_nilpotent_lift primes reduce_to_alcove root_height rootsys same_basis "
+    "semisimplicity_bound_ok t_power trunc_exp trunc_log weight_space_demo window_basis "
+    "window_basis_report"
+).split()
+
+
+def test_every_former_package_attribute_still_resolves():
+    assert len(PACKAGE_ATTRIBUTES) == 53
+    assert set(PACKAGE_ATTRIBUTES) == set(liep.__all__)
+    for name in PACKAGE_ATTRIBUTES:
+        assert getattr(liep, name) is not None
+    for name in liep._SUBMODULES:
+        assert getattr(liep, name) is sys.modules[f"liep.{name}"]
+    assert liep.__version__ == "0.1.0"
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from liep import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(liep.__all__)
+    for name in liep.__all__:
+        assert namespace[name] is getattr(liep, name)
+
+
+def test_dir_lists_every_exported_name():
+    assert set(liep.__all__) <= set(dir(liep))
+    assert "__version__" in dir(liep)
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        liep.no_such_name
+
+
+def test_a_name_reads_its_submodule_as_it_stands_now(monkeypatch):
+    from liep import rootsys
+
+    original = rootsys.build
+
+    def patched(*args):
+        return original(*args)
+
+    monkeypatch.setattr(rootsys, "build", patched)
+    assert liep.build is patched
+    monkeypatch.undo()
+    assert liep.build is original
+    assert "build" not in vars(liep)
+
+
+def _loaded_after(module):
+    """The liep modules loaded by ``import module`` in a fresh interpreter (tier-1 has loaded them all)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = f"import sys, {module}; print(*(k for k in sys.modules if k == 'liep' or k.startswith('liep.')))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_each_submodule_loads_on_first_use_in_a_fresh_interpreter():
+    assert _loaded_after("liep") == {"liep"}
+    assert _loaded_after("liep.charp") == {"liep", "liep.bch", "liep.charp", "liep.errors", "liep.primes"}
+    for weyl in ("liep.alcove", "liep.heights"):
+        loaded = _loaded_after(weyl)
+        assert weyl in loaded and not loaded & {"liep.charp", "liep.bch"}, loaded
 
 
 def test_package_imports_only_the_standard_library():
