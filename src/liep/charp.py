@@ -564,14 +564,18 @@ def heisenberg_module_check(p: int) -> HeisenbergReport:
 def _algebra_dimension(gens: list[FpMatrix]) -> int:
     """Dimension of the unital algebra the generators generate: the span of all their words.
 
-    Every word is ((1 . g_1) . g_2) ... g_k, so closing {1} under m -> m . g
-    alone reaches that span, which is then stable under products on both
-    sides.  Matrices are held sparse, as {row . n + col: x} over their nonzero
-    entries, and m . g is formed from g's row lists.  Each independent
-    product is kept in a pivot dict, lead -> {index: x}, lead = min(vec): the
-    flat index orders entries as (row, col) pairs would, at the cost of one
-    int per key.  Every S^a . D^b of the Heisenberg pair has at most p
-    nonzeros, so a product or an elimination step costs O(p).
+    Elimination starts from 1, and each element it finds independent is
+    stored as an echelon row r_k = c . (m_k - sum_{j<k} a_j r_j), so
+    span{r_1..r_k} = span{m_1..m_k}; the products r_k . g of that row by
+    every generator g are queued in turn.  When the queue is empty, V =
+    span{r} holds 1 and V . g lies in V for every g, so V holds every word
+    ((1 . g_1) . g_2) ... g_k and is the unital algebra, which is then stable
+    under products on both sides.  Matrices are held sparse, as {row . n +
+    col: x} over their nonzero entries, and r . g is formed from g's row
+    lists.  The rows are kept in a pivot dict, lead -> {index: x}, lead =
+    min(vec): the flat index orders entries as (row, col) pairs would, at the
+    cost of one int per key.  Every S^a . D^b of the Heisenberg pair has at
+    most p nonzeros, so a product or an elimination step costs O(p).
     """
     p, n = gens[0].p, gens[0].n
     row_lists = []  # per generator: row k -> [(c - k, x)], so (r, k) . (k, c) lands at i + c - k
@@ -590,28 +594,31 @@ def _algebra_dimension(gens: list[FpMatrix]) -> int:
                 acc[i + step] = acc.get(i + step, 0) + x * y
         return {j: x % p for j, x in acc.items() if x % p}
 
-    echelon: dict[int, dict] = {}  # lead -> reduced sparse vector
+    # lead -> reduced sparse vector; a stored row is never modified, since
+    # elimination writes only to the incoming vector and products read the row
+    echelon: dict[int, dict] = {}
 
-    def independent(vec: dict) -> bool:
+    def reduced(vec: dict) -> dict:
+        """The echelon row stored for vec, or vec emptied if it is dependent."""
         while vec:
             lead = min(vec)
             row = echelon.get(lead)
             if row is None:
                 inv = pow(vec[lead], -1, p)
-                echelon[lead] = {i: x * inv % p for i, x in vec.items()}
-                return True
+                row = echelon[lead] = {i: x * inv % p for i, x in vec.items()}
+                return row
             f = vec[lead]
             for i, y in row.items():
                 vec[i] = (vec.get(i, 0) - f * y) % p
                 if not vec[i]:
                     del vec[i]
-        return False
+        return vec
 
     queue = deque([{i * (n + 1): 1 for i in range(n)}])
     while queue:
-        m = queue.popleft()
-        if independent(dict(m)):
-            queue.extend(product(m, by_row) for by_row in row_lists)
+        row = reduced(queue.popleft())
+        if row:
+            queue.extend(product(row, by_row) for by_row in row_lists)
     return len(echelon)
 
 

@@ -95,10 +95,12 @@ def test_a_name_reads_its_submodule_as_it_stands_now(monkeypatch):
     assert "build" not in vars(liep)
 
 
-def _loaded_after(module):
-    """The liep modules loaded by ``import module`` in a fresh interpreter (tier-1 has loaded them all)."""
+def _loaded_after(module, then=""):
+    """The liep modules loaded by ``import module`` and then the statement ``then`` in a fresh
+    interpreter (tier-1 has loaded them all)."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = f"import sys, {module}; print(*(k for k in sys.modules if k == 'liep' or k.startswith('liep.')))"
+    code = (f"import sys, {module}\n{then}\n"
+            "print(*(k for k in sys.modules if k == 'liep' or k.startswith('liep.')))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True)
     return set(out.stdout.split())
@@ -110,6 +112,12 @@ def test_each_submodule_loads_on_first_use_in_a_fresh_interpreter():
     for weyl in ("liep.alcove", "liep.heights"):
         loaded = _loaded_after(weyl)
         assert weyl in loaded and not loaded & {"liep.charp", "liep.bch"}, loaded
+    # the CLI loads the self-test only when its subcommand runs
+    assert "liep.acceptance" not in _loaded_after("liep.cli")
+    selftest = ("import contextlib, io\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert liep.cli.main(['selftest', '--trials', '1']) == 0")
+    assert "liep.acceptance" in _loaded_after("liep.cli", selftest)
 
 
 def test_package_imports_only_the_standard_library():
