@@ -73,6 +73,10 @@ __all__ = [
 ]
 
 def _as_fraction(x) -> Fraction:
+    """``x`` as an exact ``Fraction``: a ``Fraction`` itself is returned unchanged, a
+    subclass becomes a plain one, and floats and bools are rejected."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise ValueError("floating-point input rejected; pass Fraction, int, or 'a/b' string")
     if isinstance(x, bool):

@@ -10,19 +10,22 @@ external dependencies.
 
 Every linear combination of matrices (sums, differences and scalings) is
 formed by ``_combination``, which sums on plain ints and reduces mod p
-once.  Every matrix product (``*``, the series' powers and the group law's
-brackets) is formed by ``_products``, which takes the left factor as rows
-of residues and the right factor as rows packed into single ints, so an
-entry costs one bigint multiply-add; the packed sums are reduced mod p once
-per slot.  ``bch_apply`` stays on packed rows from start to finish: it
-packs x and y once, forms each bracket [h, t] = ht - th as the one product
-(h | -t) . (t ; h), keeps only the rows that can be non-zero, and sums the
-table's terms on packed rows before reducing once.  The series stay on
-packed rows too: ``_series`` packs its base nil once, forms each power as
-one product of the power before it with nil, unpacks that once for the
-zero test and the next product, adds c_k times the unreduced product to
-one packed total, and reduces once, at the end.  It keeps no power past
-the next one: nothing is cached per input.  ``trunc_exp``, ``trunc_log``
+once.  Every matrix product (``*`` and the series' powers) is formed by
+``_products``, which takes the left factor as rows of residues and the
+right factor as rows packed into single ints, so an entry costs one bigint
+multiply-add; the packed sums are reduced mod p once per slot.
+``bch_apply`` stays on packed rows from start to finish, and on each
+value's non-zero triangle: a bracket of k letters is carried as row i <
+n - k from column i + k on.  It packs x and y once, forms each row of a
+bracket [h, t] = ht - th with ``_bracket`` as two dot products of sliced
+rows, and adds c times each unreduced bracket to one packed total, which
+it reduces once.  Only a bracket that another extends is unpacked, once;
+a leaf bracket never is.  The series stay on packed rows too: ``_series``
+packs its base nil once, forms each power as one product of the power
+before it with nil, unpacks that once for the zero test and the next
+product, adds c_k times the unreduced product to one packed total, and
+reduces once, at the end.  It keeps no power past the next one: nothing
+is cached per input.  ``trunc_exp``, ``trunc_log``
 and ``t_power`` each pass their p coefficients; ``_series`` reads at most
 min(n, p) of them and stops at the first zero power, so a series costs the
 nilpotency index of its n x n argument less one in products, and a
@@ -286,10 +289,7 @@ def _products(left, right) -> list[int]:
     ``left`` holds rows of residues and ``right`` the packed rows of the other
     factor, so each entry costs one bigint multiply-add and nothing is
     reduced; the caller sizes the slots with ``_slots`` and unpacks.  ``*``
-    passes two n x n factors, and each bracket of ``bch_apply`` the n x 2n
-    block row (head | -tail) and the 2n x n block column (tail ; head).  A
-    ``right`` with fewer rows than ``left`` has columns stands for a factor
-    whose later rows are 0.
+    and each power of ``_series`` pass two n x n factors.
     """
     return [sum(map(mul, row, right)) for row in left]
 
@@ -409,6 +409,27 @@ def _fraction_mod(f: Fraction, p: int) -> int:
     return (f.numerator % p) * pow(den, -1, p) % p
 
 
+def _bracket(head, tail, k: int) -> list[int]:
+    """The packed rows of the k-letter bracket [head, tail], unreduced, on its non-zero triangle.
+
+    A value of j letters, strictly upper x and y and their left-nested
+    brackets, is 0 below its j-th superdiagonal, so it is carried as row i <
+    n - j from column i + j on: ``head`` as those rows of residues and the
+    same rows packed, column c in slot c; ``tail``, a letter, as its rows of
+    -tail's residues from column i + 1 and its packed rows.  Row i < n - k of
+    head . tail + (-tail) . head is then two dot products: head's row, from
+    column i + k - 1, against tail's packed rows from row i + k - 1, and
+    -tail's row, from column i + 1, against head's packed rows from row i + 1.
+    Each sums at most n products of two residues, so a slot holds at most
+    2n (p - 1)^2, and a product of columns past a factor's last row is 0 and
+    is cut by ``map``.
+    """
+    rows, packed = head
+    neg, tail_packed = tail
+    return [sum(map(mul, rows[i], tail_packed[i + k - 1:])) + sum(map(mul, neg[i], packed[i + 1:]))
+            for i in range(len(rows) - 1)]
+
+
 def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
     """Evaluate the tabulated group law on a strictly upper triangular pair.
 
@@ -416,16 +437,22 @@ def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
     vanish, so the truncation at table.max_degree >= n - 1 is exact and
     exp(result) = exp(x) exp(y) on the nose.
 
-    Each value is carried in the two forms a product reads: its rows of
-    residues, for the left factor, and its packed rows, for the right.  x
-    and y are packed once, and their rows negated once, so a bracket
-    [head, tail] = head . tail + (-tail) . head is the one ``_products``
-    call (head | -tail) . (tail ; head), made once per distinct prefix.  A
-    bracket of k letters is 0 below its k-th superdiagonal, so it is formed,
-    unpacked and repacked only on its first n - k rows.  The table's terms
-    are summed as c . packed rows and unpacked once.  A bracket's slot sums
-    at most 2n products of two residues and the final one a product per
-    term, so the slots hold max(2n, terms) . (p - 1)^2.
+    Only the T terms whose words are shorter than n and whose coefficients
+    are non-zero mod p are read.  Each bracket is one ``_bracket`` call on
+    its non-zero triangle, made once per distinct prefix of those words, and
+    c times its unreduced packed rows goes straight into one packed total,
+    which is unpacked once, at the end.  A word that is the prefix of
+    another is unpacked to residues and repacked once, when the first
+    bracket that extends it is formed; a leaf, the prefix of none, never is.
+
+    The slots hold the total.  Each c is reduced into [1, p).  A slot of a
+    letter's term is at most (p - 1)^2, and of a bracket's term at most
+    (p - 1) . 2n (p - 1)^2, as ``_bracket`` sums at most 2n products of two
+    residues.  So a slot of the total is at most 2n T (p - 1)^3, the width
+    that ``_slots(p, n, 2n T (p - 1))`` gives, which also holds a bracket
+    before it is unpacked, and no slot carries into the next.  T is 0 at n =
+    1, where no word is read; the width is taken at T = 1 then, as a width
+    of 0 bits would leave no slots.
     """
     if x.p != table.p or y.p != table.p or x.n != y.n:
         raise ValueError("operands must share the table's characteristic and one size")
@@ -442,33 +469,37 @@ def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
         )
     p, n = x.p, x.n
     # words of n or more letters are exact zeros at this size
-    coeffs = [(_fraction_mod(c, p), word) for word, c in table.terms if len(word) < n]
-    shifts, mask = _slots(p, n, max(2 * n, len(coeffs)))
-    values = {}  # word -> its rows and its packed rows
-    tails = {}  # letter -> its negated rows and its packed rows
+    coeffs = [(c, word) for word, f in table.terms if len(word) < n and (c := _fraction_mod(f, p))]
+    shifts, mask = _slots(p, n, 2 * n * max(len(coeffs), 1) * (p - 1))
+    heads = {}  # word -> its rows from column i + len(word) and its packed rows, reduced
+    tails = {}  # letter -> its negated rows from column i + 1 and its packed rows
     for letter, m in enumerate((x, y)):
-        packed = _packed(m.rows, shifts)
-        values[(letter,)] = m.rows, packed
-        tails[letter] = [tuple([-v % p for v in row]) for row in m.rows], packed
+        rows = [row[i + 1:] for i, row in enumerate(m.rows[:-1])]
+        packed = _packed(m.rows[:-1], shifts)
+        heads[(letter,)] = rows, packed
+        tails[letter] = [tuple([-v % p for v in row]) for row in rows], packed
+    formed = {}  # word -> its bracket's packed rows, unreduced
 
-    def value(word: tuple[int, ...]):
-        got = values.get(word)
+    def head(word: tuple[int, ...]):
+        got = heads.get(word)
         if got is None:
-            head, head_packed = value(word[:-1])
-            tail, tail_packed = tails[word[-1]]
-            # [head, tail] = (head | -tail) . (tail ; head), 0 from row n - len(word) on
-            left = [h + t for h, t in zip(head, tail[:n - len(word)])]
-            acc = _products(left, tail_packed + head_packed)
-            rows = _unpacked(p, acc, shifts, mask)
-            got = values[word] = rows, _packed(rows, shifts)
+            k = len(word)
+            acc = formed.get(word) or _bracket(head(word[:-1]), tails[word[-1]], k)
+            rows = [tuple([(a >> s & mask) % p for s in shifts[i + k:]]) for i, a in enumerate(acc)]
+            got = heads[word] = rows, [sum(map(lshift, r, shifts[i + k:])) for i, r in enumerate(rows)]
         return got
 
-    total = [0] * n
+    total = [0] * (n - 1)
     for c, word in coeffs:
-        if c:
-            for i, q in enumerate(value(word)[1]):
-                total[i] += c * q
-    return FpMatrix(p, n, _unpacked(p, total, shifts, mask))
+        if len(word) == 1:
+            acc = heads[word][1]
+        else:
+            acc = formed[word] = _bracket(head(word[:-1]), tails[word[-1]], len(word))
+        for i, a in enumerate(acc):
+            total[i] += c * a
+    zero = (0,) * n
+    return FpMatrix(p, n, tuple([zero[:i + 1] + tuple([(t >> s & mask) % p for s in shifts[i + 1:]])
+                                 for i, t in enumerate(total)]) + (zero,))
 
 
 def nilpotent_p_power_check(x: FpMatrix) -> bool:

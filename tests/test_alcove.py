@@ -41,6 +41,20 @@ def test_a_bool_value_is_rejected_by_name(make, bad):
     assert str(excinfo.value) == f"boolean input {bad!r} rejected; pass Fraction, int, or 'a/b' string"
 
 
+def test_an_exact_value_is_kept_and_a_fraction_subclass_becomes_a_plain_fraction():
+    class Tagged(F):
+        pass
+
+    third = F(1, 3)
+    point = CoweightPoint((third, Tagged(-5, 2), 4))
+    assert point.values[0] is third
+    assert point.values == (F(1, 3), F(-5, 2), F(4))
+    assert all(type(v) is F for v in point.values)
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match="rejected; pass Fraction, int, or 'a/b' string"):
+            CoweightPoint((third, bad))
+
+
 def test_phi_value_on_roots():
     rs = rootsys.build("A", 2)
     phi = PhiHom((F(1, 9), F(1, 9)))

@@ -46,8 +46,8 @@ def _count_calls(monkeypatch, name):
 
 @pytest.fixture
 def mul_count(monkeypatch):
-    """A one-element list counting every matrix product made from here on: ``*``, each
-    power of a series and each bracket of bch_apply is one ``_products`` call."""
+    """A one-element list counting every matrix product made from here on: ``*`` and
+    each power of a series is one ``_products`` call."""
     return _count_calls(monkeypatch, "_products")
 
 
@@ -187,12 +187,6 @@ def test_products_match_the_per_entry_twin():
                 for b in drawn:
                     got = a * b
                     assert got == _entry_product(a, b) and _canonical(got)
-                    # [a, b] = (a | -b) . (b ; a), as bch_apply forms its brackets
-                    shifts, mask = charp._slots(p, n, 2 * n)
-                    left = [ra + tuple(-v % p for v in rb) for ra, rb in zip(a.rows, b.rows)]
-                    acc = charp._products(left, charp._packed(b.rows + a.rows, shifts))
-                    got = FpMatrix(p, n, charp._unpacked(p, acc, shifts, mask))
-                    assert got == _two_product_bracket(a, b) and _canonical(got)
 
 
 # --- determinant, inverse, exterior traces ---------------------------------
@@ -714,34 +708,42 @@ def test_bch_apply_matches_the_two_product_twin():
 
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 5), (7, 7), (11, 11), (13, 13), (101, 8)])
 def test_bch_apply_fills_the_widest_slot(p, n):
-    # at n = p the table of degree n - 1 is the largest there is; from p = 7 on it
-    # has more than 2n terms, so the slot of the final sum must hold more than a
-    # bracket's 2n . (p - 1)^2.  x is p - 1 above the diagonal.  With p - 1 on the
-    # superdiagonal it commutes, as both are polynomials in the shift, so every
-    # bracket vanishes.  With a drawn strictly upper y the final slots reach about
-    # 60,000 at p = 13, past the 4,095 that a width for 2n . (p - 1)^2 leaves.
+    # the slot bound 2n T (p - 1)^3 is largest at n = p, where the table of degree
+    # n - 1 is the largest there is and every word is read, and x puts the largest
+    # residue, p - 1, on every strictly upper entry.  With p - 1 on the superdiagonal
+    # x commutes, as both are polynomials in the shift, so every bracket vanishes.
+    # The final sum adds c times each unreduced bracket: with a drawn strictly upper
+    # y its slots reach about 1.6 million at p = 13, past the 4,095 that a width for
+    # a bracket's 2n . (p - 1)^2 leaves.  y's entries 1 or p - 1 make -y's p - 1 or
+    # 1, so both products of a bracket meet large residues.
     table = charp.bch_table(p, n - 1)
     x = FpMatrix.from_rows(p, [[p - 1 if c > r else 0 for c in range(n)] for r in range(n)])
     shift = FpMatrix.from_rows(p, [[p - 1 if c == r + 1 else 0 for c in range(n)]
                                    for r in range(n)])
     assert charp.bch_apply(table, x, shift) == x + shift
-    y = random_strict_upper(random.Random(f"widest-slot-{p}"), p, n)
+    rng = random.Random(f"widest-slot-{p}")
+    y = random_strict_upper(rng, p, n)
     got = charp.bch_apply(table, x, y)
     assert got == _two_product_bch(table, x, y) and _canonical(got)
+    ys = [FpMatrix.from_rows(p, [[rng.choice((1, p - 1)) if c > r else 0 for c in range(n)]
+                                 for r in range(n)]) for _ in range(3)]
+    for y in [y] + ys:
+        assert charp.bch_apply(table, x, y) == charp.trunc_log(charp.trunc_exp(x) * charp.trunc_exp(y))
 
 
-def test_bch_apply_forms_each_bracket_prefix_once(mul_count):
-    # one packed sum per left-nested bracket: per distinct prefix, of length 2 or
-    # more, of a word that is shorter than n and whose coefficient is non-zero mod p
+def test_bch_apply_forms_each_bracket_prefix_once(monkeypatch):
+    # one ``_bracket`` call per left-nested bracket: per distinct prefix, of length 2
+    # or more, of a word that is shorter than n and whose coefficient is non-zero mod p
+    brackets = _count_calls(monkeypatch, "_bracket")
     rng = random.Random("bch-work")
     for p in (3, 5, 7, 13):
         table = charp.bch_table(p, min(p - 1, 10))
         for n in range(2, min(p, 11) + 1):
             words = [w for w, c in table.terms if len(w) < n and c.numerator % p]
             prefixes = {w[:k] for w in words for k in range(2, len(w) + 1)}
-            mul_count[0] = 0
+            brackets[0] = 0
             charp.bch_apply(table, random_strict_upper(rng, p, n), random_strict_upper(rng, p, n))
-            assert mul_count[0] == len(prefixes)
+            assert brackets[0] == len(prefixes)
     # at p = 13, four words of length 10 have coefficients that vanish mod 13
     assert len([w for w, c in table.terms if c.numerator % 13 == 0]) == 4
 

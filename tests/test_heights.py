@@ -6,6 +6,8 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liep import heights, rootsys
 from liep.errors import ContractError
@@ -332,3 +334,39 @@ def test_antidominant_descent_matches_the_rescanning_twin(t, n):
     weights += [WeightVec((1,) * n)] + [fundamental_weight(rs, i) for i in range(1, n + 1)]
     for lam in weights:
         assert heights.antidominant_conjugate(rs, lam) == _descent_twin(rs, lam)
+
+
+_TO_RANK_12 = ([("A", n) for n in range(1, 13)] + [(t, n) for t in "BC" for n in range(2, 13)]
+               + [("D", n) for n in range(4, 13)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@st.composite
+def _dominant(draw):
+    """A system of rank <= 12 and a dominant weight on it, regular in about half the cases."""
+    kind, n = draw(st.sampled_from(_TO_RANK_12))
+    low = draw(st.sampled_from((0, 1)))
+    return kind, n, tuple(draw(st.lists(st.integers(low, 40), min_size=n, max_size=n)))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(case=_dominant())
+def test_a_height_makes_at_most_one_reflection_per_positive_root(case):
+    # counted on every descent that dynkin_height and antidominant_conjugate walk; a
+    # regular weight descends by w0, whose length |Phi+| meets the bound
+    kind, n, coords = case
+    rs = rootsys.build(kind, n)
+    walk, made = heights._walk, []
+
+    def counted(*args):
+        letters, steps = walk(*args)
+        made.append(len(letters))
+        return letters, steps
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heights, "_walk", counted)
+        heights.dynkin_height(rs, WeightVec(coords))
+        heights.antidominant_conjugate(rs, WeightVec(coords))
+    bound = len(rs.positive_roots)
+    assert len(made) == 2 and all(m <= bound for m in made)
+    if min(coords) > 0:
+        assert made == [bound, bound]

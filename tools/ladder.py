@@ -49,10 +49,14 @@ def phi(rank):
     return ",".join(f"{rng.randrange(1000)}/1000" for _ in range(rank))
 
 
-def upper(seed):
-    """A seeded 13x13 strictly upper triangular matrix over F_13, as JSON."""
+def upper(seed=None):
+    """A seeded 13x13 strictly upper triangular matrix over F_13, as JSON; with no seed, every strictly upper entry is 12."""
     rng = random.Random(seed)
-    return json.dumps([[rng.randrange(13) if c > r else 0 for c in range(13)] for r in range(13)])
+    return json.dumps([[(12 if seed is None else rng.randrange(13)) if c > r else 0 for c in range(13)] for r in range(13)])
+
+
+# bch's applied z against log(exp x . exp y), its x, y and z read back from the report
+BCH_APPLIED = 'import json, sys; from liep import charp; a = json.load(sys.stdin)["result"]["applied"]; x, y, z = (charp.FpMatrix.from_rows(13, a[k]["matrix"]) for k in "xyz"); assert z == charp.trunc_log(charp.trunc_exp(x) * charp.trunc_exp(y)), a'
 
 
 ROWS = [
@@ -80,7 +84,9 @@ ROWS = [
     Row("goodprime 10^18+3", 10, cli("goodprime --type A --rank 1 --p 1000000000000000003"), ('import json, sys; r = json.load(sys.stdin); assert r["result"]["good"] is True, r',)),
     *(Row(f"{op} 1000003", 5, cli(f"{op} --p 1000003 --matrix {m}"), ('import json, sys; r = json.load(sys.stdin); assert r["result"]["output"]["matrix"] == json.loads(sys.argv[1]), r', want)) for op, m, want in (("exp", "[[0,1],[0,0]]", "[[1,1],[0,1]]"), ("log", "[[1,1],[0,1]]", "[[0,1],[0,0]]"))),
     Row("exp 1000003 not nilpotent", 5, cli("exp --p 1000003 --matrix [[1,0],[0,0]]"), ('import json, sys; r = json.load(sys.stdin); assert r["error"]["message"] == "matrix power p does not vanish", r',), code=2),
-    Row("bch apply 13 degree 12", 10, cli("bch --p 13 --degree 12 --x", upper(1), "--y", upper(2)), ('import json, sys; from liep import charp; a = json.load(sys.stdin)["result"]["applied"]; x, y, z = (charp.FpMatrix.from_rows(13, a[k]["matrix"]) for k in "xyz"); assert z == charp.trunc_log(charp.trunc_exp(x) * charp.trunc_exp(y)), a',)),
+    Row("bch apply 13 degree 12", 10, cli("bch --p 13 --degree 12 --x", upper(1), "--y", upper(2)), (BCH_APPLIED,)),
+    # x at every residue's largest, the slot bound's worst case; y is drawn, since y = x would make every bracket 0
+    Row("bch apply 13 degree 12, x all 12", 10, cli("bch --p 13 --degree 12 --x", upper(), "--y", upper(2)), (BCH_APPLIED,)),
     Row("bch table 17 degree 14", 3, cli("bch --p 17 --degree 14"), ('import json, sys; r = json.load(sys.stdin)["result"]; t = {tuple(e["word"]): e["coefficient"] for e in r["terms"]}; assert len(t) == 7373 and t[(0, 1)] == "1/2" and t[(0, 1, 0)] == "-1/12" and t[(0, 1, 1)] == "1/12", (len(t), [t.get(w) for w in ((0, 1), (0, 1, 0), (0, 1, 1))])',)),
     Row("pgl-lift 31", 10, cli("pgl-lift --p 31 --matrix", json.dumps([[1 + 2 * (i == j) for j in range(31)] for i in range(31)])), ('import json, sys; r = json.load(sys.stdin); assert r["result"]["det"] == 2, r',)),
 ]
