@@ -37,7 +37,7 @@ replays its word: the walked point carries (rho^vee, -theta(rho^vee)) packed bes
 so the walk ends with w_acc(rho^vee), and the transcript keeps the reduced word walked
 back from it.  The recomposition (the start moved forward once) and the window check
 each cost l(w) letter steps.  theta's word, spliced into ``weyl_word`` at each s_0,
-comes with ``_affine``, off the closure's table ``RootSystem._parents``.
+comes with ``RootSystem._affine``, off the closure's table ``RootSystem._parents``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Iterable
 
 from .errors import ContractError
 from .primes import require_int, require_prime
-from .rootsys import RootSystem, RootVec, _dominant_coroots, _walk, apply_letters, simple_reflection_matrix
+from .rootsys import RootSystem, RootVec, _walk, apply_letters, simple_reflection_matrix
 
 __all__ = [
     "PhiHom",
@@ -218,37 +218,13 @@ def _rho_dual(rs: RootSystem, word: tuple[int, ...]) -> list[int]:
     return apply_letters(rs, reversed(word), [1] * rs.rank)
 
 
-@lru_cache(maxsize=None)
-def _affine(rs: RootSystem) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
-    """The extended Cartan matrix's rows, alpha_0 = 1 - theta as node ``rank``, theta^vee's
-    values on the simple roots, and a word for s_theta, the linear part of s_0.
-    s_i moves a_0 by <theta, alpha_i^vee> y_i and s_0 moves y_j by <alpha_j, theta^vee> a_0
-    (Kac, Infinite-Dimensional Lie Algebras, 6.1).  s_b = s_i s_{s_i(b)} s_i for the
-    parent s_i(b) that ``rs._parents`` records for b, so theta's word, spelled by following
-    the parents from b = theta down to a simple root, is a palindrome.
-    """
-    n, marks = rs.rank, rs.marks
-    rows = []
-    for row in rs._rows:
-        k = sum(c * marks[j] for j, c in row)
-        rows.append(row + ((n, -k),) if k else row)
-    tvec = _dominant_coroots(rs)[0][1]
-    rows.append(tuple((j, -t) for j, t in enumerate(tvec) if t) + ((n, 2),))
-    up, (parent, i, _) = [], rs._parents[-1]  # theta is the last positive root
-    while parent >= 0:
-        up.append(i + 1)
-        parent, i, _ = rs._parents[parent]
-    theta_word = (*up, i + 1, *reversed(up))
-    return tuple(rows), tvec, theta_word
-
-
 def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoint, ReductionTranscript]:
     """Move a point into the closed fundamental alcove, recording each generator.
 
     Points far outside the unit box are first translated by an integer vector of the
     coweight lattice.  The alcove is the dominant chamber of the affine Weyl group
     W_a = W x Q^vee, and the point (y, a_0 = 1 - theta(y)) moves on the rows of
-    ``_affine``.  Each phase is one ``_walk`` on the simple rows alone, which reflects
+    ``rs._affine``.  Each phase is one ``_walk`` on the simple rows alone, which reflects
     in the lowest violated wall ``y_i = 0`` until y is dominant, at most |Phi+| steps,
     and moves a_0 along.  Then a_0 >= 0 ends the reduction; theta(y) >= 3 takes one
     ``("translate", t)`` step by the coroot t = -k theta^vee, k = floor(theta(y) / 2),
@@ -269,11 +245,11 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     (z + h) mod 2h - h.  ``_reduced`` walks w_acc(rho^vee) back to a reduced word; the
     recomposition check moves the start forward once through it, l(w_acc) <= |Phi+|
     letter steps, and asks that it differ from the reduced point by a coweight.
-    ``weyl_word`` splices theta's word from ``_affine`` in at each ``s_0``.
+    ``weyl_word`` splices theta's word from ``rs._affine`` in at each ``s_0``.
     """
     rs._check_rank(len(point.values))
     n, h = rs.rank, rs.coxeter_number
-    lines, theta_dual, theta_word = _affine(rs)
+    lines, theta_dual, theta_word = rs._affine
     simple, s0 = lines[:n], lines[n]
 
     start, den = _numerators(point.values)
@@ -478,7 +454,10 @@ def _matmul(a, b) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _chambers(rs: RootSystem) -> tuple[tuple[tuple[int, ...], frozenset], ...]:
     """Breadth-first enumeration of the Weyl group: (shortlex-minimal word, positive roots),
-    each chamber listed as the search pops its matrix w, with positive roots w(Phi+)."""
+    each chamber listed as the search pops its matrix w, with positive roots w(Phi+).
+
+    The one module-level cache keyed by a system, kept apart from ``RootSystem``'s cached
+    properties as the oracle is a separate code path; it only sees rank <= 3."""
     n = rs.rank
     ident = _identity(n)
     gens = [simple_reflection_matrix(rs, i) for i in range(1, n + 1)]

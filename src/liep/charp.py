@@ -13,23 +13,12 @@ formed by ``_combination``, which sums on plain ints and reduces mod p
 once.  Every matrix product (``*`` and the series' powers) is formed by
 ``_products``, which takes the left factor as rows of residues and the
 right factor as rows packed into single ints, so an entry costs one bigint
-multiply-add; the packed sums are reduced mod p once per slot.
-``bch_apply`` stays on packed rows from start to finish, and on each
-value's non-zero triangle: a bracket of k letters is carried as row i <
-n - k from column i + k on.  It packs x and y once, forms each row of a
-bracket [h, t] = ht - th with ``_bracket`` as two dot products of sliced
-rows, and adds c times each unreduced bracket to one packed total, which
-it reduces once.  Only a bracket that another extends is unpacked, once;
-a leaf bracket never is.  The series stay on packed rows too: ``_series``
-packs its base nil once, forms each power as one product of the power
-before it with nil, unpacks that once for the zero test and the next
-product, adds c_k times the unreduced product to one packed total, and
-reduces once, at the end.  It keeps no power past the next one: nothing
-is cached per input.  ``trunc_exp``, ``trunc_log``
-and ``t_power`` each pass their p coefficients; ``_series`` reads at most
-min(n, p) of them and stops at the first zero power, so a series costs the
-nilpotency index of its n x n argument less one in products, and a
-contract failure at most min(n, p) - 1, never p.
+multiply-add.  The packing rule: each packed sum gets slots that ``_slots``
+makes wide enough for its largest unreduced value, so no slot carries into
+the next and each slot is reduced mod p once, when it is unpacked.
+``_series`` (behind ``trunc_exp``, ``trunc_log`` and ``t_power``) and
+``bch_apply`` each add every term unreduced to one packed total under that
+rule; their docstrings give the terms they read and the widths they take.
 """
 
 from __future__ import annotations

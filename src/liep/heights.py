@@ -10,7 +10,7 @@ The greedy descent to that conjugate is the package's one dominance walk,
 ``rootsys._walk``, on the sparse Cartan columns: at most |Phi+| reflections,
 each costing O(degree) and subtracting a known multiple of one simple root, so
 the walk itself records the difference's root coordinates.  It reads no 2 rho^vee,
-which ``rootsys._two_rho_coroot`` checks once per system where it walks it; a
+which ``RootSystem._two_rho_coroot`` checks once per system where it walks it; a
 height costs O(|Phi+| + rank * degree) at any rank.
 """
 
@@ -21,7 +21,7 @@ from operator import mul
 
 from .errors import ContractError
 from .primes import require_int, require_prime
-from .rootsys import RootSystem, WeightVec, _two_rho_coroot, _walk, fundamental_weight
+from .rootsys import RootSystem, WeightVec, _walk, fundamental_weight
 
 __all__ = [
     "HeightReport",
@@ -81,7 +81,7 @@ def dynkin_height(rs: RootSystem, weight: WeightVec) -> HeightReport:
     rs._check_int_coords(weight.coords)
     if not weight.is_dominant():
         raise ContractError(f"weight {weight.coords} is not dominant")
-    two_rho = _two_rho_coroot(rs)
+    two_rho = rs._two_rho_coroot
     via_pairing = sum(map(mul, weight.coords, two_rho))
 
     low, steps = _descend(rs, weight)

@@ -20,8 +20,10 @@ Conventions used throughout the package:
   ``WeightVec`` holds integer coordinates over the fundamental weights.
   No floating point is used anywhere, and C is never inverted.
 * No coroot is carried through the closure: theta^vee, the highest coroot
-  (``_dominant_coroots``) and 2 rho^vee (``_two_rho_coroot``, checked once, where
-  it is walked, to pair to 2 with every simple root) are walks on the Cartan rows.
+  (``RootSystem._dominant_coroots``) and 2 rho^vee (``RootSystem._two_rho_coroot``,
+  checked once, where it is walked, to pair to 2 with every simple root) are walks on
+  the Cartan rows.  They and the affine rows (``RootSystem._affine``) are cached
+  properties, computed once per instance and freed with it.
 * A word acts through ``apply_letters`` alone, one simple reflection at a
   time, on a coweight point held as a plain integer list of its values on
   the simple roots; roots are read through ``alpha(w y) = (w^-1 alpha)(y)``,
@@ -98,8 +100,8 @@ class RootSystem:
     to positions; ``roots`` appends the negatives in the same order, derived on first read
     and not stored by ``build``.  ``_rows[i]`` and ``_cols[i]`` list the nonzero entries
     ``(j, C[i][j])`` and ``(k, C[k][i])`` of row and column i of the Cartan matrix;
-    ``_build`` describes ``_parents``.  Type and rank alone compare and hash, so a rebuilt
-    system hits the per-system caches.
+    ``_build`` describes ``_parents``.  Type and rank alone compare and hash; each derived
+    fact is a cached property of the instance, so a ``dataclasses.replace`` copy starts with none.
     """
 
     type_label: str
@@ -119,6 +121,62 @@ class RootSystem:
     @cached_property
     def roots(self) -> tuple[RootVec, ...]:
         return self.positive_roots + tuple(-a for a in self.positive_roots)
+
+    @cached_property
+    def _dominant_coroots(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The dominant coroots by height, each as (coordinates over the simple coroots,
+        values on the simple roots): theta^vee, then the highest coroot unless they are one.
+
+        ``_walk`` on the rows carries row i of C, alpha_i^vee's values, to the dominant end of
+        its W-orbit, e_i + steps.  Each of the one or two coroot orbits (one per root length)
+        has one dominant element (Bourbaki, Lie Groups and Lie Algebras, VI 1.8).
+        """
+        found = set()
+        for i, row in enumerate(self.cartan):
+            z = list(row)
+            _, steps = _walk(self._rows, z, len(self.positive_roots),
+                             "coroot walk exceeded the number of positive roots")
+            steps[i] += 1
+            found.add((tuple(steps), tuple(z)))
+        return tuple(sorted(found, key=lambda cz: sum(cz[0])))
+
+    @cached_property
+    def _two_rho_coroot(self) -> tuple[int, ...]:
+        """2 rho^vee, the sum of the positive coroots, over the simple coroots.
+
+        ``_walk`` on the rows from -rho^vee = (-1, ..., -1) ends at w_0(-rho^vee) = rho^vee in
+        |Phi+| = l(w_0) reflections (Humphreys 1990, 1.8), so its steps are 2 rho^vee.  It moves
+        z by C^T steps, so z_j ends at -1 + <alpha_j, 2 rho^vee>: the end (1, ..., 1) says that
+        every simple root pairs to 2 with 2 rho^vee.  Anything else is an arithmetic bug.
+        """
+        npos, z, message = len(self.positive_roots), [-1] * self.rank, "walk from -rho^vee did not reach rho^vee"
+        letters, steps = _walk(self._rows, z, npos, message)
+        if len(letters) != npos or z != [1] * self.rank:
+            raise ContractError(message)
+        return tuple(steps)
+
+    @cached_property
+    def _affine(self) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+        """The extended Cartan matrix's rows, alpha_0 = 1 - theta as node ``rank``, theta^vee's
+        values on the simple roots, and a word for s_theta, the linear part of s_0.
+        s_i moves a_0 by <theta, alpha_i^vee> y_i and s_0 moves y_j by <alpha_j, theta^vee> a_0
+        (Kac, Infinite-Dimensional Lie Algebras, 6.1).  s_b = s_i s_{s_i(b)} s_i for the
+        parent s_i(b) that ``_parents`` records for b, so theta's word, spelled by following
+        the parents from b = theta down to a simple root, is a palindrome.
+        """
+        n, marks = self.rank, self.marks
+        rows = []
+        for row in self._rows:
+            k = sum(c * marks[j] for j, c in row)
+            rows.append(row + ((n, -k),) if k else row)
+        tvec = self._dominant_coroots[0][1]
+        rows.append(tuple((j, -t) for j, t in enumerate(tvec) if t) + ((n, 2),))
+        up, (parent, i, _) = [], self._parents[-1]  # theta is the last positive root
+        while parent >= 0:
+            up.append(i + 1)
+            parent, i, _ = self._parents[parent]
+        theta_word = (*up, i + 1, *reversed(up))
+        return tuple(rows), tvec, theta_word
 
     @property
     def highest_root(self) -> RootVec:
@@ -307,7 +365,7 @@ def coxeter_via_rho(rs: RootSystem) -> int:
     ``_dominant_coroots``, a walk on the Cartan rows that never reads the closure, and
     ``rho`` pairs with a coroot by summing its coordinates over the simple coroots.
     """
-    return 1 + sum(_dominant_coroots(rs)[-1][0])
+    return 1 + sum(rs._dominant_coroots[-1][0])
 
 
 def coxeter_via_element(rs: RootSystem) -> int:
@@ -333,7 +391,7 @@ def _walk(lines: tuple, z: list[int], cap: int, message: str,
 
     ``lines[i]`` lists the nonzero ``(j, c)``, sorted by j, of the reflection at i, which
     moves ``z_j -= c z_i``: ``rs._rows`` for a coweight point (``c = C[i][j]``), ``rs._cols``
-    for a weight (``c = C[j][i]``), or the simple rows of ``alcove._affine``, which move
+    for a weight (``c = C[j][i]``), or the simple rows of ``rs._affine``, which move
     the a_0 slot past the last line as well.  Returns the 1-based letters, first applied
     first, and ``steps``, where ``steps[i]`` sums ``-z_i`` over the reflections at i.
     Each reflection leaves one fewer positive root negative on the first ``len(lines)``
@@ -364,41 +422,6 @@ def _walk(lines: tuple, z: list[int], cap: int, message: str,
         letters.append(i + 1)
         steps[i] -= x
         i = lines[i][0][0]
-
-
-@lru_cache(maxsize=None)
-def _dominant_coroots(rs: RootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The dominant coroots by height, each as (coordinates over the simple coroots,
-    values on the simple roots): theta^vee, then the highest coroot unless they are one.
-
-    ``_walk`` on the rows carries row i of C, alpha_i^vee's values, to the dominant end of
-    its W-orbit, e_i + steps.  Each of the one or two coroot orbits (one per root length)
-    has one dominant element (Bourbaki, Lie Groups and Lie Algebras, VI 1.8).
-    """
-    found = set()
-    for i, row in enumerate(rs.cartan):
-        z = list(row)
-        _, steps = _walk(rs._rows, z, len(rs.positive_roots),
-                         "coroot walk exceeded the number of positive roots")
-        steps[i] += 1
-        found.add((tuple(steps), tuple(z)))
-    return tuple(sorted(found, key=lambda cz: sum(cz[0])))
-
-
-@lru_cache(maxsize=None)
-def _two_rho_coroot(rs: RootSystem) -> tuple[int, ...]:
-    """2 rho^vee, the sum of the positive coroots, over the simple coroots.
-
-    ``_walk`` on the rows from -rho^vee = (-1, ..., -1) ends at w_0(-rho^vee) = rho^vee in
-    |Phi+| = l(w_0) reflections (Humphreys 1990, 1.8), so its steps are 2 rho^vee.  It moves
-    z by C^T steps, so z_j ends at -1 + <alpha_j, 2 rho^vee>: the end (1, ..., 1) says that
-    every simple root pairs to 2 with 2 rho^vee.  Anything else is an arithmetic bug.
-    """
-    npos, z, message = len(rs.positive_roots), [-1] * rs.rank, "walk from -rho^vee did not reach rho^vee"
-    letters, steps = _walk(rs._rows, z, npos, message)
-    if len(letters) != npos or z != [1] * rs.rank:
-        raise ContractError(message)
-    return tuple(steps)
 
 
 def simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:

@@ -1,9 +1,11 @@
 """Root systems generated by reflection closure, checked against classical data."""
 
 import dataclasses
+import gc
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 from operator import mul
 
@@ -155,7 +157,7 @@ def test_bool_float_and_non_string_arguments_are_rejected_and_leave_the_cache_cl
 
 def test_type_and_rank_alone_name_a_system():
     rs = rootsys.build("E", 8)
-    # a rebuilt system must hit the per-system caches without its roots being compared
+    # type and rank alone compare and hash, so the oracle's chamber cache answers a rebuilt system
     assert dataclasses.replace(rs, positive_roots=None) == rs
     assert hash(dataclasses.replace(rs, positive_roots=None)) == hash(rs)
     rootsys.build.cache_clear()
@@ -168,14 +170,10 @@ def test_type_and_rank_alone_name_a_system():
     assert repr(rs) == "RootSystem(E8, 240 roots)"
 
 
-PER_SYSTEM_CACHES = (rootsys._build, rootsys._dominant_coroots, rootsys._two_rho_coroot, alcove._affine)
-
-
 @pytest.mark.parametrize("t,n", [("A", 12), ("B", 8), ("E", 8)])
 def test_closure_free_paths_never_derive_the_negative_roots(t, n, capsys):
-    # every per-system cache starts empty, so each path below runs on the fresh system
-    for cache in PER_SYSTEM_CACHES:
-        cache.cache_clear()
+    # a fresh system holds no derived fact, so each path below runs on it from scratch
+    rootsys.build.cache_clear()
     try:
         rs = rootsys.build(t, n)
         rng = random.Random(f"phi-free:{t}{n}")
@@ -208,8 +206,51 @@ def test_closure_free_paths_never_derive_the_negative_roots(t, n, capsys):
         assert cli.main(["roots", *system]) == 0 and "roots" in vars(fresh)
         assert fresh.roots is fresh.roots
     finally:
-        for cache in PER_SYSTEM_CACHES:
-            cache.cache_clear()
+        rootsys.build.cache_clear()
+
+
+def _run_every_system_path(t, n):
+    """Build a fresh (t, n) system, run every path that derives a fact of it, and return a
+    weakref to it with the names of the facts it holds."""
+    rs = rootsys.build(t, n)
+    rng = random.Random(f"released:{t}{n}")
+    phi = alcove.PhiHom(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(n)))
+    assert rootsys.coxeter_via_marks(rs) == rootsys.coxeter_via_rho(rs) == rootsys.coxeter_via_element(rs)
+    heights.dynkin_height(rs, rootsys.fundamental_weight(rs, 1))
+    heights.min_nontrivial_height(rs)
+    alcove.reduce_to_alcove(rs, alcove.lift(phi))
+    alcove.window_basis_report(rs, phi)
+    alcove.critical_roots(rs, phi)
+    alcove.boundary_roots(rs, phi)
+    return weakref.ref(rs), set(vars(rs))
+
+
+@pytest.mark.parametrize("t,n", [("A", 9), ("C", 5), ("G", 2)])
+def test_build_cache_clear_releases_a_system_and_every_fact_derived_from_it(t, n):
+    rootsys.build.cache_clear()
+    try:
+        ref, facts = _run_every_system_path(t, n)
+        assert {"_dominant_coroots", "_two_rho_coroot", "_affine", "roots"} <= facts
+        assert ref() is not None  # build's cache holds it
+        rootsys.build.cache_clear()
+        gc.collect()
+        assert ref() is None
+    finally:
+        rootsys.build.cache_clear()
+
+
+@pytest.mark.parametrize("t,n", [("A", 3), ("B", 3), ("G", 2)])
+def test_a_same_label_copy_with_broken_rows_derives_its_own_facts(t, n):
+    # doubled links make the group infinite, so every walk on the copy's rows runs past its cap
+    rs = rootsys.build(t, n)
+    rs._two_rho_coroot, rs._dominant_coroots, rs._affine  # the original's facts, read first
+    broken = _rows_with(rs, lambda i, j, c: 2 * c if i != j else c)
+    assert broken == rs and hash(broken) == hash(rs)
+    with pytest.raises(ContractError, match="walk from -rho\\^vee did not reach rho\\^vee"):
+        broken._two_rho_coroot
+    for fact in ("_dominant_coroots", "_affine"):
+        with pytest.raises(ContractError, match="coroot walk exceeded the number of positive roots"):
+            getattr(broken, fact)
 
 
 def _branch_ladder_cartan(type_label, rank):
@@ -411,7 +452,7 @@ def test_weight_root_conversion_round_trip():
 def test_coroot_pairings():
     for t, n in [("B", 3), ("C", 3), ("G", 2), ("F", 4)]:
         rs = rootsys.build(t, n)
-        walked = rootsys._dominant_coroots(rs)
+        walked = rs._dominant_coroots
         # each walk result's values on the simple roots are C^T times its coordinates
         for c, z in walked:
             assert list(z) == [sum(rs.cartan[k][j] * c[k] for k in range(n)) for j in range(n)]
@@ -422,9 +463,9 @@ def test_coroot_pairings():
 def test_highest_coroot_differs_from_theta_coroot_outside_simply_laced():
     # in type C the dual system is type B, so the highest coroot is not theta's
     rs = rootsys.build("C", 3)
-    theta_dual, high = rootsys._dominant_coroots(rs)
+    theta_dual, high = rs._dominant_coroots
     assert sum(high[0]) > sum(theta_dual[0])
-    assert len(rootsys._dominant_coroots(rootsys.build("E", 6))) == 1
+    assert len(rootsys.build("E", 6)._dominant_coroots) == 1
 
 
 def test_serialization_schema():
@@ -529,8 +570,8 @@ def test_sparse_closure_matches_dense_closure(t, n):
     negatives = {m: c for m, c in dense.items() if min(m) < 0}
     assert negatives == {tuple(-x for x in m): tuple(-x for x in c) for m, c in positive.items()}
     assert {a.coords for a in rs.roots} == set(dense)
-    assert rootsys._two_rho_coroot(rs) == tuple(map(sum, zip(*positive.values())))
-    walked = [c for c, _ in rootsys._dominant_coroots(rs)]
+    assert rs._two_rho_coroot == tuple(map(sum, zip(*positive.values())))
+    walked = [c for c, _ in rs._dominant_coroots]
     assert walked[0] == positive[rs.marks]
     assert walked[-1] == max(positive.values(), key=sum)
 
@@ -723,11 +764,11 @@ def test_is_root_and_root_height_reject_a_vector_of_the_wrong_length():
             rootsys.root_height(rs, RootVec(coords))
 
 
-def _rows_with(rs, label, entry):
-    """A copy of ``rs`` under a new label, so no cache entry of ``rs`` answers for it,
-    whose sparse rows hold ``entry(i, j, c)`` in place of each Cartan entry ``c = C[i][j]``."""
+def _rows_with(rs, entry):
+    """A copy of ``rs``, with no derived fact cached, whose sparse rows hold ``entry(i, j, c)``
+    in place of each Cartan entry ``c = C[i][j]``."""
     rows = tuple(tuple((j, entry(i, j, c)) for j, c in row) for i, row in enumerate(rs._rows))
-    return dataclasses.replace(rs, type_label=label, _rows=rows)
+    return dataclasses.replace(rs, _rows=rows)
 
 
 @pytest.mark.parametrize("t,n,entry", [
@@ -738,9 +779,9 @@ def _rows_with(rs, label, entry):
 ], ids=["wrong-end", "too-few-letters", "past-the-cap", "positive-links"])
 def test_two_rho_coroot_rejects_rows_that_disagree_with_the_cartan_data(t, n, entry):
     rs = rootsys.build(t, n)
-    assert rootsys._two_rho_coroot(rs) == rootsys._two_rho_coroot(_rows_with(rs, f"{t}-copy", lambda i, j, c: c))
+    assert rs._two_rho_coroot == _rows_with(rs, lambda i, j, c: c)._two_rho_coroot
     with pytest.raises(ContractError, match="walk from -rho\\^vee did not reach rho\\^vee"):
-        rootsys._two_rho_coroot(_rows_with(rs, f"{t}-broken", entry))
+        _rows_with(rs, entry)._two_rho_coroot
 
 
 def test_vectors_share_one_base_but_never_compare_equal():

@@ -59,8 +59,17 @@ def upper(seed=None):
 BCH_APPLIED = 'import json, sys; from liep import charp; a = json.load(sys.stdin)["result"]["applied"]; x, y, z = (charp.FpMatrix.from_rows(13, a[k]["matrix"]) for k in "xyz"); assert z == charp.trunc_log(charp.trunc_exp(x) * charp.trunc_exp(y)), a'
 
 
+ONE_OBJECT = 'import json, sys; assert isinstance(json.load(sys.stdin), dict)'
+# each submodule loads on first use: import liep.charp loads only the characteristic-p modules, and a Weyl call loads no alcove code
+LAZY = 'import sys, liep.charp, liep; loaded = lambda: {k for k in sys.modules if k == "liep" or k.startswith("liep.")}; assert loaded() == {"liep", "liep.bch", "liep.charp", "liep.errors", "liep.primes"}, loaded(); liep.build("A", 2); assert "liep.alcove" not in loaded(), loaded()'
+
+
 ROWS = [
-    Row("selftest seed 1", 120, ("-W", "error", *cli("selftest --seed 1")), ('import json, sys; assert isinstance(json.load(sys.stdin), dict)',)),
+    Row("lazy submodule imports", 10, ("-W", "error", "-c", LAZY)),
+    # the entry point: exit 0, stdout one JSON object, and -W error turns any warning from the package into a failure
+    Row("liep --help", 120, ("-W", "error", *cli("--help")), (ONE_OBJECT,)),
+    Row("selftest", 120, ("-W", "error", *cli("selftest")), (ONE_OBJECT,)),
+    Row("selftest seed 1", 120, ("-W", "error", *cli("selftest --seed 1")), (ONE_OBJECT,)),
     Row("coxeter A120", 30, cli("coxeter --type A --rank 120"), ('import json, sys; r = json.load(sys.stdin); assert r["result"]["h"] == 121, r',)),
     Row("no Φ⁻ on the Coxeter path at A200 (in process)", 30, ("-c", 'import random, resource; from fractions import Fraction; from liep import alcove, heights, rootsys; rs = rootsys.build("A", 200); rng = random.Random(1); point = alcove.CoweightPoint(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(200))); assert rootsys.coxeter_via_marks(rs) == rootsys.coxeter_via_rho(rs) == rootsys.coxeter_via_element(rs) == 201; assert heights.min_nontrivial_height(rs) == 200; alcove.reduce_to_alcove(rs, point); peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; assert "roots" not in vars(rs) and peak < 80 * 1024, ("roots" in vars(rs), peak)')),
     *(Row(f"coxeter {t}100", 10, cli(f"coxeter --type {t} --rank 100"), ('import json, sys; r = json.load(sys.stdin)["result"]; assert r["h"] == r["via_rho"] == 200, r',)) for t in "BC"),
