@@ -412,34 +412,43 @@ def window_basis(rs: RootSystem, phi: PhiHom) -> BasisChoice:
     return window_basis_report(rs, phi).basis
 
 
-def _scaled_values(rs: RootSystem, phi: PhiHom) -> tuple[int, list[int]]:
-    """N and ``h * N * phi(alpha)`` per root, with phi(alpha) = (sum_i alpha_i k_i mod N) / N.
+def _window(rs: RootSystem, phi: PhiHom, edge: bool) -> tuple[RootVec, ...]:
+    """The roots alpha with lo <= v <= hi for v = h N phi(alpha) mod h N, in the order of
+    ``rs.roots``: (lo, hi) = (1, N - 1) for the open window, (N, N) for its ``edge``.
 
-    Each positive root's value is its parent's plus k h k_i, mod h N, for root = parent +
-    k alpha_i (``rs._parents``): one addition per root, not a rank-length dot product.
-    ``rs.roots``, whose Phi- is derived on its first read, lists the negatives in Phi+'s
-    order after it, so h N phi(-alpha) = (-h N phi(alpha)) mod h N reuses Phi+'s values.
+    phi(alpha) = (sum_i alpha_i k_i mod N) / N, and each positive root's v is its parent's
+    plus k h k_i, mod h N, for root = parent + k alpha_i (``rs._parents``): one addition per
+    root.  -alpha has value h N - v, or 0 when v = 0, which neither range holds, so it is a
+    hit when h N - hi <= v <= h N - lo.  The two signs are tested apart: at h = 2 the ranges
+    meet, and A1 at phi = 1/2 has both alpha and -alpha on the edge.  Phi+'s hits come
+    first, then Phi-'s, each in Phi+'s order, and only the negatives returned are formed.
     """
     rs._check_rank(phi.rank)
     k, den = _numerators(phi.values)
     h = rs.coxeter_number
     hk, hden = [h * x for x in k], h * den
-    pos: list[int] = []
-    for parent, i, step in rs._parents:
-        pos.append(((pos[parent] if parent >= 0 else 0) + step * hk[i]) % hden)
-    return den, pos + [-v % hden for v in pos]
+    lo, hi = (den, den) if edge else (1, den - 1)
+    neg_lo, neg_hi = hden - hi, hden - lo
+    values: list[int] = []
+    pos, neg = [], []  # the hits of each sign
+    for alpha, (parent, i, step) in zip(rs.positive_roots, rs._parents):
+        v = ((values[parent] if parent >= 0 else 0) + step * hk[i]) % hden
+        values.append(v)
+        if lo <= v <= hi:
+            pos.append(alpha)
+        if neg_lo <= v <= neg_hi:
+            neg.append(-alpha)
+    return tuple(pos + neg)
 
 
 def critical_roots(rs: RootSystem, phi: PhiHom) -> tuple[RootVec, ...]:
-    """Roots whose phi-value lies strictly inside the window (0, 1/h); derives ``rs.roots`` once."""
-    den, scaled = _scaled_values(rs, phi)
-    return tuple(a for a, v in zip(rs.roots, scaled) if 0 < v < den)
+    """Roots whose phi-value lies strictly inside the window (0, 1/h): one pass over Phi+."""
+    return _window(rs, phi, edge=False)
 
 
 def boundary_roots(rs: RootSystem, phi: PhiHom) -> tuple[RootVec, ...]:
     """Roots whose phi-value equals 1/h exactly (near misses of the window)."""
-    den, scaled = _scaled_values(rs, phi)
-    return tuple(a for a, v in zip(rs.roots, scaled) if v == den)
+    return _window(rs, phi, edge=True)
 
 
 def _identity(n: int) -> tuple[tuple[int, ...], ...]:

@@ -145,7 +145,10 @@ def _cmd_coxeter(args):
 
 def _cmd_roots(args):
     rs = _system(args)
-    return rs.to_json_dict(), [
+    result = {"type": rs.type_label, "rank": rs.rank, "cartan_matrix": rs.cartan,
+              "positive_roots": rs.positive_roots, "roots": rs.roots, "highest_root": rs.highest_root,
+              "marks": rs.marks, "coxeter_number": rs.coxeter_number, "root_count": len(rs.roots)}
+    return result, [
         "roots generated by reflection closure",
         "root count equals rank * h",
         "unique highest root",

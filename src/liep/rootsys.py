@@ -5,10 +5,11 @@ the same table that decides which ranks exist.
 
 The positive roots are enumerated by closing the set of simple roots under height-raising
 simple reflections and are all that ``build`` stores: the negative roots, their negatives,
-are derived on the first read of ``RootSystem.roots``.  No root table is hard-coded
-anywhere, and the classical root counts appear only as test oracles.  ``build`` checks at
-run time only what that construction does not guarantee: a unique highest root and
-|Phi| = rank * h.  Simple roots are numbered 1..rank following Bourbaki.
+are derived on the first read of ``RootSystem.roots``, which only ``liep roots``, self-test
+criterion 2 and a direct read make; the window roots negate only their hits.  No root table
+is hard-coded anywhere, and the classical root counts appear only as test oracles.
+``build`` checks at run time only what that construction does not guarantee: a unique
+highest root and |Phi| = rank * h.  Simple roots are numbered 1..rank following Bourbaki.
 
 Conventions used throughout the package:
 
@@ -98,10 +99,11 @@ class RootSystem:
 
     ``positive_roots`` lists Phi+ by increasing height, and ``_index`` maps its coordinates
     to positions; ``roots`` appends the negatives in the same order, derived on first read
-    and not stored by ``build``.  ``_rows[i]`` and ``_cols[i]`` list the nonzero entries
-    ``(j, C[i][j])`` and ``(k, C[k][i])`` of row and column i of the Cartan matrix;
-    ``_build`` describes ``_parents``.  Type and rank alone compare and hash; each derived
-    fact is a cached property of the instance, so a ``dataclasses.replace`` copy starts with none.
+    (by ``liep roots``, self-test criterion 2 or a caller) and not stored by ``build``.
+    ``_rows[i]`` and ``_cols[i]`` list the nonzero entries ``(j, C[i][j])`` and
+    ``(k, C[k][i])`` of row and column i of the Cartan matrix; ``_build`` describes
+    ``_parents``.  Type and rank alone compare and hash; each derived fact is a cached
+    property of the instance, so a ``dataclasses.replace`` copy starts with none.
     """
 
     type_label: str
@@ -207,20 +209,6 @@ class RootSystem:
     def _check_simple_index(self, i: int) -> None:
         if not is_int(i) or not 1 <= i <= self.rank:
             raise ValueError(f"{i!r} is not a simple-root index in 1..{self.rank}")
-
-    def to_json_dict(self) -> dict:
-        """Stable JSON-ready description (coordinates over the simple roots)."""
-        return {
-            "type": self.type_label,
-            "rank": self.rank,
-            "cartan_matrix": [list(row) for row in self.cartan],
-            "positive_roots": [list(a.coords) for a in self.positive_roots],
-            "roots": [list(a.coords) for a in self.roots],
-            "highest_root": list(self.highest_root.coords),
-            "marks": list(self.marks),
-            "coxeter_number": self.coxeter_number,
-            "root_count": 2 * len(self.positive_roots),
-        }
 
 
 def _chain(n: int, start: int = 0) -> list[tuple[int, int, int, int]]:

@@ -402,6 +402,92 @@ def test_integer_window_tests_match_fraction_route(t, n):
     assert seen_critical and seen_boundary
 
 
+def test_window_edge_holds_both_signs_when_the_ranges_meet():
+    # at h = 2 the edge ranges coincide, so alpha and -alpha are both on it
+    a1 = rootsys.build("A", 1)
+    alpha = rootsys.RootVec((1,))
+    assert alcove.boundary_roots(a1, PhiHom((F(1, 2),))) == (alpha, -alpha)
+    assert alcove.critical_roots(a1, PhiHom((F(1, 2),))) == ()
+    assert alcove.critical_roots(a1, PhiHom((F(1, 3),))) == (alpha,)
+    assert alcove.critical_roots(a1, PhiHom((F(2, 3),))) == (-alpha,)
+    # B2 (h = 4): alpha_1 on the edge, and alpha_2 and alpha_1 + 2 alpha_2 at 3/4 put their negatives on it
+    b2 = rootsys.build("B", 2)
+    assert alcove.boundary_roots(b2, PhiHom((F(1, 4), F(3, 4)))) == tuple(
+        rootsys.RootVec(c) for c in ((1, 0), (0, -1), (-1, -2)))
+
+
+@pytest.mark.parametrize("t,n", [("B", 2), ("G", 2)])
+def test_window_roots_at_every_value_k_over_hN(t, n):
+    rs = rootsys.build(t, n)
+    h = rs.coxeter_number
+    signs = set()
+    for den in (1, 2, 3):
+        for k1 in range(h * den):
+            for k2 in range(h * den):
+                phi = PhiHom((F(k1, h * den), F(k2, h * den)))
+                values = [phi.value_of(a) for a in rs.roots]
+                assert alcove.critical_roots(rs, phi) == tuple(
+                    a for a, v in zip(rs.roots, values) if 0 < v < F(1, h))
+                bnd = alcove.boundary_roots(rs, phi)
+                assert bnd == tuple(a for a, v in zip(rs.roots, values) if v == F(1, h))
+                signs |= {sum(a.coords) > 0 for a in bnd}
+    assert signs == {True, False}
+
+
+def _zip_route(rs, phi):
+    """The window and edge roots by the route the one pass over Phi+ replaced: h N phi(alpha)
+    for Phi+ by parents, Phi-'s values negated mod h N, zipped with ``rs.roots``."""
+    k, den = alcove._numerators(phi.values)
+    h = rs.coxeter_number
+    hden = h * den
+    pos = []
+    for parent, i, step in rs._parents:
+        pos.append(((pos[parent] if parent >= 0 else 0) + step * h * k[i]) % hden)
+    scaled = pos + [-v % hden for v in pos]
+    return (tuple(a for a, v in zip(rs.roots, scaled) if 0 < v < den),
+            tuple(a for a, v in zip(rs.roots, scaled) if v == den))
+
+
+def _edge_phi(rs, rng):
+    """A phi with one drawn root alpha (alpha_i = 1) at u / N next to an edge of either sign:
+    N is h M or h M +- 1 and u one of M - 1, M, M + 1 or their complements N - u."""
+    n, h = rs.rank, rs.coxeter_number
+    alpha = rng.choice([a for a in rs.positive_roots if 1 in a.coords])
+    i = rng.choice([j for j, c in enumerate(alpha.coords) if c == 1])
+    m = rng.randrange(1, 6)
+    den = h * m + rng.choice((-1, 0, 1))
+    u = rng.choice((m - 1, m, m + 1))
+    u = den - u if rng.random() < 0.5 else u
+    values = [F(rng.randrange(den), den) for _ in range(n)]
+    values[i] = F(u, den) - sum(c * v for j, (c, v) in enumerate(zip(alpha.coords, values)) if j != i)
+    return PhiHom(tuple(values))
+
+
+WINDOW_TWINS = ([("A", n) for n in range(1, 13)] + [(t, n) for t in "BC" for n in range(2, 9)]
+                + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("t,n", WINDOW_TWINS)
+def test_one_pass_window_matches_the_zip_route(t, n):
+    rs = rootsys.build(t, n)
+    h = rs.coxeter_number
+    rng = random.Random(f"twin-zip:{t}{n}")
+    drawn = [PhiHom(tuple(F(rng.randrange(d), d) for d in (rng.choice((2, h, 3 * h, 97)),) * n))
+             for _ in range(20)]
+    drawn += [alcove.mu_pj_restriction(rs, tuple(rng.randrange(-9, 10) for _ in range(n)),
+                                       rng.choice((2, 3, 5, 7)), rng.randint(1, 2)) for _ in range(20)]
+    drawn += [_edge_phi(rs, rng) for _ in range(60)]
+    hits = [0, 0, 0, 0]  # positive and negative window roots, positive and negative edge roots
+    for phi in drawn:
+        crit, bnd = _zip_route(rs, phi)
+        assert alcove.critical_roots(rs, phi) == crit
+        assert alcove.boundary_roots(rs, phi) == bnd
+        for k, roots in enumerate((crit, bnd)):
+            hits[2 * k] += sum(sum(a.coords) > 0 for a in roots)
+            hits[2 * k + 1] += sum(sum(a.coords) < 0 for a in roots)
+    assert all(hits), hits
+
+
 @pytest.mark.parametrize("t,n", TWINS)
 def test_dual_vector_positivity_matches_is_positive(t, n):
     rs = rootsys.build(t, n)

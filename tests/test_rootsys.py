@@ -170,7 +170,7 @@ def test_type_and_rank_alone_name_a_system():
     assert repr(rs) == "RootSystem(E8, 240 roots)"
 
 
-@pytest.mark.parametrize("t,n", [("A", 12), ("B", 8), ("E", 8)])
+@pytest.mark.parametrize("t,n", [("A", 12), ("B", 8), ("E", 8), ("G", 2)])
 def test_closure_free_paths_never_derive_the_negative_roots(t, n, capsys):
     # a fresh system holds no derived fact, so each path below runs on it from scratch
     rootsys.build.cache_clear()
@@ -178,6 +178,9 @@ def test_closure_free_paths_never_derive_the_negative_roots(t, n, capsys):
         rs = rootsys.build(t, n)
         rng = random.Random(f"phi-free:{t}{n}")
         point = alcove.CoweightPoint(tuple(Fraction(rng.randrange(-50, 100), 37) for _ in range(n)))
+        # values k/(6h), so some roots sit on the window's edge 1/h
+        phi = alcove.PhiHom(tuple(Fraction(rng.randrange(6 * rs.coxeter_number), 6 * rs.coxeter_number)
+                                  for _ in range(n)))
         paths = [
             lambda: rootsys.coxeter_via_marks(rs),
             lambda: rootsys.coxeter_via_rho(rs),
@@ -186,21 +189,26 @@ def test_closure_free_paths_never_derive_the_negative_roots(t, n, capsys):
             lambda: heights.min_nontrivial_height(rs),
             lambda: alcove.reduce_to_alcove(rs, point),
             lambda: rootsys.is_good_prime(rs, 7),
+            lambda: alcove.window_basis_report(rs, phi),
+            lambda: alcove.critical_roots(rs, phi),
+            lambda: alcove.boundary_roots(rs, phi),
         ]
         for k, path in enumerate(paths):
             path()
             assert "roots" not in vars(rs), k
         system = ["--type", t, "--rank", str(n)]
+        critical = ["critical", *system, "--phi", ",".join(map(str, phi.values))]
+        basis = ["basis", *critical[1:]]
         for argv in (["coxeter", *system], ["minheight", *system],
                      ["height", *system, "--weight", ",".join(["1"] * n)],
                      ["goodprime", *system, "--p", "7"],
-                     ["reduce", *system, "--point=" + ",".join(map(str, point.values))]):
+                     ["reduce", *system, "--point=" + ",".join(map(str, point.values))],
+                     critical, basis, *([[*basis, "--oracle"]] if n <= 3 else [])):
             assert cli.main(argv) == 0
-            assert "roots" not in vars(rs), argv[0]
+            assert "roots" not in vars(rs), argv
         capsys.readouterr()
-        # positive controls: the window roots and `liep roots` read Phi and derive it once
-        assert alcove.critical_roots(rs, alcove.PhiHom((Fraction(0),) * n)) == ()
-        assert "roots" in vars(rs)
+        # positive controls: a direct read and `liep roots` derive Phi once and keep it
+        assert len(rs.roots) == 2 * len(rs.positive_roots) and "roots" in vars(rs)
         rootsys.build.cache_clear()
         fresh = rootsys.build(t, n)
         assert cli.main(["roots", *system]) == 0 and "roots" in vars(fresh)
@@ -222,6 +230,7 @@ def _run_every_system_path(t, n):
     alcove.window_basis_report(rs, phi)
     alcove.critical_roots(rs, phi)
     alcove.boundary_roots(rs, phi)
+    assert len(rs.roots) == 2 * len(rs.positive_roots)  # only a direct read derives Phi-
     return weakref.ref(rs), set(vars(rs))
 
 
@@ -468,8 +477,9 @@ def test_highest_coroot_differs_from_theta_coroot_outside_simply_laced():
     assert len(rootsys.build("E", 6)._dominant_coroots) == 1
 
 
-def test_serialization_schema():
-    doc = rootsys.build("G", 2).to_json_dict()
+def test_serialization_schema(capsys):
+    assert cli.main(["roots", "--type", "G", "--rank", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)["result"]
     assert doc["type"] == "G" and doc["rank"] == 2
     assert doc["cartan_matrix"] == [[2, -3], [-1, 2]]
     assert doc["highest_root"] == [3, 2]
@@ -478,6 +488,7 @@ def test_serialization_schema():
     assert doc["root_count"] == 12
     assert len(doc["roots"]) == 12 and len(doc["positive_roots"]) == 6
     assert doc["positive_roots"][0] in ([1, 0], [0, 1])
+    assert doc["roots"] == doc["positive_roots"] + [[-c for c in a] for a in doc["positive_roots"]]
 
 
 def test_build_is_cached():

@@ -71,13 +71,15 @@ ROWS = [
     Row("selftest", 120, ("-W", "error", *cli("selftest")), (ONE_OBJECT,)),
     Row("selftest seed 1", 120, ("-W", "error", *cli("selftest --seed 1")), (ONE_OBJECT,)),
     Row("coxeter A120", 30, cli("coxeter --type A --rank 120"), ('import json, sys; r = json.load(sys.stdin); assert r["result"]["h"] == 121, r',)),
-    Row("no Φ⁻ on the Coxeter path at A200 (in process)", 30, ("-c", 'import random, resource; from fractions import Fraction; from liep import alcove, heights, rootsys; rs = rootsys.build("A", 200); rng = random.Random(1); point = alcove.CoweightPoint(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(200))); assert rootsys.coxeter_via_marks(rs) == rootsys.coxeter_via_rho(rs) == rootsys.coxeter_via_element(rs) == 201; assert heights.min_nontrivial_height(rs) == 200; alcove.reduce_to_alcove(rs, point); peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; assert "roots" not in vars(rs) and peak < 80 * 1024, ("roots" in vars(rs), peak)')),
+    Row("no Φ⁻ on the Coxeter and window paths at A200 (in process)", 30, ("-c", 'import random, resource; from fractions import Fraction; from liep import alcove, heights, rootsys; rs = rootsys.build("A", 200); rng = random.Random(1); point = alcove.CoweightPoint(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(200))); assert rootsys.coxeter_via_marks(rs) == rootsys.coxeter_via_rho(rs) == rootsys.coxeter_via_element(rs) == 201; assert heights.min_nontrivial_height(rs) == 200; alcove.reduce_to_alcove(rs, point); phi = alcove.PhiHom(point.values); assert alcove.window_basis_report(rs, phi).critical_roots == alcove.critical_roots(rs, phi); alcove.boundary_roots(rs, phi); peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; assert "roots" not in vars(rs) and peak < 80 * 1024, ("roots" in vars(rs), peak)')),
     *(Row(f"coxeter {t}100", 10, cli(f"coxeter --type {t} --rank 100"), ('import json, sys; r = json.load(sys.stdin)["result"]; assert r["h"] == r["via_rho"] == 200, r',)) for t in "BC"),
     Row("coxeter D150", 20, cli("coxeter --type D --rank 150"), ('import json, sys; r = json.load(sys.stdin)["result"]; assert r["h"] == r["via_marks"] == r["via_rho"] == r["via_element"] == 298, r',)),
     Row("roots A100", 10, cli("roots --type A --rank 100"), ('import json, sys; out = sys.stdin.read(); assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\\n" and len(out) > 17_000_000, len(out)',)),
     Row("basis A100", 10, cli(f"basis --type A --rank 100 --phi {phi(100)}"), ('import json, sys; b = json.load(sys.stdin)["result"]["basis_roots"]; assert len(b) == 100 and all(any(r) and (min(r) >= 0 or max(r) <= 0) for r in b), b',)),
     *(Row(f"basis {t}60", 10, cli(f"basis --type {t} --rank 60 --phi {phi(60)}"), ('import json, sys; from liep import rootsys; b = json.load(sys.stdin)["result"]["basis_roots"]; rs = rootsys.build(sys.argv[1], 60); assert len(b) == 60 and all(rs.is_root(rootsys.RootVec(tuple(a))) for a in b), b', t)) for t in "BCD"),
     Row("window basis report A200 (in process)", 10, ("-c", 'import random; from fractions import Fraction; from liep import alcove, rootsys; rs = rootsys.build("A", 200); rng = random.Random(1); phi = alcove.PhiHom(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(200))); t = alcove.window_basis_report(rs, phi).transcript; assert len(t.weyl_word) == 48928 and len(t.reduced_word) <= len(rs.positive_roots), (len(t.weyl_word), len(t.reduced_word))')),
+    # the first window report after build: A300's Φ⁻ alone would add about 110 MB
+    Row("no Φ⁻ in the window report at A300 (in process)", 20, ("-c", 'import random, resource; from fractions import Fraction; from liep import alcove, rootsys; peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; rs = rootsys.build("A", 300); built = peak(); rng = random.Random(1); phi = alcove.PhiHom(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(300))); window = alcove.window_basis_report(rs, phi).critical_roots; assert window == alcove.critical_roots(rs, phi) and len(window) == 296, len(window); alcove.boundary_roots(rs, phi); grown = peak() - built; assert "roots" not in vars(rs) and grown < 30 * 1024, ("roots" in vars(rs), grown)')),
     Row("reduce A200", 10, cli(f"reduce --type A --rank 200 --point {phi(200)}"), ('import json, sys; out = sys.stdin.buffer.read(); r = json.loads(out); assert len(out) < 3_000_000 and len(r["result"]["reduced_point"]) == 200, len(out)',)),
     Row("README pattern A200 (in process)", 20, ("-c", 'import random; from fractions import Fraction; from liep import alcove, rootsys; rs = rootsys.build("A", 200); rng = random.Random(1); phi = alcove.PhiHom(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(200))); basis = alcove.window_basis(rs, phi); window = alcove.critical_roots(rs, phi); assert len(window) == 171 and all(basis.is_positive(rs, a) for a in window), len(window)')),
     Row("README pattern A60 (in process)", 10, ("-c", 'import random; from fractions import Fraction; from liep import alcove, rootsys; rs = rootsys.build("A", 60); rng = random.Random(1); phi = alcove.PhiHom(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(60))); basis = alcove.window_basis(rs, phi); window = alcove.critical_roots(rs, phi); assert len(window) == 62 and all(basis.is_positive(rs, a) for a in window), len(window)')),
