@@ -204,7 +204,7 @@ def _reduced(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
     fixes the regular rho^vee, and ``w = u^-1`` is that walk reversed.  It has
     l(w) <= |Phi+| letters.
     """
-    walk, _ = _walk(rs._rows, v, len(rs.positive_roots),
+    walk, _ = _walk(rs._rows, v, len(rs._index),
                     "reduced word exceeded the number of positive roots")
     return tuple(reversed(walk))
 
@@ -333,7 +333,7 @@ def _reflection_bound(rs: RootSystem, values: list[int], den: int) -> int:
     separate; the bound allows one more per root.
     """
     reach = sum(m * abs(v) for m, v in zip(rs.marks, values)) // den
-    return len(rs.positive_roots) * (reach + 2)
+    return len(rs._index) * (reach + 2)
 
 
 def _affine_numerators(rs: RootSystem, values: list[int], den: int) -> list[int]:
@@ -391,7 +391,7 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
         m = rs.marks[idx - 1]
         z = [v * m for v in values]
         z[idx - 1] -= den
-        walk, _ = _walk(rs._rows, z, len(rs.positive_roots),
+        walk, _ = _walk(rs._rows, z, len(rs._index),
                         "dominance loop exceeded the number of positive roots")
         dominance = tuple(walk)
 

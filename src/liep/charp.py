@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, islice
 from math import prod
 from operator import lshift, mul
@@ -369,14 +370,18 @@ def t_power(u: FpMatrix, t: int) -> FpMatrix:
 class BchTable:
     """Group-law bracket coefficients usable in characteristic ``p``.
 
-    ``terms`` lists (left-nested bracket word, exact rational
-    coefficient) sorted by degree; every coefficient denominator is a
-    product of primes below ``p``, so each term reduces mod p.
+    ``terms`` lists (left-nested bracket word, exact rational coefficient) sorted by degree;
+    every coefficient denominator is a product of primes below ``p``, so each term reduces
+    mod p, and ``_residues``, formed once per table, holds each non-zero residue c as (c, word).
     """
 
     p: int
     max_degree: int
     terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+
+    @cached_property
+    def _residues(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        return tuple((c, word) for word, f in self.terms if (c := _fraction_mod(f, self.p)))
 
 
 def bch_table(p: int, max_degree: int) -> BchTable:
@@ -426,8 +431,8 @@ def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
     vanish, so the truncation at table.max_degree >= n - 1 is exact and
     exp(result) = exp(x) exp(y) on the nose.
 
-    Only the T terms whose words are shorter than n and whose coefficients
-    are non-zero mod p are read.  Each bracket is one ``_bracket`` call on
+    Only the T terms of ``table._residues`` (those non-zero mod p) whose
+    words are shorter than n are read.  Each bracket is one ``_bracket`` call on
     its non-zero triangle, made once per distinct prefix of those words, and
     c times its unreduced packed rows goes straight into one packed total,
     which is unpacked once, at the end.  A word that is the prefix of
@@ -458,7 +463,7 @@ def bch_apply(table: BchTable, x: FpMatrix, y: FpMatrix) -> FpMatrix:
         )
     p, n = x.p, x.n
     # words of n or more letters are exact zeros at this size
-    coeffs = [(c, word) for word, f in table.terms if len(word) < n and (c := _fraction_mod(f, p))]
+    coeffs = [(c, word) for c, word in table._residues if len(word) < n]
     shifts, mask = _slots(p, n, 2 * n * max(len(coeffs), 1) * (p - 1))
     heads = {}  # word -> its rows from column i + len(word) and its packed rows, reduced
     tails = {}  # letter -> its negated rows from column i + 1 and its packed rows

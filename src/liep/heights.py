@@ -43,7 +43,7 @@ def _descend(rs: RootSystem, weight: WeightVec) -> tuple[list[int], list[int]]:
     them means an arithmetic bug.
     """
     z = [-x for x in weight.coords]
-    _, steps = _walk(rs._cols, z, len(rs.positive_roots),
+    _, steps = _walk(rs._cols, z, len(rs._index),
                      "antidominant descent exceeded the number of positive roots")
     return [-x for x in z], steps
 

@@ -4,9 +4,10 @@ The Cartan matrix is read from each Dynkin diagram's list of bonds (``_DIAGRAMS`
 the same table that decides which ranks exist.
 
 The positive roots are enumerated by closing the set of simple roots under height-raising
-simple reflections and are all that ``build`` stores: the negative roots, their negatives,
-are derived on the first read of ``RootSystem.roots``, which only ``liep roots``, self-test
-criterion 2 and a direct read make; the window roots negate only their hits.  No root table
+simple reflections and are all that ``build`` stores, once, as coordinate tuples.  Only a
+path that hands roots to a caller wraps them, in ``RootSystem.positive_roots`` on first
+read; only ``liep roots``, self-test criterion 2 and a direct read derive the negative
+roots (``RootSystem.roots``), and the window roots negate only their hits.  No root table
 is hard-coded anywhere, and the classical root counts appear only as test oracles.
 ``build`` checks at run time only what that construction does not guarantee: a unique
 highest root and |Phi| = rank * h.  Simple roots are numbered 1..rank following Bourbaki.
@@ -97,9 +98,9 @@ class WeightVec(_IntVec):
 class RootSystem:
     """Immutable catalog of one irreducible root system.
 
-    ``positive_roots`` lists Phi+ by increasing height, and ``_index`` maps its coordinates
-    to positions; ``roots`` appends the negatives in the same order, derived on first read
-    (by ``liep roots``, self-test criterion 2 or a caller) and not stored by ``build``.
+    ``_index``, the one store of Phi+, maps each root's coordinates to its position by
+    height; ``positive_roots`` wraps its keys in ``RootVec``s and ``roots`` appends their
+    negatives in the same order, each on first read.  ``build`` is the constructor.
     ``_rows[i]`` and ``_cols[i]`` list the nonzero entries ``(j, C[i][j])`` and
     ``(k, C[k][i])`` of row and column i of the Cartan matrix; ``_build`` describes
     ``_parents``.  Type and rank alone compare and hash; each derived fact is a cached
@@ -109,7 +110,6 @@ class RootSystem:
     type_label: str
     rank: int
     cartan: tuple[tuple[int, ...], ...] = field(compare=False)
-    positive_roots: tuple[RootVec, ...] = field(compare=False)
     marks: tuple[int, ...] = field(compare=False)
     coxeter_number: int = field(compare=False)
     _index: dict = field(compare=False, repr=False)
@@ -118,7 +118,11 @@ class RootSystem:
     _parents: tuple = field(compare=False, repr=False)
 
     def __repr__(self) -> str:  # the full field dump is unreadable
-        return f"RootSystem({self.type_label}{self.rank}, {2 * len(self.positive_roots)} roots)"
+        return f"RootSystem({self.type_label}{self.rank}, {2 * len(self._index)} roots)"
+
+    @cached_property
+    def positive_roots(self) -> tuple[RootVec, ...]:
+        return tuple(map(RootVec, self._index))
 
     @cached_property
     def roots(self) -> tuple[RootVec, ...]:
@@ -136,7 +140,7 @@ class RootSystem:
         found = set()
         for i, row in enumerate(self.cartan):
             z = list(row)
-            _, steps = _walk(self._rows, z, len(self.positive_roots),
+            _, steps = _walk(self._rows, z, len(self._index),
                              "coroot walk exceeded the number of positive roots")
             steps[i] += 1
             found.add((tuple(steps), tuple(z)))
@@ -151,7 +155,7 @@ class RootSystem:
         z by C^T steps, so z_j ends at -1 + <alpha_j, 2 rho^vee>: the end (1, ..., 1) says that
         every simple root pairs to 2 with 2 rho^vee.  Anything else is an arithmetic bug.
         """
-        npos, z, message = len(self.positive_roots), [-1] * self.rank, "walk from -rho^vee did not reach rho^vee"
+        npos, z, message = len(self._index), [-1] * self.rank, "walk from -rho^vee did not reach rho^vee"
         letters, steps = _walk(self._rows, z, npos, message)
         if len(letters) != npos or z != [1] * self.rank:
             raise ContractError(message)
@@ -182,7 +186,7 @@ class RootSystem:
 
     @property
     def highest_root(self) -> RootVec:
-        return self.positive_roots[-1]
+        return RootVec(self.marks)
 
     def is_root(self, v: RootVec) -> bool:
         self._check_int_coords(v.coords)
@@ -300,16 +304,16 @@ def build(type_label: str, rank: int) -> RootSystem:
 def _build(type_label: str, rank: int) -> RootSystem:
     """``build``'s cached body, for a pair that passed the gate.
 
-    The closure builds Phi+ alone, from the sparse Cartan rows, and Phi+ alone is stored;
-    the negative roots are its negation.  So no generated vector mixes signs (each step only
-    raises one coordinate of a nonnegative vector) and the root set is closed under negation;
-    neither is checked.  What the construction does not guarantee is checked at run time:
-    the highest root theta, the last root of Phi+ sorted by height, is unique, which holds
-    iff the root before it is lower, and |Phi| = 2 |Phi+| = rank * h (Humphreys 1990, 3.18),
-    which catches a closure that lost or gained roots.  The zero vector is never
-    generated, since the closure starts from the simple roots and only adds.
+    The closure builds Phi+ alone, from the sparse Cartan rows, and stores it once, as the
+    keys of ``_index``, with no ``RootVec``; Phi- is its negation.  So no generated vector
+    mixes signs (each step only raises one coordinate of a nonnegative vector) and the root
+    set is closed under negation; neither is checked.  What the construction does not
+    guarantee is checked at run time: the highest root theta, the last root of Phi+ sorted by
+    height, is unique, which holds iff the root before it is lower, and |Phi| = 2 |Phi+| =
+    rank * h (Humphreys 1990, 3.18), which catches a closure that lost or gained roots.  The
+    zero vector is never generated, since the closure starts from the simple roots and only adds.
 
-    ``_parents`` holds one ``(parent, i, k)`` per positive root, in ``positive_roots`` order:
+    ``_parents`` holds one ``(parent, i, k)`` per positive root, in ``_index`` order:
     the closure's (i, k), with root = positive_roots[parent] + k alpha_i, the parent lower
     and so earlier, and ``(-1, i, 1)`` for the simple root alpha_i.
     """
@@ -332,9 +336,8 @@ def _build(type_label: str, rank: int) -> RootSystem:
         i, k = found[m]
         parents.append((index[m[:i] + (m[i] - k,) + m[i + 1:]], i, k))
     return RootSystem(
-        type_label=type_label, rank=rank, cartan=tuple(tuple(row) for row in C),
-        positive_roots=tuple(RootVec(m) for m in positives), marks=theta, coxeter_number=h,
-        _index=index, _rows=rows, _cols=cols, _parents=tuple(parents),
+        type_label=type_label, rank=rank, cartan=tuple(tuple(row) for row in C), marks=theta,
+        coxeter_number=h, _index=index, _rows=rows, _cols=cols, _parents=tuple(parents),
     )
 
 
@@ -367,7 +370,7 @@ def coxeter_via_element(rs: RootSystem) -> int:
     letters = range(rs.rank, 0, -1)
     start = [1] * rs.rank
     v = list(start)
-    for order in range(1, 2 * len(rs.positive_roots) + 1):
+    for order in range(1, 2 * len(rs._index) + 1):
         if apply_letters(rs, letters, v) == start:
             return order
     raise ContractError("Coxeter element orbit exceeds |Phi|; arithmetic is broken")

@@ -748,6 +748,21 @@ def test_bch_apply_forms_each_bracket_prefix_once(monkeypatch):
     assert len([w for w, c in table.terms if c.numerator % 13 == 0]) == 4
 
 
+def test_bch_apply_reduces_each_table_once(monkeypatch):
+    # the residues mod p depend on the table alone: the first apply forms them, later ones read them
+    reductions = _count_calls(monkeypatch, "_fraction_mod")
+    rng = random.Random("bch-residues")
+    p, n = 101, 8
+    table = charp.bch_table(p, n - 1)
+    x, y = random_strict_upper(rng, p, n), random_strict_upper(rng, p, n)
+    first = charp.bch_apply(table, x, y)
+    assert reductions[0] == len(table.terms)
+    reductions[0] = 0
+    assert charp.bch_apply(table, x, y) == first
+    charp.bch_apply(table, random_strict_upper(rng, p, 3), random_strict_upper(rng, p, 3))
+    assert reductions[0] == 0
+
+
 def test_bch_apply_validation_and_contracts():
     p = 5
     table = charp.bch_table(p, 4)
@@ -768,8 +783,9 @@ def test_bch_apply_rejects_a_coefficient_that_does_not_reduce_mod_p():
     # bch_table never holds such a term, so only a hand-built table reaches the check
     table = charp.BchTable(5, 2, (((0, 1), F(1, 5)),))
     x, y = _jordan(5, 3), FpMatrix.from_rows(5, [[0, 0, 1], [0, 0, 2], [0, 0, 0]])
-    with pytest.raises(ContractError, match="coefficient 1/5 has denominator divisible by 5"):
-        charp.bch_apply(table, x, y)
+    for _ in range(2):  # a failed reduction is not kept, so every apply raises
+        with pytest.raises(ContractError, match="coefficient 1/5 has denominator divisible by 5"):
+            charp.bch_apply(table, x, y)
 
 
 # --- p-th power sharpness ---------------------------------------------------

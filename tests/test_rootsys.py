@@ -158,8 +158,8 @@ def test_bool_float_and_non_string_arguments_are_rejected_and_leave_the_cache_cl
 def test_type_and_rank_alone_name_a_system():
     rs = rootsys.build("E", 8)
     # type and rank alone compare and hash, so the oracle's chamber cache answers a rebuilt system
-    assert dataclasses.replace(rs, positive_roots=None) == rs
-    assert hash(dataclasses.replace(rs, positive_roots=None)) == hash(rs)
+    assert dataclasses.replace(rs, marks=None) == rs
+    assert hash(dataclasses.replace(rs, marks=None)) == hash(rs)
     rootsys.build.cache_clear()
     try:
         rebuilt = rootsys.build("E", 8)
@@ -168,6 +168,27 @@ def test_type_and_rank_alone_name_a_system():
         rootsys.build.cache_clear()
     assert rs != rootsys.build("E", 7) and rs != rootsys.build("A", 8)
     assert repr(rs) == "RootSystem(E8, 240 roots)"
+
+
+@pytest.mark.parametrize("t,n", [("A", 1), ("B", 5), ("F", 4), ("G", 2)])
+def test_positive_roots_is_a_view_of_the_one_store(t, n, monkeypatch):
+    rootsys.build.cache_clear()
+    try:
+        wrapped = []
+        monkeypatch.setattr(rootsys, "RootVec", wrapped.append)
+        rs = rootsys.build(t, n)
+        assert wrapped == []  # the closure's tuples are stored as they are
+        monkeypatch.undo()
+        assert rs.highest_root == RootVec(rs.marks) and repr(rs).endswith(f" {2 * len(rs._index)} roots)")
+        assert "positive_roots" not in vars(rs)  # build, highest_root and repr form no RootVec
+        assert rs.positive_roots == tuple(RootVec(m) for m in rs._index)
+        assert rs.positive_roots is rs.positive_roots and "positive_roots" in vars(rs)
+        assert rs.highest_root == rs.positive_roots[-1] == RootVec(rs.marks)
+        copy = dataclasses.replace(rs)
+        assert "positive_roots" not in vars(copy)  # a copy derives its own view
+        assert copy.positive_roots == rs.positive_roots and copy.positive_roots is not rs.positive_roots
+    finally:
+        rootsys.build.cache_clear()
 
 
 @pytest.mark.parametrize("t,n", [("A", 12), ("B", 8), ("E", 8), ("G", 2)])
@@ -196,14 +217,22 @@ def test_closure_free_paths_never_derive_the_negative_roots(t, n, capsys):
         for k, path in enumerate(paths):
             path()
             assert "roots" not in vars(rs), k
+            # paths 0-6 hand no root to their caller, so they leave Phi+'s RootVec view unformed
+            assert k > 6 or "positive_roots" not in vars(rs), k
+        assert "positive_roots" in vars(rs)  # the window roots form it
         system = ["--type", t, "--rank", str(n)]
         critical = ["critical", *system, "--phi", ",".join(map(str, phi.values))]
         basis = ["basis", *critical[1:]]
+        rootsys.build.cache_clear()
+        rs = rootsys.build(t, n)
         for argv in (["coxeter", *system], ["minheight", *system],
                      ["height", *system, "--weight", ",".join(["1"] * n)],
+                     ["lowheight", *system, "--weight", ",".join(["1"] * n), "--p", "7"],
                      ["goodprime", *system, "--p", "7"],
-                     ["reduce", *system, "--point=" + ",".join(map(str, point.values))],
-                     critical, basis, *([[*basis, "--oracle"]] if n <= 3 else [])):
+                     ["reduce", *system, "--point=" + ",".join(map(str, point.values))]):
+            assert cli.main(argv) == 0
+            assert "roots" not in vars(rs) and "positive_roots" not in vars(rs), argv
+        for argv in (critical, basis, *([[*basis, "--oracle"]] if n <= 3 else [])):
             assert cli.main(argv) == 0
             assert "roots" not in vars(rs), argv
         capsys.readouterr()
@@ -213,8 +242,33 @@ def test_closure_free_paths_never_derive_the_negative_roots(t, n, capsys):
         fresh = rootsys.build(t, n)
         assert cli.main(["roots", *system]) == 0 and "roots" in vars(fresh)
         assert fresh.roots is fresh.roots
+        # and `liep roots`, `parabolic` and `critical` each form the view of Phi+ on a fresh system
+        for argv in (["roots", *system], ["parabolic", *system, "--subset", "1"], critical):
+            rootsys.build.cache_clear()
+            fresh = rootsys.build(t, n)
+            assert cli.main(argv) == 0 and "positive_roots" in vars(fresh), argv
+        capsys.readouterr()
     finally:
         rootsys.build.cache_clear()
+
+
+@pytest.mark.parametrize("t,n", [("A", 6), ("B", 4), ("G", 2)])
+def test_only_the_window_roots_of_a_window_report_form_the_view(t, n, monkeypatch):
+    # with the window roots stubbed out, a report runs the reduction, the vertex's dominance
+    # walk and the recomposition check alone, and each caps its walk by the store's count
+    monkeypatch.setattr(alcove, "critical_roots", lambda rs, phi: ())
+    rng = random.Random(f"report-view:{t}{n}")
+    vertices = 0
+    try:
+        for _ in range(20):
+            rootsys.build.cache_clear()
+            rs = rootsys.build(t, n)
+            phi = alcove.PhiHom(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(n)))
+            vertices += alcove.window_basis_report(rs, phi).pigeonhole_index > 0
+            assert "positive_roots" not in vars(rs), phi
+    finally:
+        rootsys.build.cache_clear()
+    assert vertices  # some reports re-centred at a vertex, which runs the dominance walk
 
 
 def _run_every_system_path(t, n):
