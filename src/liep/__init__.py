@@ -2,8 +2,8 @@
 
 Four areas, all over exact integers and rationals:
 
-* ``rootsys``: irreducible root systems A-G generated by reflection
-  closure, Coxeter numbers three independent ways, good primes, and
+* ``rootsys``: irreducible root systems A-G generated by reverse
+  search, Coxeter numbers three independent ways, good primes, and
   grading degrees for parabolic subsets.
 * ``alcove``: homomorphisms from the root lattice to Q/Z, reduction of
   rational coweight points to the fundamental alcove, and the selection

@@ -37,7 +37,7 @@ replays its word: the walked point carries (rho^vee, -theta(rho^vee)) packed bes
 so the walk ends with w_acc(rho^vee), and the transcript keeps the reduced word walked
 back from it.  The recomposition (the start moved forward once) and the window check
 each cost l(w) letter steps.  theta's word, spliced into ``weyl_word`` at each s_0,
-comes with ``RootSystem._affine``, off the closure's table ``RootSystem._parents``.
+comes with ``RootSystem._affine``, off the reverse search's table ``RootSystem._parents``.
 """
 
 from __future__ import annotations

@@ -598,7 +598,3 @@ def main(argv=None) -> int:
         error, code = {"kind": "internal", "message": f"{type(exc).__name__}: {exc}"}, 2
     _emit(report if error is None else _layout({"subcommand": command, "error": error}))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

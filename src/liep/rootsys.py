@@ -3,8 +3,8 @@
 The Cartan matrix is read from each Dynkin diagram's list of bonds (``_DIAGRAMS``),
 the same table that decides which ranks exist.
 
-The positive roots are enumerated by closing the set of simple roots under height-raising
-simple reflections and are all that ``build`` stores, once, as coordinate tuples.  Only a
+The positive roots are enumerated by reverse search, each made once from its parent by a
+height-raising simple reflection, and are all that ``build`` stores, as tuples.  Only a
 path that hands roots to a caller wraps them, in ``RootSystem.positive_roots`` on first
 read; only ``liep roots``, self-test criterion 2 and a direct read derive the negative
 roots (``RootSystem.roots``), and the window roots negate only their hits.  No root table
@@ -21,7 +21,7 @@ Conventions used throughout the package:
 * ``RootVec`` holds integer coordinates over the simple roots;
   ``WeightVec`` holds integer coordinates over the fundamental weights.
   No floating point is used anywhere, and C is never inverted.
-* No coroot is carried through the closure: theta^vee, the highest coroot
+* No coroot is carried through the search: theta^vee, the highest coroot
   (``RootSystem._dominant_coroots``) and 2 rho^vee (``RootSystem._two_rho_coroot``,
   checked once, where it is walked, to pair to 2 with every simple root) are walks on
   the Cartan rows.  They and the affine rows (``RootSystem._affine``) are cached
@@ -258,34 +258,42 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
     return C
 
 
-def _close_under_reflections(rows: tuple) -> dict[tuple[int, ...], tuple[int, int]]:
-    """The positive roots, generated from the simple roots by height-raising reflections.
+def _reverse_search(cols: tuple) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
+    """Phi+ in (height, coordinates) order and its ``(parent, i, k)`` links, by reverse search
+    (Avis and Fukuda, Discrete Appl. Math. 65 (1996) 21-46).
 
-    Maps each root b to ``(i, k)``, the lowest i with k = <b, alpha_i^vee> > 0.  If b is not
-    simple, s_i(b) = b - k alpha_i is a positive root of lower height (Humphreys,
-    Introduction to Lie Algebras and Representation Theory, 10.2), so reflecting a root m
-    at i only when <m, alpha_i^vee> < 0, which raises coordinate i alone, reaches all of
-    Phi+.  Pairings read the sparse Cartan rows (``RootSystem._rows``) in O(degree).
+    A non-simple root b has one parent, s_i(b) = b - k alpha_i at the lowest i with
+    k = <b, alpha_i^vee> > 0, a positive root of lower height (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.2).  So a root m makes the child m + k alpha_i for
+    each i with <m, alpha_i^vee> = -k < 0 and keeps it only if i is its lowest positive
+    pairing: each root is made once and no set of seen roots is kept.  A child carries its
+    link and its nonzero pairings, the parent's plus k times column i (``cols[i]``), into
+    the bucket of its height; a complete layer forms its coordinates and is sorted.
     """
-    work = [tuple(int(j == i) for j in range(len(rows))) for i in range(len(rows))]
-    found = dict.fromkeys(work)
-    while work:
-        m = work.pop()
-        low = None
-        for i, row in enumerate(rows):
-            pa = 0
-            for j, x in row:
-                pa += x * m[j]
-            if pa >= 0:
-                if pa and low is None:
-                    low = i, pa
-                continue
-            key = m[:i] + (m[i] - pa,) + m[i + 1:]
-            if key not in found:
-                found[key] = None
-                work.append(key)
-        found[m] = low
-    return found
+    n = len(cols)
+    roots, links = [], []
+    layers = {1: [(-1, i, 1, dict(cols[i])) for i in range(n)]}
+    height = 1
+    while layers:
+        layer = []
+        for parent, i, k, pairings in layers.pop(height):
+            m = list(roots[parent]) if parent >= 0 else [0] * n
+            m[i] += k
+            layer.append((tuple(m), (parent, i, k), pairings))
+        layer.sort(key=lambda entry: entry[0])
+        for position, (m, link, pairings) in enumerate(layer, len(roots)):
+            roots.append(m)
+            links.append(link)
+            for i, x in pairings.items():
+                if x < 0:
+                    child = dict(pairings)
+                    for j, c in cols[i]:
+                        child[j] = child.get(j, 0) - x * c
+                    if min(j for j, y in child.items() if y > 0) == i:
+                        child = {j: y for j, y in child.items() if y}
+                        layers.setdefault(height - x, []).append((position, i, -x, child))
+        height += 1
+    return roots, links
 
 
 def build(type_label: str, rank: int) -> RootSystem:
@@ -304,37 +312,32 @@ def build(type_label: str, rank: int) -> RootSystem:
 def _build(type_label: str, rank: int) -> RootSystem:
     """``build``'s cached body, for a pair that passed the gate.
 
-    The closure builds Phi+ alone, from the sparse Cartan rows, and stores it once, as the
-    keys of ``_index``, with no ``RootVec``; Phi- is its negation.  So no generated vector
-    mixes signs (each step only raises one coordinate of a nonnegative vector) and the root
-    set is closed under negation; neither is checked.  What the construction does not
-    guarantee is checked at run time: the highest root theta, the last root of Phi+ sorted by
-    height, is unique, which holds iff the root before it is lower, and |Phi| = 2 |Phi+| =
-    rank * h (Humphreys 1990, 3.18), which catches a closure that lost or gained roots.  The
-    zero vector is never generated, since the closure starts from the simple roots and only adds.
+    ``_reverse_search`` builds Phi+ alone, from the sparse Cartan columns, in (height,
+    coordinates) order, and ``_index`` stores it once, as its keys, with no ``RootVec``; Phi-
+    is its negation.  So no generated vector mixes signs (each step only raises one coordinate
+    of a nonnegative vector) and the root set is closed under negation; neither is checked.
+    What the construction does not guarantee is checked at run time: the highest root theta,
+    the last root of Phi+, is unique, which holds iff the root before it is lower, and |Phi| =
+    2 |Phi+| = rank * h (Humphreys 1990, 3.18), which catches a search that lost or gained
+    roots.  The zero vector is never generated, since the search starts from the simple roots.
 
-    ``_parents`` holds one ``(parent, i, k)`` per positive root, in ``_index`` order:
-    the closure's (i, k), with root = positive_roots[parent] + k alpha_i, the parent lower
-    and so earlier, and ``(-1, i, 1)`` for the simple root alpha_i.
+    ``_parents`` holds the search's ``(parent, i, k)`` per positive root, in ``_index`` order:
+    root = positive_roots[parent] + k alpha_i at root's lowest positive pairing
+    k = <root, alpha_i^vee>, the parent earlier, and ``(-1, i, 1)`` for the simple root alpha_i.
     """
     C = _cartan_matrix(type_label, rank)
     rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in C)
     cols = tuple(tuple((j, x) for j, x in enumerate(col) if x) for col in zip(*C))
-    found = _close_under_reflections(rows)
-    positives = sorted(found, key=lambda m: (sum(m), m))
+    positives, parents = _reverse_search(cols)
 
     theta = positives[-1]
     h = 1 + sum(theta)
     if len(positives) > 1 and sum(positives[-2]) == h - 1:
         raise ContractError("highest root is not unique; system is not irreducible")
-    if 2 * len(found) != rank * h:
-        raise ContractError(f"closure generated {2 * len(found)} roots, not rank * h = {rank * h}")
+    if 2 * len(positives) != rank * h:
+        raise ContractError(f"closure generated {2 * len(positives)} roots, not rank * h = {rank * h}")
 
     index = {m: k for k, m in enumerate(positives)}
-    parents = [(-1, m.index(1), 1) for m in positives[:rank]]  # height 1 sorts first
-    for m in positives[rank:]:
-        i, k = found[m]
-        parents.append((index[m[:i] + (m[i] - k,) + m[i + 1:]], i, k))
     return RootSystem(
         type_label=type_label, rank=rank, cartan=tuple(tuple(row) for row in C), marks=theta,
         coxeter_number=h, _index=index, _rows=rows, _cols=cols, _parents=tuple(parents),
@@ -353,7 +356,7 @@ def coxeter_via_rho(rs: RootSystem) -> int:
     """Coxeter number as ``<rho, beta^vee> + 1`` for the highest coroot ``beta^vee``.
 
     The highest coroot (the highest root of the dual system) is the last of
-    ``_dominant_coroots``, a walk on the Cartan rows that never reads the closure, and
+    ``_dominant_coroots``, a walk on the Cartan rows that never reads Phi+, and
     ``rho`` pairs with a coroot by summing its coordinates over the simple coroots.
     """
     return 1 + sum(rs._dominant_coroots[-1][0])

@@ -1,4 +1,4 @@
-"""Root systems generated by reflection closure, checked against classical data."""
+"""Root systems generated by reverse search, checked against classical data."""
 
 import dataclasses
 import gc
@@ -177,7 +177,7 @@ def test_positive_roots_is_a_view_of_the_one_store(t, n, monkeypatch):
         wrapped = []
         monkeypatch.setattr(rootsys, "RootVec", wrapped.append)
         rs = rootsys.build(t, n)
-        assert wrapped == []  # the closure's tuples are stored as they are
+        assert wrapped == []  # the search's tuples are stored as they are
         monkeypatch.undo()
         assert rs.highest_root == RootVec(rs.marks) and repr(rs).endswith(f" {2 * len(rs._index)} roots)")
         assert "positive_roots" not in vars(rs)  # build, highest_root and repr form no RootVec
@@ -573,7 +573,7 @@ def test_kernel_actions_match_the_reflection_matrices(t, n):
             rs.reflect(RootVec((0,) * n), bad)
 
 
-# Slow twins at rank <= 12: the sparse closure and the orbit order against the
+# Slow twins at rank <= 12: the reverse search and the orbit order against the
 # dense routes they replaced, copied here as they were.
 TWINS = [("A", 8), ("A", 12), ("B", 8), ("B", 12), ("C", 8), ("C", 12), ("D", 8), ("D", 12),
          ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
@@ -621,17 +621,13 @@ def _dense_coxeter_order(rs):
 
 @pytest.mark.parametrize("t,n", TWINS + [("A", 30), ("D", 30)])
 def test_sparse_closure_matches_dense_closure(t, n):
-    # the dense closure generates both halves; the sparse one, Phi+ alone, must be its positive half
+    # the dense closure generates both halves; the search makes Phi+ alone, which must be its
+    # positive half in (height, coordinates) order, the order of every report
     rs = rootsys.build(t, n)
-    sparse = rootsys._close_under_reflections(rs._rows)
     dense = _dense_closure([list(row) for row in rs.cartan], n)
     # the dense map sends each root to its coroot, the twin of the coroot walks
     positive = {m: c for m, c in dense.items() if min(m) >= 0}
-    assert set(sparse) == set(positive)
-    for m, (i, k) in sparse.items():
-        # the recorded pair is the lowest positive pairing, read here off the dense matrix
-        pairings = [sum(x * y for x, y in zip(row, m)) for row in rs.cartan]
-        assert k == pairings[i] > 0 and max(pairings[:i], default=0) <= 0
+    assert list(rs._index) == sorted(positive, key=lambda m: (sum(m), m))
     negatives = {m: c for m, c in dense.items() if min(m) < 0}
     assert negatives == {tuple(-x for x in m): tuple(-x for x in c) for m, c in positive.items()}
     assert {a.coords for a in rs.roots} == set(dense)
@@ -753,7 +749,7 @@ def test_walk_from_minus_rho_takes_every_positive_root_and_moves_by_the_cartan_m
 
 @pytest.mark.parametrize("t,n", TWINS + [("A", 20)])
 def test_dense_reflections_keep_the_root_set(t, n):
-    # the dense matrices share no code with the closure, so they check it independently
+    # the dense matrices share no code with the search, so they check it independently
     rs = rootsys.build(t, n)
     for i in range(1, n + 1):
         s = rootsys.simple_reflection_matrix(rs, i)
@@ -763,16 +759,16 @@ def test_dense_reflections_keep_the_root_set(t, n):
 
 
 def test_a_closure_that_loses_a_root_pair_fails_the_count(monkeypatch):
-    close = rootsys._close_under_reflections
+    search = rootsys._reverse_search
     lost = (1, 1, 0, 0)  # neither simple nor highest in A4, so only the count notices
 
-    def lossy(rows):
-        # the closure holds Phi+ only, so losing lost also loses its negative
-        found = close(rows)
-        found.pop(lost)
-        return found
+    def lossy(cols):
+        # the search makes Phi+ only, so losing lost and its link also loses its negative
+        roots, links = search(cols)
+        k = roots.index(lost)
+        return roots[:k] + roots[k + 1:], links[:k] + links[k + 1:]
 
-    monkeypatch.setattr(rootsys, "_close_under_reflections", lossy)
+    monkeypatch.setattr(rootsys, "_reverse_search", lossy)
     rootsys.build.cache_clear()
     try:
         with pytest.raises(ContractError, match="18 roots, not rank \\* h = 20"):
@@ -782,15 +778,15 @@ def test_a_closure_that_loses_a_root_pair_fails_the_count(monkeypatch):
 
 
 def test_a_second_root_at_the_top_height_fails_the_uniqueness_check(monkeypatch):
-    close = rootsys._close_under_reflections
+    search = rootsys._reverse_search
 
-    def doubled(rows):
-        # (2, 2, 1) has theta = (1, 2, 2)'s height on B3, so theta is no longer the one top root
-        found = close(rows)
-        found[(2, 2, 1)] = None
-        return found
+    def doubled(cols):
+        # (2, 2, 1) has theta = (1, 2, 2)'s height on B3, so theta is no longer the one top root;
+        # no root lies below it, so it borrows theta's link
+        roots, links = search(cols)
+        return roots[:-1] + [(2, 2, 1), roots[-1]], links + links[-1:]
 
-    monkeypatch.setattr(rootsys, "_close_under_reflections", doubled)
+    monkeypatch.setattr(rootsys, "_reverse_search", doubled)
     with pytest.raises(ContractError, match="highest root is not unique"):
         rootsys._build.__wrapped__("B", 3)  # the uncached body, so the cache keeps no broken B3
 

@@ -71,6 +71,7 @@ ROWS = [
     Row("selftest", 120, ("-W", "error", *cli("selftest")), (ONE_OBJECT,)),
     Row("selftest seed 1", 120, ("-W", "error", *cli("selftest --seed 1")), (ONE_OBJECT,)),
     Row("coxeter A120", 30, cli("coxeter --type A --rank 120"), ('import json, sys; r = json.load(sys.stdin); assert r["result"]["h"] == 121, r',)),
+    Row("coxeter A400", 10, cli("coxeter --type A --rank 400"), ('import json, sys; r = json.load(sys.stdin)["result"]; assert r["h"] == r["via_marks"] == r["via_rho"] == r["via_element"] == 401, r',)),
     Row("no Φ⁺ view on the Coxeter path and no Φ⁻ on the window paths at A200 (in process)", 30, ("-c", 'import random, resource; from fractions import Fraction; from liep import alcove, heights, rootsys; rs = rootsys.build("A", 200); rng = random.Random(1); point = alcove.CoweightPoint(tuple(Fraction(rng.randrange(1000), 1000) for _ in range(200))); assert rootsys.coxeter_via_marks(rs) == rootsys.coxeter_via_rho(rs) == rootsys.coxeter_via_element(rs) == 201; assert heights.min_nontrivial_height(rs) == 200; alcove.reduce_to_alcove(rs, point); assert "positive_roots" not in vars(rs); phi = alcove.PhiHom(point.values); assert alcove.window_basis_report(rs, phi).critical_roots == alcove.critical_roots(rs, phi); alcove.boundary_roots(rs, phi); peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; assert "roots" not in vars(rs) and peak < 80 * 1024, ("roots" in vars(rs), peak)')),
     *(Row(f"coxeter {t}100", 10, cli(f"coxeter --type {t} --rank 100"), ('import json, sys; r = json.load(sys.stdin)["result"]; assert r["h"] == r["via_rho"] == 200, r',)) for t in "BC"),
     Row("coxeter D150", 20, cli("coxeter --type D --rank 150"), ('import json, sys; r = json.load(sys.stdin)["result"]; assert r["h"] == r["via_marks"] == r["via_rho"] == r["via_element"] == 298, r',)),

@@ -12,9 +12,10 @@ included). It counts as executed when any line of its span raised a line event,
 and it is left out when no line of its span has bytecode (``global``, for one).
 
 One JSON object goes to stdout: pytest's exit code, per file its ``statements``
-count and ``executed`` and ``missed`` first lines, the ``excluded`` list below
-with its reasons, and ``unexcused``, the missed lines it does not name. The exit
-code is 1 if pytest failed or any line is unexcused, else 0.
+count and ``executed`` and ``missed`` first lines, the ``excluded`` files below
+with their reasons, and ``unexcused``, the missed lines outside those files. The
+exit code is 1 if pytest failed or any line is unexcused, else 0. Only a whole
+file can be excluded: a line that the tests cannot reach is deleted, not excused.
 """
 import ast
 import json
@@ -25,11 +26,10 @@ import threading
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "liep")
 
-# (file under src/liep, its lines or None for the whole file, why the tests do not reach it in process)
-EXCLUDED = [
-    ("__main__.py", None, "runs only as `python -m liep`, in the child processes of the CLI tests"),
-    ("cli.py", [601], "the `__name__ == \"__main__\"` branch of `python -m liep.cli`, which no test runs"),
-]
+# file under src/liep -> why the tests do not reach it in process
+EXCLUDED = {
+    "__main__.py": "runs only as `python -m liep`, in the child processes of the CLI tests",
+}
 
 
 def statements(path):
@@ -93,7 +93,6 @@ def collect(pytest_args):
 
 def main(argv):
     code, hits = collect(argv or ["-q", "-p", "no:cacheprovider"])
-    excluded = {(name, line) for name, lines, _ in EXCLUDED for line in (lines or [None])}
     files, unexcused = {}, {}
     for path in sorted(hits):
         name = os.path.basename(path)
@@ -101,11 +100,10 @@ def main(argv):
         executed = sorted(k for k, (a, b) in spans.items() if hits[path].intersection(range(a, b + 1)))
         missed = sorted(set(spans) - set(executed))
         files[name] = {"statements": len(spans), "executed": executed, "missed": missed}
-        left = [k for k in missed if (name, None) not in excluded and (name, k) not in excluded]
-        if left:
-            unexcused[name] = left
+        if missed and name not in EXCLUDED:
+            unexcused[name] = missed
     report = {"pytest_exit_code": code, "files": files, "unexcused": unexcused,
-              "excluded": [{"file": name, "lines": lines, "reason": why} for name, lines, why in EXCLUDED]}
+              "excluded": [{"file": name, "reason": why} for name, why in EXCLUDED.items()]}
     # pytest's own report went to stdout first, so the JSON object is the last line
     print(json.dumps(report))
     return int(code != 0 or bool(unexcused))
