@@ -14,9 +14,9 @@ purpose.
 Points of the coweight space are stored by their values on the simple
 roots as well, so a point reflects by ``(s_i y)_j = y_j - C[i][j] y_i``
 and a translation by the coweight lattice adds integers to the coordinates.
-All arithmetic is exact: points and the values of phi are integer numerators
-over one common denominator N, so wall and window tests compare integers.
-Fractions and RootVecs appear only at the API edge.
+All arithmetic is exact: each point and phi keeps its values as integer numerators over
+one common denominator N (the cached ``_RatVec._numerators``), so wall and window tests
+compare integers.  Fractions and RootVecs appear only at the API edge.
 
 The reduction walks (y, a_0 = 1 - theta(y)) on the affine Cartan rows, alpha_0 the
 last node, by the affine Weyl group W_a = W x Q^vee: each phase is one ``rootsys._walk``
@@ -45,10 +45,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ContractError
 from .primes import require_int, require_prime
@@ -84,16 +84,12 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _numerators(values: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators of ``values`` over N, the lcm of their denominators, and N."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 @dataclass(frozen=True)
 class _RatVec:
     """Exact values on the simple roots, each passed through ``_reduce``.  The generated
-    equality compares classes first, so a ``PhiHom`` never equals a ``CoweightPoint``."""
+    equality compares classes first, so a ``PhiHom`` never equals a ``CoweightPoint``.
+    Equality, hash and ``repr`` skip the cached integer form ``_numerators``, which a
+    ``dataclasses.replace`` copy derives anew."""
 
     values: tuple[Fraction, ...]
 
@@ -104,10 +100,11 @@ class _RatVec:
     def _reduce(v: Fraction) -> Fraction:
         return v
 
-    def value_of(self, alpha: RootVec) -> Fraction:
-        """The exact pairing with ``alpha``, reduced like the values."""
-        pairs = zip(alpha.coords, self.values, strict=True)
-        return self._reduce(sum((m * v for m, v in pairs), Fraction(0)))
+    @cached_property
+    def _numerators(self) -> tuple[tuple[int, ...], int]:
+        """Integer numerators of the values over N, the lcm of their denominators, and N."""
+        den = lcm(*(v.denominator for v in self.values))
+        return tuple(v.numerator * (den // v.denominator) for v in self.values), den
 
 
 class PhiHom(_RatVec):
@@ -252,7 +249,7 @@ def reduce_to_alcove(rs: RootSystem, point: CoweightPoint) -> tuple[CoweightPoin
     lines, theta_dual, theta_word = rs._affine
     simple, s0 = lines[:n], lines[n]
 
-    start, den = _numerators(point.values)
+    start, den = point._numerators
     values = list(start)
     box: list[tuple] = []  # the box translation, not counted against the bound
     steps: list[tuple] = []
@@ -336,9 +333,9 @@ def _reflection_bound(rs: RootSystem, values: list[int], den: int) -> int:
     return len(rs._index) * (reach + 2)
 
 
-def _affine_numerators(rs: RootSystem, values: list[int], den: int) -> list[int]:
+def _affine_numerators(rs: RootSystem, values: Sequence[int], den: int) -> list[int]:
     """den * (a_0, ..., a_rank) with a_0 = 1 - theta(y), a_i = y_i; marks-weighted sum is 1."""
-    return [den - sum(map(mul, rs.marks, values))] + values
+    return [den - sum(map(mul, rs.marks, values)), *values]
 
 
 def _assert_in_alcove(rs: RootSystem, values: list[int], den: int) -> None:
@@ -363,7 +360,7 @@ class WindowReport:
     critical_roots: tuple[RootVec, ...]
     """The window roots, ``critical_roots(rs, phi)``, each checked positive under ``basis``."""
 
-    @property
+    @cached_property
     def short_basis(self) -> BasisChoice:
         """The same chamber as ``basis``, by a word of at most |Phi+| + len(dominance) letters."""
         return BasisChoice(tuple(reversed(self.transcript.reduced_word)) + self.dominance_word)
@@ -381,7 +378,7 @@ def window_basis_report(rs: RootSystem, phi: PhiHom) -> WindowReport:
     """
     reduced, transcript = reduce_to_alcove(rs, lift(phi))
 
-    values, den = _numerators(reduced.values)
+    values, den = reduced._numerators
     h = rs.coxeter_number
     idx = next(i for i, a in enumerate(_affine_numerators(rs, values, den)) if a * h >= den)
 
@@ -424,7 +421,7 @@ def _window(rs: RootSystem, phi: PhiHom, edge: bool) -> tuple[RootVec, ...]:
     first, then Phi-'s, each in Phi+'s order, and only the negatives returned are formed.
     """
     rs._check_rank(phi.rank)
-    k, den = _numerators(phi.values)
+    k, den = phi._numerators
     h = rs.coxeter_number
     hk, hden = [h * x for x in k], h * den
     lo, hi = (den, den) if edge else (1, den - 1)

@@ -4,11 +4,12 @@ import dataclasses
 import functools
 import random
 from fractions import Fraction as F
+from math import lcm
 from operator import mul
 
 import pytest
 
-from liep import alcove, heights, rootsys
+from liep import alcove, cli, heights, rootsys
 from liep.alcove import BasisChoice, CoweightPoint, PhiHom
 from liep.errors import ContractError
 
@@ -18,6 +19,12 @@ def _act_on_root(rs, letters, alpha):
     for i in letters:
         alpha = rs.reflect(alpha, i)
     return alpha
+
+
+def _value_mod_1(vec, alpha):
+    """phi(alpha) in [0, 1) by the Fraction route: the exact pairing of ``alpha`` with the
+    values, reduced mod 1 as ``PhiHom`` reduces its values."""
+    return sum((m * v for m, v in zip(alpha.coords, vec.values, strict=True)), F(0)) % 1
 
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]
@@ -58,8 +65,31 @@ def test_an_exact_value_is_kept_and_a_fraction_subclass_becomes_a_plain_fraction
 def test_phi_value_on_roots():
     rs = rootsys.build("A", 2)
     phi = PhiHom((F(1, 9), F(1, 9)))
-    assert phi.value_of(rs.highest_root) == F(2, 9)
-    assert phi.value_of(-rs.highest_root) == F(7, 9)
+    assert _value_mod_1(phi, rs.highest_root) == F(2, 9)
+    assert _value_mod_1(phi, -rs.highest_root) == F(7, 9)
+
+
+def test_each_vector_is_converted_to_its_integer_form_once(monkeypatch, capsys):
+    calls = []  # one entry per conversion of a vector to its integer form
+    monkeypatch.setattr(alcove, "lcm", lambda *dens: calls.append(dens) or lcm(*dens))
+    rs = rootsys.build("E", 8)
+    h = rs.coxeter_number
+    phi = PhiHom(tuple(F(k, 7 * h) for k in (5, 61, 2, 170, 33, 9, 140, 88)))
+    # one window query: lift(phi), the reduced point and phi itself, each once
+    report = alcove.window_basis_report(rs, phi)
+    alcove.critical_roots(rs, phi)
+    alcove.boundary_roots(rs, phi)
+    assert len(calls) == 3
+    assert report.short_basis is report.short_basis
+    calls.clear()
+    assert cli.main(["critical", "--type", "B", "--rank", "3", "--phi", "1/12,1/18,5/7"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    # a copy with other values derives its own form rather than sharing phi's
+    calls.clear()
+    copy = dataclasses.replace(phi, values=(F(1, 3),) * 8)
+    assert copy._numerators == ((1,) * 8, 3) != phi._numerators
+    assert len(calls) == 1
 
 
 def test_lift_reuses_representatives():
@@ -135,7 +165,7 @@ def test_reduction_preserves_phi_through_the_weyl_word(t, n):
         for a in rs.roots:
             # w_acc^-1(a): the letters of w_acc = s_{i_1} ... s_{i_m}, first letter first
             undone = _act_on_root(rs, transcript.weyl_word, a)
-            assert reduced.value_of(a) % 1 == phi.value_of(undone)
+            assert _value_mod_1(reduced, a) == _value_mod_1(phi, undone)
 
 
 def test_critical_roots_example():
@@ -391,7 +421,7 @@ def test_integer_window_tests_match_fraction_route(t, n):
         dens = [rng.choice((1, 2, h, 7 * h, 11 * h)) for _ in range(n)]
         phi = PhiHom(tuple(F(rng.randrange(d) if rng.random() < 0.5 else rng.randrange(3), d)
                            for d in dens))
-        values = [phi.value_of(a) for a in rs.roots]
+        values = [_value_mod_1(phi, a) for a in rs.roots]
         crit = alcove.critical_roots(rs, phi)
         bnd = alcove.boundary_roots(rs, phi)
         assert crit == tuple(a for a, v in zip(rs.roots, values) if 0 < v < edge)
@@ -425,7 +455,7 @@ def test_window_roots_at_every_value_k_over_hN(t, n):
         for k1 in range(h * den):
             for k2 in range(h * den):
                 phi = PhiHom((F(k1, h * den), F(k2, h * den)))
-                values = [phi.value_of(a) for a in rs.roots]
+                values = [_value_mod_1(phi, a) for a in rs.roots]
                 assert alcove.critical_roots(rs, phi) == tuple(
                     a for a, v in zip(rs.roots, values) if 0 < v < F(1, h))
                 bnd = alcove.boundary_roots(rs, phi)
@@ -437,7 +467,7 @@ def test_window_roots_at_every_value_k_over_hN(t, n):
 def _zip_route(rs, phi):
     """The window and edge roots by the route the one pass over Phi+ replaced: h N phi(alpha)
     for Phi+ by parents, Phi-'s values negated mod h N, zipped with ``rs.roots``."""
-    k, den = alcove._numerators(phi.values)
+    k, den = phi._numerators
     h = rs.coxeter_number
     hden = h * den
     pos = []
@@ -558,7 +588,7 @@ def test_reduction_steps_stay_within_the_wall_bound(t, n):
                                     for _ in range(n)))
         _, transcript = alcove.reduce_to_alcove(rs, start)
         steps = transcript.steps
-        values, common = alcove._numerators(start.values)
+        values, common = start._numerators
         # the box translation, taken as reduce_to_alcove takes it; a leading coroot
         # translation counts against the bound of the untranslated start
         if any(v < -common or v >= 2 * common for v in values):
@@ -716,7 +746,7 @@ def _spliced_reduction(rs, point):
     start moved through the whole word for the net translation."""
     n = rs.rank
     lines, _, theta_word = rs._affine
-    start, den = alcove._numerators(point.values)
+    start, den = point._numerators
     values = list(start)
     if any(v < -den or v >= 2 * den for v in values):
         values = [v % den for v in values]
@@ -750,8 +780,8 @@ def _agrees_with_twin(rs, start, reduced, tr, twin_values, twin_letters):
             excess = sum(map(mul, rs.marks, y)) - 1
             y = [v - excess * c for v, c in zip(y, tvec)]
     assert tuple(y) == reduced.values
-    values, den = alcove._numerators(start.values)
-    moved = rootsys.apply_letters(rs, reversed(tr.weyl_word), values)
+    values, den = start._numerators
+    moved = rootsys.apply_letters(rs, reversed(tr.weyl_word), list(values))
     assert [F(v, den) + t for v, t in zip(moved, tr.net_translation)] == list(reduced.values)
     assert alcove._rho_dual(rs, tr.reduced_word) == alcove._rho_dual(rs, tr.weyl_word)
     affine = (1 - sum(map(mul, rs.marks, reduced.values)),) + reduced.values
@@ -897,7 +927,8 @@ def _wall_by_wall(rs, point):
     n = rs.rank
     tvec = rs._dominant_coroots[0][1]
     theta_letters = _reflection_word(rs, rs.marks)
-    values, den = alcove._numerators(point.values)
+    values, den = point._numerators
+    values = list(values)
     steps, letters = [], []
     if any(v < -den or v >= 2 * den for v in values):
         shift = tuple(-(v // den) for v in values)
